@@ -16,7 +16,9 @@ Gives the reproduction an operator's console:
   (``--shards N`` runs the sharded scale-out path with streamed journal
   spools and epoch-barrier checkpoints; ``--procs N`` spreads the shards
   over N spawned OS workers with byte-identical journals; ``--resume
-  DIR`` continues a killed sharded run under either executor)
+  DIR`` continues a killed sharded run under either executor; both exit
+  2 on ``--tenant-config``, ``--duration`` or ``--no-compare``, which the
+  sharded path does not support)
 * ``sweep``     — chart anonymity/latency/overhead across Tor, Dissent, mixnet
 * ``tenants``   — run the multi-tenant control-plane scenario: quotas,
   launch/ingress rate limits, a reconciled mid-run policy update, and a
@@ -431,6 +433,22 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
     """The scale-out path: ``repro fleet --shards N`` / ``--resume DIR``."""
     from repro.fleet import resume_fleet_sharded, run_fleet_sharded
 
+    ignored = [
+        flag
+        for flag, given in (
+            ("--tenant-config", args.tenant_config is not None),
+            ("--duration", args.duration is not None),
+            ("--no-compare", args.no_compare),
+        )
+        if given
+    ]
+    if ignored:
+        print(
+            f"repro fleet: {', '.join(ignored)} not supported with "
+            "--shards/--resume",
+            file=sys.stderr,
+        )
+        return 2
     procs = args.procs
     if procs == 0:
         from repro.fleet.parallel import default_procs

@@ -20,6 +20,8 @@ survive as shims that emit ``DeprecationWarning``.
 
 from __future__ import annotations
 
+import functools
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -59,6 +61,9 @@ CRASH_RETRY = RetryPolicy(max_attempts=4, base_backoff_s=0.0, max_backoff_s=0.0)
 #: Sentinel distinguishing "not passed" from any real value in the
 #: deprecated Fleet constructor kwargs.
 _UNSET = object()
+
+#: The ``(admits, calm)`` verdict of a host that takes no placements.
+_REFUSED = (False, False)
 
 
 @dataclass(frozen=True)
@@ -284,14 +289,17 @@ class Fleet:
         self._next_host_index = 0
         self.hosts: Dict[str, HostHandle] = {}
         # Host order is join order (initial hosts sort by id); hosts may
-        # join (autoscale-up) or leave (drain + remove) after init, so
-        # per-host admission verdicts are cached keyed on each host's
-        # accounting token — a placement, removal, or KSM change bumps
-        # only that host's token, so admission checks re-derive nothing
-        # for untouched hosts.  Crashed/draining hosts are filtered by
-        # flag before the cache is consulted.
+        # join (autoscale-up) or leave (drain + remove) after init.
+        # Admission is change-driven: each hypervisor reports every
+        # accounting change, and the fleet itself marks hosts that join,
+        # crash or change drain state, so ``_candidates`` re-derives the
+        # (admits, calm) verdict of just those hosts.  The host-ordered
+        # admissible and calm lists are rebuilt only when a verdict flips.
         self._host_order: List[HostHandle] = []
-        self._admission_cache: Dict[str, tuple] = {}
+        self._stale_hosts: Dict[str, HostHandle] = {}
+        self._verdicts: Dict[str, Tuple[bool, bool]] = {}
+        self._admissible: List[HostHandle] = []
+        self._calm: List[HostHandle] = []
         self.add_hosts(hosts, announce=False)
 
         self.nymboxes: Dict[str, FleetNymbox] = {}
@@ -374,8 +382,14 @@ class Fleet:
                 zygote_cache=self._flash_clone,
             )
             handle = HostHandle(host_id, hv)
+            # The listener fires on every guest mutation, so it is one
+            # C-level dict store rather than a Python-level call.
+            hv.set_accounting_listener(
+                functools.partial(operator.setitem, self._stale_hosts, host_id, handle)
+            )
             self.hosts[host_id] = handle
             self._host_order.append(handle)
+            self._mark_stale(handle)
             added.append(handle)
         if announce:
             obs = self.timeline.obs
@@ -394,7 +408,10 @@ class Fleet:
             )
         del self.hosts[host_id]
         self._host_order = [h for h in self._host_order if h.host_id != host_id]
-        self._admission_cache.pop(host_id, None)
+        host.hypervisor.set_accounting_listener(None)
+        self._stale_hosts.pop(host_id, None)
+        if self._verdicts.pop(host_id, _REFUSED)[0]:
+            self._rebuild_candidate_lists()
         obs = self.timeline.obs
         obs.metrics.gauge("fleet.hosts").set(len(self.hosts))
         obs.event("fleet.host_leave", host=host_id)
@@ -421,6 +438,34 @@ class Fleet:
             + self.comm_spec.writable_fs_bytes
         )
 
+    def _mark_stale(self, host: HostHandle) -> None:
+        """Queue ``host`` for a fresh admission verdict."""
+        self._stale_hosts[host.host_id] = host
+
+    def _verdict(self, host: HostHandle) -> Tuple[bool, bool]:
+        """``(admits, calm)`` for one more nymbox on ``host``."""
+        if not host.serving:
+            return _REFUSED
+        snap = host.memory_snapshot()
+        used = snap.used_bytes
+        admits = host.total_bytes - (used - snap.fs_bytes) >= self.need_ram_bytes
+        calm = (
+            admits
+            and (used + self.footprint_bytes) / host.total_bytes
+            <= self.high_watermark
+        )
+        return admits, calm
+
+    def _rebuild_candidate_lists(self) -> None:
+        # New list objects, never in-place edits: a list handed out by
+        # ``_candidates`` stays valid while its caller walks it.
+        verdicts = self._verdicts
+        self._admissible = [
+            h for h in self._host_order
+            if verdicts.get(h.host_id, _REFUSED)[0]
+        ]
+        self._calm = [h for h in self._admissible if verdicts[h.host_id][1]]
+
     def _candidates(self, exclude: Optional[str] = None) -> List[HostHandle]:
         """Hosts that can admit one more nymbox, watermark-aware.
 
@@ -429,35 +474,26 @@ class Fleet:
         off); when the whole fleet is that full, fall back to anyone with
         raw RAM headroom and let evacuation rebalance.
 
-        Verdicts are cached per host keyed on its accounting token: an
-        admission check after a placement recomputes only the one host
-        that changed instead of re-deriving the whole fleet's watermark
-        arithmetic per arrival.
+        Only hosts marked stale since the last call (an accounting
+        change, a join, a crash, a drain or undrain) get a fresh verdict,
+        so an arrival costs O(hosts that changed), not O(hosts).
         """
-        need = self.need_ram_bytes
-        footprint = self.footprint_bytes
-        high = self.high_watermark
-        cache = self._admission_cache
-        admissible: List[HostHandle] = []
-        calm: List[HostHandle] = []
-        for h in self._host_order:
-            if h.crashed or h.draining or h.host_id == exclude:
-                continue
-            token = h.hypervisor.accounting_token()
-            entry = cache.get(h.host_id)
-            if entry is None or entry[0] != token:
-                snap = h.memory_snapshot()
-                used = snap.used_bytes
-                free_ram = h.total_bytes - (used - snap.fs_bytes)
-                admits = free_ram >= need
-                calm_ok = admits and (used + footprint) / h.total_bytes <= high
-                entry = (token, admits, calm_ok)
-                cache[h.host_id] = entry
-            if entry[1]:
-                admissible.append(h)
-                if entry[2]:
-                    calm.append(h)
-        return calm or admissible
+        if self._stale_hosts:
+            # Clear in place: every hypervisor's listener holds this dict.
+            stale = list(self._stale_hosts.items())
+            self._stale_hosts.clear()
+            flipped = False
+            for host_id, host in stale:
+                verdict = self._verdict(host)
+                if self._verdicts.get(host_id) != verdict:
+                    self._verdicts[host_id] = verdict
+                    flipped = True
+            if flipped:
+                self._rebuild_candidate_lists()
+        if exclude is None:
+            return self._calm or self._admissible
+        calm = [h for h in self._calm if h.host_id != exclude]
+        return calm or [h for h in self._admissible if h.host_id != exclude]
 
     def _tenant_admission(self, tenant: str) -> Optional[str]:
         """Peek this tenant's quota/rate verdict for one more nym."""
@@ -848,6 +884,7 @@ class Fleet:
         if host is None or host.crashed:
             return None
         host.crashed = True
+        self._mark_stale(host)
         self._accounting_epoch += 1
         self.crashes += 1
         obs = self.timeline.obs
@@ -892,6 +929,7 @@ class Fleet:
         if host is None or host.crashed or host.draining:
             return None
         host.draining = True
+        self._mark_stale(host)
         self.drains += 1
         obs = self.timeline.obs
         obs.metrics.counter("fleet.host_drains").inc()
@@ -914,6 +952,7 @@ class Fleet:
         if host is None or not host.draining:
             return
         host.draining = False
+        self._mark_stale(host)
         self.timeline.obs.event("fleet.host_undrain", host=host_id)
 
     def rolling_drain(

@@ -17,9 +17,9 @@ class HostHandle:
     so the scheduler can never disagree with the memory model.
 
     Accounting reads are cached against the hypervisor's
-    ``accounting_token()``: admission checks poll ``used_bytes`` /
-    ``free_ram_bytes`` per candidate host per arrival, and between
-    arrivals most hosts haven't changed — the cached
+    ``accounting_token()``: placement policies, pressure checks and wave
+    planning read ``used_bytes`` / ``free_ram_bytes`` of hosts that
+    mostly haven't changed since the last read — the cached
     :class:`MemorySnapshot` is served until the token moves.
     """
 

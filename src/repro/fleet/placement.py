@@ -168,7 +168,11 @@ class WaveView:
 
 
 class PlacementPolicy:
-    """Chooses one host from the admissible candidates (or ``None``)."""
+    """Chooses one host from the admissible candidates (or ``None``).
+
+    ``choose`` receives the fleet's own candidate list: read it, never
+    mutate it.
+    """
 
     name = "abstract"
     #: Policies that implement :meth:`choose_batch`; others fall back to

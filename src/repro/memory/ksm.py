@@ -10,28 +10,28 @@ sharing ramps up over time instead of appearing instantaneously — this is
 why Figure 3 shows shared pages growing between the "before" and "after"
 measurements of each nym.
 
-Accounting is incremental: a cross-guest candidate index is kept and
-revalidated against each guest's ``dirty_epoch``, so the ``stats()`` a
-ksmd wakeup publishes is O(1) amortized — the index is rebuilt (O(content
-groups), not O(pages)) only when some guest's memory actually changed or
-the guest set itself did.
+Accounting is incremental: per image, the index sums each ``(lo, hi)``
+block run's multiplicity over every registered guest.  A guest's dirty
+listener only queues that guest; ``stats()`` folds each queued guest's
+change into the sums and re-sweeps only the images whose runs changed,
+so a ksmd wakeup or an admission check costs O(what changed), not
+O(guests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.memory.pages import GuestMemory, pages_to_bytes
 from repro.obs import NULL_OBS
 
-try:  # numpy accelerates the duplicate sweep; the scalar path is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the environment
-    _np = None
+#: What one guest contributes to the merge index: its zero pages and its
+#: ``(image_id, block_lo, block_hi, multiplicity)`` runs.
+Contribution = Tuple[int, Tuple[Tuple[str, int, int, int], ...]]
 
-#: Below this many (lo, hi, mult) runs the scalar sweep wins (no array setup).
-_VECTOR_SWEEP_THRESHOLD = 24
+#: The contribution of a guest not yet folded into the index.
+_NOTHING: Contribution = (0, ())
 
 
 @dataclass(frozen=True)
@@ -78,49 +78,6 @@ def _sweep_duplicates(runs: Iterable[Tuple[int, int, int]]) -> Tuple[int, int]:
     return shared, sharing
 
 
-def _sweep_duplicates_grouped(
-    group_ids: List[int], los: List[int], his: List[int], mults: List[int]
-) -> Tuple[int, int]:
-    """Vectorized :func:`_sweep_duplicates` over *all* content groups at once.
-
-    Each run ``i`` belongs to group ``group_ids[i]`` (one group per image
-    id); runs of different groups never merge.  The event sweep runs as
-    one lexsort + cumsum over the concatenated per-group event lists: a
-    group's deltas sum to zero, so depth returns to 0 at every group
-    boundary and the boundary mask only guards against negative widths.
-    Exact-equivalent to per-group :func:`_sweep_duplicates` (pinned by
-    tests/test_memory_equivalence.py).
-    """
-    if _np is None or len(los) < _VECTOR_SWEEP_THRESHOLD:
-        per_group: Dict[int, List[Tuple[int, int, int]]] = {}
-        for gid, lo, hi, mult in zip(group_ids, los, his, mults):
-            per_group.setdefault(gid, []).append((lo, hi, mult))
-        shared = 0
-        sharing = 0
-        for runs in per_group.values():
-            run_shared, run_sharing = _sweep_duplicates(runs)
-            shared += run_shared
-            sharing += run_sharing
-        return shared, sharing
-    n = len(los)
-    group = _np.fromiter(group_ids, dtype=_np.int64, count=n)
-    lo_arr = _np.fromiter(los, dtype=_np.int64, count=n)
-    hi_arr = _np.fromiter(his, dtype=_np.int64, count=n)
-    mult_arr = _np.fromiter(mults, dtype=_np.int64, count=n)
-    points = _np.concatenate([lo_arr, hi_arr])
-    deltas = _np.concatenate([mult_arr, -mult_arr])
-    groups2 = _np.concatenate([group, group])
-    order = _np.lexsort((points, groups2))
-    points = points[order]
-    groups2 = groups2[order]
-    depth = _np.cumsum(deltas[order])[:-1]
-    widths = points[1:] - points[:-1]
-    covered = (depth >= 2) & (groups2[1:] == groups2[:-1])
-    shared = int(widths[covered].sum())
-    sharing = int((widths[covered] * depth[covered]).sum())
-    return shared, sharing
-
-
 class Ksm:
     """Samepage-merging scanner over a set of guests.
 
@@ -144,26 +101,31 @@ class Ksm:
         # the paper measured only ~5% total savings.  Zero-page merging is
         # left switchable for the ablation benchmark.
         self.merge_zero_pages = merge_zero_pages
-        self._guests: List[GuestMemory] = []
+        #: Registered guests, each mapped to the contribution last folded
+        #: into the merge index.
+        self._guests: Dict[GuestMemory, Contribution] = {}
         self._total_pages = 0
         self._scanned_pages = 0
-        # Incremental candidate index.  Each registered guest gets a dirty
-        # listener that flips the stale flag, so checking freshness is O(1)
-        # instead of an epoch walk over every guest; the epochs are still
-        # recorded at rebuild time for introspection and the perfbench
-        # seed-mode baseline.
-        self._index_stale = True
-        self._guest_epochs: Dict[int, int] = {}
+        # The merge index.  Guests whose memory changed since their last
+        # fold wait in ``_queued``; images whose run sums changed since
+        # their last sweep wait in ``_stale_images``.
+        self._queued: Dict[GuestMemory, None] = {}
+        self._image_runs: Dict[str, Dict[Tuple[int, int], int]] = {}
+        self._image_sweeps: Dict[str, Tuple[int, int]] = {}
+        self._stale_images: Set[str] = set()
+        self._zero_pages = 0
         self._mergeable_shared = 0
         self._mergeable_sharing = 0
         #: Bumped on every change that can alter ``stats()`` output
         #: (guest set, dirty memory, scan coverage).  Snapshot caches key
         #: on it — see ``Hypervisor.accounting_token``.
         self.version = 0
-        # stats() memo: (version, coverage-gate flag) -> KsmStats.  The
-        # version covers every mutation, so a hit returns the previous
-        # (frozen) stats object without touching the index.
-        self._stats_cache: Optional[Tuple[int, bool, "KsmStats"]] = None
+        #: Called with no arguments after every ``version`` bump.
+        self.change_listener: Optional[Callable[[], None]] = None
+        # stats() memo: (version, KsmStats).  The version covers every
+        # mutation, so a hit returns the previous (frozen) stats object
+        # without touching the index.
+        self._stats_cache: Optional[Tuple[int, KsmStats]] = None
         self.obs = obs
         self._scan_passes = obs.metrics.counter("ksm.scan_passes")
         self._pages_sharing = obs.metrics.gauge("ksm.pages_sharing")
@@ -172,24 +134,32 @@ class Ksm:
 
     def register(self, guest: GuestMemory) -> None:
         if guest not in self._guests:
-            self._guests.append(guest)
+            self._guests[guest] = _NOTHING
             self._total_pages += guest.total_pages
-            guest.add_dirty_listener(self._mark_index_stale)
-            self._index_stale = True
-            self.version += 1
+            guest.add_dirty_listener(self._guest_changed)
+            self._queued[guest] = None
+            self._bump_version()
 
     def unregister(self, guest: GuestMemory) -> None:
-        if guest in self._guests:
-            self._guests.remove(guest)
+        folded = self._guests.pop(guest, None)
+        if folded is not None:
             self._total_pages -= guest.total_pages
-            guest.remove_dirty_listener(self._mark_index_stale)
-            self._guest_epochs.pop(id(guest), None)
-            self._index_stale = True
-            self.version += 1
+            guest.remove_dirty_listener(self._guest_changed)
+            self._queued.pop(guest, None)
+            self._fold(folded, _NOTHING)
+            self._bump_version()
 
-    def _mark_index_stale(self) -> None:
-        self._index_stale = True
+    def _guest_changed(self, guest: GuestMemory) -> None:
+        # Runs on every guest mutation, so the version bump is inlined.
+        self._queued[guest] = None
         self.version += 1
+        if self.change_listener is not None:
+            self.change_listener()
+
+    def _bump_version(self) -> None:
+        self.version += 1
+        if self.change_listener is not None:
+            self.change_listener()
 
     # -- scanning ------------------------------------------------------------
 
@@ -219,7 +189,7 @@ class Ksm:
             )
             if scanned != self._scanned_pages:
                 self._scanned_pages = scanned
-                self.version += 1
+                self._bump_version()
             self._scan_passes.inc(passes)
         return self._published_stats()
 
@@ -231,7 +201,7 @@ class Ksm:
                 # Only an actual catch-up scan counts as a pass; calling
                 # this with coverage already complete is a no-op.
                 self._scanned_pages = total
-                self.version += 1
+                self._bump_version()
                 self._scan_passes.inc()
         return self._published_stats()
 
@@ -242,7 +212,7 @@ class Ksm:
         diverge again and the scanner must re-earn its coverage.
         """
         self._scanned_pages = 0
-        self.version += 1
+        self._bump_version()
         self._coverage_resets.inc()
         self.obs.event("ksm.coverage_reset", guests=len(self._guests))
 
@@ -255,72 +225,77 @@ class Ksm:
 
     # -- accounting ------------------------------------------------------------
 
-    def _index_current(self) -> bool:
-        # Dirty listeners flip ``_index_stale`` the moment any registered
-        # guest mutates, so freshness is the flag alone — no epoch walk.
-        return not self._index_stale
+    def _fold(self, old: Contribution, new: Contribution) -> None:
+        """Replace one guest's ``old`` contribution to the index by ``new``."""
+        self._zero_pages += new[0] - old[0]
+        if old[1] == new[1]:
+            return
+        image_runs = self._image_runs
+        stale = self._stale_images
+        for sign, segments in ((-1, old[1]), (1, new[1])):
+            for image_id, lo, hi, mult in segments:
+                runs = image_runs.get(image_id)
+                if runs is None:
+                    runs = image_runs[image_id] = {}
+                total = runs.get((lo, hi), 0) + sign * mult
+                if total:
+                    runs[(lo, hi)] = total
+                else:
+                    del runs[(lo, hi)]
+                stale.add(image_id)
 
-    def _rebuild_index(self) -> None:
-        """Recompute the cross-guest merge candidates from content groups.
+    def _update_index(self) -> None:
+        """Fold the queued guests in, then re-sweep the images they changed.
 
-        O(total content groups) — run-length guest accounting keeps that a
-        few dozen entries even for multi-GiB guest sets.
+        Each image's sweep runs over its distinct ``(lo, hi)`` runs with
+        their summed multiplicities, which counts exactly what sweeping
+        every guest's runs apart would: the sweep only sees net depth.
         """
-        zero_total = 0
-        image_index: Dict[str, int] = {}
-        group_ids: List[int] = []
-        los: List[int] = []
-        his: List[int] = []
-        mults: List[int] = []
-        for guest in self._guests:
-            zero_total += guest.zero_pages
-            for image_id, lo, hi, mult in guest.image_segments():
-                gid = image_index.setdefault(image_id, len(image_index))
-                group_ids.append(gid)
-                los.append(lo)
-                his.append(hi)
-                mults.append(mult)
-        shared, sharing = _sweep_duplicates_grouped(group_ids, los, his, mults)
-        if self.merge_zero_pages and zero_total >= 2:
-            # All zero pages carry one content: a single physical page.
-            shared += 1
-            sharing += zero_total
-        self._mergeable_shared = shared
-        self._mergeable_sharing = sharing
-        self._guest_epochs = {id(g): g.dirty_epoch for g in self._guests}
-        self._index_stale = False
-
-    #: Class-level gate for the zero-coverage fast path below; the
-    #: perfbench seed modes flip it off so baselines keep the seed cost.
-    _coverage_gate_enabled = True
-
-    #: Class-level gate for the version-keyed stats memo; the perfbench
-    #: seed modes flip it off so baselines recompute stats every call.
-    _stats_cache_enabled = True
+        queued, self._queued = self._queued, {}
+        guests = self._guests
+        for guest in queued:
+            new = (guest.zero_pages, tuple(guest.image_segments()))
+            self._fold(guests[guest], new)
+            guests[guest] = new
+        for image_id in self._stale_images:
+            old_shared, old_sharing = self._image_sweeps.pop(image_id, (0, 0))
+            runs = self._image_runs.get(image_id)
+            shared = sharing = 0
+            if runs:
+                shared, sharing = _sweep_duplicates(
+                    (lo, hi, mult) for (lo, hi), mult in runs.items()
+                )
+                self._image_sweeps[image_id] = (shared, sharing)
+            else:
+                self._image_runs.pop(image_id, None)
+            self._mergeable_shared += shared - old_shared
+            self._mergeable_sharing += sharing - old_sharing
+        self._stale_images.clear()
 
     def stats(self) -> KsmStats:
-        gate = self._coverage_gate_enabled
-        if not self._stats_cache_enabled:
-            return self._compute_stats(gate)
         cached = self._stats_cache
-        if cached is not None and cached[0] == self.version and cached[1] == gate:
-            return cached[2]
-        result = self._compute_stats(gate)
-        self._stats_cache = (self.version, gate, result)
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
+        result = self._compute_stats()
+        self._stats_cache = (self.version, result)
         return result
 
-    def _compute_stats(self, gate: bool) -> KsmStats:
+    def _compute_stats(self) -> KsmStats:
         if not self.enabled:
             return _ZERO_STATS
-        if gate and self._scanned_pages == 0 and self._total_pages > 0:
+        if self._scanned_pages == 0 and self._total_pages > 0:
             # Nothing scanned yet: the coverage fraction is exactly 0.0,
             # so both truncated counts are 0 whatever the index holds —
-            # skip the rebuild (it happens lazily on the first scan).
+            # leave the queue for the first scan to fold.
             return _ZERO_STATS
-        if not self._index_current():
-            self._rebuild_index()
+        if self._queued or self._stale_images:
+            self._update_index()
         shared = self._mergeable_shared
         sharing = self._mergeable_sharing
+        if self.merge_zero_pages and self._zero_pages >= 2:
+            # All zero pages carry one content: a single physical page.
+            shared += 1
+            sharing += self._zero_pages
         fraction = self.coverage
         # Rate limiting: only the covered fraction of duplicates is merged yet.
         shared_now = int(shared * fraction)

@@ -2,9 +2,9 @@
 
 Accounting is O(groups), not O(pages): a gigabyte of privately dirtied
 memory is one ``("unique", owner, lo, hi)`` run, not 262k dict entries.
-Every mutation bumps :attr:`GuestMemory.dirty_epoch`, which lets the KSM
-scanner keep an incremental cross-guest index instead of re-walking every
-page group on each wakeup.
+Every mutation bumps :attr:`GuestMemory.dirty_epoch` and tells the dirty
+listeners which guest changed, which lets the KSM scanner fold just that
+guest into its cross-guest index instead of re-walking every guest.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class GuestMemory:
     # -- dirty listeners ---------------------------------------------------
 
     def add_dirty_listener(self, callback) -> None:
-        """Call ``callback()`` after every mutation (epoch bump)."""
+        """Call ``callback(guest)`` after every mutation of this guest."""
         self._dirty_listeners.append(callback)
 
     def remove_dirty_listener(self, callback) -> None:
@@ -152,7 +152,7 @@ class GuestMemory:
     def _bump_epoch(self) -> None:
         self.dirty_epoch += 1
         for callback in self._dirty_listeners:
-            callback()
+            callback(self)
 
     # -- introspection -----------------------------------------------------
 
@@ -237,7 +237,7 @@ class GuestMemory:
         self._unique_serial = template._unique_serial
         self.dirty_epoch = template.dirty_epoch
         for callback in self._dirty_listeners:
-            callback()
+            callback(self)
 
     def clone(self, owner_id: str) -> "GuestMemory":
         """A new guest sharing this guest's content runs copy-on-write."""

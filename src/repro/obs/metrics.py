@@ -146,9 +146,11 @@ class MetricsRegistry:
     # -- instrument factories -------------------------------------------------
 
     def _get_or_create(self, name: str, cls) -> Instrument:
-        validate_metric_name(name)
         instrument = self._instruments.get(name)
         if instrument is None:
+            # A registered name was checked when it was created, so hot
+            # lookups skip the regex.
+            validate_metric_name(name)
             instrument = cls(name)
             self._instruments[name] = instrument
         elif not isinstance(instrument, cls):

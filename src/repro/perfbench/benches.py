@@ -124,7 +124,7 @@ def _bench_ksm_stats(quick: bool) -> BenchResult:
         baseline_seconds=base_seconds,
         notes=(
             f"steady-state stats() over {len(guests)} guests; seed rescans "
-            "every page group per call, live code serves the epoch-cached index"
+            "every page group per call, live code serves the version-memoized index"
         ),
         extra={"guests": len(guests), "total_pages": ksm.total_guest_pages},
     )
@@ -568,8 +568,8 @@ def _bench_fleet_wave(quick: bool) -> BenchResult:
 
     Isolates the admission machinery itself — flash-cloning is on for
     *both* sides, so the speedup is wave planning + vectorized admission
-    + token-cached accounting against the seed per-arrival host-list
-    rebuild (:func:`seed_admission_mode`), not cloning.
+    + O(Δ) accounting against the seed per-arrival host-list rebuild
+    (:func:`seed_admission_mode`), not cloning.
     """
     from repro.fleet import Fleet
     from repro.tenancy.policy import FleetPolicies

@@ -21,7 +21,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as _np
+
 from repro.errors import MemoryError_
+from repro.memory.ksm import _sweep_duplicates
 from repro.memory.pages import (
     PAGE_SIZE,
     ContentTag,
@@ -256,9 +259,8 @@ _seed_token_serial = 0
 
 
 def _seed_accounting_token(self):
-    # Always fresh: every consumer cache keyed on the token (host snapshot
-    # cache, fleet admission cache) misses on each read, restoring the
-    # seed per-query accounting cost.
+    # Always fresh: the host snapshot cache keyed on the token misses on
+    # each read, restoring the seed per-query accounting cost.
     global _seed_token_serial
     _seed_token_serial += 1
     return (_seed_token_serial,)
@@ -285,25 +287,110 @@ def _seed_ksm_total_guest_pages(self) -> int:
     return sum(guest.total_pages for guest in self._guests)
 
 
-def _seed_ksm_index_current(self) -> bool:
-    if self._index_stale:
-        return False
-    epochs = self._guest_epochs
-    for guest in self._guests:
-        if epochs.get(id(guest)) != guest.dirty_epoch:
-            return False
-    return True
+#: Below this many (lo, hi, mult) runs the scalar sweep wins (no array setup).
+_VECTOR_SWEEP_THRESHOLD = 24
+
+
+def _seed_sweep_duplicates_grouped(
+    group_ids: List[int], los: List[int], his: List[int], mults: List[int]
+) -> Tuple[int, int]:
+    """The seed index's duplicate sweep over *all* content groups at once.
+
+    Each run ``i`` belongs to group ``group_ids[i]`` (one group per image
+    id); runs of different groups never merge.  The event sweep runs as
+    one lexsort + cumsum over the concatenated per-group event lists: a
+    group's deltas sum to zero, so depth returns to 0 at every group
+    boundary and the boundary mask only guards against negative widths.
+    Below ``_VECTOR_SWEEP_THRESHOLD`` runs it sweeps each group in turn.
+    """
+    if len(los) < _VECTOR_SWEEP_THRESHOLD:
+        per_group: Dict[int, List[Tuple[int, int, int]]] = {}
+        for gid, lo, hi, mult in zip(group_ids, los, his, mults):
+            per_group.setdefault(gid, []).append((lo, hi, mult))
+        shared = 0
+        sharing = 0
+        for runs in per_group.values():
+            run_shared, run_sharing = _sweep_duplicates(runs)
+            shared += run_shared
+            sharing += run_sharing
+        return shared, sharing
+    n = len(los)
+    group = _np.fromiter(group_ids, dtype=_np.int64, count=n)
+    lo_arr = _np.fromiter(los, dtype=_np.int64, count=n)
+    hi_arr = _np.fromiter(his, dtype=_np.int64, count=n)
+    mult_arr = _np.fromiter(mults, dtype=_np.int64, count=n)
+    points = _np.concatenate([lo_arr, hi_arr])
+    deltas = _np.concatenate([mult_arr, -mult_arr])
+    groups2 = _np.concatenate([group, group])
+    order = _np.lexsort((points, groups2))
+    points = points[order]
+    groups2 = groups2[order]
+    depth = _np.cumsum(deltas[order])[:-1]
+    widths = points[1:] - points[:-1]
+    covered = (depth >= 2) & (groups2[1:] == groups2[:-1])
+    shared = int(widths[covered].sum())
+    sharing = int((widths[covered] * depth[covered]).sum())
+    return shared, sharing
+
+
+def _seed_ksm_rebuild_index(ksm) -> Tuple[int, int]:
+    """The seed index rebuild: every registered guest's runs, every time."""
+    zero_total = 0
+    image_index: Dict[str, int] = {}
+    group_ids: List[int] = []
+    los: List[int] = []
+    his: List[int] = []
+    mults: List[int] = []
+    for guest in ksm._guests:
+        zero_total += guest.zero_pages
+        for image_id, lo, hi, mult in guest.image_segments():
+            gid = image_index.setdefault(image_id, len(image_index))
+            group_ids.append(gid)
+            los.append(lo)
+            his.append(hi)
+            mults.append(mult)
+    shared, sharing = _seed_sweep_duplicates_grouped(group_ids, los, his, mults)
+    if ksm.merge_zero_pages and zero_total >= 2:
+        shared += 1
+        sharing += zero_total
+    return shared, sharing
+
+
+def _seed_ksm_stats(self):
+    """The seed `Ksm.stats`: no version memo and no zero-coverage gate; a
+    dirty-epoch walk over every guest per call, and an all-guest rebuild
+    whenever any guest's epoch (or the guest set) moved."""
+    from repro.memory.ksm import KsmStats
+
+    if not self.enabled:
+        return KsmStats(pages_shared=0, pages_sharing=0, pages_saved=0)
+    epochs = {guest: guest.dirty_epoch for guest in self._guests}
+    index = self.__dict__.get("_seed_index")
+    if index is None or index[0] != epochs:
+        index = (epochs,) + _seed_ksm_rebuild_index(self)
+        self._seed_index = index
+    _, shared, sharing = index
+    fraction = self.coverage
+    shared_now = int(shared * fraction)
+    sharing_now = int(sharing * fraction)
+    if sharing_now and not shared_now:
+        shared_now = 1
+    return KsmStats(
+        pages_shared=shared_now,
+        pages_sharing=sharing_now,
+        pages_saved=max(0, sharing_now - shared_now),
+    )
 
 
 @contextmanager
 def seed_accounting_mode():
     """Run with the seed O(N) accounting sums: `Layer.used_bytes` walks
     every file, `HostMemory.stats` and `Ksm.total_guest_pages` walk every
-    guest, `Ksm._index_current` re-walks dirty epochs per call,
-    `Hypervisor.memory_snapshot` re-sums writable FS bytes over every VM,
-    the accounting token is always fresh (defeating the host snapshot and
-    fleet admission caches), and KSM's zero-coverage stats gate and
-    version-keyed stats memo are both off."""
+    guest, `Ksm.stats` re-walks dirty epochs per call and rebuilds its
+    index from every guest on any change (no memo, no zero-coverage
+    gate), `Hypervisor.memory_snapshot` re-sums writable FS bytes over
+    every VM, and the accounting token is always fresh (defeating the
+    host snapshot cache)."""
     from repro.memory.ksm import Ksm
     from repro.memory.physmem import HostMemory
     from repro.unionfs.layer import Layer
@@ -314,21 +401,17 @@ def seed_accounting_mode():
         HostMemory.stats,
         HostMemory._used_bytes_now,
         Ksm.total_guest_pages,
-        Ksm._index_current,
+        Ksm.stats,
         Hypervisor.memory_snapshot,
         Hypervisor.accounting_token,
-        Ksm._coverage_gate_enabled,
-        Ksm._stats_cache_enabled,
     )
     Layer.used_bytes = property(_seed_layer_used_bytes)
     HostMemory.stats = _seed_host_memory_stats
     HostMemory._used_bytes_now = _seed_physmem_used_bytes_now
     Ksm.total_guest_pages = property(_seed_ksm_total_guest_pages)
-    Ksm._index_current = _seed_ksm_index_current
+    Ksm.stats = _seed_ksm_stats
     Hypervisor.memory_snapshot = _seed_hypervisor_memory_snapshot
     Hypervisor.accounting_token = _seed_accounting_token
-    Ksm._coverage_gate_enabled = False
-    Ksm._stats_cache_enabled = False
     try:
         yield
     finally:
@@ -337,11 +420,9 @@ def seed_accounting_mode():
             HostMemory.stats,
             HostMemory._used_bytes_now,
             Ksm.total_guest_pages,
-            Ksm._index_current,
+            Ksm.stats,
             Hypervisor.memory_snapshot,
             Hypervisor.accounting_token,
-            Ksm._coverage_gate_enabled,
-            Ksm._stats_cache_enabled,
         ) = saved
 
 
@@ -367,8 +448,8 @@ def _seed_fleet_candidates(self, exclude=None):
 @contextmanager
 def seed_admission_mode():
     """The seed fleet-admission path: host lists rebuilt and the full
-    watermark arithmetic re-derived on every arrival (no token-keyed
-    verdict cache, no wave batching reaches `_candidates`), on top of the
+    watermark arithmetic re-derived on every arrival (no change-driven
+    verdicts, no wave batching reaches `_candidates`), on top of the
     seed accounting sums."""
     from repro.fleet.fleet import Fleet
 

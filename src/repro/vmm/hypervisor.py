@@ -134,6 +134,7 @@ class Hypervisor:
         # Writable-FS bytes across all resident VMs, maintained by delta
         # listeners on each VM's top layer — keeps memory_snapshot() O(1).
         self._fs_ram_bytes = 0
+        self._accounting_listener = None
 
         #: Flash-clone launch path: pre-booted memory images and shared
         #: read-only mount layers, keyed per (spec, role, anonymizer, image).
@@ -374,6 +375,8 @@ class Hypervisor:
 
     def _on_fs_delta(self, delta: int) -> None:
         self._fs_ram_bytes += delta
+        if self._accounting_listener is not None:
+            self._accounting_listener()
 
     def destroy_vm(self, vm: VirtualMachine) -> None:
         """Shut down and securely erase a VM (the amnesia step of §3.4)."""
@@ -538,11 +541,22 @@ class Hypervisor:
     def accounting_token(self) -> tuple:
         """A value that changes whenever :meth:`memory_snapshot` could.
 
-        Covers guest allocations, KSM state (index staleness, scan
-        coverage, guest registration), and writable-FS bytes — callers
-        (the fleet's :class:`HostHandle`) cache snapshots keyed on it.
+        Covers guest allocations, KSM state (guest memory, scan coverage,
+        guest registration), and writable-FS bytes — callers (the fleet's
+        :class:`HostHandle`) cache snapshots keyed on it.
         """
         return (self.memory._allocated_pages, self.ksm.version, self._fs_ram_bytes)
+
+    def set_accounting_listener(self, callback) -> None:
+        """Call ``callback()`` after every change to :meth:`accounting_token`.
+
+        KSM reports its version bumps and the writable-FS delta listener
+        reports FS bytes.  Guest allocations need no hook of their own:
+        every allocation or release (un)registers a KSM guest, which bumps
+        the version.  ``None`` detaches the listener.
+        """
+        self._accounting_listener = callback
+        self.ksm.change_listener = callback
 
     def memory_snapshot(self) -> MemorySnapshot:
         stats = self.memory.stats()

@@ -264,7 +264,10 @@ class TestCli:
 
     def test_stats_scale_reads_spool_dir(self, tmp_path, capsys):
         spool = str(tmp_path / "spool")
-        assert main(self.FLEET_ARGS + ["--spool-dir", spool, "--json"]) == 0
+        out = str(tmp_path / "out.json")
+        assert main(
+            self.FLEET_ARGS + ["--spool-dir", spool, "--json", "--out", out]
+        ) == 0
         capsys.readouterr()
         assert main(["stats", "--scale", spool]) == 0
         out = capsys.readouterr().out
@@ -273,7 +276,10 @@ class TestCli:
 
     def test_stats_scale_json_roundtrips(self, tmp_path, capsys):
         spool = str(tmp_path / "spool")
-        assert main(self.FLEET_ARGS + ["--spool-dir", spool, "--json"]) == 0
+        out = str(tmp_path / "out.json")
+        assert main(
+            self.FLEET_ARGS + ["--spool-dir", spool, "--json", "--out", out]
+        ) == 0
         capsys.readouterr()
         assert main(["stats", "--scale", spool, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -283,3 +289,25 @@ class TestCli:
     def test_stats_scale_fails_cleanly_on_bad_dir(self, tmp_path, capsys):
         assert main(["stats", "--scale", str(tmp_path)]) == 1
         assert "merged metrics spool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, extra",
+        [
+            ("--tenant-config", ["--tenant-config", "tenants.json"]),
+            ("--duration", ["--duration", "0"]),
+            ("--no-compare", ["--no-compare"]),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["shards", "resume"])
+    def test_sharded_path_rejects_ignored_flags(
+        self, tmp_path, capsys, flag, extra, mode
+    ):
+        spool = str(tmp_path / "spool")
+        out = str(tmp_path / "out.json")
+        base = (
+            self.FLEET_ARGS if mode == "shards"
+            else ["fleet", "--resume", str(tmp_path / "ck")]
+        )
+        assert main(base + ["--spool-dir", spool, "--out", out] + extra) == 2
+        assert flag in capsys.readouterr().err
+        assert not os.path.exists(spool) and not os.path.exists(out)

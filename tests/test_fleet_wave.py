@@ -196,19 +196,19 @@ class TestRejectionAccountingAudit:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_mid_wave_capacity_error_leaves_caches_consistent(self, policy):
-        # After place_many raises mid-wave, the admission-verdict cache
-        # and every host's memory-snapshot cache must match a fresh
-        # recomputation from live hypervisor state.
+        # After place_many raises mid-wave, the change-driven admission
+        # verdicts and every host's memory-snapshot cache must match a
+        # fresh recomputation from live hypervisor state.
+        from repro.perfbench.legacy import _seed_fleet_candidates
+
         tl, fleet = build_fleet(policy, hosts=2, **self.MARKS)
         with pytest.raises(FleetCapacityError):
             fleet.place_many(wave(80, images=2), on_reject="raise")
         for host in fleet.host_list():
             assert host.memory_snapshot() == host.hypervisor.memory_snapshot()
-        before = [h.host_id for h in fleet._candidates()]
-        cached = dict(fleet._admission_cache)
-        fleet._admission_cache.clear()
-        assert [h.host_id for h in fleet._candidates()] == before
-        assert fleet._admission_cache == cached
+        assert [h.host_id for h in fleet._candidates()] == [
+            h.host_id for h in _seed_fleet_candidates(fleet)
+        ]
 
     @pytest.mark.parametrize("on_reject", ["skip", "raise"])
     def test_fleet_survives_mid_wave_rejection(self, on_reject):

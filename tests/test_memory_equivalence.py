@@ -227,7 +227,8 @@ class TestKsmEquivalence:
 
 
 class TestGroupedSweepEquivalence:
-    """The one-shot vectorized sweep must match per-group scalar sweeps."""
+    """The seed index's one-shot vectorized sweep (the baseline `repro
+    bench` measures against) must match per-group scalar sweeps."""
 
     def _scalar(self, group_ids, los, his, mults):
         from repro.memory.ksm import _sweep_duplicates
@@ -244,7 +245,7 @@ class TestGroupedSweepEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_run_sets_match_scalar(self, seed):
-        from repro.memory.ksm import _sweep_duplicates_grouped
+        from repro.perfbench.legacy import _seed_sweep_duplicates_grouped
 
         rng = random.Random(seed)
         for trial in range(30):
@@ -256,25 +257,25 @@ class TestGroupedSweepEquivalence:
                 los.append(lo)
                 his.append(lo + rng.randint(1, 80))
                 mults.append(rng.randint(1, 5))
-            assert _sweep_duplicates_grouped(group_ids, los, his, mults) == (
+            assert _seed_sweep_duplicates_grouped(group_ids, los, his, mults) == (
                 self._scalar(group_ids, los, his, mults)
             ), (seed, trial)
 
     def test_identical_endpoints_across_groups_do_not_merge(self):
-        from repro.memory.ksm import _sweep_duplicates_grouped
+        from repro.perfbench.legacy import _seed_sweep_duplicates_grouped
 
         # Same [0, 10) run in 30 different groups: no within-group overlap,
         # so nothing merges even though every point coincides globally.
         n = 30
         args = (list(range(n)), [0] * n, [10] * n, [1] * n)
-        assert _sweep_duplicates_grouped(*args) == (0, 0)
+        assert _seed_sweep_duplicates_grouped(*args) == (0, 0)
 
     def test_zero_coverage_stats_gate_is_exact(self):
         guests = _fig3_guest_set(GuestMemory)
         ksm = Ksm(enabled=True, pages_per_scan=1)
         for guest in guests:
             ksm.register(guest)
-        gated = ksm.stats()  # coverage 0.0: fast path, no index rebuild
+        gated = ksm.stats()  # coverage 0.0: fast path, nothing folded yet
         assert (gated.pages_shared, gated.pages_sharing, gated.pages_saved) == (
             0,
             0,
@@ -298,3 +299,137 @@ class TestGroupedSweepEquivalence:
         before = ksm.version
         ksm.run_to_completion()  # coverage already complete: no change
         assert ksm.version == before
+
+
+class _Twin:
+    """One script guest: the live guest and its seed-model mirror."""
+
+    def __init__(self, live, legacy):
+        self.live = live
+        self.legacy = legacy
+
+
+def _legacy_copy(template: LegacyGuestMemory, owner_id: str) -> LegacyGuestMemory:
+    """The seed-model equivalent of ``clone``/``adopt_template``."""
+    size = template.total_pages * PAGE_SIZE
+    twin = LegacyGuestMemory(owner_id, size)
+    twin._pages = dict(template._pages)
+    twin._unique_serial = template._unique_serial
+    return twin
+
+
+class TestKsmIndexScripts:
+    """Random scripts over several guests: after every step the
+    incremental merge index must report exactly the seed full rescan."""
+
+    IMAGES = ("osA", "osB", "osC")
+
+    def _expected(self, ksm, registered, merge_zero_pages):
+        shared, sharing, saved = legacy_ksm_stats(
+            [twin.legacy for twin in registered], ksm.coverage, merge_zero_pages
+        )
+        if sharing and not shared:
+            shared = 1  # the live code's truncation-bias fix
+            saved = max(0, sharing - shared)
+        return shared, sharing, saved
+
+    def _step(self, rng, ksm, twins, registered):
+        """Apply one random operation to both models."""
+        kind = rng.choice(
+            ["map", "map", "map", "dirty", "dirty", "erase", "clone", "adopt",
+             "register", "unregister", "scan"]
+        )
+        twin = rng.choice(twins)
+        clean_pages = twin.live.clean_bytes // PAGE_SIZE
+        if kind == "map" and clean_pages:
+            image = rng.choice(self.IMAGES)
+            size = rng.randint(1, clean_pages) * PAGE_SIZE
+            first = rng.randint(0, 40)
+            twin.live.map_image(image, size, first_block=first)
+            twin.legacy.map_image(image, size, first_block=first)
+        elif kind == "dirty" and clean_pages:
+            size = rng.randint(1, clean_pages) * PAGE_SIZE
+            twin.live.dirty(size)
+            twin.legacy.dirty(size)
+        elif kind == "erase":
+            twin.live.secure_erase()
+            twin.legacy.secure_erase()
+        elif kind == "clone":
+            name = f"clone-{len(twins)}"
+            twins.append(
+                _Twin(twin.live.clone(name), _legacy_copy(twin.legacy, name))
+            )
+            if rng.random() < 0.7:
+                ksm.register(twins[-1].live)
+                registered.append(twins[-1])
+        elif kind == "adopt":
+            # The flash-clone order: register the pristine guest, then
+            # adopt the (possibly unregistered) template's runs.
+            name = f"adopt-{len(twins)}"
+            fresh = _Twin(
+                GuestMemory(name, twin.live.total_pages * PAGE_SIZE),
+                _legacy_copy(twin.legacy, name),
+            )
+            ksm.register(fresh.live)
+            fresh.live.adopt_template(twin.live)
+            twins.append(fresh)
+            registered.append(fresh)
+        elif kind == "register" and twin not in registered:
+            ksm.register(twin.live)
+            registered.append(twin)
+        elif kind == "unregister" and twin in registered:
+            ksm.unregister(twin.live)
+            registered.remove(twin)
+        elif kind == "scan":
+            ksm.scan(passes=rng.randint(1, 3))
+
+    @pytest.mark.parametrize("merge_zero_pages", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_scripts_match_seed_rescan(self, seed, merge_zero_pages):
+        import pickle
+
+        rng = random.Random(seed)
+        ksm = Ksm(enabled=True, pages_per_scan=rng.randint(20, 200),
+                  merge_zero_pages=merge_zero_pages)
+        twins = []
+        registered = []
+        for index in range(rng.randint(2, 5)):
+            pages = rng.randint(40, 160)
+            twin = _Twin(GuestMemory(f"g{index}", pages * PAGE_SIZE),
+                         LegacyGuestMemory(f"g{index}", pages * PAGE_SIZE))
+            twins.append(twin)
+            if rng.random() < 0.8:
+                ksm.register(twin.live)
+                registered.append(twin)
+        steps = 80
+        for step in range(steps):
+            if step == steps // 2:
+                # Checkpoints pickle the scanner with its guests: the
+                # index must survive with every guest's identity.
+                ksm, lives = pickle.loads(
+                    pickle.dumps((ksm, [twin.live for twin in twins]))
+                )
+                for twin, live in zip(twins, lives):
+                    twin.live = live
+            self._step(rng, ksm, twins, registered)
+            stats = ksm.stats()
+            assert (stats.pages_shared, stats.pages_sharing, stats.pages_saved) == (
+                self._expected(ksm, registered, merge_zero_pages)
+            ), (seed, step)
+        ksm.run_to_completion()
+        stats = ksm.stats()
+        assert (stats.pages_shared, stats.pages_sharing, stats.pages_saved) == (
+            self._expected(ksm, registered, merge_zero_pages)
+        )
+
+    def test_unchanged_guests_are_not_refolded(self):
+        guests = _fig3_guest_set(GuestMemory)
+        ksm = Ksm(enabled=True)
+        for guest in guests:
+            ksm.register(guest)
+        ksm.run_to_completion()
+        assert not ksm._queued
+        guests[1].dirty(PAGE_SIZE)
+        assert list(ksm._queued) == [guests[1]]
+        ksm.stats()
+        assert not ksm._queued and not ksm._stale_images

@@ -78,6 +78,31 @@ class TestMetricsRegistry:
         with pytest.raises(ObservabilityError):
             registry.gauge("a.b")
 
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_invalid_name_raises_on_first_use(self, kind):
+        registry = MetricsRegistry()
+        with pytest.raises(ObservabilityError, match="invalid metric name"):
+            getattr(registry, kind)("Bad.Name")
+        assert "Bad.Name" not in registry
+
+    def test_names_are_validated_only_at_creation(self, monkeypatch):
+        from repro.obs import metrics as metrics_mod
+
+        registry = MetricsRegistry()
+        checked = []
+
+        def counting_validate(name):
+            checked.append(name)
+            return validate_metric_name(name)
+
+        monkeypatch.setattr(metrics_mod, "validate_metric_name", counting_validate)
+        first = registry.counter("a.b")
+        assert registry.counter("a.b") is first
+        assert registry.counter("a.b") is first
+        assert checked == ["a.b"]
+        with pytest.raises(ObservabilityError, match="is a counter"):
+            registry.histogram("a.b")
+
     def test_names_prefix_respects_dot_boundaries(self):
         registry = MetricsRegistry()
         registry.counter("tor.circuits")
