@@ -19,7 +19,7 @@ def run_ablation(seed: int = 15):
     for kind in TRANSPORTS:
         manager = NymManager(NymixConfig(seed=seed))
         manager.add_cloud_provider(make_dropbox())
-        nymbox = manager.create_nym(f"abl-{kind.replace('+', '-')}", anonymizer=kind)
+        nymbox = manager.create_nym(name=f"abl-{kind.replace('+', '-')}", anonymizer=kind)
         load = manager.timed_browse(nymbox, PAGE_HOST)
         plan = nymbox.anonymizer.plan(0)
         rows.append(

@@ -18,7 +18,7 @@ def _run(ephemeral_channels: bool, nym_churn: int = 6, seed: int = 27):
     )
     manager.add_cloud_provider(make_dropbox())
     for index in range(nym_churn):
-        nymbox = manager.create_nym(f"day-{index}")
+        nymbox = manager.create_nym(name=f"day-{index}")
         manager.timed_browse(nymbox, "bbc.co.uk")
         manager.discard_nym(nymbox)
     tracker = manager.remanence

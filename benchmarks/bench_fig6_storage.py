@@ -20,11 +20,11 @@ def run_figure6(cycles: int = 10, seed: int = 6):
     for host in FIGURE6_SITES:
         name = f"fig6-{host.split('.')[0]}"
         sizes = []
-        nymbox = manager.create_nym(name)
+        nymbox = manager.create_nym(name=name)
         manager.timed_browse(nymbox, host)
         nymbox.sign_in(host, f"user-{name}", "pw")
         receipt = manager.store_nym(
-            nymbox, "nym-pw", provider_host="dropbox.com",
+            nymbox, password="nym-pw", provider_host="dropbox.com",
             account_username="fig6", blob_name=f"{name}.bin",
         )
         sizes.append(receipt.encrypted_bytes)

@@ -25,7 +25,7 @@ def run_figure7(runs: int = 5, seed: int = 7):
     for run in range(runs):
         manager = NymManager(NymixConfig(seed=seed + run))
         manager.add_cloud_provider(make_dropbox())
-        nymbox = manager.create_nym("fresh")
+        nymbox = manager.create_nym(name="fresh")
         manager.timed_browse(nymbox, "twitter.com")
         fresh_phases.append(nymbox.startup.as_dict())
     results["Fresh"] = _average(fresh_phases)
@@ -38,7 +38,7 @@ def run_figure7(runs: int = 5, seed: int = 7):
         manager.create_cloud_account("dropbox.com", "fig7", "pw")
 
         # Set up once: visit, sign in, snapshot (pre-configured).
-        setup = manager.create_nym("twitter-nym")
+        setup = manager.create_nym(name="twitter-nym")
         manager.timed_browse(setup, "twitter.com")
         setup.sign_in("twitter.com", "pseudo", "pw")
         manager.snapshot_nym(

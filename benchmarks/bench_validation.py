@@ -15,7 +15,7 @@ def run_validation(nyms: int = 6, seed: int = 12):
     manager = NymManager(NymixConfig(seed=seed))
     manager.add_cloud_provider(make_dropbox())
     for index in range(nyms):
-        nymbox = manager.create_nym(f"val{index}")
+        nymbox = manager.create_nym(name=f"val{index}")
         manager.timed_browse(nymbox, "bbc.co.uk")
     result = validate_system(manager, idle_seconds=60.0)
     return {

@@ -28,8 +28,7 @@ class NtorClientCache:
     and the client may reuse one ephemeral keypair and its derived hop
     keys against it.  The RNG draw for the ephemeral key is still made on
     every handshake, so the seeded stream — and therefore the event
-    journal — is byte-identical whether the cache is warm, cold, or
-    disabled entirely.
+    journal — is byte-identical whether the cache is warm or cold.
     """
 
     #: one keyshare per distinct relay onion key; bounded so a long-lived
@@ -37,7 +36,6 @@ class NtorClientCache:
     DEFAULT_MAX_ENTRIES = 65_536
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        self.enabled = True
         self.max_entries = max_entries
         self.evictions = 0
         self._by_relay_key: dict = {}
@@ -46,23 +44,20 @@ class NtorClientCache:
         return len(self._by_relay_key)
 
     def lookup(self, relay_public: bytes):
-        if not self.enabled:
-            return None
         return self._by_relay_key.get(relay_public)
 
     def store(
         self, relay_public: bytes, client_public: bytes, keys: Tuple[bytes, bytes]
     ) -> None:
-        if self.enabled:
-            self._by_relay_key[relay_public] = (client_public, keys)
-            self.evictions += evict_oldest(self._by_relay_key, self.max_entries)
+        self._by_relay_key[relay_public] = (client_public, keys)
+        self.evictions += evict_oldest(self._by_relay_key, self.max_entries)
 
     def clear(self) -> None:
         self._by_relay_key.clear()
 
 
 #: shared across every circuit in the process (see class docstring for
-#: why that is sound); perfbench baselines disable + clear it
+#: why that is sound)
 NTOR_CLIENT_CACHE = NtorClientCache()
 register_process_cache(
     "tor.ntor_keyshares", NTOR_CLIENT_CACHE.clear, NTOR_CLIENT_CACHE.__len__

@@ -15,21 +15,6 @@ from repro.sim.rng import SeededRng
 _KEY_INFO = b"nymix-tor-ntor-v1"
 _NONCE = b"\x00" * 12  # per-hop keys are single-use directions in this model
 
-# The ntor exchange is deterministic given (relay onion key, client public
-# key), so each relay can memoize the derived hop keys per client key: a
-# repeat CREATE2 from the same ephemeral key skips the scalar multiply and
-# the HKDF.  Toggleable so perfbench baselines can measure the cold path.
-_HANDSHAKE_MEMO_ENABLED = True
-
-
-def set_handshake_memo_enabled(enabled: bool) -> None:
-    global _HANDSHAKE_MEMO_ENABLED
-    _HANDSHAKE_MEMO_ENABLED = bool(enabled)
-
-
-def handshake_memo_enabled() -> bool:
-    return _HANDSHAKE_MEMO_ENABLED
-
 
 @dataclass(frozen=True)
 class RelayDescriptor:
@@ -138,13 +123,14 @@ class Relay:
             raise CircuitError(
                 f"{self.descriptor.nickname}: circuit id {circ_id} already in use"
             )
-        memo = self._ntor_memo if _HANDSHAKE_MEMO_ENABLED else None
-        keys = memo.get(client_public_key) if memo is not None else None
+        # The ntor exchange is deterministic given (relay onion key, client
+        # public key), so a repeat CREATE2 from the same ephemeral key
+        # skips the scalar multiply and the HKDF.
+        keys = self._ntor_memo.get(client_public_key)
         if keys is None:
             shared = x25519(self._onion_private_key, client_public_key)
             keys = self.derive_keys(shared)
-            if _HANDSHAKE_MEMO_ENABLED:
-                self._ntor_memo[client_public_key] = keys
+            self._ntor_memo[client_public_key] = keys
         self._circuits[circ_id] = _CircuitHopState(*keys)
         return self.descriptor.onion_public_key
 

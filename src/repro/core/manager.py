@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -32,32 +31,13 @@ from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.vm import VirtualMachine, VmSpec
 
 
-def _legacy_positional_shim(
-    method: str, args: tuple, order: Tuple[str, ...], explicit: dict
-) -> dict:
-    """Map deprecated positional arguments onto their keyword names.
-
-    Returns ``explicit`` with the positionals folded in, warning once per
-    call site; a parameter given both ways is a ``TypeError`` exactly as
-    a normal signature would raise.
-    """
-    if len(args) > len(order):
+def _check_request(method: str, request, kind: type) -> None:
+    """The one positional argument is a request template, nothing else."""
+    if request is not None and not isinstance(request, kind):
         raise TypeError(
-            f"{method}() takes at most {len(order)} legacy positional "
-            f"arguments ({len(args)} given)"
+            f"{method}() takes a {kind.__name__} or keyword arguments, "
+            f"got {type(request).__name__}"
         )
-    warnings.warn(
-        f"positional arguments to NymManager.{method}() are deprecated; "
-        f"pass keyword arguments or a request object instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    merged = dict(explicit)
-    for param, value in zip(order, args):
-        if merged.get(param) is not None:
-            raise TypeError(f"{method}() got multiple values for argument {param!r}")
-        merged[param] = value
-    return merged
 
 
 @dataclass
@@ -318,15 +298,10 @@ class NymManager:
             nymbox.startup.boot_vm_s + nymbox.startup.start_anonymizer_s
         )
 
-    _CREATE_NYM_LEGACY_ORDER = (
-        "name", "anonymizer", "usage", "anon_spec", "comm_spec",
-        "guard_manager", "chain_commvms",
-    )
-
     def create_nym(
         self,
-        *args,
         request: Optional[NymRequest] = None,
+        *,
         name: Optional[str] = None,
         anonymizer: Optional[str] = None,
         usage: Optional[NymUsageModel] = None,
@@ -338,30 +313,20 @@ class NymManager:
     ) -> NymBox:
         """Start a fresh nym ("start a fresh nym" in the §3.5 workflow).
 
-        All parameters are keyword-only.  A :class:`NymRequest` may be
-        passed (positionally or as ``request=``) as a template; explicit
-        keywords override its fields.  With ``chain_commvms`` and a
+        Every parameter but a :class:`NymRequest` template (passed
+        positionally or as ``request=``) is keyword-only; explicit keywords
+        override the template's fields.  With ``chain_commvms`` and a
         composed transport like ``"tor+dissent"``, each stage gets its own
         CommVM wired in serial (§3.3) instead of stacking inside one
         CommVM.
-
-        Legacy positional calls (``create_nym(name="alice", "tor")``) still
-        work through a shim that emits :class:`DeprecationWarning`.
         """
+        _check_request("create_nym", request, NymRequest)
         explicit = {
             "name": name, "anonymizer": anonymizer, "usage": usage,
             "anon_spec": anon_spec, "comm_spec": comm_spec,
             "guard_manager": guard_manager, "chain_commvms": chain_commvms,
             "tenant": tenant,
         }
-        if args and isinstance(args[0], NymRequest):
-            if request is not None:
-                raise TypeError("create_nym() got two request objects")
-            request, args = args[0], args[1:]
-        if args:
-            explicit = _legacy_positional_shim(
-                "create_nym", args, self._CREATE_NYM_LEGACY_ORDER, explicit
-            )
         request = (request or NymRequest()).merged(explicit)
         name = request.name
         anonymizer = request.anonymizer
@@ -425,15 +390,11 @@ class NymManager:
 
     # -- quasi-persistence (§3.5) -----------------------------------------------------------
 
-    _STORE_NYM_LEGACY_ORDER = (
-        "password", "provider_host", "account_username", "blob_name",
-    )
-
     def store_nym(
         self,
         nymbox: NymBox,
-        *args,
         request: Optional[StoreNymRequest] = None,
+        *,
         password: Optional[str] = None,
         provider_host: Optional[str] = None,
         account_username: Optional[str] = None,
@@ -441,28 +402,18 @@ class NymManager:
     ) -> StoreReceipt:
         """The "store nym" workflow: seal the nym's state and put it away.
 
-        Everything after ``nymbox`` is keyword-only; a
-        :class:`StoreNymRequest` may be passed (positionally or as
-        ``request=``) as a template, with explicit keywords overriding its
-        fields.  With a ``provider_host`` the blob goes to the cloud
-        through the nym's own anonymizer; with none it goes to local media
-        (the §3.5 security-tradeoff alternative).
-
-        Legacy positional calls (``store_nym(box, "pw", "dropbox.com")``)
-        still work through a shim that emits :class:`DeprecationWarning`.
+        Everything after ``nymbox`` but a :class:`StoreNymRequest`
+        template (passed positionally or as ``request=``) is keyword-only,
+        with explicit keywords overriding the template's fields.  With a
+        ``provider_host`` the blob goes to the cloud through the nym's own
+        anonymizer; with none it goes to local media (the §3.5
+        security-tradeoff alternative).
         """
+        _check_request("store_nym", request, StoreNymRequest)
         explicit = {
             "password": password, "provider_host": provider_host,
             "account_username": account_username, "blob_name": blob_name,
         }
-        if args and isinstance(args[0], StoreNymRequest):
-            if request is not None:
-                raise TypeError("store_nym() got two request objects")
-            request, args = args[0], args[1:]
-        if args:
-            explicit = _legacy_positional_shim(
-                "store_nym", args, self._STORE_NYM_LEGACY_ORDER, explicit
-            )
         request = (request or StoreNymRequest()).merged(explicit)
         password = request.password
         provider_host = request.provider_host

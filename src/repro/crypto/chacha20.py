@@ -22,6 +22,8 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.errors import CryptoError
 
 _MASK32 = 0xFFFFFFFF
@@ -99,8 +101,6 @@ def _keystream_words_vectorized(
     Returns a numpy uint32 array of shape ``(n_keys, n_blocks, 16)`` whose
     words match :func:`chacha20_block` exactly.
     """
-    import numpy as np
-
     if counter + n_blocks - 1 > _MASK32:
         raise CryptoError("ChaCha20 counter overflow")
     if counter < 0:
@@ -154,8 +154,6 @@ def _keystream_words_vectorized(
 
 def _chacha20_xor_vectorized(key: bytes, nonce: bytes, data: bytes, counter: int) -> bytes:
     """All keystream blocks at once via numpy uint32 lanes."""
-    import numpy as np
-
     n_blocks = (len(data) + 63) // 64
     words = _keystream_words_vectorized([key], nonce, n_blocks, counter)
     keystream = words.astype("<u4").tobytes()[: len(data)]
@@ -233,8 +231,6 @@ def chacha20_combined_keystream(
         for key in keys[1:]:
             combined = xor_bytes(combined, chacha20_keystream(key, nonce, length, counter))
         return combined
-    import numpy as np
-
     n_blocks = (length + 63) // 64
     words = _keystream_words_vectorized(list(keys), nonce, n_blocks, counter)
     folded = np.bitwise_xor.reduce(words, axis=0)

@@ -22,12 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import CryptoError
+import numpy as _np
 
-try:  # optional acceleration; the scalar batch path is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the environment
-    _np = None
+from repro.errors import CryptoError
 
 _P = (1 << 130) - 5
 _R_CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
@@ -130,7 +127,7 @@ class Poly1305:
 
     def _absorb_blocks(self, data: bytes) -> None:
         """Absorb ``data`` (a multiple of 16 bytes) into the accumulator."""
-        if _np is not None and len(data) >= _VECTOR_THRESHOLD_BYTES:
+        if len(data) >= _VECTOR_THRESHOLD_BYTES:
             self._absorb_blocks_limbs(data)
             return
         r = self._r

@@ -97,18 +97,6 @@ _BY = 46316835694926478169428394003475163141307993866256225615783033603165251855
 # inversion) and reused for every keypair afterwards.
 _COMB_TABLE: list = []
 
-_FIXED_BASE_ENABLED = True
-
-
-def set_fixed_base_enabled(enabled: bool) -> None:
-    """Toggle the precomputed fixed-base path (perfbench baselines)."""
-    global _FIXED_BASE_ENABLED
-    _FIXED_BASE_ENABLED = bool(enabled)
-
-
-def fixed_base_enabled() -> bool:
-    return _FIXED_BASE_ENABLED
-
 
 def _ed_add(p1: Tuple[int, int, int, int], p2: Tuple[int, int, int, int]):
     """Unified extended-coordinate addition on edwards25519 (a = -1)."""
@@ -187,8 +175,4 @@ def x25519_base(scalar: bytes) -> bytes:
 def x25519_keypair(rng: SeededRng) -> Tuple[bytes, bytes]:
     """Generate a (private, public) X25519 keypair from the seeded RNG."""
     private = rng.token_bytes(32)
-    if _FIXED_BASE_ENABLED:
-        public = x25519_base(private)
-    else:
-        public = x25519(private, X25519_BASE_POINT)
-    return private, public
+    return private, x25519_base(private)

@@ -13,17 +13,14 @@ machinery.  Host crashes (the ``fleet.host_crash`` fault kind) and
 rolling drains (``fleet.host_drain``) evacuate resident nyms the same
 way, and hosts can join/leave after construction for autoscaling.
 
-Construction takes one declarative :class:`FleetPolicies` value; the old
-loose ``policy=`` / ``high_watermark=`` / ``low_watermark=`` kwargs
-survive as shims that emit ``DeprecationWarning``.
+Construction takes one declarative :class:`FleetPolicies` value.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
@@ -57,10 +54,6 @@ RELAUNCH_RETRY = RetryPolicy(max_attempts=4, base_backoff_s=2.0, max_backoff_s=1
 #: Crash recovery runs inside a timeline callback, where sleeping would
 #: rewind the interrupted sleep's clock — so retries are immediate.
 CRASH_RETRY = RetryPolicy(max_attempts=4, base_backoff_s=0.0, max_backoff_s=0.0)
-
-#: Sentinel distinguishing "not passed" from any real value in the
-#: deprecated Fleet constructor kwargs.
-_UNSET = object()
 
 #: The ``(admits, calm)`` verdict of a host that takes no placements.
 _REFUSED = (False, False)
@@ -225,22 +218,16 @@ class Fleet:
         timeline: Timeline,
         internet: Optional[Internet] = None,
         hosts: int = 4,
-        policy=_UNSET,
         host_spec: Optional[HostSpec] = None,
         anon_spec: Optional[VmSpec] = None,
         comm_spec: Optional[VmSpec] = None,
-        high_watermark=_UNSET,
-        low_watermark=_UNSET,
         flash_clone: bool = True,
         policies: Optional[FleetPolicies] = None,
         tenancy: Optional[TenantRegistry] = None,
     ) -> None:
         if hosts < 1:
             raise FleetError(f"a fleet needs at least one host, got {hosts}")
-        policies = self._resolve_policies(
-            policies, policy=policy,
-            high_watermark=high_watermark, low_watermark=low_watermark,
-        )
+        policies = policies if policies is not None else FleetPolicies()
         if not 0.0 < policies.low_watermark < policies.high_watermark <= 1.0:
             raise FleetError(
                 f"watermarks must satisfy 0 < low < high <= 1: "
@@ -333,34 +320,6 @@ class Fleet:
             from repro.tenancy.autoscale import Autoscaler
 
             self.autoscaler = Autoscaler(self, policies.autoscale).start()
-
-    @staticmethod
-    def _resolve_policies(
-        policies: Optional[FleetPolicies], policy, high_watermark, low_watermark
-    ) -> FleetPolicies:
-        """Fold the deprecated loose kwargs into one FleetPolicies value."""
-        legacy = {}
-        if policy is not _UNSET:
-            legacy["placement"] = policy
-        if high_watermark is not _UNSET:
-            legacy["high_watermark"] = high_watermark
-        if low_watermark is not _UNSET:
-            legacy["low_watermark"] = low_watermark
-        if not legacy:
-            return policies if policies is not None else FleetPolicies()
-        if policies is not None:
-            raise FleetError(
-                "pass either policies=FleetPolicies(...) or the legacy "
-                f"kwargs, not both: {sorted(legacy)}"
-            )
-        warnings.warn(
-            "Fleet(policy=/high_watermark=/low_watermark=) is deprecated; "
-            "pass policies=FleetPolicies(placement=..., high_watermark=..., "
-            "low_watermark=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return replace(FleetPolicies(), **legacy)
 
     # -- host membership -------------------------------------------------------
 
@@ -760,8 +719,12 @@ class Fleet:
             self._templates[image_id] = template
         anonvm, commvm, _wire = hv.flash_clone(template, name)
         # The pair boots in parallel, so it costs max(anon, comm) = anon.
-        anonvm.boot(jitter_rng=self.rng, advance=advance)
-        commvm.boot(jitter_rng=self.rng, advance=False)
+        host.booting += 1
+        try:
+            anonvm.boot(jitter_rng=self.rng, advance=advance)
+            commvm.boot(jitter_rng=self.rng, advance=False)
+        finally:
+            host.booting -= 1
         if extra_dirty_bytes:
             anonvm.touch_memory(extra_dirty_bytes)
         box = FleetNymbox(

@@ -31,6 +31,10 @@ class HostHandle:
         #: Draining hosts stay up (their residents evacuate live) but take
         #: no new placements; cleared by ``Fleet.undrain_host``.
         self.draining = False
+        #: Placements booting here right now.  A boot advances the clock
+        #: before the nym becomes a resident, so scale-down must not take
+        #: a host whose count is non-zero for empty.
+        self.booting = 0
         self._snapshot: Optional[MemorySnapshot] = None
         self._snapshot_token: Optional[tuple] = None
         # Per-image resident counts, maintained by add/pop_resident so

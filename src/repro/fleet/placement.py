@@ -25,13 +25,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Type
 
+import numpy as _np
+
 from repro.errors import FleetError
 from repro.fleet.host import HostHandle
-
-try:  # numpy powers the wave planner; policies fall back to choose() without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the environment
-    _np = None
 
 
 class WaveView:
@@ -52,8 +49,6 @@ class WaveView:
         used_delta: int,
         high_watermark: float,
     ) -> None:
-        if _np is None:  # pragma: no cover - numpy ships with the environment
-            raise FleetError("wave planning requires numpy")
         self.hosts = list(hosts)
         self.need = need
         self.footprint = footprint

@@ -256,42 +256,7 @@ class FleetShard:
         fleet.settle_ksm()
         return placed
 
-    def barrier_stats(self) -> FleetStats:
-        return self.fleet.stats()
-
-    def report(self) -> BarrierReport:
-        """A side-effect-free rendezvous snapshot (no flush, no events)."""
-        return BarrierReport(
-            shard_id=self.shard_id,
-            arrivals=len(self.arrivals),
-            cursor=self.cursor,
-            rejected=self.rejected,
-            done=self.done,
-            sim_now=self.timeline.now,
-            journal_events=len(self.journal),
-            spool_offset=self.journal.spool_offset,
-            metrics_events=len(self.metrics),
-            metrics_offset=self.metrics.spool_offset,
-            stats=self.barrier_stats(),
-        )
-
-    def barrier(self, epoch: int) -> BarrierReport:
-        """The rendezvous: snapshot metrics, flush both spools, report.
-
-        Called once per epoch in shard-id order (by the coordinator in
-        serial mode, by the owning worker on a barrier-stats message in
-        parallel mode); either way the spool bytes come out identical.
-        """
-        stats = self.barrier_stats()
-        self.metrics.record(
-            "shard.metrics", epoch=epoch, shard=self.shard_id,
-            cursor=self.cursor, placed=self.cursor - self.rejected,
-            rejected=self.rejected, done=self.done,
-            journal_events=len(self.journal),
-            **stats.export(),
-        )
-        self.journal.flush()
-        self.metrics.flush()
+    def _report(self, stats: FleetStats) -> BarrierReport:
         return BarrierReport(
             shard_id=self.shard_id,
             arrivals=len(self.arrivals),
@@ -305,6 +270,28 @@ class FleetShard:
             metrics_offset=self.metrics.spool_offset,
             stats=stats,
         )
+
+    def report(self) -> BarrierReport:
+        """A side-effect-free rendezvous snapshot (no flush, no events)."""
+        return self._report(self.fleet.stats())
+
+    def barrier(self, epoch: int) -> BarrierReport:
+        """The rendezvous: snapshot metrics, flush both spools, report.
+
+        Called once per epoch in shard-id order (by the coordinator in
+        serial mode, by the owning worker on a barrier-stats message in
+        parallel mode); either way the spool bytes come out identical.
+        """
+        stats = self.fleet.stats()
+        self.metrics.record(
+            "shard.metrics", epoch=epoch, shard=self.shard_id,
+            cursor=self.cursor, placed=self.cursor - self.rejected,
+            rejected=self.rejected, done=self.done,
+            journal_events=len(self.journal),
+            **stats.export(),
+        )
+        self.flush_spools()
+        return self._report(stats)
 
     def flush_spools(self) -> None:
         self.journal.flush()

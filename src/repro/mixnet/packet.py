@@ -24,17 +24,19 @@ seeded RNG stream (mirroring the ntor client cache / relay memo pair):
 
 * :data:`SENDER_KEY_CACHE` — client side, keyed by node public key.  A
   hit still burns the 32-byte ephemeral draw, so journals are identical
-  whether the cache is warm, cold, or disabled.
-* the per-node peel memo, keyed by client ephemeral — gated by
-  :func:`set_peel_memo_enabled` so perfbench baselines can turn it off.
+  whether the cache is warm or cold.
+* the per-node peel memo, keyed by client ephemeral.
 * :data:`MIX_STREAM_CACHE` — the ChaCha20 keystream and Poly1305
   one-time key per layer key.  Layer keys are stable (see above) and the
   nonce is fixed, so every packet under a key XORs against the *same*
   keystream; caching it turns each wrap/peel into one XOR plus one MAC.
   Cold entries for a whole path fill in a single vectorized dispatch
-  (:func:`repro.crypto.chacha20.chacha20_keystreams`).  Gated by
-  :func:`set_stream_cache_enabled`; outputs are byte-identical either
-  way (pinned by tests/test_mixnet_stream_cache.py).
+  (:func:`repro.crypto.chacha20.chacha20_keystreams`).  Outputs equal
+  the plain AEAD's byte for byte (pinned by
+  tests/test_mixnet_stream_cache.py).
+
+The perfbench baseline times the cache-free path by patching frozen
+seed code in from outside (:func:`repro.perfbench.legacy.seed_mixnet_mode`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.aead import ChaCha20Poly1305, _pad16_tail
+from repro.crypto.aead import _pad16_tail
 from repro.crypto.chacha20 import (
     chacha20_keystream,
     chacha20_keystreams,
@@ -95,7 +97,7 @@ class MixKeyCache:
     one ephemeral against the same node is sound for the simulation.
     The ephemeral draw is still burned on every derivation, keeping the
     seeded stream — and the event journal — byte-identical whether the
-    cache is warm, cold, or disabled.
+    cache is warm or cold.
     """
 
     #: one X25519 key pair per distinct node key — tiny entries, but a
@@ -103,7 +105,6 @@ class MixKeyCache:
     DEFAULT_MAX_ENTRIES = 65_536
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        self.enabled = True
         self.max_entries = max_entries
         self.evictions = 0
         self._by_node_key: Dict[bytes, Tuple[bytes, bytes]] = {}
@@ -112,20 +113,17 @@ class MixKeyCache:
         return len(self._by_node_key)
 
     def lookup(self, node_public: bytes) -> Optional[Tuple[bytes, bytes]]:
-        if not self.enabled:
-            return None
         return self._by_node_key.get(node_public)
 
     def store(self, node_public: bytes, eph_public: bytes, key: bytes) -> None:
-        if self.enabled:
-            self._by_node_key[node_public] = (eph_public, key)
-            self.evictions += evict_oldest(self._by_node_key, self.max_entries)
+        self._by_node_key[node_public] = (eph_public, key)
+        self.evictions += evict_oldest(self._by_node_key, self.max_entries)
 
     def clear(self) -> None:
         self._by_node_key.clear()
 
 
-#: shared across every client in the process; perfbench baselines disable + clear
+#: shared across every client in the process
 SENDER_KEY_CACHE = MixKeyCache()
 register_process_cache(
     "mixnet.sender_keys", SENDER_KEY_CACHE.clear, SENDER_KEY_CACHE.__len__
@@ -145,7 +143,6 @@ class MixStreamCache:
     DEFAULT_MAX_ENTRIES = 8_192
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        self.enabled = True
         self.max_entries = max_entries
         self.evictions = 0
         self._by_key: Dict[bytes, Tuple[bytes, bytes]] = {}
@@ -153,9 +150,7 @@ class MixStreamCache:
     def __len__(self) -> int:
         return len(self._by_key)
 
-    def entry(self, key: bytes, length: int) -> Optional[Tuple[bytes, bytes]]:
-        if not self.enabled:
-            return None
+    def entry(self, key: bytes, length: int) -> Tuple[bytes, bytes]:
         entry = self._by_key.get(key)
         if entry is None or len(entry[1]) < length:
             raw = chacha20_keystream(key, _NONCE, 64 + length, counter=0)
@@ -166,8 +161,6 @@ class MixStreamCache:
 
     def prefill(self, keys: Sequence[bytes], length: int) -> None:
         """Warm every missing/short entry in one vectorized dispatch."""
-        if not self.enabled:
-            return
         missing = [
             key
             for key in dict.fromkeys(keys)
@@ -185,34 +178,11 @@ class MixStreamCache:
         self._by_key.clear()
 
 
-#: shared across the process; perfbench baselines disable + clear
+#: shared across the process
 MIX_STREAM_CACHE = MixStreamCache()
 register_process_cache(
     "mixnet.streams", MIX_STREAM_CACHE.clear, MIX_STREAM_CACHE.__len__
 )
-
-
-def stream_cache_enabled() -> bool:
-    return MIX_STREAM_CACHE.enabled
-
-
-def set_stream_cache_enabled(enabled: bool) -> None:
-    MIX_STREAM_CACHE.enabled = enabled
-    if not enabled:
-        MIX_STREAM_CACHE.clear()
-
-
-#: node-side memo of derived keys per client ephemeral (set by perfbench)
-_PEEL_MEMO_ENABLED = True
-
-
-def peel_memo_enabled() -> bool:
-    return _PEEL_MEMO_ENABLED
-
-
-def set_peel_memo_enabled(enabled: bool) -> None:
-    global _PEEL_MEMO_ENABLED
-    _PEEL_MEMO_ENABLED = enabled
 
 
 def _expand_key(shared: bytes) -> bytes:
@@ -235,7 +205,7 @@ def derive_node_key(
     node_private: bytes, eph_public: bytes, memo: Optional[Dict[bytes, bytes]]
 ) -> bytes:
     """The mix node's side of the exchange, through its peel memo."""
-    if memo is not None and _PEEL_MEMO_ENABLED:
+    if memo is not None:
         key = memo.get(eph_public)
         if key is None:
             key = _expand_key(x25519(node_private, eph_public))
@@ -301,10 +271,7 @@ def _stream_tag(otk: bytes, ciphertext: bytes, aad: bytes) -> bytes:
 
 def _seal(key: bytes, plaintext: bytes, aad: bytes) -> bytes:
     """``ChaCha20Poly1305(key).encrypt(_NONCE, ...)`` via the stream cache."""
-    entry = MIX_STREAM_CACHE.entry(key, len(plaintext))
-    if entry is None:
-        return ChaCha20Poly1305(key).encrypt(_NONCE, plaintext, aad)
-    otk, stream = entry
+    otk, stream = MIX_STREAM_CACHE.entry(key, len(plaintext))
     ciphertext = xor_bytes(plaintext, stream[: len(plaintext)])
     return ciphertext + _stream_tag(otk, ciphertext, aad)
 
@@ -313,10 +280,7 @@ def _open(key: bytes, sealed: bytes, aad: bytes) -> bytes:
     """``ChaCha20Poly1305(key).decrypt(_NONCE, ...)`` via the stream cache."""
     if len(sealed) < _TAG_BYTES:
         raise AuthenticationError("ciphertext shorter than the AEAD tag")
-    entry = MIX_STREAM_CACHE.entry(key, len(sealed) - _TAG_BYTES)
-    if entry is None:
-        return ChaCha20Poly1305(key).decrypt(_NONCE, sealed, aad)
-    otk, stream = entry
+    otk, stream = MIX_STREAM_CACHE.entry(key, len(sealed) - _TAG_BYTES)
     ciphertext, tag = sealed[:-_TAG_BYTES], sealed[-_TAG_BYTES:]
     if not constant_time_equal(tag, _stream_tag(otk, ciphertext, aad)):
         raise AuthenticationError("AEAD tag verification failed")

@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+import numpy
+
 #: Target wall-clock spent per measured side, full mode (seconds).
 FULL_BUDGET_S = 0.5
 #: Target wall-clock per side under ``--quick`` (CI smoke) mode.
@@ -114,19 +116,13 @@ def measure(
 
 def environment_metadata() -> Dict[str, object]:
     """Where these numbers came from (recorded into the results JSON)."""
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is a soft dependency
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "argv": list(sys.argv),
     }
 

@@ -13,18 +13,26 @@ overhaul.  They exist for two reasons:
   constants.
 
 Nothing here is wired into the simulator; importing this module has no
-side effects on the production paths.
+side effects on the production paths.  The ``seed_*_mode`` context
+managers patch frozen code in from outside for the duration of a
+``with`` block; production modules carry no switches for them.
 """
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as _np
 
-from repro.errors import MemoryError_
-from repro.memory.ksm import _sweep_duplicates
+from repro.anonymizers.tor.circuit import NtorClientCache
+from repro.anonymizers.tor.relay import Relay, _CircuitHopState
+from repro.crypto.aead import ChaCha20Poly1305
+from repro.crypto.x25519 import X25519_BASE_POINT, x25519
+from repro.errors import CircuitError, MemoryError_
+from repro.fleet.fleet import Fleet
+from repro.memory.ksm import Ksm, _sweep_duplicates
 from repro.memory.pages import (
     PAGE_SIZE,
     ContentTag,
@@ -35,6 +43,12 @@ from repro.memory.pages import (
     pages_to_bytes,
     unique_tag,
 )
+from repro.memory.physmem import HostMemory
+from repro.mixnet import packet as packet_mod
+from repro.mixnet.packet import MixKeyCache, MixStreamCache
+from repro.sim.rng import SeededRng
+from repro.unionfs.layer import Layer
+from repro.vmm.hypervisor import Hypervisor
 
 # ---------------------------------------------------------------------------
 # Seed GuestMemory: one dict entry per page content tag (unique pages get an
@@ -203,37 +217,64 @@ def legacy_onion_round_trip(
 
 
 # ---------------------------------------------------------------------------
-# Seed launch path: context managers that swap the live caches and O(Δ)
-# accounting back to the pre-flash-clone behaviour *in place*, so the
-# `nym_launch` / `fleet_arrival` baselines run the real manager and fleet
-# code with only the optimizations reverted.
+# Seed launch path: context managers that patch frozen seed code over the
+# live caches and O(Δ) accounting *from outside*, so the `nym_launch` /
+# `fleet_arrival` baselines run the real manager and fleet code with only
+# the optimizations reverted.
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _patched(*patches: Tuple[object, str, object]) -> Iterator[None]:
+    """Set each ``(owner, name, value)`` for the body, then put the
+    original objects back, also when the body raises.  ``name`` must be
+    defined on ``owner`` itself, so a moved target fails loudly here
+    instead of leaving a stray attribute behind."""
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+    try:
+        for owner, name, value in patches:
+            setattr(owner, name, value)
+        yield
+    finally:
+        for owner, name, original in reversed(saved):
+            setattr(owner, name, original)
+
+
+def _seed_no_cache(self, *args) -> None:
+    """Seed code had no cache: every lookup misses, every store is dropped."""
+    return None
+
+
+def _seed_x25519_base(scalar: bytes) -> bytes:
+    """The seed keygen: a full Montgomery ladder from the base point."""
+    return x25519(scalar, X25519_BASE_POINT)
+
+
+def _seed_relay_handle_create(self, circ_id: int, client_public_key: bytes) -> bytes:
+    """The seed CREATE2: a fresh exchange and HKDF on every handshake."""
+    if not self.alive:
+        raise CircuitError(f"{self.descriptor.nickname}: relay is gone")
+    if circ_id in self._circuits:
+        raise CircuitError(
+            f"{self.descriptor.nickname}: circuit id {circ_id} already in use"
+        )
+    shared = x25519(self._onion_private_key, client_public_key)
+    self._circuits[circ_id] = _CircuitHopState(*self.derive_keys(shared))
+    return self.descriptor.onion_public_key
 
 
 @contextmanager
 def seed_crypto_mode():
     """Run with the seed handshake costs: scalar-ladder keygen on every
     ntor handshake, no relay-side memo, no client-side keyshare cache."""
-    import sys
-
-    from repro.anonymizers.tor import relay as relay_mod
-    from repro.anonymizers.tor.circuit import NTOR_CLIENT_CACHE
-
-    x25519_mod = sys.modules["repro.crypto.x25519"]
-    fixed_base_was = x25519_mod.fixed_base_enabled()
-    memo_was = relay_mod.handshake_memo_enabled()
-    cache_was = NTOR_CLIENT_CACHE.enabled
-    x25519_mod.set_fixed_base_enabled(False)
-    relay_mod.set_handshake_memo_enabled(False)
-    NTOR_CLIENT_CACHE.enabled = False
-    NTOR_CLIENT_CACHE.clear()
-    try:
+    with _patched(
+        (importlib.import_module("repro.crypto.x25519"), "x25519_base",
+         _seed_x25519_base),
+        (Relay, "handle_create", _seed_relay_handle_create),
+        (NtorClientCache, "lookup", _seed_no_cache),
+        (NtorClientCache, "store", _seed_no_cache),
+    ):
         yield
-    finally:
-        x25519_mod.set_fixed_base_enabled(fixed_base_was)
-        relay_mod.set_handshake_memo_enabled(memo_was)
-        NTOR_CLIENT_CACHE.enabled = cache_was
-        NTOR_CLIENT_CACHE.clear()
 
 
 def _seed_layer_used_bytes(self) -> int:
@@ -391,39 +432,16 @@ def seed_accounting_mode():
     gate), `Hypervisor.memory_snapshot` re-sums writable FS bytes over
     every VM, and the accounting token is always fresh (defeating the
     host snapshot cache)."""
-    from repro.memory.ksm import Ksm
-    from repro.memory.physmem import HostMemory
-    from repro.unionfs.layer import Layer
-    from repro.vmm.hypervisor import Hypervisor
-
-    saved = (
-        Layer.used_bytes,
-        HostMemory.stats,
-        HostMemory._used_bytes_now,
-        Ksm.total_guest_pages,
-        Ksm.stats,
-        Hypervisor.memory_snapshot,
-        Hypervisor.accounting_token,
-    )
-    Layer.used_bytes = property(_seed_layer_used_bytes)
-    HostMemory.stats = _seed_host_memory_stats
-    HostMemory._used_bytes_now = _seed_physmem_used_bytes_now
-    Ksm.total_guest_pages = property(_seed_ksm_total_guest_pages)
-    Ksm.stats = _seed_ksm_stats
-    Hypervisor.memory_snapshot = _seed_hypervisor_memory_snapshot
-    Hypervisor.accounting_token = _seed_accounting_token
-    try:
+    with _patched(
+        (Layer, "used_bytes", property(_seed_layer_used_bytes)),
+        (HostMemory, "stats", _seed_host_memory_stats),
+        (HostMemory, "_used_bytes_now", _seed_physmem_used_bytes_now),
+        (Ksm, "total_guest_pages", property(_seed_ksm_total_guest_pages)),
+        (Ksm, "stats", _seed_ksm_stats),
+        (Hypervisor, "memory_snapshot", _seed_hypervisor_memory_snapshot),
+        (Hypervisor, "accounting_token", _seed_accounting_token),
+    ):
         yield
-    finally:
-        (
-            Layer.used_bytes,
-            HostMemory.stats,
-            HostMemory._used_bytes_now,
-            Ksm.total_guest_pages,
-            Ksm.stats,
-            Hypervisor.memory_snapshot,
-            Hypervisor.accounting_token,
-        ) = saved
 
 
 def _seed_fleet_host_list(self):
@@ -451,16 +469,24 @@ def seed_admission_mode():
     watermark arithmetic re-derived on every arrival (no change-driven
     verdicts, no wave batching reaches `_candidates`), on top of the
     seed accounting sums."""
-    from repro.fleet.fleet import Fleet
+    with _patched(
+        (Fleet, "host_list", _seed_fleet_host_list),
+        (Fleet, "_candidates", _seed_fleet_candidates),
+    ), seed_accounting_mode():
+        yield
 
-    saved = (Fleet.host_list, Fleet._candidates)
-    Fleet.host_list = _seed_fleet_host_list
-    Fleet._candidates = _seed_fleet_candidates
-    try:
-        with seed_accounting_mode():
-            yield
-    finally:
-        Fleet.host_list, Fleet._candidates = saved
+
+def _seed_derive_node_key(node_private: bytes, eph_public: bytes, memo) -> bytes:
+    """The seed peel: a fresh exchange per layer, the node memo unused."""
+    return packet_mod._expand_key(x25519(node_private, eph_public))
+
+
+def _seed_seal(key: bytes, plaintext: bytes, aad: bytes) -> bytes:
+    return ChaCha20Poly1305(key).encrypt(packet_mod._NONCE, plaintext, aad)
+
+
+def _seed_open(key: bytes, sealed: bytes, aad: bytes) -> bytes:
+    return ChaCha20Poly1305(key).decrypt(packet_mod._NONCE, sealed, aad)
 
 
 @contextmanager
@@ -470,22 +496,19 @@ def seed_mixnet_mode():
     exchange per peel on every node (no per-node memo), and a fresh
     ChaCha20 keystream + Poly1305 one-time key per AEAD (no per-layer-key
     stream cache)."""
-    from repro.mixnet import packet as packet_mod
-
-    cache_was = packet_mod.SENDER_KEY_CACHE.enabled
-    memo_was = packet_mod.peel_memo_enabled()
-    stream_was = packet_mod.stream_cache_enabled()
-    packet_mod.SENDER_KEY_CACHE.enabled = False
-    packet_mod.SENDER_KEY_CACHE.clear()
-    packet_mod.set_peel_memo_enabled(False)
-    packet_mod.set_stream_cache_enabled(False)
-    try:
+    with _patched(
+        (MixKeyCache, "lookup", _seed_no_cache),
+        (MixKeyCache, "store", _seed_no_cache),
+        (MixStreamCache, "prefill", _seed_no_cache),
+        (packet_mod, "derive_node_key", _seed_derive_node_key),
+        (packet_mod, "_seal", _seed_seal),
+        (packet_mod, "_open", _seed_open),
+    ):
         yield
-    finally:
-        packet_mod.SENDER_KEY_CACHE.enabled = cache_was
-        packet_mod.SENDER_KEY_CACHE.clear()
-        packet_mod.set_peel_memo_enabled(memo_was)
-        packet_mod.set_stream_cache_enabled(stream_was)
+
+
+def _seed_content_bytes(self, n: int) -> bytes:
+    return self._random.randbytes(n)
 
 
 @contextmanager
@@ -494,14 +517,8 @@ def seed_content_mode():
     ``random.Random.randbytes`` path instead of the vectorized numpy
     MT19937 mirror.  The byte stream and the generator's stream position
     are identical either way — only the wall-clock cost differs."""
-    from repro.sim import rng as rng_mod
-
-    was = rng_mod._numpy_content_enabled
-    rng_mod.set_numpy_content_enabled(False)
-    try:
+    with _patched((SeededRng, "content_bytes", _seed_content_bytes)):
         yield
-    finally:
-        rng_mod.set_numpy_content_enabled(was)
 
 
 @contextmanager

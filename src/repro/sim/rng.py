@@ -13,34 +13,18 @@ import random
 import sys
 from typing import List, Sequence, TypeVar
 
-try:  # pragma: no cover - exercised through content_bytes
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 T = TypeVar("T")
 
 #: Below this many bytes the pure-python path wins (state sync overhead).
 _NUMPY_CONTENT_MIN_BYTES = 4096
 
-#: Flipped off by perfbench's frozen-seed mode so the baseline measures
-#: the pure-python draw honestly; the byte stream is identical either way.
-_numpy_content_enabled = True
-
-
-def numpy_content_enabled() -> bool:
-    return _np is not None and _numpy_content_enabled
-
-
-def set_numpy_content_enabled(enabled: bool) -> None:
-    global _numpy_content_enabled
-    _numpy_content_enabled = enabled
-
 #: One reusable MT19937 bit generator; its state is overwritten from the
 #: caller's ``random.Random`` on every draw, so sharing it between
 #: independent streams is safe (and cheap — seeding a fresh generator per
 #: call would dominate the draw).
-_MT_SCRATCH = _np.random.MT19937(0) if _np is not None else None
+_MT_SCRATCH = _np.random.MT19937(0)
 
 #: Persistent word buffer for draws up to 1 MiB.  ``random_raw`` always
 #: allocates its output, so large single draws churn the allocator (the
@@ -48,7 +32,7 @@ _MT_SCRATCH = _np.random.MT19937(0) if _np is not None else None
 #: than the generation itself on small-cache machines); drawing in
 #: modest chunks into one reused buffer keeps every per-call allocation
 #: allocator-pool sized.
-_MT_BUFFER = _np.empty(1 << 18, dtype=_np.uint32) if _np is not None else None
+_MT_BUFFER = _np.empty(1 << 18, dtype=_np.uint32)
 
 #: Words per random_raw chunk (256 KiB) — measured sweet spot between
 #: python loop overhead and temporary-allocation churn.
@@ -149,14 +133,10 @@ class SeededRng:
 
         Large draws route through numpy's MT19937 (bit-identical bytes,
         bit-identical stream position — see :func:`_numpy_randbytes`);
-        small draws and numpy-less environments take the pure-python
-        path.  Either way the result is exactly ``randbytes(n)``.
+        small draws take the pure-python path.  Either way the result is
+        exactly ``randbytes(n)``.
         """
-        if (
-            _np is not None
-            and _numpy_content_enabled
-            and n >= _NUMPY_CONTENT_MIN_BYTES
-        ):
+        if n >= _NUMPY_CONTENT_MIN_BYTES:
             return _numpy_randbytes(self._random, n)
         return self._random.randbytes(n)
 

@@ -106,10 +106,13 @@ class Autoscaler:
         return None
 
     def _emptiest(self) -> Optional[str]:
-        """The serving host with the fewest residents (ties: lowest id)."""
+        """The serving host with the fewest residents (ties: lowest id),
+        skipping hosts a placement is still booting on."""
         best = None
         best_key = None
         for host in self.fleet.serving_hosts():
+            if host.booting:
+                continue
             key = (len(host.residents), host.host_id)
             if best_key is None or key < best_key:
                 best, best_key = host.host_id, key

@@ -1,6 +1,4 @@
-"""The redesigned public API: NymixSession facade, request objects, shims."""
-
-import warnings
+"""The redesigned public API: NymixSession facade and request objects."""
 
 import pytest
 
@@ -106,6 +104,16 @@ class TestNymRequest:
         with pytest.raises(TypeError):
             manager.create_nym(NymRequest(), request=NymRequest())
 
+    def test_positional_arguments_other_than_a_request_rejected(self, manager):
+        with pytest.raises(TypeError, match="NymRequest"):
+            manager.create_nym("alice")
+        with pytest.raises(TypeError):
+            manager.create_nym(NymRequest(), "tor")
+        box = manager.create_nym(name="bob")
+        with pytest.raises(TypeError, match="StoreNymRequest"):
+            manager.store_nym(box, "pw")
+        assert manager.live_nyms() == ["bob"]
+
     def test_store_request_object(self, manager):
         manager.create_cloud_account("dropbox.com", "u", "cloud-pw")
         box = manager.create_nym(name="s")
@@ -128,37 +136,3 @@ class TestNymRequest:
         assert merged.name == "x"
         assert merged.anonymizer == "tor+dissent"
         assert merged.chain_commvms is True
-
-
-class TestDeprecationShims:
-    def test_positional_create_nym_warns_and_works(self, manager):
-        with pytest.warns(DeprecationWarning, match="create_nym"):
-            box = manager.create_nym("legacy-name")
-        assert box.nym.name == "legacy-name"
-
-    def test_positional_create_nym_two_args(self, manager):
-        with pytest.warns(DeprecationWarning):
-            box = manager.create_nym("legacy2", "tor")
-        assert box.nym.name == "legacy2"
-
-    def test_positional_store_nym_warns_and_works(self, manager):
-        box = manager.create_nym(name="legacy-store")
-        with pytest.warns(DeprecationWarning, match="store_nym"):
-            receipt = manager.store_nym(box, "pw")
-        assert receipt.encrypted_bytes > 0
-
-    def test_positional_and_keyword_conflict_rejected(self, manager):
-        with pytest.raises(TypeError, match="multiple values"):
-            with pytest.warns(DeprecationWarning):
-                manager.create_nym("a", name="b")
-
-    def test_too_many_positionals_rejected(self, manager):
-        with pytest.raises(TypeError):
-            manager.create_nym("a", "tor", NymUsageModel.EPHEMERAL, None, None,
-                               None, False, "extra")
-
-    def test_keyword_calls_do_not_warn(self, manager):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            box = manager.create_nym(name="clean")
-            manager.store_nym(box, password="pw")

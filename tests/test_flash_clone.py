@@ -233,18 +233,20 @@ class TestHandshakeCaches:
             assert x.x25519_base(scalar) == x.x25519(scalar, base_u)
 
     def test_fixed_base_toggle_round_trips(self):
+        """The seed mode swaps the comb for the ladder and back again;
+        keypairs come out the same either way."""
         import sys
 
+        from repro.perfbench.legacy import seed_crypto_mode
         from repro.sim.rng import SeededRng
 
         x = sys.modules["repro.crypto.x25519"]
-        assert x.fixed_base_enabled()
+        comb = x.x25519_base
         private, public = x.x25519_keypair(SeededRng(3))
-        x.set_fixed_base_enabled(False)
-        try:
+        with seed_crypto_mode():
+            assert x.x25519_base is not comb
             private2, public2 = x.x25519_keypair(SeededRng(3))
-        finally:
-            x.set_fixed_base_enabled(True)
+        assert x.x25519_base is comb
         assert (private, public) == (private2, public2)
 
     def test_relay_memo_skips_recompute(self, monkeypatch):
@@ -283,9 +285,12 @@ class TestHandshakeCaches:
         )
 
     def test_client_cache_preserves_rng_stream_and_keys(self):
+        from contextlib import nullcontext
+
         from repro.anonymizers.tor.circuit import NTOR_CLIENT_CACHE, Circuit
         from repro.anonymizers.tor.relay import Relay
         from repro.net.addresses import Ipv4Address
+        from repro.perfbench.legacy import seed_crypto_mode
         from repro.sim.rng import SeededRng
 
         def build(enabled: bool):
@@ -303,16 +308,13 @@ class TestHandshakeCaches:
             ]
             circuit_rng = rng.fork("circuit")
             keys = []
-            NTOR_CLIENT_CACHE.enabled = enabled
-            try:
+            with nullcontext() if enabled else seed_crypto_mode():
                 for _ in range(2):  # second build hits the cache when enabled
                     circuit = Circuit(Timeline(seed=1), circuit_rng)
                     circuit.build(relays)
                     keys.append(
                         [(h.forward_key, h.backward_key) for h in circuit._hops]
                     )
-            finally:
-                NTOR_CLIENT_CACHE.enabled = True
             return keys, circuit_rng.token_bytes(8)
 
         warm_keys, warm_tail = build(enabled=True)

@@ -126,17 +126,6 @@ class TestAdmissionAndWatermarks:
             make_fleet(policies=FleetPolicies(
                 high_watermark=0.5, low_watermark=0.8))
 
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="policies=FleetPolicies"):
-            fleet = Fleet(Timeline(seed=2), hosts=2, policy="least-loaded",
-                          high_watermark=0.95, low_watermark=0.85,
-                          host_spec=SMALL_HOST)
-        assert fleet.policy.name == "least-loaded"
-        assert fleet.high_watermark == 0.95
-        with pytest.raises(FleetError, match="not both"):
-            Fleet(Timeline(seed=2), hosts=2, policy="first-fit",
-                  policies=FleetPolicies(), host_spec=SMALL_HOST)
-
 
 class TestHostCrash:
     def test_crash_relaunches_residents_elsewhere(self):

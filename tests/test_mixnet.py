@@ -237,19 +237,14 @@ class TestMixnetDeterminism:
         assert self._journal(21) == self._journal(21)
 
     def test_warm_key_cache_does_not_change_the_journal(self):
-        from repro.mixnet.packet import SENDER_KEY_CACHE
+        from repro.perfbench.legacy import seed_mixnet_mode
 
         cold_state = self._journal(22)
         # The process-global sender cache is now warm; a rerun must burn
         # the same RNG draws and produce the same bytes.
         warm_state = self._journal(22)
-        SENDER_KEY_CACHE.enabled = False
-        SENDER_KEY_CACHE.clear()
-        try:
+        with seed_mixnet_mode():
             disabled_state = self._journal(22)
-        finally:
-            SENDER_KEY_CACHE.enabled = True
-            SENDER_KEY_CACHE.clear()
         assert cold_state == warm_state == disabled_state
 
     def test_different_seeds_diverge(self):

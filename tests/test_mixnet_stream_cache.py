@@ -2,15 +2,17 @@
 
 Layer keys are stable (sender key cache) and the AEAD nonce is fixed, so
 `MIX_STREAM_CACHE` can serve each layer's ChaCha20 keystream and Poly1305
-one-time key from memory.  These tests pin cold/warm/disabled builds and
-peels against each other, the cached AEAD framing against the reference
-`ChaCha20Poly1305`, and tampering detection through the cached path.
+one-time key from memory.  These tests pin cold and warm builds and peels
+against each other and against the cache-free seed mode, the cached AEAD
+framing against the reference `ChaCha20Poly1305`, and tampering detection
+through the cached path.
 """
 
 import pytest
 
 from repro.crypto.aead import ChaCha20Poly1305
 from repro.errors import MixnetError
+from repro.mixnet import packet as packet_mod
 from repro.mixnet.packet import (
     _NONCE,
     MIX_STREAM_CACHE,
@@ -21,9 +23,9 @@ from repro.mixnet.packet import (
     open_body,
     open_reply,
     peel_layer,
-    set_stream_cache_enabled,
 )
 from repro.mixnet.topology import MixTopology
+from repro.perfbench.legacy import seed_mixnet_mode
 from repro.sim.rng import SeededRng
 
 
@@ -31,7 +33,6 @@ from repro.sim.rng import SeededRng
 def fresh_cache():
     MIX_STREAM_CACHE.clear()
     yield
-    set_stream_cache_enabled(True)
     MIX_STREAM_CACHE.clear()
 
 
@@ -50,9 +51,8 @@ class TestSealOpenFraming:
         reference = ChaCha20Poly1305(self.KEY).encrypt(_NONCE, plaintext, aad)
         assert _seal(self.KEY, plaintext, aad) == reference  # cold
         assert _seal(self.KEY, plaintext, aad) == reference  # warm
-        set_stream_cache_enabled(False)
-        assert _seal(self.KEY, plaintext, aad) == reference  # disabled
-        set_stream_cache_enabled(True)
+        with seed_mixnet_mode():
+            assert packet_mod._seal(self.KEY, plaintext, aad) == reference  # seed
 
     def test_open_round_trips_and_rejects_tampering(self):
         plaintext = b"the quick brown fox" * 20
@@ -92,8 +92,8 @@ class TestPacketIdentity:
         MIX_STREAM_CACHE.clear()
         cold_packet, cold_out = pump(7)
         warm_packet, warm_out = pump(7)
-        set_stream_cache_enabled(False)
-        off_packet, off_out = pump(7)
+        with seed_mixnet_mode():
+            off_packet, off_out = pump(7)
         assert cold_packet == warm_packet == off_packet
         assert cold_out == warm_out == off_out == payload
 
@@ -106,11 +106,10 @@ class TestPacketIdentity:
         MIX_STREAM_CACHE.clear()
         cold = build(3)
         warm = build(3)
-        set_stream_cache_enabled(False)
-        off = build(3)
+        with seed_mixnet_mode():
+            off = build(3)
         assert cold.header == warm.header == off.header
         assert cold.payload_keys == warm.payload_keys == off.payload_keys
-        set_stream_cache_enabled(True)
 
         # Round-trip a reply through the nodes, then unwrap client-side.
         from repro.mixnet.packet import encode_body, peel_reply_layer

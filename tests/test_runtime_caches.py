@@ -19,6 +19,7 @@ from repro.mixnet.packet import (
     peel_layer,
 )
 from repro.mixnet.topology import MixTopology
+from repro.perfbench.legacy import seed_mixnet_mode
 from repro.runtime import (
     evict_oldest,
     process_cache_sizes,
@@ -102,13 +103,8 @@ class TestBoundedMixCaches:
         MIX_STREAM_CACHE.max_entries = 1
         bounded = _mix_run()
         reset_process_caches()
-        SENDER_KEY_CACHE.enabled = False
-        MIX_STREAM_CACHE.enabled = False
-        try:
+        with seed_mixnet_mode():
             disabled = _mix_run()
-        finally:
-            SENDER_KEY_CACHE.enabled = True
-            MIX_STREAM_CACHE.enabled = True
         assert unbounded == bounded == disabled
 
 

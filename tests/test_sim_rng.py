@@ -3,12 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.perfbench.legacy import seed_content_mode
 from repro.sim import SeededRng
-from repro.sim.rng import (
-    _NUMPY_CONTENT_MIN_BYTES,
-    numpy_content_enabled,
-    set_numpy_content_enabled,
-)
+from repro.sim.rng import _NUMPY_CONTENT_MIN_BYTES
 
 
 class TestSeededRng:
@@ -65,20 +62,6 @@ class TestSeededRng:
         assert len(set(picked)) == 10
 
 
-@pytest.fixture
-def pure_python_content():
-    """Force content_bytes onto the pure-python path for the test body."""
-    was = numpy_content_enabled()
-    set_numpy_content_enabled(False)
-    try:
-        yield
-    finally:
-        set_numpy_content_enabled(was)
-
-
-@pytest.mark.skipif(
-    not numpy_content_enabled(), reason="numpy unavailable or disabled"
-)
 class TestNumpyContentPath:
     """The vectorized content_bytes path must be invisible in the bytes.
 
@@ -86,7 +69,7 @@ class TestNumpyContentPath:
     draws raw words vectorized, and mirrors the advanced state back —
     so for any size the bytes AND the stream position must match the
     pure-python ``randbytes`` exactly.  Anything less would make journal
-    bytes depend on whether numpy is installed.
+    bytes depend on which path a draw took.
     """
 
     SIZES = [
@@ -100,24 +83,15 @@ class TestNumpyContentPath:
     @pytest.mark.parametrize("n", SIZES)
     def test_bytes_match_pure_python(self, n):
         fast, slow = SeededRng(11), SeededRng(11)
-        set_numpy_content_enabled(False)
-        try:
-            expected = slow.content_bytes(n)
-        finally:
-            set_numpy_content_enabled(True)
-        assert fast.content_bytes(n) == expected
+        assert fast.content_bytes(n) == slow._random.randbytes(n)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_stream_position_matches_pure_python(self, n):
         # The draw after a numpy-routed draw must continue exactly where
         # the pure-python stream would be: same 624-word state, same pos.
         fast, slow = SeededRng(13), SeededRng(13)
-        set_numpy_content_enabled(False)
-        try:
-            slow.content_bytes(n)
-            tail = slow.token_bytes(32), slow.random()
-        finally:
-            set_numpy_content_enabled(True)
+        slow._random.randbytes(n)
+        tail = slow.token_bytes(32), slow.random()
         fast.content_bytes(n)
         assert (fast.token_bytes(32), fast.random()) == tail
 
@@ -125,17 +99,11 @@ class TestNumpyContentPath:
         n = _NUMPY_CONTENT_MIN_BYTES - 1
         assert SeededRng(17).content_bytes(n) == SeededRng(17)._random.randbytes(n)
 
-    def test_toggle_round_trips(self, pure_python_content):
-        assert not numpy_content_enabled()
-        set_numpy_content_enabled(True)
-        assert numpy_content_enabled()
-        set_numpy_content_enabled(False)
-        assert not numpy_content_enabled()
-
     def test_perfbench_frozen_seed_mode_restores_the_flag(self):
-        from repro.perfbench.legacy import seed_content_mode
-
-        assert numpy_content_enabled()
+        live = SeededRng.content_bytes
+        n = 2 * _NUMPY_CONTENT_MIN_BYTES
         with seed_content_mode():
-            assert not numpy_content_enabled()
-        assert numpy_content_enabled()
+            assert SeededRng.content_bytes is not live
+            seed = SeededRng(19).content_bytes(n)
+        assert SeededRng.content_bytes is live
+        assert seed == SeededRng(19).content_bytes(n)

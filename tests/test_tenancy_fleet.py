@@ -324,6 +324,27 @@ class TestAutoscaler:
         assert len(fleet.serving_hosts()) == 1
         assert fleet.nymboxes["keeper"].host_id == "host-0"
 
+    def test_scale_down_spares_the_host_a_placement_is_booting_on(self):
+        # The first tick fires inside n0's boot on the then-empty host-0.
+        timeline = Timeline(seed=1)
+        fleet = Fleet(
+            timeline, hosts=4, host_spec=HostSpec(ram_bytes=4 * GIB),
+            policies=FleetPolicies(
+                placement="least-loaded",
+                autoscale=AutoscalePolicy(
+                    min_hosts=3, scale_down_pressure=0.5, interval_s=5.0
+                ),
+            ),
+        )
+        box = fleet.place("n0", "img-a")
+        assert timeline.now > 5.0
+        assert timeline.obs.journal.count("tenancy.scale_down") == 1
+        assert box.host_id == "host-0"
+        assert box.host_id in fleet.hosts
+        assert fleet.hosts["host-0"].booting == 0
+        fleet.remove("n0")
+        fleet.autoscaler.stop()
+
     def test_no_autoscale_policy_means_no_scaler_no_events(self):
         timeline, fleet = make_fleet(hosts=1)
         assert fleet.autoscaler is None
