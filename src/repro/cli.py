@@ -704,8 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--out",
         metavar="PATH",
-        default="BENCH_fleet.json",
-        help="placement/savings report path (default BENCH_fleet.json)",
+        help="write the placement/savings report JSON here",
     )
     fleet.add_argument(
         "--shards", type=int, default=0, metavar="N",
@@ -775,8 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.add_argument(
         "--out",
         metavar="PATH",
-        default="BENCH_tenants.json",
-        help="per-tenant outcome report path (default BENCH_tenants.json)",
+        help="write the per-tenant outcome report JSON here",
     )
     add_common_args(tenants, journal=True)
     add_tenant_config_arg(tenants)

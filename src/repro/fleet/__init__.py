@@ -15,14 +15,7 @@ to a JSONL spool, and checkpoints whole runs for kill/resume;
 processes (``--procs N``) with byte-identical journals.
 """
 
-from repro.fleet.fleet import (
-    DrainReport,
-    Fleet,
-    FleetNymbox,
-    FleetStats,
-    PlacementRejection,
-    PlacementRequest,
-)
+from repro.fleet.fleet import DrainReport, Fleet, FleetNymbox, FleetStats
 from repro.fleet.host import HostHandle
 from repro.fleet.placement import (
     PLACEMENT_POLICIES,
@@ -61,8 +54,6 @@ __all__ = [
     "Fleet",
     "FleetNymbox",
     "LocalShardHandle",
-    "PlacementRejection",
-    "PlacementRequest",
     "FleetShard",
     "FleetStats",
     "FleetReport",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     FleetCapacityError,
@@ -32,18 +32,12 @@ from repro.errors import (
 )
 from repro.faults.retry import RetryPolicy, retry_call
 from repro.fleet.host import HostHandle
-from repro.fleet.placement import PlacementPolicy, WaveView, make_policy
-from repro.memory.pages import bytes_to_pages, pages_to_bytes
+from repro.fleet.placement import PlacementPolicy, make_policy
 from repro.net.internet import Internet
 from repro.runtime import register_process_cache
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import FleetPolicies
-from repro.tenancy.registry import (
-    REASON_CAPACITY,
-    REASON_QUOTA,
-    REASON_RATE,
-    TenantRegistry,
-)
+from repro.tenancy.registry import REASON_CAPACITY, REASON_QUOTA, TenantRegistry
 from repro.vmm.baseimage import build_base_layer, published_merkle_root
 from repro.vmm.hypervisor import HostSpec, Hypervisor, NymboxTemplate
 from repro.vmm.vm import MIB, VirtualMachine, VmSpec
@@ -57,38 +51,6 @@ CRASH_RETRY = RetryPolicy(max_attempts=4, base_backoff_s=0.0, max_backoff_s=0.0)
 
 #: The ``(admits, calm)`` verdict of a host that takes no placements.
 _REFUSED = (False, False)
-
-
-@dataclass(frozen=True)
-class PlacementRequest:
-    """One arrival in a wave handed to :meth:`Fleet.place_many`."""
-
-    name: str
-    image_id: str
-    tenant: str = ""
-
-
-@dataclass(frozen=True)
-class PlacementRejection:
-    """Why one arrival was turned away (``place_many(on_reject="skip")``).
-
-    Falsy on purpose: callers that used to get ``None`` for rejected
-    slots can keep writing ``if box:`` and now also learn the reason —
-    ``capacity`` (no host has room), ``quota`` (tenant over its nym/RAM
-    ceiling), or ``rate`` (tenant's launch bucket was dry).
-    """
-
-    name: str
-    image_id: str
-    tenant: str
-    reason: str
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: What place_many returns per arrival.
-PlacementResult = Union["FleetNymbox", PlacementRejection]
 
 
 #: Process-wide (base layer, Merkle root) for the default Nymix image.
@@ -108,23 +70,6 @@ def _shared_base_image() -> tuple:
 register_process_cache(
     "fleet.base_image", _BASE_IMAGE_CACHE.clear, _BASE_IMAGE_CACHE.__len__
 )
-
-
-def _as_request(item) -> PlacementRequest:
-    if isinstance(item, PlacementRequest):
-        return item
-    if isinstance(item, tuple):
-        if len(item) == 3:
-            name, image_id, tenant = item
-            return PlacementRequest(name=name, image_id=image_id, tenant=tenant)
-        name, image_id = item
-        return PlacementRequest(name=name, image_id=image_id)
-    # Anything arrival-shaped (e.g. workloads.fleet.NymArrival) works.
-    return PlacementRequest(
-        name=item.name,
-        image_id=item.image_id,
-        tenant=getattr(item, "tenant", ""),
-    )
 
 
 @dataclass
@@ -300,15 +245,6 @@ class Fleet:
         # are fixed per fleet, and a stable template object lets each
         # hypervisor reuse its per-template clone state across arrivals.
         self._templates: Dict[str, NymboxTemplate] = {}
-        # Every materialize/destroy bumps this; place_many uses it to
-        # detect that exactly one accounting action happened per planned
-        # arrival (no evacuation, crash, or removal slipped in).
-        self._accounting_epoch = 0
-        # Predicted used-bytes delta of one placement: both guests'
-        # page-rounded RAM (KSM savings and FS writes are zero at boot).
-        self._used_delta_bytes = pages_to_bytes(
-            bytes_to_pages(self.anon_spec.ram_bytes)
-        ) + pages_to_bytes(bytes_to_pages(self.comm_spec.ram_bytes))
         obs = timeline.obs
         obs.event("fleet.created", hosts=hosts, policy=self.policy.name)
         obs.metrics.gauge("fleet.hosts").set(hosts)
@@ -454,52 +390,40 @@ class Fleet:
         calm = [h for h in self._calm if h.host_id != exclude]
         return calm or [h for h in self._admissible if h.host_id != exclude]
 
-    def _tenant_admission(self, tenant: str) -> Optional[str]:
-        """Peek this tenant's quota/rate verdict for one more nym."""
-        return self.tenancy.admission_reason(tenant, self.need_ram_bytes)
-
-    def _note_rejected(self, req: PlacementRequest, reason: str) -> None:
+    def _note_rejected(self, name: str, tenant: str, reason: str) -> None:
         obs = self.timeline.obs
         if reason == REASON_CAPACITY:
             obs.metrics.counter("fleet.admission_rejected").inc()
-        self.tenancy.note_rejected(req.tenant, reason)
-        if req.tenant:
-            obs.event(
-                "tenancy.reject",
-                nym=req.name,
-                tenant=req.tenant,
-                reason=reason,
-            )
-
-    @staticmethod
-    def _rejection_error(req: PlacementRequest, reason: str) -> FleetCapacityError:
-        """The typed error for a tenant-verdict rejection (quota or rate)."""
-        if reason == REASON_QUOTA:
-            return TenantQuotaError(
-                f"tenant {req.tenant!r} is over quota; rejected {req.name!r}"
-            )
-        return TenantRateLimitError(
-            f"tenant {req.tenant!r} launch bucket is dry; rejected {req.name!r}"
-        )
+        self.tenancy.note_rejected(tenant, reason)
+        if tenant:
+            obs.event("tenancy.reject", nym=name, tenant=tenant, reason=reason)
 
     def place(self, name: str, image_id: str, tenant: str = "") -> FleetNymbox:
         """Admit and place a new nymbox, or raise :class:`FleetCapacityError`.
 
         Tenant verdicts come first (quota, then launch rate), raising the
         :class:`TenantQuotaError` / :class:`TenantRateLimitError`
-        subclasses; capacity is checked last.
+        subclasses; capacity is checked last.  This is the fleet's only
+        admission path: a caller admitting a wave of arrivals calls it
+        once per arrival and catches :class:`FleetCapacityError` for each
+        one it may turn away.
         """
         if name in self.nymboxes:
             raise FleetError(f"nym {name!r} is already placed")
-        req = PlacementRequest(name, image_id, tenant)
-        reason = self._tenant_admission(tenant)
+        reason = self.tenancy.admission_reason(tenant, self.need_ram_bytes)
         if reason is not None:
-            self._note_rejected(req, reason)
-            raise self._rejection_error(req, reason)
+            self._note_rejected(name, tenant, reason)
+            if reason == REASON_QUOTA:
+                raise TenantQuotaError(
+                    f"tenant {tenant!r} is over quota; rejected {name!r}"
+                )
+            raise TenantRateLimitError(
+                f"tenant {tenant!r} launch bucket is dry; rejected {name!r}"
+            )
         self.tenancy.consume_launch(tenant)
         host = self.policy.choose(self._candidates(), image_id)
         if host is None:
-            self._note_rejected(req, REASON_CAPACITY)
+            self._note_rejected(name, tenant, REASON_CAPACITY)
             raise FleetCapacityError(
                 f"no host can admit {name!r} ({self.need_ram_bytes // MIB} MiB)"
             )
@@ -515,188 +439,6 @@ class Fleet:
                   image=image_id, policy=self.policy.name)
         self._relieve_pressure(host)
         return box
-
-    def place_many(
-        self,
-        requests: Iterable,
-        on_reject: str = "raise",
-    ) -> List[PlacementResult]:
-        """Admit and place a whole arrival wave, batched.
-
-        Byte-identical-journal-equivalent to calling :meth:`place` once
-        per request in order (``on_reject="raise"``), or to wrapping each
-        call in ``try/except FleetCapacityError`` (``on_reject="skip"``,
-        where rejected requests yield a falsy :class:`PlacementRejection`
-        carrying the reason — ``capacity``, ``quota``, or ``rate``).  The
-        wave is *planned* in one pass — per-host accounting pulled into
-        numpy arrays once, tenant verdicts simulated against running
-        counters, the policy's ``choose_batch`` assigning hosts against
-        running sums — then executed through the exact sequential
-        machinery.
-
-        Execution is verified per arrival: the live tenant verdict must
-        match the plan's, the chosen host's used bytes must land on the
-        plan's prediction, and exactly one accounting action may have
-        happened.  Any deviation (pressure evacuation, a fault firing
-        mid-boot, a token-bucket refill, KSM drift) discards the
-        remaining plan and replans from live state, so equivalence never
-        depends on the predictions being right — only rejections and
-        host choices ever come from the plan, and those are re-derived
-        whenever state diverges.
-        """
-        if on_reject not in ("raise", "skip"):
-            raise FleetError(f"unknown on_reject mode {on_reject!r}")
-        reqs = [_as_request(item) for item in requests]
-        results: List[PlacementResult] = []
-        obs = self.timeline.obs
-        pos = 0
-        while pos < len(reqs):
-            plan = self._plan_wave(reqs[pos:])
-            diverged = False
-            for offset, (host_id, predicted_used, planned_reason) in enumerate(plan):
-                req = reqs[pos + offset]
-                if req.name in self.nymboxes:
-                    raise FleetError(f"nym {req.name!r} is already placed")
-                live_reason = self._tenant_admission(req.tenant)
-                if live_reason != planned_reason:
-                    # The plan's tenant verdict went stale (bucket refill,
-                    # quota freed by an evacuation): replan from here.
-                    # Nothing was executed for this arrival, so progress
-                    # is guaranteed — a fresh plan's first verdict is
-                    # computed from the same live state it runs against.
-                    pos += offset
-                    diverged = True
-                    break
-                if live_reason is not None:
-                    self._note_rejected(req, live_reason)
-                    if on_reject == "raise":
-                        raise self._rejection_error(req, live_reason)
-                    results.append(
-                        PlacementRejection(
-                            req.name, req.image_id, req.tenant, live_reason
-                        )
-                    )
-                    continue
-                self.tenancy.consume_launch(req.tenant)
-                if host_id is None:
-                    self._note_rejected(req, REASON_CAPACITY)
-                    if on_reject == "raise":
-                        raise FleetCapacityError(
-                            f"no host can admit {req.name!r} "
-                            f"({self.need_ram_bytes // MIB} MiB)"
-                        )
-                    results.append(
-                        PlacementRejection(
-                            req.name, req.image_id, req.tenant, REASON_CAPACITY
-                        )
-                    )
-                    continue
-                host = self.hosts[host_id]
-                epoch_before = self._accounting_epoch
-                self._seq += 1
-                box = self._materialize(
-                    req.name, req.image_id, host, seq=self._seq, advance=True,
-                    tenant=req.tenant,
-                )
-                self.placements += 1
-                self.tenancy.note_admitted(req.tenant)
-                obs.metrics.counter("fleet.placements").inc()
-                obs.event("fleet.place", nym=req.name, host=host.host_id,
-                          image=req.image_id, policy=self.policy.name)
-                self._relieve_pressure(host)
-                results.append(box)
-                if (
-                    self._accounting_epoch != epoch_before + 1
-                    or host.used_bytes != predicted_used
-                ):
-                    pos += offset + 1
-                    diverged = True
-                    break
-            if not diverged:
-                pos += len(plan)
-        return results
-
-    def _plan_wave(
-        self, requests: Sequence[PlacementRequest]
-    ) -> List[Tuple[Optional[str], int, Optional[str]]]:
-        """Plan ``(host_id, predicted used bytes, tenant verdict)`` per request.
-
-        Tenant verdicts are simulated against running per-tenant counters
-        seeded from the registry's live accounts (quota-rejected arrivals
-        never reach the placement policy); host choices come from the
-        policy's batch planner.  Policies without batch support plan one
-        arrival at a time through the sequential reference path — still
-        verified, just not batched.
-        """
-        sim: Dict[str, List[float]] = {}
-
-        def verdict(req: PlacementRequest) -> Optional[str]:
-            tenant = req.tenant
-            if not tenant:
-                return None
-            policy = self.tenancy.policy_for(tenant)
-            if policy.unlimited:
-                return None
-            state = sim.get(tenant)
-            if state is None:
-                state = list(self.tenancy.admission_snapshot(tenant))
-                sim[tenant] = state
-            quota = policy.quota
-            if quota.max_nyms is not None and state[0] + 1 > quota.max_nyms:
-                return REASON_QUOTA
-            if (
-                quota.max_ram_bytes is not None
-                and state[1] + self.need_ram_bytes > quota.max_ram_bytes
-            ):
-                return REASON_QUOTA
-            if policy.rate.launch_rate_per_s and state[2] < 1.0:
-                return REASON_RATE
-            state[0] += 1
-            state[1] += self.need_ram_bytes
-            state[2] -= 1.0
-            return None
-
-        if not self.policy.supports_batch:
-            req = requests[0]
-            reason = verdict(req)
-            if reason is not None:
-                return [(None, 0, reason)]
-            host = self.policy.choose(self._candidates(), req.image_id)
-            if host is None:
-                return [(None, 0, None)]
-            return [(host.host_id, host.used_bytes + self._used_delta_bytes, None)]
-
-        verdicts = [verdict(req) for req in requests]
-        admitted = [
-            req for req, reason in zip(requests, verdicts) if reason is None
-        ]
-        picks: List[Optional[int]] = []
-        predicted = None
-        if admitted:
-            view = WaveView(
-                self._host_order,
-                need=self.need_ram_bytes,
-                footprint=self.footprint_bytes,
-                used_delta=self._used_delta_bytes,
-                high_watermark=self.high_watermark,
-            )
-            predicted = view.used.copy()
-            picks = self.policy.choose_batch(view, admitted)
-        plan: List[Tuple[Optional[str], int, Optional[str]]] = []
-        pick_iter = iter(picks)
-        for reason in verdicts:
-            if reason is not None:
-                plan.append((None, 0, reason))
-                continue
-            pick = next(pick_iter)
-            if pick is None:
-                plan.append((None, 0, None))
-            else:
-                predicted[pick] += self._used_delta_bytes
-                plan.append(
-                    (self._host_order[pick].host_id, int(predicted[pick]), None)
-                )
-        return plan
 
     def _materialize(
         self, name: str, image_id: str, host: HostHandle, seq: int,
@@ -734,7 +476,6 @@ class Fleet:
         )
         self.nymboxes[name] = box
         host.add_resident(box)
-        self._accounting_epoch += 1
         self.tenancy.note_placed(tenant, box.ram_bytes)
         self.timeline.obs.metrics.gauge("fleet.nyms_resident").set(len(self.nymboxes))
         return box
@@ -752,7 +493,6 @@ class Fleet:
             return
         host = self.hosts[box.host_id]
         host.pop_resident(name)
-        self._accounting_epoch += 1
         self.tenancy.note_removed(box.tenant, box.ram_bytes)
         if not host.crashed:
             host.hypervisor.destroy_vm(box.anonvm)
@@ -792,7 +532,6 @@ class Fleet:
         # what the relaunch will carry over; then the source pair dies.
         carried_dirty = box.extra_dirty_bytes
         source.pop_resident(box.name)
-        self._accounting_epoch += 1
         del self.nymboxes[box.name]
         self.tenancy.note_removed(box.tenant, box.ram_bytes)
         self.tenancy.note_evacuated(box.tenant)
@@ -848,7 +587,6 @@ class Fleet:
             return None
         host.crashed = True
         self._mark_stale(host)
-        self._accounting_epoch += 1
         self.crashes += 1
         obs = self.timeline.obs
         obs.metrics.counter("fleet.host_crashes").inc()

@@ -17,9 +17,9 @@ class HostHandle:
     so the scheduler can never disagree with the memory model.
 
     Accounting reads are cached against the hypervisor's
-    ``accounting_token()``: placement policies, pressure checks and wave
-    planning read ``used_bytes`` / ``free_ram_bytes`` of hosts that
-    mostly haven't changed since the last read — the cached
+    ``accounting_token()``: placement policies, admission verdicts and
+    pressure checks read ``used_bytes`` / ``free_ram_bytes`` of hosts
+    that mostly haven't changed since the last read — the cached
     :class:`MemorySnapshot` is served until the token moves.
     """
 
@@ -96,10 +96,6 @@ class HostHandle:
 
     def image_count(self, image_id: str) -> int:
         return self._image_counts.get(image_id, 0)
-
-    def image_counts(self) -> Dict[str, int]:
-        """Copy of the per-image resident counts (for wave planning)."""
-        return dict(self._image_counts)
 
     def resident_names(self) -> List[str]:
         return sorted(self.residents)

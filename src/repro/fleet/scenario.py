@@ -184,7 +184,7 @@ def run_fleet(
     host_crashes: int = 2,
     compare: bool = True,
     journal_path: Optional[str] = None,
-    out_path: Optional[str] = "BENCH_fleet.json",
+    out_path: Optional[str] = None,
     idle_s: float = 0.0,
     flash_clone: bool = True,
     policies: Optional[FleetPolicies] = None,
@@ -316,7 +316,7 @@ def run_fleet_sharded(
     checkpoint_dir: Optional[str] = None,
     stop_after_epoch: Optional[int] = None,
     journal_path: Optional[str] = None,
-    out_path: Optional[str] = "BENCH_fleet.json",
+    out_path: Optional[str] = None,
     flash_clone: bool = True,
     scale_counts: Optional[List[int]] = None,
     procs: int = 1,
@@ -366,7 +366,7 @@ def run_fleet_sharded(
 def resume_fleet_sharded(
     checkpoint_dir: str,
     journal_path: Optional[str] = None,
-    out_path: Optional[str] = "BENCH_fleet.json",
+    out_path: Optional[str] = None,
     procs: int = 1,
 ) -> ShardedFleetReport:
     """Resume a killed sharded run (``repro fleet --resume DIR``).

@@ -502,13 +502,13 @@ def _bench_nym_launch(quick: bool) -> BenchResult:
 def _bench_fleet_arrival(quick: bool) -> BenchResult:
     """Multi-host placement throughput: nymboxes arriving across a fleet.
 
-    Live path: every host hypervisor flash-clones from its zygote
-    template, accounting is O(Δ), and the whole arrival stream admits
-    through one wave-batched :meth:`Fleet.place_many`.  Baseline:
-    ``flash_clone=False`` fleets placing one arrival at a time inside
-    :func:`seed_admission_mode` — per-arrival host-list rebuilds and
-    seed accounting sums (crypto is untouched — fleet placement does not
-    build circuits).
+    Both sides admit the arrival stream one :meth:`Fleet.place` at a
+    time.  Live path: every host hypervisor flash-clones from its zygote
+    template, admission re-derives verdicts only for hosts that changed,
+    and accounting is O(Δ).  Baseline: ``flash_clone=False`` fleets
+    inside :func:`seed_admission_mode` — per-arrival host-list rebuilds
+    and seed accounting sums (crypto is untouched — fleet placement does
+    not build circuits).
     """
     from repro.fleet import Fleet
     from repro.tenancy.policy import FleetPolicies
@@ -519,7 +519,7 @@ def _bench_fleet_arrival(quick: bool) -> BenchResult:
     hosts = 2 if quick else 4
     arrivals = 8 if quick else 24
 
-    def make_arrival(flash_clone: bool, batched: bool):
+    def make_arrival(flash_clone: bool):
         def arrival() -> None:
             timeline = Timeline(seed=5, observability=False)
             fleet = Fleet(
@@ -529,21 +529,18 @@ def _bench_fleet_arrival(quick: bool) -> BenchResult:
                 flash_clone=flash_clone,
             )
             workload = fleet_workload(timeline.fork_rng("bench.workload"), arrivals)
-            if batched:
-                fleet.place_many(workload)
-            else:
-                for item in workload:
-                    fleet.place(item.name, item.image_id)
+            for item in workload:
+                fleet.place(item.name, item.image_id)
             fleet.settle_ksm()
 
         return arrival
 
     budget = _budget(quick)
-    arrival = make_arrival(flash_clone=True, batched=True)
+    arrival = make_arrival(flash_clone=True)
     arrival()  # warm per-process state before timing
     iterations, seconds = measure(arrival, budget, min_iterations=2)
     with seed_admission_mode():
-        seed_arrival = make_arrival(flash_clone=False, batched=False)
+        seed_arrival = make_arrival(flash_clone=False)
         base_iters, base_seconds = measure(seed_arrival, budget, min_iterations=2)
     return BenchResult(
         name="fleet_arrival",
@@ -555,21 +552,22 @@ def _bench_fleet_arrival(quick: bool) -> BenchResult:
         baseline_seconds=base_seconds,
         notes=(
             f"{arrivals} nymbox arrivals across {hosts} hosts with the "
-            "ksm-aware policy, then settle_ksm; live admits the wave "
-            "through place_many, seed cold-boots every placement and "
-            "re-derives admission per arrival with seed accounting"
+            "ksm-aware policy, one place() each, then settle_ksm; seed "
+            "cold-boots every placement and re-derives admission per "
+            "arrival with seed accounting"
         ),
         extra={"hosts": hosts, "arrivals": arrivals},
     )
 
 
 def _bench_fleet_wave(quick: bool) -> BenchResult:
-    """Wave admission at fleet scale: one big arrival burst, many hosts.
+    """Admission at fleet scale: one big arrival burst, many hosts.
 
     Isolates the admission machinery itself — flash-cloning is on for
-    *both* sides, so the speedup is wave planning + vectorized admission
-    + O(Δ) accounting against the seed per-arrival host-list rebuild
-    (:func:`seed_admission_mode`), not cloning.
+    *both* sides and both admit one :meth:`Fleet.place` per arrival, so
+    the speedup is change-driven admission + O(Δ) accounting against
+    the seed per-arrival host-list rebuild (:func:`seed_admission_mode`),
+    not cloning.
     """
     from repro.fleet import Fleet
     from repro.tenancy.policy import FleetPolicies
@@ -580,33 +578,25 @@ def _bench_fleet_wave(quick: bool) -> BenchResult:
     hosts = 4 if quick else 16
     arrivals = 32 if quick else 256
 
-    def make_wave(batched: bool):
-        def wave() -> None:
-            timeline = Timeline(seed=11, observability=False)
-            fleet = Fleet(
-                timeline,
-                hosts=hosts,
-                policies=FleetPolicies(placement="ksm-aware"),
-                flash_clone=True,
-            )
-            workload = fleet_workload(timeline.fork_rng("bench.workload"), arrivals)
-            if batched:
-                fleet.place_many(workload)
-            else:
-                for item in workload:
-                    fleet.place(item.name, item.image_id)
-            fleet.settle_ksm()
-            fleet.stats()
-
-        return wave
+    def wave() -> None:
+        timeline = Timeline(seed=11, observability=False)
+        fleet = Fleet(
+            timeline,
+            hosts=hosts,
+            policies=FleetPolicies(placement="ksm-aware"),
+            flash_clone=True,
+        )
+        workload = fleet_workload(timeline.fork_rng("bench.workload"), arrivals)
+        for item in workload:
+            fleet.place(item.name, item.image_id)
+        fleet.settle_ksm()
+        fleet.stats()
 
     budget = _budget(quick)
-    wave = make_wave(batched=True)
     wave()  # warm per-process state (zygote templates) before timing
     iterations, seconds = measure(wave, budget, min_iterations=2)
     with seed_admission_mode():
-        seed_wave = make_wave(batched=False)
-        base_iters, base_seconds = measure(seed_wave, budget, min_iterations=2)
+        base_iters, base_seconds = measure(wave, budget, min_iterations=2)
     return BenchResult(
         name="fleet_wave",
         tags=["scenario", "fleet"],
@@ -617,9 +607,10 @@ def _bench_fleet_wave(quick: bool) -> BenchResult:
         baseline_seconds=base_seconds,
         notes=(
             f"{arrivals} simultaneous arrivals across {hosts} hosts, "
-            "ksm-aware, flash-clone on both sides: place_many wave "
-            "planning vs seed per-arrival admission (host-list rebuilds "
-            "+ seed accounting sums), then settle_ksm + stats"
+            "ksm-aware, flash-clone on both sides, one place() each: "
+            "change-driven admission vs seed per-arrival admission "
+            "(host-list rebuilds + seed accounting sums), then "
+            "settle_ksm + stats"
         ),
         extra={"hosts": hosts, "arrivals": arrivals},
     )
@@ -781,7 +772,7 @@ BENCHES: Dict[str, Bench] = {
         Bench(
             "fleet_wave",
             ["scenario", "fleet"],
-            "batched wave admission vs the seed per-arrival host scan",
+            "change-driven admission of a burst vs the seed per-arrival host scan",
             _bench_fleet_wave,
         ),
         Bench(

@@ -467,8 +467,7 @@ def _seed_fleet_candidates(self, exclude=None):
 def seed_admission_mode():
     """The seed fleet-admission path: host lists rebuilt and the full
     watermark arithmetic re-derived on every arrival (no change-driven
-    verdicts, no wave batching reaches `_candidates`), on top of the
-    seed accounting sums."""
+    verdicts), on top of the seed accounting sums."""
     with _patched(
         (Fleet, "host_list", _seed_fleet_host_list),
         (Fleet, "_candidates", _seed_fleet_candidates),

@@ -78,14 +78,8 @@ class NullTenancy:
 
     active = False
 
-    def policy_for(self, tenant: str) -> TenantPolicy:
-        return UNLIMITED
-
     def admission_reason(self, tenant: str, need_ram_bytes: int) -> Optional[str]:
         return None
-
-    def admission_snapshot(self, tenant: str) -> Tuple[int, int, float]:
-        return (0, 0, math.inf)
 
     def consume_launch(self, tenant: str) -> None:
         pass
@@ -291,20 +285,6 @@ class TenantRegistry:
             if bucket.available(self.timeline.now) < 1.0:
                 return REASON_RATE
         return None
-
-    def admission_snapshot(self, tenant: str) -> Tuple[int, int, float]:
-        """(nyms, ram_bytes, launch_tokens) for plan-time simulation."""
-        if not tenant:
-            return (0, 0, math.inf)
-        policy = self.policy_for(tenant)
-        acct = self.account(tenant)
-        if policy.rate.launch_rate_per_s:
-            tokens = self._launch_bucket(tenant, policy).available(
-                self.timeline.now
-            )
-        else:
-            tokens = math.inf
-        return (acct.nyms, acct.ram_bytes, tokens)
 
     def consume_launch(self, tenant: str) -> None:
         """Spend one launch token for an admission attempt that passed peek."""

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.errors import FleetCapacityError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.fleet import DrainReport, Fleet, FleetStats
@@ -32,7 +33,8 @@ from repro.tenancy.registry import TenantRegistry
 from repro.vmm.vm import MIB
 from repro.workloads.fleet import tenant_workload
 
-#: Arrivals admitted per :meth:`Fleet.place_many` wave.
+#: Arrivals per wave: the scenario sleeps out a wave's interarrival gaps,
+#: admits every arrival in it, then runs the admitted nyms' churn and sends.
 WAVE_SIZE = 16
 #: Shared ingress link capacity (bytes/s) strict-priority-shared by QoS class.
 INGRESS_CAPACITY_BPS = 32 * MIB
@@ -162,7 +164,7 @@ def run_tenants(
     placement: str = "first-fit",
     chaos: bool = False,
     journal_path: Optional[str] = None,
-    out_path: Optional[str] = "BENCH_tenants.json",
+    out_path: Optional[str] = None,
     policies: Optional[FleetPolicies] = None,
     upgrade_s: float = 5.0,
 ) -> TenantsReport:
@@ -198,11 +200,24 @@ def run_tenants(
     ]
     update_after = len(waves) // 2
     for index, wave in enumerate(waves):
-        timeline.sleep(sum(a.interarrival_s for a in wave))
-        results = fleet.place_many(wave, on_reject="skip")
-        for arrival, result in zip(wave, results):
-            if not result:
+        # Left-to-right float adds, not sum(): Python 3.12's sum() uses
+        # compensated summation, which can move the clock by an ulp and
+        # with it every later journal timestamp.
+        gap = 0.0
+        for arrival in wave:
+            gap += arrival.interarrival_s
+        timeline.sleep(gap)
+        # Place the whole wave before any of it churns or sends: the
+        # sends sleep on the timeline, so interleaving them with the
+        # placements would change the journal.
+        admitted = []
+        for arrival in wave:
+            try:
+                fleet.place(arrival.name, arrival.image_id, tenant=arrival.tenant)
+            except FleetCapacityError:
                 continue
+            admitted.append(arrival)
+        for arrival in admitted:
             if arrival.churn_bytes:
                 fleet.touch(arrival.name, arrival.churn_bytes)
             # One send per admitted nym: shaping waits out bucket debt and

@@ -158,6 +158,15 @@ class TestFleetCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"][0]["nyms_resident"] == 6
 
+    def test_reports_are_written_only_to_an_explicit_out(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A bare run must never overwrite the tracked BENCH_*.json files.
+        monkeypatch.chdir(tmp_path)
+        assert main(["fleet", "--seed", "7", "--quick", "--no-compare"]) == 0
+        assert main(["--seed", "7", "tenants", "--quick"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_fleet_journal_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:

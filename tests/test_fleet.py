@@ -8,7 +8,7 @@ from repro.errors import FleetCapacityError, FleetError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet import Fleet, make_policy, run_fleet
-from repro.fleet.placement import PLACEMENT_POLICIES
+from repro.fleet.placement import PLACEMENT_POLICIES, PlacementPolicy
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import FleetPolicies
 from repro.vmm.hypervisor import HostSpec
@@ -33,6 +33,18 @@ class TestPolicies:
         assert set(PLACEMENT_POLICIES) == {"first-fit", "least-loaded", "ksm-aware"}
         with pytest.raises(FleetError, match="unknown placement policy"):
             make_policy("round-robin")
+
+    def test_custom_policy_object_is_used(self):
+        class LastFit(PlacementPolicy):
+            name = "last-fit"
+
+            def choose(self, candidates, image_id):
+                return candidates[-1] if candidates else None
+
+        fleet = make_fleet(policies=FleetPolicies(placement=LastFit()))
+        fleet.place("n0", "img-a")
+        assert fleet.policy.name == "last-fit"
+        assert fleet.nymboxes["n0"].host_id == "host-2"
 
     def test_first_fit_packs_the_front(self):
         fleet = make_fleet(policy="first-fit")
@@ -78,7 +90,58 @@ class TestPolicies:
         assert aware.stats().ksm_saved_bytes > first.stats().ksm_saved_bytes
 
 
+class TestResidency:
+    """Per-host image counts (the ksm-aware policy's input) follow every
+    placement, removal and evacuation."""
+
+    @staticmethod
+    def _totals(fleet, images=("img-0", "img-1")):
+        return {
+            image: sum(h.image_count(image) for h in fleet.host_list())
+            for image in images
+        }
+
+    @staticmethod
+    def _assert_images_match_residents(fleet):
+        for host in fleet.host_list():
+            expected = {box.image_id for box in host.residents.values()}
+            assert host.images() == expected
+            for image in expected:
+                assert host.image_count(image) == sum(
+                    1 for box in host.residents.values() if box.image_id == image
+                )
+
+    def test_image_counts_track_place_and_remove(self):
+        fleet = make_fleet(hosts=4, policy="ksm-aware")
+        for name, image in [("a", "img-0"), ("b", "img-0"), ("c", "img-1")]:
+            fleet.place(name, image)
+        assert self._totals(fleet) == {"img-0": 2, "img-1": 1}
+        fleet.remove("a")
+        fleet.remove("c")
+        assert self._totals(fleet) == {"img-0": 1, "img-1": 0}
+        self._assert_images_match_residents(fleet)
+
+    def test_host_images_derive_from_residents(self):
+        fleet = make_fleet(hosts=3, policy="ksm-aware")
+        for i in range(8):
+            fleet.place(f"n{i}", f"img-{i % 2}")
+        self._assert_images_match_residents(fleet)
+        fleet.drain_host(fleet.nymboxes["n0"].host_id)
+        assert self._totals(fleet) == {
+            image: sum(1 for b in fleet.nymboxes.values() if b.image_id == image)
+            for image in ("img-0", "img-1")
+        }
+        self._assert_images_match_residents(fleet)
+
+
 class TestAdmissionAndWatermarks:
+    def test_duplicate_name_rejected(self):
+        fleet = make_fleet()
+        fleet.place("dup", "img-a")
+        with pytest.raises(FleetError, match="already placed"):
+            fleet.place("dup", "img-b")
+        assert fleet.placements == 1
+
     def test_admission_control_rejects_when_no_host_admits(self):
         fleet = make_fleet(hosts=1)
         fleet.place("n0", "img-a")

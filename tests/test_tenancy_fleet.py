@@ -19,7 +19,7 @@ from repro.errors import (
     TenantQuotaError,
     TenantRateLimitError,
 )
-from repro.fleet import Fleet, PlacementRejection
+from repro.fleet import Fleet, FleetNymbox
 from repro.sim.clock import Timeline
 from repro.tenancy.autoscale import Autoscaler
 from repro.tenancy.policy import (
@@ -88,9 +88,24 @@ class TestTenantAdmission:
         assert fleet.tenancy.account("acme").nyms == 1
 
 
-class TestPlaceManyRejectionReasons:
-    def test_skip_mode_reports_quota_vs_rate_vs_capacity(self):
-        _, fleet = make_fleet(
+class TestInterleavedRejections:
+    """One arrival stream admitted through a ``place`` loop: each rejected
+    arrival raises its own typed error, and the arrivals after it still
+    get their own verdicts."""
+
+    @staticmethod
+    def admit(fleet, stream):
+        """Place each arrival; map its name to its box or its error type."""
+        outcomes = {}
+        for name, image_id, tenant in stream:
+            try:
+                outcomes[name] = fleet.place(name, image_id, tenant=tenant)
+            except FleetCapacityError as exc:
+                outcomes[name] = type(exc)
+        return outcomes
+
+    def test_quota_rate_and_capacity_rejections_in_one_stream(self):
+        timeline, fleet = make_fleet(
             hosts=1,
             tenants=[
                 TenantPolicy("q", quota=QuotaPolicy(max_nyms=1)),
@@ -101,76 +116,45 @@ class TestPlaceManyRejectionReasons:
             ],
             policy_kw=dict(high_watermark=1.0, low_watermark=0.99),
         )
-        wave = (
-            [("q0", "img", "q"), ("q1", "img", "q")]
-            + [("r0", "img", "r"), ("r1", "img", "r")]
-            + [(f"f{i}", "img", "") for i in range(8)]
+        stream = [
+            (f"{tenant}{i}", "img", tenant)
+            for i in range(5)
+            for tenant in ("q", "r", "c")
+        ]
+        outcomes = self.admit(fleet, stream)
+        assert isinstance(outcomes["q0"], FleetNymbox)
+        assert isinstance(outcomes["r0"], FleetNymbox)
+        # Tenant verdicts come before capacity: q and r keep getting
+        # their own rejections after the single small host is full.
+        assert [outcomes[f"q{i}"] for i in range(1, 5)] == [TenantQuotaError] * 4
+        assert [outcomes[f"r{i}"] for i in range(1, 5)] == [TenantRateLimitError] * 4
+        # The unlimited tenant c lands until the host fills, then gets
+        # plain capacity rejections.
+        c = [outcomes[f"c{i}"] for i in range(5)]
+        placed = sum(isinstance(o, FleetNymbox) for o in c)
+        assert 0 < placed < 5
+        assert c[placed:] == [FleetCapacityError] * (5 - placed)
+        account = fleet.tenancy.account
+        assert (account("q").admitted, account("q").rejected_quota) == (1, 4)
+        assert (account("r").admitted, account("r").rejected_rate) == (1, 4)
+        assert (account("c").admitted, account("c").rejected_capacity) == (
+            placed, 5 - placed,
         )
-        results = fleet.place_many(wave, on_reject="skip")
-        by_name = {
-            (r.name if isinstance(r, PlacementRejection) else r.name): r
-            for r in results
-        }
-        assert by_name["q0"]
-        rej = by_name["q1"]
-        assert isinstance(rej, PlacementRejection) and not rej
-        assert (rej.reason, rej.tenant) == ("quota", "q")
-        assert by_name["r0"]
-        assert by_name["r1"].reason == "rate"
-        capacity = [
-            r for r in results
-            if isinstance(r, PlacementRejection) and r.reason == "capacity"
-        ]
-        assert capacity  # the single small host fills up
-        assert all(not r.tenant for r in capacity)
+        rejected = timeline.obs.metrics.counter("fleet.admission_rejected")
+        assert rejected.value == 5 - placed
 
-    def test_wave_matches_sequential_with_tenants(self):
-        tenants = [
-            TenantPolicy("q", quota=QuotaPolicy(max_nyms=2)),
-            TenantPolicy(
-                "r", rate=RateLimitPolicy(launch_rate_per_s=0.05, launch_burst=2.0)
-            ),
-        ]
-        wave = [
-            (f"n{i:02d}", f"img-{i % 2}", ["q", "r", ""][i % 3])
-            for i in range(18)
-        ]
-
-        def sequential():
-            timeline, fleet = make_fleet(hosts=2, tenants=tenants)
-            for name, image_id, tenant in wave:
-                try:
-                    fleet.place(name, image_id, tenant=tenant)
-                except FleetCapacityError:
-                    pass
-            return timeline, fleet
-
-        def batched():
-            timeline, fleet = make_fleet(hosts=2, tenants=tenants)
-            fleet.place_many(wave, on_reject="skip")
-            return timeline, fleet
-
-        tl_a, fleet_a = sequential()
-        tl_b, fleet_b = batched()
-        assert tl_a.obs.journal.export_jsonl() == tl_b.obs.journal.export_jsonl()
-        assert fleet_a.tenancy.report() == fleet_b.tenancy.report()
-        assert sorted(fleet_a.nymboxes) == sorted(fleet_b.nymboxes)
-
-    def test_quota_exhaustion_mid_wave_spares_other_tenants(self):
+    def test_quota_exhaustion_spares_other_tenants(self):
         _, fleet = make_fleet(
             hosts=2,
             tenants=[TenantPolicy("q", quota=QuotaPolicy(max_nyms=2))],
         )
-        wave = [(f"n{i}", "img", "q" if i % 2 == 0 else "other") for i in range(8)]
-        results = fleet.place_many(wave, on_reject="skip")
-        admitted = [r.name for r in results if r]
-        rejected = [r for r in results if not r]
+        stream = [(f"n{i}", "img", "q" if i % 2 == 0 else "other") for i in range(8)]
+        outcomes = self.admit(fleet, stream)
         # q fills its two slots, then every further q arrival bounces;
         # the interleaved other-tenant arrivals all land.
+        admitted = [n for n, o in outcomes.items() if isinstance(o, FleetNymbox)]
         assert admitted == ["n0", "n1", "n2", "n3", "n5", "n7"]
-        assert [(r.name, r.reason) for r in rejected] == [
-            ("n4", "quota"), ("n6", "quota"),
-        ]
+        assert outcomes["n4"] is outcomes["n6"] is TenantQuotaError
         assert fleet.tenancy.account("q").rejected_quota == 2
         assert fleet.tenancy.account("other").admitted == 4
 
