@@ -6,17 +6,25 @@ nym automatically destroys it.  The cache is capped (83 MB, Chromium's
 default noted in §5.3) with LRU eviction; cached content is mostly
 incompressible (images, compressed transfers), which is why encrypted nym
 snapshots in Figure 6 track cache growth nearly 1:1.
+
+A cache file's bytes are drawn on its first read, not when it is
+written: an ephemeral nym is discarded with its cache unread, and only
+the §3.5 store path reads it.  The draws still run in write order, so
+every byte is what an eager draw would have produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import weakref
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import NymixError
 from repro.guest.websites import WEBSITE_CATALOG, Website
 from repro.net.internet import HttpResponse
 from repro.sim.rng import SeededRng
+from repro.unionfs.layer import DeferredContent
 from repro.vmm.vm import VirtualMachine
 
 MIB = 1024 * 1024
@@ -80,6 +88,64 @@ class StoredCredential:
     password: str
 
 
+class _CacheFile(DeferredContent):
+    """One cache file: its size at write time, its bytes on first read."""
+
+    __slots__ = ("_size", "_stream", "_data", "__weakref__")
+
+    def __init__(self, stream: "_ContentStream", size: int) -> None:
+        self._size = size
+        self._stream = stream
+        self._data: Optional[bytes] = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def resolve(self) -> bytes:
+        if self._data is None:
+            self._stream.draw_through(self)
+        return self._data
+
+
+class _ContentStream:
+    """The browser's private content stream, drawn lazily in write order.
+
+    Each cache file takes its bytes from ``rng`` in the order the files
+    were written, whether or not it is still live, so a file's bytes do
+    not depend on when, or whether, any file is read.
+    """
+
+    def __init__(self, rng: SeededRng) -> None:
+        self.rng = rng
+        # (file, size) per undrawn file, in write order; the weak reference
+        # lets an evicted or discarded file go while its draw still waits.
+        self._pending: Deque[Tuple[weakref.ref, int]] = deque()
+
+    def defer(self, size: int) -> _CacheFile:
+        file = _CacheFile(self, size)
+        self._pending.append((weakref.ref(file), size))
+        return file
+
+    def draw_through(self, target: _CacheFile) -> None:
+        """Draw every pending file up to and including ``target``."""
+        while True:
+            ref, size = self._pending.popleft()
+            data = self._draw(size)
+            file = ref()
+            if file is None:
+                continue  # evicted or overwritten: drawn, then dropped
+            file._data = data
+            if file is target:
+                return
+
+    def _draw(self, size: int) -> bytes:
+        """Mostly incompressible bytes with a compressible HTML fraction."""
+        incompressible = int(size * 0.7)
+        compressible = size - incompressible
+        text = (_LOREM * (compressible // len(_LOREM) + 1))[:compressible]
+        return self.rng.content_bytes(incompressible) + text
+
+
 class Browser:
     """A Chromium profile living inside one AnonVM.
 
@@ -108,7 +174,9 @@ class Browser:
         self.cookies: Dict[str, int] = {}  # hostname -> cookie bytes
         self.credentials: Dict[str, StoredCredential] = {}
         self._cache_files: List[Tuple[str, int]] = []  # (path, size), LRU order
+        self._cache_total = 0  # sum of the sizes in _cache_files
         self._cache_serial = 0
+        self._content = _ContentStream(rng)
         self._restore_profile()
 
     # -- profile persistence in the union FS ----------------------------------
@@ -131,7 +199,9 @@ class Browser:
         prefix = _CACHE_DIR + "/"
         for path in fs.walk():
             if path.startswith(prefix):
-                self._cache_files.append((path, len(fs.read(path))))
+                size = fs.size(path)
+                self._cache_files.append((path, size))
+                self._cache_total += size
                 self._cache_serial += 1
 
     def _write_history(self) -> None:
@@ -152,14 +222,7 @@ class Browser:
 
     @property
     def cache_bytes(self) -> int:
-        return sum(size for _, size in self._cache_files)
-
-    def _cache_content(self, size: int) -> bytes:
-        """Mostly incompressible bytes with a compressible HTML fraction."""
-        incompressible = int(size * 0.7)
-        compressible = size - incompressible
-        text = (_LOREM * (compressible // len(_LOREM) + 1))[:compressible]
-        return self.rng.content_bytes(incompressible) + text
+        return self._cache_total
 
     def _store_in_cache(self, total_bytes: int) -> int:
         """Write ``total_bytes`` of new cache entries, evicting LRU as needed."""
@@ -170,15 +233,17 @@ class Browser:
             self._evict_for(chunk)
             path = f"{_CACHE_DIR}/f_{self._cache_serial:06x}"
             self._cache_serial += 1
-            self.vm.fs.write(path, self._cache_content(chunk))
+            self.vm.fs.write(path, self._content.defer(chunk))
             self._cache_files.append((path, chunk))
+            self._cache_total += chunk
             written += chunk
             remaining -= chunk
         return written
 
     def _evict_for(self, incoming: int) -> None:
-        while self._cache_files and self.cache_bytes + incoming > self.cache_limit_bytes:
-            path, _ = self._cache_files.pop(0)
+        while self._cache_files and self._cache_total + incoming > self.cache_limit_bytes:
+            path, size = self._cache_files.pop(0)
+            self._cache_total -= size
             if self.vm.fs.exists(path):
                 self.vm.fs.remove(path)
 

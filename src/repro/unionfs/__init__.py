@@ -13,11 +13,12 @@ CommVM and SaniVM roles by stacking three layers (§3.4):
 tampered with while the USB stick was out of the user's control.
 """
 
-from repro.unionfs.layer import Layer, TmpfsLayer
+from repro.unionfs.layer import DeferredContent, Layer, TmpfsLayer
 from repro.unionfs.mount import UnionMount
 from repro.unionfs.verify import TamperDetected, VerifiedLayer
 
 __all__ = [
+    "DeferredContent",
     "Layer",
     "TmpfsLayer",
     "UnionMount",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 from repro.errors import FileSystemError, ReadOnlyError
 
@@ -24,12 +24,34 @@ def normalize_path(path: str) -> str:
     return "/" + "/".join(parts)
 
 
+class DeferredContent:
+    """File content whose length is known now and whose bytes come later.
+
+    A layer stores one as it is: its ``len()`` is the file's size for
+    every account (``used_bytes``, tmpfs capacity, the hypervisor's FS
+    total).  The first ``read`` or ``items`` calls :meth:`resolve` and
+    keeps the returned bytes, exactly ``len()`` of them, in its place.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def resolve(self) -> bytes:
+        raise NotImplementedError
+
+
+Content = Union[bytes, DeferredContent]
+
+
 class Layer:
     """One layer of a union mount: a flat map of paths to file contents.
 
     Directories are implicit (any path prefix of a stored file).  A layer
     can also carry *whiteouts* — markers that hide a lower layer's file,
-    which is how deletes work without touching read-only layers.
+    which is how deletes work without touching read-only layers.  A
+    file's content may be :class:`DeferredContent` until it is read.
     """
 
     def __init__(
@@ -40,7 +62,7 @@ class Layer:
     ) -> None:
         self.name = name
         self.read_only = read_only
-        self._files: Dict[str, bytes] = {}
+        self._files: Dict[str, Content] = {}
         self._whiteouts: Set[str] = set()
         self._used_bytes = 0
         # Optional single observer of used-byte deltas.  The hypervisor
@@ -67,13 +89,26 @@ class Layer:
         path = normalize_path(path)
         if path not in self._files:
             raise FileSystemError(f"{path}: not present in layer {self.name!r}")
-        return self._files[path]
+        return self._resolved(path)
+
+    def size(self, path: str) -> int:
+        """Length of a file, without resolving deferred content."""
+        path = normalize_path(path)
+        if path not in self._files:
+            raise FileSystemError(f"{path}: not present in layer {self.name!r}")
+        return len(self._files[path])
+
+    def _resolved(self, path: str) -> bytes:
+        data = self._files[path]
+        if isinstance(data, DeferredContent):
+            data = self._files[path] = data.resolve()
+        return data
 
     def paths(self) -> Iterator[str]:
         return iter(sorted(self._files))
 
     def items(self) -> Iterator[Tuple[str, bytes]]:
-        return iter(sorted(self._files.items()))
+        return iter([(path, self._resolved(path)) for path in sorted(self._files)])
 
     def whiteouts(self) -> Iterator[str]:
         return iter(sorted(self._whiteouts))
@@ -103,14 +138,14 @@ class Layer:
         if self.read_only:
             raise ReadOnlyError(f"layer {self.name!r} is read-only")
 
-    def write(self, path: str, data: bytes) -> None:
+    def write(self, path: str, data: Content) -> None:
         self._check_writable()
         path = normalize_path(path)
         previous = self._files.get(path)
         delta = len(data) - (len(previous) if previous is not None else 0)
         if previous is not None:
             self._used_bytes -= len(previous)
-        self._files[path] = bytes(data)
+        self._files[path] = data if isinstance(data, DeferredContent) else bytes(data)
         self._used_bytes += len(data)
         self._whiteouts.discard(path)
         self._notify(delta)
@@ -162,7 +197,7 @@ class TmpfsLayer(Layer):
             raise FileSystemError(f"tmpfs capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
 
-    def write(self, path: str, data: bytes) -> None:
+    def write(self, path: str, data: Content) -> None:
         path_n = normalize_path(path)
         existing = len(self._files.get(path_n, b""))
         projected = self.used_bytes - existing + len(data)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from repro.errors import FileSystemError, ReadOnlyError
-from repro.unionfs.layer import Layer, normalize_path
+from repro.unionfs.layer import Content, Layer, normalize_path
 
 
 class UnionMount:
@@ -37,33 +37,37 @@ class UnionMount:
 
     # -- reads ------------------------------------------------------------------
 
-    def exists(self, path: str) -> bool:
-        path = normalize_path(path)
+    def _serving_layer(self, path: str) -> Optional[Layer]:
+        """The layer a read of the normalized ``path`` is served from."""
         for layer in self.layers:
             if layer.has_file(path):
-                return True
-            if layer.is_whited_out(path):
-                return False
-        return False
-
-    def read(self, path: str) -> bytes:
-        path = normalize_path(path)
-        for layer in self.layers:
-            if layer.has_file(path):
-                return layer.read(path)
-            if layer.is_whited_out(path):
-                break
-        raise FileSystemError(f"{path}: no such file in union mount")
-
-    def source_layer(self, path: str) -> Optional[str]:
-        """Name of the layer a read of ``path`` would be served from."""
-        path = normalize_path(path)
-        for layer in self.layers:
-            if layer.has_file(path):
-                return layer.name
+                return layer
             if layer.is_whited_out(path):
                 return None
         return None
+
+    def _require_layer(self, path: str) -> Layer:
+        layer = self._serving_layer(path)
+        if layer is None:
+            raise FileSystemError(f"{path}: no such file in union mount")
+        return layer
+
+    def exists(self, path: str) -> bool:
+        return self._serving_layer(normalize_path(path)) is not None
+
+    def read(self, path: str) -> bytes:
+        path = normalize_path(path)
+        return self._require_layer(path).read(path)
+
+    def size(self, path: str) -> int:
+        """Length of the file a read would return, without reading it."""
+        path = normalize_path(path)
+        return self._require_layer(path).size(path)
+
+    def source_layer(self, path: str) -> Optional[str]:
+        """Name of the layer a read of ``path`` would be served from."""
+        layer = self._serving_layer(normalize_path(path))
+        return None if layer is None else layer.name
 
     def listdir(self, directory: str) -> List[str]:
         """Immediate children (files and sub-directories) of ``directory``."""
@@ -99,7 +103,7 @@ class UnionMount:
 
     # -- writes ------------------------------------------------------------------
 
-    def write(self, path: str, data: bytes) -> None:
+    def write(self, path: str, data: Content) -> None:
         if not self.writable:
             raise ReadOnlyError("union mount has no writable top layer")
         self.top.write(path, data)

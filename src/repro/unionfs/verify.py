@@ -57,6 +57,9 @@ class VerifiedLayer(Layer):
     def has_file(self, path: str) -> bool:
         return self._inner.has_file(path)
 
+    def size(self, path: str) -> int:
+        return self._inner.size(path)
+
     def is_whited_out(self, path: str) -> bool:
         return self._inner.is_whited_out(path)
 

@@ -1,9 +1,11 @@
 """The Chromium model: cache, cookies, history, credentials, fingerprint."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.api import NymixSession
 from repro.guest.browser import Browser, BrowserFingerprint, FetchOutcome
-from repro.guest.websites import WEBSITE_CATALOG
+from repro.guest.websites import FIGURE3_VISIT_ORDER, WEBSITE_CATALOG
 from repro.memory import GuestMemory
 from repro.net.internet import HttpResponse
 from repro.sim import SeededRng, Timeline
@@ -30,6 +32,36 @@ class FakeFetcher:
         else:
             response = HttpResponse(200, site.revisit_bytes, site.cacheable_revisit_bytes, 0)
         return FetchOutcome(response=response, duration_s=2.0)
+
+
+_CACHE_PREFIX = "/home/user/.cache/chromium/Cache/"
+
+_LOREM = (
+    b"<html><head><title>cached document</title></head><body>"
+    b"lorem ipsum dolor sit amet consectetur adipiscing elit " * 16
+)
+
+
+def _cache_content(rng, size):
+    """The oracle: a cache file's bytes as the eager browser drew them
+    at write time, frozen from before the draw was deferred."""
+    incompressible = int(size * 0.7)
+    compressible = size - incompressible
+    text = (_LOREM * (compressible // len(_LOREM) + 1))[:compressible]
+    return rng.content_bytes(incompressible) + text
+
+
+def _record_content_draws(monkeypatch):
+    """Record the size of every ``SeededRng.content_bytes`` draw from now on."""
+    sizes = []
+    draw = SeededRng.content_bytes
+
+    def recording(rng, n):
+        sizes.append(n)
+        return draw(rng, n)
+
+    monkeypatch.setattr(SeededRng, "content_bytes", recording)
+    return sizes
 
 
 def _browser(cache_limit=Browser.DEFAULT_CACHE_LIMIT):
@@ -117,16 +149,93 @@ class TestCredentials:
         browser.login("twitter.com", "dissident", "secret-pw", remember=False)
         assert not browser.has_credentials_for("twitter.com")
 
-    def test_profile_restores_from_fs(self):
+    def test_profile_restores_from_fs(self, monkeypatch):
         """A new Browser over the same VM state sees the old profile —
-        exactly what happens when a persistent nym is restored."""
+        exactly what happens when a persistent nym is restored.  The
+        rebuild takes the cache files' sizes without drawing them."""
         browser, vm = _browser()
         browser.visit("gmail.com")
         browser.login("gmail.com", "alice", "pw")
+        draws = _record_content_draws(monkeypatch)
         rebuilt = Browser(vm, FakeFetcher(), SeededRng(6), "profile:test")
+        assert draws == []
         assert rebuilt.has_credentials_for("gmail.com")
         assert rebuilt.history == browser.history
         assert rebuilt.cache_bytes == browser.cache_bytes
+
+
+class _SizedFetcher:
+    """Serves each page with the cacheable size the test sets next."""
+
+    def __init__(self):
+        self.cacheable_bytes = 0
+
+    def fetch(self, hostname, client_token):
+        response = HttpResponse(200, self.cacheable_bytes, self.cacheable_bytes, 0)
+        return FetchOutcome(response=response, duration_s=1.0)
+
+
+class _EagerOracle:
+    """Spies on cache writes and draws each file's bytes at write time,
+    in write order, from a twin of the browser's stream."""
+
+    def __init__(self, fs, seed):
+        self.rng = SeededRng(seed)
+        self.expected = {}
+        write = fs.write
+
+        def spy(path, data):
+            if path.startswith(_CACHE_PREFIX):
+                self.expected[path] = _cache_content(self.rng, len(data))
+            write(path, data)
+
+        fs.write = spy
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("visit"), st.integers(min_value=MIB // 2, max_value=3 * MIB)),
+        st.tuples(st.just("read"), st.integers(min_value=0, max_value=1 << 16)),
+    ),
+    max_size=10,
+)
+
+
+class TestDeferredContent:
+    @given(limit_mib=st.integers(min_value=1, max_value=3), steps=_STEPS)
+    @settings(max_examples=30, deadline=None)
+    def test_reads_match_the_eager_draw(self, limit_mib, steps):
+        """Under evictions, any read of a live cache file returns the
+        bytes the eager browser wrote there, and a full read leaves the
+        browser's stream where the eager one left it."""
+        browser, vm = _browser(cache_limit=limit_mib * MIB)
+        browser.fetcher = fetcher = _SizedFetcher()
+        oracle = _EagerOracle(vm.fs, seed=5)
+        for kind, arg in steps:
+            live = [p for p in vm.fs.walk() if p.startswith(_CACHE_PREFIX)]
+            assert browser.cache_bytes == sum(vm.fs.size(p) for p in live)
+            if kind == "visit":
+                fetcher.cacheable_bytes = arg
+                browser.visit("example.org")
+            elif live:
+                path = live[arg % len(live)]
+                assert vm.fs.read(path) == oracle.expected[path]
+        for path, data in vm.fs.top.items():
+            if path.startswith(_CACHE_PREFIX):
+                assert data == oracle.expected[path]
+        assert browser.rng._random.getstate() == oracle.rng._random.getstate()
+
+    def test_ephemeral_session_draws_no_content(self, monkeypatch):
+        """Create, browse the eight Figure 3 sites and discard: the cache
+        is never read, so none of it is drawn."""
+        draws = _record_content_draws(monkeypatch)
+        with NymixSession(seed=7) as nx:
+            nymbox = nx.create_nym(name="ephemeral")
+            for site in FIGURE3_VISIT_ORDER:
+                nx.timed_browse(nymbox, site)
+            assert nymbox.browser.cache_bytes > 0
+            nx.discard_nym(nymbox)
+        assert draws == []
 
 
 class TestFingerprint:

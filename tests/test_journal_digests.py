@@ -2,8 +2,11 @@
 
 Other tests compare two runs of the *current* code with each other; these
 compare the current code with the bytes it has always produced.  Each
-case runs a seed-7 CLI scenario in process and checks the sha256 of its
-event journal against a recorded digest.  The digests are stable across
+CLI case runs a seed-7 scenario in process and checks the sha256 of its
+event journal against a recorded digest.  The browse/store cases drive a
+seed-7 ``NymixSession`` through browsing and the §3.5 store and load,
+and also pin the sealed blob and the stored files, which the fleet and
+tenancy journals never touch.  The digests are stable across
 ``PYTHONHASHSEED`` and match fresh-process runs of the same commands.
 
 A change that re-baselines journals on purpose updates these digests and
@@ -14,7 +17,10 @@ import hashlib
 
 import pytest
 
+from repro.api import NymixSession
 from repro.cli import main
+
+MIB = 1024 * 1024
 
 CASES = {
     "tenants-first-fit": (
@@ -48,3 +54,55 @@ def test_journal_matches_recorded_digest(case, tmp_path, monkeypatch, capsys):
     assert main(argv + ["--journal", str(journal)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(journal.read_bytes()).hexdigest() == digest
+
+
+#: cache limit -> (sealed blob, stored files, journal) sha256
+BROWSE_STORE_CASES = {
+    "default-cache": (
+        None,
+        "3116a2b1428732c3d41ea0723802a943e1196932f2fb92541ccf1a60c9ec2e66",
+        "33a3022c7338519f45edfefde8dce66d8157546c9379a71ba8a3eac6ceb98646",
+        "f03d1b5a9d28dea8c52d4b1e7fc5a10cd317767fadcb284ebda6618e13e855af",
+    ),
+    "2mib-cache": (
+        2 * MIB,
+        "456c5b2ac15f7ad1134956b6329b99bf635da67a44fbad7da3ff6dd884ef7490",
+        "d5e102f885c86a449045ace8ca81df2ba58ce2ef9e21177570051f0232177916",
+        "1588b5150659e51e5c7b2e2bc8259809a4dcb7ae52acb3435046a58c38e5ce83",
+    ),
+}
+
+
+def _browse_store_load(cache_limit):
+    """Browse three pages (one a revisit), store to the cloud, load back."""
+    with NymixSession(seed=7) as nx:
+        account = nx.create_cloud_account("dropbox.com", "anon991", "cloud-pw")
+        nymbox = nx.create_nym(name="alice")
+        if cache_limit is not None:
+            nymbox.browser.cache_limit_bytes = cache_limit
+        for site in ("blog.torproject.org", "slashdot.org", "blog.torproject.org"):
+            nx.timed_browse(nymbox, site)
+        receipt = nx.store_nym(
+            nymbox, password="pw", provider_host="dropbox.com",
+            account_username="anon991",
+        )
+        files = hashlib.sha256()
+        for vm in (nymbox.anonvm, nymbox.commvm):
+            for path, data in vm.fs.top.items():
+                files.update(b"%s\0%d\0" % (path.encode(), len(data)))
+                files.update(data)
+        nx.discard_nym(nymbox)
+        nx.load_nym("alice", "pw")
+        blob = account.blobs[receipt.blob_name].data
+        journal = nx.obs.journal.export_jsonl().encode()
+    return (
+        hashlib.sha256(blob).hexdigest(),
+        files.hexdigest(),
+        hashlib.sha256(journal).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(BROWSE_STORE_CASES))
+def test_browse_store_load_matches_recorded_digests(case):
+    cache_limit, blob, files, journal = BROWSE_STORE_CASES[case]
+    assert _browse_store_load(cache_limit) == (blob, files, journal)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FileSystemError, ReadOnlyError
-from repro.unionfs import Layer, TmpfsLayer, UnionMount
+from repro.unionfs import DeferredContent, Layer, TmpfsLayer, UnionMount
 from repro.unionfs.layer import normalize_path
 
 
@@ -71,6 +71,66 @@ class TestLayer:
         assert layer.file_count == 0
 
 
+class _Deferred(DeferredContent):
+    """Content handed over only through ``resolve``, which it counts."""
+
+    __slots__ = ("_data", "resolves")
+
+    def __init__(self, data):
+        self._data = data
+        self.resolves = 0
+
+    def __len__(self):
+        return len(self._data)
+
+    def resolve(self):
+        self.resolves += 1
+        return self._data
+
+
+class TestDeferredContent:
+    def test_stored_unresolved_and_accounted_by_length(self):
+        layer = Layer("rw")
+        deltas = []
+        layer.set_delta_listener(deltas.append)
+        value = _Deferred(b"12345")
+        layer.write("/a", value)
+        assert layer.used_bytes == 5
+        assert layer.size("/a") == 5
+        assert deltas == [5]
+        assert value.resolves == 0
+
+    def test_first_read_resolves_once_and_keeps_the_bytes(self):
+        layer = Layer("rw")
+        value = _Deferred(b"12345")
+        layer.write("/a", value)
+        assert layer.read("/a") == b"12345"
+        assert layer.read("/a") == b"12345"
+        assert value.resolves == 1
+        assert layer.used_bytes == 5
+
+    def test_items_resolves(self):
+        layer = Layer("rw")
+        layer.write("/a", _Deferred(b"abc"))
+        layer.write("/b", b"de")
+        assert list(layer.items()) == [("/a", b"abc"), ("/b", b"de")]
+
+    def test_removal_and_clear_never_resolve(self):
+        layer = Layer("rw")
+        value = _Deferred(b"12345")
+        layer.write("/a", value)
+        layer.remove("/a")
+        layer.write("/b", value)
+        assert layer.clear() == 5
+        assert value.resolves == 0
+
+    def test_tmpfs_capacity_counts_the_length(self):
+        tmpfs = TmpfsLayer("t", capacity_bytes=10)
+        tmpfs.write("/a", _Deferred(b"12345"))
+        with pytest.raises(FileSystemError):
+            tmpfs.write("/b", _Deferred(b"123456"))
+
+
 class TestTmpfsLayer:
     def test_capacity_enforced(self):
         tmpfs = TmpfsLayer("t", capacity_bytes=10)
@@ -122,6 +182,21 @@ class TestUnionMount:
         mount.write("/usr/bin/tor", b"patched")
         assert mount.read("/usr/bin/tor") == b"patched"
         assert base.read("/usr/bin/tor") == b"tor-bin"
+
+    def test_size_is_that_of_the_visible_file(self):
+        mount, tmpfs, _, _ = _stack()
+        assert mount.size("/etc/hosts") == len(b"config-hosts")
+        assert mount.size("/usr/bin/tor") == len(b"tor-bin")
+        mount.write("/etc/hosts", _Deferred(b"1234"))
+        assert mount.size("/etc/hosts") == 4
+        assert tmpfs.size("/etc/hosts") == 4
+
+    def test_size_of_missing_or_whited_out_file_rejected(self):
+        mount, _, _, _ = _stack()
+        mount.remove("/etc/motd")
+        for path in ("/etc/motd", "/missing"):
+            with pytest.raises(FileSystemError):
+                mount.size(path)
 
     def test_source_layer(self):
         mount, _, _, _ = _stack()

@@ -72,6 +72,7 @@ class TestVerifiedLayer:
         assert verified.file_count == base.file_count
         assert list(verified.paths()) == list(base.paths())
         assert verified.used_bytes == base.used_bytes
+        assert verified.size("/usr/bin/tor") == base.size("/usr/bin/tor")
 
     def test_commit_root_stable(self):
         assert commit_layer(_base()).root == commit_layer(_base()).root
