@@ -196,13 +196,16 @@ class Browser:
                 parts = line.split("\t")
                 if len(parts) == 3:
                     self.credentials[parts[0]] = StoredCredential(*parts)
-        prefix = _CACHE_DIR + "/"
+        prefix = _CACHE_DIR + "/f_"
         for path in fs.walk():
             if path.startswith(prefix):
                 size = fs.size(path)
                 self._cache_files.append((path, size))
                 self._cache_total += size
-                self._cache_serial += 1
+                # Past the highest restored serial, not the file count:
+                # after an eviction the count names a live file.
+                serial = int(path[len(prefix):], 16)
+                self._cache_serial = max(self._cache_serial, serial + 1)
 
     def _write_history(self) -> None:
         self.vm.fs.write(_HISTORY_FILE, ("\n".join(self.history)).encode())

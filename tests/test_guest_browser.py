@@ -164,6 +164,19 @@ class TestCredentials:
         assert rebuilt.cache_bytes == browser.cache_bytes
 
 
+    def test_rebuilt_profile_names_new_cache_files_past_the_restored_ones(self):
+        """After an eviction, a rebuilt browser must not reuse the name of
+        a live cache file for its next write."""
+        browser, vm = _browser(cache_limit=4 * MIB)
+        browser._store_in_cache(5 * MIB)  # evicts f_000000
+        rebuilt = Browser(vm, FakeFetcher(), SeededRng(6), "profile:test", 4 * MIB)
+        rebuilt._store_in_cache(1 * MIB)  # evicts f_000001
+        indexed = [path for path, _ in rebuilt._cache_files]
+        live = [p for p in vm.fs.walk() if p.startswith(_CACHE_PREFIX)]
+        assert indexed == live == [f"{_CACHE_PREFIX}f_{n:06x}" for n in range(2, 6)]
+        assert rebuilt.cache_bytes == sum(vm.fs.size(p) for p in live) == 4 * MIB
+
+
 class _SizedFetcher:
     """Serves each page with the cacheable size the test sets next."""
 
