@@ -406,14 +406,14 @@ def _bench_nym_lifecycle(quick: bool) -> BenchResult:
 
 
 def _bench_content_draw(quick: bool) -> BenchResult:
-    """Bulk incompressible-content generation: the browse-path hot loop.
+    """Bulk incompressible-content generation: the store-path hot loop.
 
-    Profiling the flash-clone lifecycle shows ~80% of a warm
-    create/browse/discard sits in ``SeededRng.content_bytes`` filling
-    the browser cache (one ~717 KiB incompressible draw per cached MiB).
-    Live path: the vectorized numpy MT19937 mirror — bit-identical bytes
-    and stream position to the seed draw.  Baseline: the seed
-    pure-python ``random.Random.randbytes`` inside
+    A browser-cache file's bytes are drawn when something first reads
+    them, in practice ``store_nym`` capturing the nym's state (one
+    ~717 KiB incompressible draw per cached MiB); a create/browse/discard
+    draws none.  Live path: the vectorized numpy MT19937 mirror —
+    bit-identical bytes and stream position to the seed draw.  Baseline:
+    the seed pure-python ``random.Random.randbytes`` inside
     :func:`seed_content_mode`.
     """
     from repro.perfbench.legacy import seed_content_mode

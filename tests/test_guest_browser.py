@@ -163,7 +163,6 @@ class TestCredentials:
         assert rebuilt.history == browser.history
         assert rebuilt.cache_bytes == browser.cache_bytes
 
-
     def test_rebuilt_profile_names_new_cache_files_past_the_restored_ones(self):
         """After an eviction, a rebuilt browser must not reuse the name of
         a live cache file for its next write."""
