@@ -6,8 +6,10 @@ CLI case runs a seed-7 scenario in process and checks the sha256 of its
 event journal against a recorded digest.  The browse/store cases drive a
 seed-7 ``NymixSession`` through browsing and the §3.5 store and load,
 and also pin the sealed blob and the stored files, which the fleet and
-tenancy journals never touch.  The digests are stable across
-``PYTHONHASHSEED`` and match fresh-process runs of the same commands.
+tenancy journals never touch.  The sharded case pins a crash-injected
+``fleet --shards`` run's combined journal and metrics spools under both
+executors.  The digests are stable across ``PYTHONHASHSEED`` and match
+fresh-process runs of the same commands.
 
 A change that re-baselines journals on purpose updates these digests and
 says so in CHANGES.md.  Any other digest change is a regression.
@@ -19,6 +21,7 @@ import pytest
 
 from repro.api import NymixSession
 from repro.cli import main
+from repro.fleet.shard import combined_spool_bytes
 
 MIB = 1024 * 1024
 
@@ -54,6 +57,35 @@ def test_journal_matches_recorded_digest(case, tmp_path, monkeypatch, capsys):
     assert main(argv + ["--journal", str(journal)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(journal.read_bytes()).hexdigest() == digest
+
+
+#: A sharded run whose crash plan puts a crash at epoch 15 while the run
+#: ends at epoch 14, so the last barrier also fires every crash still
+#: planned for later epochs.
+SHARDED_ARGV = [
+    "fleet", "--seed", "17", "--shards", "3", "--hosts", "12", "--nyms", "90",
+    "--host-crashes", "6", "--epoch-s", "3",
+]
+SHARDED_JOURNAL = "3fcd0e6a5d711666c2a72a0218c1be20001001e1310fa4fa925707e19c2fa687"
+SHARDED_METRICS = "7a4af806192eb3832609c2a7df4af6d91552c60ad1dd6867e9e596e8e2566029"
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+def test_sharded_crash_run_matches_recorded_digests(procs, tmp_path, capsys):
+    spool = tmp_path / "spool"
+    journal = tmp_path / "journal.jsonl"
+    assert main(
+        SHARDED_ARGV
+        + ["--procs", str(procs), "--spool-dir", str(spool),
+           "--journal", str(journal), "--out", str(tmp_path / "out.json")]
+    ) == 0
+    capsys.readouterr()
+    metrics = combined_spool_bytes(
+        [str(spool / "metrics.metrics.jsonl")]
+        + [str(spool / f"shard-{i:02d}.metrics.jsonl") for i in range(3)]
+    )
+    assert hashlib.sha256(journal.read_bytes()).hexdigest() == SHARDED_JOURNAL
+    assert hashlib.sha256(metrics).hexdigest() == SHARDED_METRICS
 
 
 #: cache limit -> (sealed blob, stored files, journal) sha256
