@@ -62,6 +62,9 @@ class RemanenceTracker:
         self.residual_fraction = residual_fraction
         self.ephemeral_channels = ephemeral_channels
         self._traces: List[ResidualTrace] = []
+        #: the sum of every trace's bytes, kept as traces are added so a
+        #: teardown costs O(1) however many nyms died since the reboot
+        self._residual_bytes = 0
         self.reboots = 0
         self.obs = obs
         self._obs_residual = obs.metrics.gauge("mem.remanence.residual_bytes")
@@ -78,13 +81,13 @@ class RemanenceTracker:
             # sliver of page-cache metadata survives.
             residual = int(residual * 0.02)
             if residual:
-                self._traces.append(ResidualTrace(nym_name, "page-cache", residual))
+                self._add_trace(ResidualTrace(nym_name, "page-cache", residual))
         else:
             for kind, share in self._KIND_SHARES.items():
                 portion = int(residual * share)
                 if portion:
-                    self._traces.append(ResidualTrace(nym_name, kind, portion))
-        self._obs_residual.set(self.total_residual_bytes)
+                    self._add_trace(ResidualTrace(nym_name, kind, portion))
+        self._obs_residual.set(self._residual_bytes)
         self.obs.event(
             "remanence.teardown",
             nym=nym_name,
@@ -93,10 +96,15 @@ class RemanenceTracker:
         )
         return residual
 
+    def _add_trace(self, trace: ResidualTrace) -> None:
+        self._traces.append(trace)
+        self._residual_bytes += trace.residual_bytes
+
     def reboot(self) -> int:
         """Power cycle: volatile RAM loses everything.  Returns bytes cleared."""
-        cleared = self.total_residual_bytes
+        cleared = self._residual_bytes
         self._traces.clear()
+        self._residual_bytes = 0
         self.reboots += 1
         self._obs_residual.set(0)
         self.obs.metrics.counter("mem.remanence.reboots").inc()
@@ -107,7 +115,7 @@ class RemanenceTracker:
 
     @property
     def total_residual_bytes(self) -> int:
-        return sum(trace.residual_bytes for trace in self._traces)
+        return self._residual_bytes
 
     def traces_for(self, nym_name: str) -> List[ResidualTrace]:
         return [t for t in self._traces if t.nym_name == nym_name]

@@ -5,6 +5,7 @@ import pytest
 from repro.core import NymManager, NymixConfig
 from repro.errors import MemoryError_
 from repro.memory.remanence import AdversaryAccess, RemanenceTracker
+from repro.obs import Observability
 
 MIB = 1024 * 1024
 
@@ -58,6 +59,30 @@ class TestRemanenceTracker:
         tracker.record_nym_teardown("b", 512 * MIB)
         summary = tracker.summary()
         assert summary["page-cache"] > summary["dma-buffer"]
+
+    @pytest.mark.parametrize("ephemeral", [False, True])
+    def test_running_total_matches_the_traces(self, ephemeral):
+        obs = Observability()
+        tracker = RemanenceTracker(ephemeral_channels=ephemeral, obs=obs)
+        gauge = obs.metrics.gauge("mem.remanence.residual_bytes")
+
+        def check():
+            expected = sum(t.residual_bytes for t in tracker._traces)
+            assert tracker.total_residual_bytes == expected
+            assert gauge.value == expected
+
+        for index in range(6):
+            tracker.record_nym_teardown(f"a{index}", (index + 1) * 97 * MIB)
+            check()
+        before = sum(t.residual_bytes for t in tracker._traces)
+        assert before > 0
+        assert tracker.reboot() == before
+        check()
+        assert tracker.total_residual_bytes == 0
+        for index in range(3):
+            tracker.record_nym_teardown(f"b{index}", 300 * MIB)
+            check()
+        assert tracker.total_residual_bytes > 0
 
     def test_invalid_inputs(self):
         with pytest.raises(MemoryError_):
