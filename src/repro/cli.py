@@ -442,6 +442,13 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
         )
         if given
     ]
+    if args.procs < 0:
+        print(
+            f"repro fleet: --procs must be >= 0 (0 = one per core), "
+            f"got {args.procs}",
+            file=sys.stderr,
+        )
+        return 2
     if ignored:
         print(
             f"repro fleet: {', '.join(ignored)} not supported with "

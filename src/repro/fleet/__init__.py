@@ -38,7 +38,6 @@ from repro.fleet.scenario import (
 from repro.fleet.shard import (
     BarrierReport,
     FleetShard,
-    LocalShardHandle,
     ShardConfig,
     ShardedFleet,
     ShardedRunResult,
@@ -53,7 +52,6 @@ __all__ = [
     "DrainReport",
     "Fleet",
     "FleetNymbox",
-    "LocalShardHandle",
     "FleetShard",
     "FleetStats",
     "FleetReport",

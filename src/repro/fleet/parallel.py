@@ -2,34 +2,37 @@
 
 The epoch-barrier protocol in :mod:`repro.fleet.shard` is already
 process-shaped — shards share nothing and only rendezvous at barriers —
-so parallelism is a pure executor swap.  This module supplies that
-executor: a :class:`WorkerPool` of **spawned** OS processes, each
+so parallelism is a pure transport swap.  This module supplies that
+transport: a :class:`WorkerPool` of **spawned** OS processes, each
 hosting one or more resident :class:`~repro.fleet.shard.FleetShard`
-objects, and a :class:`WorkerShardHandle` per shard that speaks the
-same handle surface as the serial
-:class:`~repro.fleet.shard.LocalShardHandle`.
+objects.  It speaks the same :meth:`WorkerPool.call` surface as the
+serial :class:`~repro.fleet.shard.InProcessShards`, and each worker
+serves every shard op through the same :func:`~repro.fleet.shard.apply`.
 
 Coordinator and workers talk over one duplex pipe per worker, with a
-small tagged message protocol::
+small tagged message protocol (request, then reply payload; *report* is
+a :class:`~repro.fleet.shard.BarrierReport`)::
 
-    ("build",      shard_id, (config, spool, metrics, arrivals))
-    ("resume",     shard_id, pickle_path)         # worker loads from disk
-    ("epoch",      shard_id, epoch_end)           # run-epoch directive
-    ("crash",      shard_id, None)                # crash-directive
-    ("barrier",    shard_id, epoch)               # -> BarrierReport
-    ("report",     shard_id, None)                # side-effect-free snapshot
-    ("checkpoint", shard_id, None)                # -> pickled shard bytes
-    ("flush",      shard_id, None)
-    ("close",      shard_id, None)
-    ("shutdown",   -1,       None)
+    ("build",      shard_id, (config, spool, metrics, arrivals))  -> report
+    ("resume",     shard_id, pickle_path)                         -> report
+    ("epoch",      shard_id, (epoch_end, epoch, crashes))  -> (crashed, report)
+    ("report",     shard_id, None)                                -> report
+    ("checkpoint", shard_id, None)                         -> pickled shard
+    ("flush",      shard_id, None)                                -> None
+    ("close",      shard_id, None)                                -> None
+    ("shutdown",   -1,       None)                  -> None, then the worker exits
 
-Every request gets exactly one reply, ``("ok", shard_id, payload)`` or
-``("error", shard_id, traceback)``, and each worker answers requests in
-arrival order, so replies on a connection come back in send order (FIFO)
-— which is what lets several shards share one worker without reply
-routing.  The coordinator exploits the split only where it matters: it
-sends *all* run-epoch directives first and then collects the replies, so
-shards on different workers advance to the barrier concurrently.
+``epoch`` is the only per-epoch op: the shard runs the epoch, crashes
+as many hosts as the coordinator planned, runs its barrier, and replies
+with the hosts it crashed and its report, so an epoch costs one round
+trip per shard.  ``report`` has no side effects.  Every request gets exactly one
+reply, ``("ok", shard_id, payload)`` or ``("error", shard_id,
+traceback)``, and each worker answers requests in arrival order, so
+replies on a connection come back in send order (FIFO) — which is what
+lets several shards share one worker without reply routing.
+:meth:`WorkerPool.call` sends an op to *every* shard before it collects
+any reply, so shards on different workers run their epochs and barriers
+concurrently.
 
 Workers stream their shards' JSONL journal and metrics spools to disk
 exactly as the serial path does — same code, same seeds, same flush
@@ -41,7 +44,9 @@ worker pickles its quiescent shard and ships the bytes; on "resume" it
 loads the pickle the coordinator wrote.  A worker that dies mid-run
 surfaces as :class:`~repro.errors.ShardWorkerError` naming the shard and
 the last completed barrier; the run stays resumable from its last
-checkpoint.
+checkpoint.  Once a worker has flushed every spool and acknowledged
+"shutdown", it leaves with ``os._exit(0)``: unwinding its shard heaps
+would only make the coordinator wait.
 
 Spawn (never fork) keeps workers honest: each child starts from a fresh
 interpreter, so the process-global caches (flash-clone page templates,
@@ -53,13 +58,12 @@ have — warm or cold never reaches the journal bytes.
 from __future__ import annotations
 
 import os
-import pickle
 import traceback
 from multiprocessing import get_context
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FleetError, ShardWorkerError
-from repro.fleet.shard import BarrierReport, FleetShard, ShardConfig
+from repro.fleet.shard import OPEN_OPS, FleetShard, apply, open_shard
 
 _SHUTDOWN_JOIN_S = 5.0
 
@@ -82,42 +86,11 @@ def _worker_main(conn) -> None:
                 for shard in shards.values():
                     shard.flush_spools()
                 conn.send(("ok", shard_id, None))
-                break
-            elif op == "build":
-                config, spool_path, metrics_path, arrivals = payload
-                shards[shard_id] = FleetShard(
-                    config, shard_id, spool_path,
-                    arrivals=arrivals, metrics_path=metrics_path,
-                )
-                conn.send(("ok", shard_id, shards[shard_id].done))
-            elif op == "resume":
-                with open(payload, "rb") as handle:
-                    shards[shard_id] = pickle.load(handle)
-                conn.send(("ok", shard_id, shards[shard_id].done))
-            elif op == "epoch":
-                placed = shards[shard_id].run_epoch(payload)
-                conn.send(("ok", shard_id, (placed, shards[shard_id].done)))
-            elif op == "crash":
-                conn.send(("ok", shard_id, shards[shard_id].fleet.crash_host()))
-            elif op == "barrier":
-                conn.send(("ok", shard_id, shards[shard_id].barrier(payload)))
-            elif op == "report":
-                conn.send(("ok", shard_id, shards[shard_id].report()))
-            elif op == "checkpoint":
-                shard = shards[shard_id]
-                if not shard.timeline.quiescent:
-                    raise FleetError(
-                        f"shard {shard_id} has pending events at the barrier"
-                    )
-                conn.send(("ok", shard_id, pickle.dumps(shard)))
-            elif op == "flush":
-                shards[shard_id].flush_spools()
-                conn.send(("ok", shard_id, None))
-            elif op == "close":
-                shards[shard_id].close_spools()
-                conn.send(("ok", shard_id, None))
-            else:
-                raise FleetError(f"unknown worker op {op!r}")
+                os._exit(0)
+            if op in OPEN_OPS:
+                shards[shard_id] = open_shard(op, shard_id, payload)
+                op, payload = "report", None
+            conn.send(("ok", shard_id, apply(shards[shard_id], op, payload)))
         except Exception:  # noqa: BLE001 - shipped to the coordinator
             try:
                 conn.send(("error", shard_id, traceback.format_exc()))
@@ -125,84 +98,16 @@ def _worker_main(conn) -> None:
                 break
 
 
-class WorkerShardHandle:
-    """The parallel twin of :class:`~repro.fleet.shard.LocalShardHandle`.
-
-    Same surface, but every call crosses the owning worker's pipe.  The
-    split :meth:`start_epoch`/:meth:`finish_epoch` pair is the one place
-    latency is overlapped: start sends the run-epoch directive and
-    returns immediately; finish blocks on the reply.
-    """
-
-    def __init__(self, pool: "WorkerPool", shard_id: int, worker_index: int) -> None:
-        self._pool = pool
-        self.shard_id = shard_id
-        self.worker_index = worker_index
-        self.done = False
-        self._epoch_pending = False
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self._pool.worker_pid(self.worker_index)
-
-    def start_epoch(self, epoch_end: float) -> None:
-        self._pool.send(self, ("epoch", self.shard_id, epoch_end))
-        self._epoch_pending = True
-
-    def finish_epoch(self) -> int:
-        if not self._epoch_pending:
-            raise FleetError(
-                f"shard {self.shard_id}: finish_epoch without start_epoch"
-            )
-        self._epoch_pending = False
-        placed, done = self._pool.recv(self)
-        self.done = done
-        return placed
-
-    def crash_host(self) -> Optional[str]:
-        return self._pool.request(self, ("crash", self.shard_id, None))
-
-    def barrier(self, epoch: int) -> BarrierReport:
-        report = self._pool.request(self, ("barrier", self.shard_id, epoch))
-        self.done = report.done
-        return report
-
-    def report(self) -> BarrierReport:
-        return self._pool.request(self, ("report", self.shard_id, None))
-
-    def checkpoint_bytes(self) -> bytes:
-        return self._pool.request(self, ("checkpoint", self.shard_id, None))
-
-    def flush(self) -> None:
-        self._pool.request(self, ("flush", self.shard_id, None))
-
-    def close(self) -> None:
-        self._pool.request(self, ("close", self.shard_id, None))
-
-    def shutdown(self) -> None:  # the pool tears workers down once, itself
-        pass
-
-
 class WorkerPool:
     """Spawned workers hosting shards round-robin, one pipe per worker.
 
-    ``procs`` workers serve ``len(spool_paths)`` shards; shard *i* lives
-    on worker ``i % procs``.  Construction is synchronous: every shard
-    is built (or resumed from its checkpoint pickle) before the pool
-    returns, so a seed/config error surfaces here, not mid-epoch.
+    ``procs`` workers serve ``shards`` shards; shard *i* lives on worker
+    ``i % procs``.  The pool starts with no shards: a ``build`` or
+    ``resume`` :meth:`call` puts them in before any other op.
     """
 
-    def __init__(
-        self,
-        config: ShardConfig,
-        procs: int,
-        spool_paths: List[str],
-        metrics_paths: List[str],
-        per_shard_arrivals=None,
-        resume_pickles: Optional[List[str]] = None,
-    ) -> None:
-        self.config = config
-        self.procs = max(1, min(int(procs), len(spool_paths)))
+    def __init__(self, procs: int, shards: int) -> None:
+        self.procs = max(1, min(int(procs), shards))
         #: the last epoch barrier every shard completed — what a
         #: :class:`ShardWorkerError` reports as the resume point.  The
         #: coordinator stamps it after construction and after every
@@ -220,77 +125,62 @@ class WorkerPool:
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
-        self.handles = [
-            WorkerShardHandle(self, shard_id, shard_id % self.procs)
-            for shard_id in range(len(spool_paths))
-        ]
-        # Seed every worker — builds and resumes ship in shard-id order
-        # and ack in the same order (FIFO per connection).
-        for handle in self.handles:
-            sid = handle.shard_id
-            if resume_pickles is not None:
-                self.send(handle, ("resume", sid, resume_pickles[sid]))
-            else:
-                arrivals = (
-                    per_shard_arrivals[sid]
-                    if per_shard_arrivals is not None
-                    else None
-                )
-                self.send(
-                    handle,
-                    (
-                        "build", sid,
-                        (config, spool_paths[sid], metrics_paths[sid], arrivals),
-                    ),
-                )
-        for handle in self.handles:
-            handle.done = self.recv(handle)
 
-    def worker_pid(self, worker_index: int) -> Optional[int]:
-        return self._procs[worker_index].pid
+    def shard_pid(self, shard_id: int) -> Optional[int]:
+        """The pid of the worker that hosts ``shard_id``."""
+        return self._procs[shard_id % self.procs].pid
+
+    def call(self, op: str, payloads: List[object]) -> List[object]:
+        """Send ``op`` to every shard, then collect the replies in shard order.
+
+        Every request goes out before any reply is read, so shards on
+        different workers serve the op concurrently.
+        """
+        for shard_id, payload in enumerate(payloads):
+            self.send(shard_id, (op, shard_id, payload))
+        return [self.recv(shard_id) for shard_id in range(len(payloads))]
 
     # -- the wire -------------------------------------------------------------
 
-    def send(self, handle: WorkerShardHandle, message: Tuple) -> None:
+    def send(self, shard_id: int, message: Tuple) -> None:
         try:
-            self._conns[handle.worker_index].send(message)
+            self._conns[shard_id % self.procs].send(message)
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
-            raise self._worker_died(handle, exc) from exc
+            raise self._worker_died(shard_id, exc) from exc
 
-    def recv(self, handle: WorkerShardHandle):
+    def recv(self, shard_id: int):
         try:
-            status, shard_id, payload = self._conns[handle.worker_index].recv()
+            status, reply_id, payload = self._conns[shard_id % self.procs].recv()
         except (EOFError, ConnectionResetError, OSError) as exc:
-            raise self._worker_died(handle, exc) from exc
-        if shard_id != handle.shard_id:
+            raise self._worker_died(shard_id, exc) from exc
+        if reply_id != shard_id:
             raise FleetError(
                 f"protocol desync: expected reply for shard "
-                f"{handle.shard_id}, got shard {shard_id}"
+                f"{shard_id}, got shard {reply_id}"
             )
         if status == "error":
             raise ShardWorkerError(
-                f"shard {handle.shard_id} worker failed after barrier "
+                f"shard {shard_id} worker failed after barrier "
                 f"{self.last_barrier}:\n{payload}",
-                shard_id=handle.shard_id,
+                shard_id=shard_id,
                 last_barrier=self.last_barrier,
             )
         return payload
 
-    def request(self, handle: WorkerShardHandle, message: Tuple):
-        self.send(handle, message)
-        return self.recv(handle)
+    def request(self, shard_id: int, message: Tuple):
+        self.send(shard_id, message)
+        return self.recv(shard_id)
 
-    def _worker_died(
-        self, handle: WorkerShardHandle, exc: Exception
-    ) -> ShardWorkerError:
-        proc = self._procs[handle.worker_index]
+    def _worker_died(self, shard_id: int, exc: Exception) -> ShardWorkerError:
+        worker = shard_id % self.procs
+        proc = self._procs[worker]
         proc.join(timeout=0.5)
         return ShardWorkerError(
-            f"worker {handle.worker_index} (pid {proc.pid}, exitcode "
-            f"{proc.exitcode}) hosting shard {handle.shard_id} died after "
+            f"worker {worker} (pid {proc.pid}, exitcode "
+            f"{proc.exitcode}) hosting shard {shard_id} died after "
             f"barrier {self.last_barrier}; resume from the checkpoint taken "
             f"there ({exc!r})",
-            shard_id=handle.shard_id,
+            shard_id=shard_id,
             last_barrier=self.last_barrier,
         )
 
@@ -333,8 +223,7 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         return (
-            f"WorkerPool(procs={self.procs}, shards={len(self.handles)}, "
-            f"last_barrier={self.last_barrier})"
+            f"WorkerPool(procs={self.procs}, last_barrier={self.last_barrier})"
         )
 
 

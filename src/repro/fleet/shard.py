@@ -32,14 +32,16 @@ continues the epoch loop; the concatenated journal bytes of a resumed
 run are identical to an uninterrupted same-seed run — pinned by
 tests/test_fleet_shard.py and the scale-smoke CI job.
 
-The coordinator drives shards through **handles**, and the handle is
-where execution modes split:
+The coordinator drives shards through one op protocol, :func:`apply`,
+over one of two transports, and the transport is where execution modes
+split:
 
 * ``procs=1`` (the default) holds every :class:`FleetShard` in-process
-  behind a :class:`LocalShardHandle` — the serial path;
-* ``procs=N`` puts shards in spawned OS worker processes behind
-  :mod:`repro.fleet.parallel` proxies that speak a run-epoch /
-  crash-directive / barrier-stats / checkpoint / shutdown pipe protocol.
+  in :class:`InProcessShards`, which applies each op directly — the
+  serial path;
+* ``procs=N`` puts shards in spawned OS worker processes behind a
+  :class:`repro.fleet.parallel.WorkerPool`, which ships the same ops
+  over pipes and applies them with the same function in the worker.
 
 Because shards share nothing (the Nymix isolation argument, promoted to
 regions) and only rendezvous at barriers, the two modes produce
@@ -302,62 +304,81 @@ class FleetShard:
         self.metrics.close_spool()
 
 
-class LocalShardHandle:
-    """The in-process shard handle: the serial (``procs=1``) execution.
+#: The ops that put a shard into a transport; each replies the shard's
+#: opening :class:`BarrierReport`.
+OPEN_OPS = ("build", "resume")
 
-    The coordinator only ever talks to handles; this one forwards every
-    call straight into a resident :class:`FleetShard`.  Its parallel
-    twin (:class:`repro.fleet.parallel.WorkerShardHandle`) speaks the
-    same surface over a pipe to a spawned worker.
+
+def open_shard(op: str, shard_id: int, payload) -> FleetShard:
+    """Make a shard from a ``build`` or ``resume`` payload.
+
+    ``build`` carries ``(config, spool_path, metrics_path, arrivals)``;
+    ``resume`` carries the path of the shard's checkpoint pickle.
+    """
+    if op == "build":
+        config, spool_path, metrics_path, arrivals = payload
+        return FleetShard(
+            config, shard_id, spool_path,
+            arrivals=arrivals, metrics_path=metrics_path,
+        )
+    if op == "resume":
+        with open(payload, "rb") as handle:
+            return pickle.load(handle)
+    raise FleetError(f"unknown shard open op {op!r}")
+
+
+def apply(shard: FleetShard, op: str, payload) -> object:
+    """Serve one shard-protocol op: the dispatch both transports share.
+
+    ``epoch`` is the only per-epoch op.  Its payload is ``(epoch_end,
+    epoch, crashes)``: the shard runs the epoch, crashes that many of
+    its hosts, and runs its barrier, replying ``(crashed_hosts,
+    BarrierReport)``.  The coordinator works out the crash directives
+    before it dispatches the epoch, so every shard goes from one
+    barrier to the next without waiting on another.
+    """
+    if op == "epoch":
+        epoch_end, epoch, crashes = payload
+        shard.run_epoch(epoch_end)
+        crashed = [shard.fleet.crash_host() for _ in range(crashes)]
+        return crashed, shard.barrier(epoch)
+    if op == "report":
+        return shard.report()
+    if op == "checkpoint":
+        if not shard.timeline.quiescent:
+            raise FleetError(
+                f"shard {shard.shard_id} has pending events at the barrier"
+            )
+        return pickle.dumps(shard)
+    if op == "flush":
+        shard.flush_spools()
+    elif op == "close":
+        shard.close_spools()
+    else:
+        raise FleetError(f"unknown shard op {op!r}")
+    return None
+
+
+class InProcessShards:
+    """The serial (``procs=1``) transport: every shard resident here.
+
+    :meth:`call` applies an op to each shard in shard-id order.  Its
+    parallel twin, :class:`repro.fleet.parallel.WorkerPool`, ships the
+    same ops to spawned workers, which apply them with the same
+    :func:`apply`.
     """
 
-    pid: Optional[int] = None  # no worker process behind this handle
+    def __init__(self, op: str, payloads: List[object]) -> None:
+        self.shards = [
+            open_shard(op, shard_id, payload)
+            for shard_id, payload in enumerate(payloads)
+        ]
 
-    def __init__(self, shard: FleetShard) -> None:
-        self.shard = shard
-        self.shard_id = shard.shard_id
-        self.done = shard.done
-        self._pending_epoch_end: Optional[float] = None
-
-    def start_epoch(self, epoch_end: float) -> None:
-        self._pending_epoch_end = epoch_end
-
-    def finish_epoch(self) -> int:
-        if self._pending_epoch_end is None:
-            raise FleetError(
-                f"shard {self.shard_id}: finish_epoch without start_epoch"
-            )
-        epoch_end, self._pending_epoch_end = self._pending_epoch_end, None
-        placed = self.shard.run_epoch(epoch_end)
-        self.done = self.shard.done
-        return placed
-
-    def crash_host(self) -> Optional[str]:
-        return self.shard.fleet.crash_host()
-
-    def barrier(self, epoch: int) -> BarrierReport:
-        report = self.shard.barrier(epoch)
-        self.done = report.done
-        return report
-
-    def report(self) -> BarrierReport:
-        return self.shard.report()
-
-    def checkpoint_bytes(self) -> bytes:
-        if not self.shard.timeline.quiescent:
-            raise FleetError(
-                f"shard {self.shard_id} has pending events at the barrier"
-            )
-        return pickle.dumps(self.shard)
-
-    def flush(self) -> None:
-        self.shard.flush_spools()
-
-    def close(self) -> None:
-        self.shard.close_spools()
-
-    def shutdown(self) -> None:  # nothing to tear down in-process
-        pass
+    def call(self, op: str, payloads: List[object]) -> List[object]:
+        return [
+            apply(shard, op, payload)
+            for shard, payload in zip(self.shards, payloads)
+        ]
 
 
 @dataclass
@@ -385,14 +406,32 @@ class ShardedRunResult:
         }
 
 
+def _worker_count(procs: int, shards: int) -> int:
+    """The worker processes a run uses: ``procs``, at most one per shard."""
+    if int(procs) < 1:
+        raise FleetError(
+            f"procs must be >= 1 (1 runs every shard in-process), got {procs}"
+        )
+    return min(int(procs), shards)
+
+
+def _last_arrival_time(per_shard: List[List[Tuple[float, NymArrival]]]) -> float:
+    """The absolute time of the global stream's last arrival (0 if none)."""
+    return max(
+        (arrivals[-1][0] for arrivals in per_shard if arrivals), default=0.0
+    )
+
+
 class ShardedFleet:
     """The coordinator: shards in lock-step over coarse epoch barriers.
 
     ``procs`` picks the executor: 1 keeps every shard in-process
     (serial); N > 1 spreads shards round-robin over ``min(N, shards)``
-    spawned OS workers.  The choice never reaches the bytes — the
-    coordinator's accounting is a pure function of the
-    :class:`BarrierReport` stream, which is identical in both modes.
+    spawned OS workers; fewer than 1 is an error.  The choice never
+    reaches the bytes — the coordinator's accounting is a pure function
+    of the :class:`BarrierReport` stream, which is identical in both
+    modes.  The coordinator keeps the last barrier's reports, so an
+    epoch costs each shard one ``epoch`` op and nothing else.
     """
 
     def __init__(
@@ -404,6 +443,7 @@ class ShardedFleet:
         procs: int = 1,
     ) -> None:
         self.config = config
+        self.procs = _worker_count(procs, config.shards)
         self.spool_dir = str(spool_dir)
         self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else None
         self.checkpoint_every = max(1, checkpoint_every)
@@ -411,7 +451,6 @@ class ShardedFleet:
         if self.checkpoint_dir:
             os.makedirs(self.checkpoint_dir, exist_ok=True)
         self.epoch = 0
-        self.procs = max(1, min(int(procs), config.shards))
         self._pool = None
         self._crash_plan = self._plan_crashes()
         self._crashes_fired = 0
@@ -428,42 +467,36 @@ class ShardedFleet:
             self.metrics_path("metrics"), window=config.journal_window
         )
         per_shard = partition_arrivals(config)
-        self.handles = self._build_handles(per_shard)
+        self._last_arrival = _last_arrival_time(per_shard)
+        self._reports = self._open_shards(
+            "build",
+            [
+                (
+                    config, self._spool_path(f"shard-{shard_id:02d}"),
+                    self.metrics_path(f"shard-{shard_id:02d}"), arrivals,
+                )
+                for shard_id, arrivals in enumerate(per_shard)
+            ],
+        )
         self._coord_journal.record(
             "coord.created", shards=config.shards, nyms=config.nyms,
             hosts=config.shards * config.hosts_per_shard, policy=config.policy,
         )
 
-    def _build_handles(self, per_shard) -> List[object]:
+    def _open_shards(self, op: str, payloads: List[object]) -> List[BarrierReport]:
+        """Start the transport, put every shard in it, return their reports."""
         if self.procs == 1:
-            return [
-                LocalShardHandle(
-                    FleetShard(
-                        self.config, shard_id,
-                        self._spool_path(f"shard-{shard_id:02d}"),
-                        arrivals=per_shard[shard_id],
-                        metrics_path=self.metrics_path(f"shard-{shard_id:02d}"),
-                    )
-                )
-                for shard_id in range(self.config.shards)
-            ]
+            self._shards = InProcessShards(op, payloads)
+            return self._shards.call("report", [None] * len(payloads))
         from repro.fleet.parallel import WorkerPool
 
-        self._pool = WorkerPool(
-            self.config,
-            procs=self.procs,
-            spool_paths=[
-                self._spool_path(f"shard-{i:02d}")
-                for i in range(self.config.shards)
-            ],
-            metrics_paths=[
-                self.metrics_path(f"shard-{i:02d}")
-                for i in range(self.config.shards)
-            ],
-            per_shard_arrivals=per_shard,
-        )
+        self._pool = self._shards = WorkerPool(self.procs, len(payloads))
         self._pool.last_barrier = self.epoch
-        return list(self._pool.handles)
+        return self._pool.call(op, payloads)
+
+    def _call(self, op: str, payload: object = None) -> List[object]:
+        """Send one op with the same payload to every shard."""
+        return self._shards.call(op, [payload] * self.config.shards)
 
     @property
     def shards(self) -> List[FleetShard]:
@@ -475,9 +508,9 @@ class ShardedFleet:
         if self.procs != 1:
             raise FleetError(
                 "shards live in worker processes under procs>1; "
-                "use the handles/BarrierReport surface"
+                "use the BarrierReport surface"
             )
-        return [handle.shard for handle in self.handles]
+        return self._shards.shards
 
     # -- paths ---------------------------------------------------------------
 
@@ -491,13 +524,13 @@ class ShardedFleet:
         """Coordinator first, then shards in id order — the canonical
         concatenation order for combined journal bytes."""
         return [self._spool_path("coordinator")] + [
-            self._spool_path(f"shard-{h.shard_id:02d}") for h in self.handles
+            self._spool_path(f"shard-{i:02d}") for i in range(self.config.shards)
         ]
 
     def metrics_paths(self) -> List[str]:
         """Merged coordinator metrics first, then shards in id order."""
         return [self.metrics_path("metrics")] + [
-            self.metrics_path(f"shard-{h.shard_id:02d}") for h in self.handles
+            self.metrics_path(f"shard-{i:02d}") for i in range(self.config.shards)
         ]
 
     # -- fault schedule ------------------------------------------------------
@@ -516,27 +549,23 @@ class ShardedFleet:
             plan.setdefault(epoch, []).append(shard)
         return plan
 
-    def _fire_crashes(self, epoch: int, final: bool) -> None:
+    def _due_crashes(self, epoch: int, final: bool) -> List[int]:
+        """Pop the shard ids that crash a host at this epoch's barrier.
+
+        The final epoch (every arrival placed) also takes every crash
+        planned for a later epoch.
+        """
         due: List[int] = []
-        if final:
-            for pending_epoch in sorted(self._crash_plan):
-                if pending_epoch >= epoch:
-                    due.extend(self._crash_plan.pop(pending_epoch))
-        if epoch in self._crash_plan:
-            due.extend(self._crash_plan.pop(epoch))
-        for shard_id in due:
-            crashed = self.handles[shard_id].crash_host()
-            self._crashes_fired += 1
-            self._coord_journal.record(
-                "coord.host_crash", shard=shard_id,
-                host=crashed if crashed else "",
-            )
+        for pending_epoch in sorted(self._crash_plan):
+            if pending_epoch == epoch or (final and pending_epoch > epoch):
+                due.extend(self._crash_plan.pop(pending_epoch))
+        return due
 
     # -- the epoch loop ------------------------------------------------------
 
     @property
     def done(self) -> bool:
-        return all(handle.done for handle in self.handles) and not self._crash_plan
+        return all(report.done for report in self._reports) and not self._crash_plan
 
     def run(self, stop_after_epoch: Optional[int] = None) -> ShardedRunResult:
         """Advance epochs until every shard drained (or an early stop).
@@ -563,26 +592,36 @@ class ShardedFleet:
             self.epoch += 1
             barriers += 1
             epoch_end = self.epoch * self.config.epoch_s
-            # All shards advance to the barrier — concurrently when the
-            # handles front worker processes, in shard-id order when
-            # they are local.  Replies are collected in shard-id order
-            # either way.
-            for handle in self.handles:
-                handle.start_epoch(epoch_end)
-            for handle in self.handles:
-                handle.finish_epoch()
-            final = all(handle.done for handle in self.handles)
-            self._fire_crashes(self.epoch, final=final)
-            reports = self._barrier(epoch_end)
+            # Every shard is done exactly when the last arrival of the
+            # global stream is due by this barrier, so the crash
+            # directives ride along with the epoch itself.
+            due = self._due_crashes(
+                self.epoch, final=self._last_arrival <= epoch_end
+            )
+            replies = self._shards.call(
+                "epoch",
+                [
+                    (epoch_end, self.epoch, due.count(shard_id))
+                    for shard_id in range(self.config.shards)
+                ],
+            )
+            crashed = [iter(hosts) for hosts, _ in replies]
+            for shard_id in due:
+                self._crashes_fired += 1
+                self._coord_journal.record(
+                    "coord.host_crash", shard=shard_id,
+                    host=next(crashed[shard_id]) or "",
+                )
+            self._barrier(epoch_end, [report for _, report in replies])
             if self.checkpoint_dir and self.epoch % self.checkpoint_every == 0:
-                self.checkpoint(reports)
+                self.checkpoint()
             if stop_after_epoch is not None and barriers >= stop_after_epoch:
                 return self._result(completed=self.done)
         return self._result(completed=True)
 
-    def _barrier(self, epoch_end: float) -> List[BarrierReport]:
-        """Rendezvous: collect per-shard reports, merge, record, flush."""
-        reports = [handle.barrier(self.epoch) for handle in self.handles]
+    def _barrier(self, epoch_end: float, reports: List[BarrierReport]) -> None:
+        """Rendezvous: keep the shards' reports, merge, record, flush."""
+        self._reports = reports
         self._coord_clock.advance_to(epoch_end)
         merged = self._merged_from(reports, record_per_shard=True)
         self._coord_journal.record("coord.epoch_merged", epoch=self.epoch, **merged)
@@ -593,7 +632,6 @@ class ShardedFleet:
         self._coord_metrics.flush()
         if self._pool is not None:
             self._pool.last_barrier = self.epoch
-        return reports
 
     def _merged_from(
         self, reports: List[BarrierReport], record_per_shard: bool = False
@@ -629,7 +667,7 @@ class ShardedFleet:
         return totals
 
     def _result(self, completed: bool) -> ShardedRunResult:
-        reports = [handle.report() for handle in self.handles]
+        reports = self._reports
         merged = self._merged_from(reports)
         shard_stats = []
         for report in reports:
@@ -656,38 +694,28 @@ class ShardedFleet:
             spool_paths=self.spool_paths(),
         )
 
-    def journal_events(self) -> int:
-        return len(self._coord_journal) + sum(
-            handle.report().journal_events for handle in self.handles
-        )
-
     def flush(self) -> None:
         """Flush every spool without sealing (the killed-mid-run path)."""
-        for handle in self.handles:
-            handle.flush()
+        self._call("flush")
         self._coord_journal.flush()
         self._coord_metrics.flush()
 
     def close(self) -> None:
         """Record the terminal merged event and seal every spool."""
-        reports = [handle.report() for handle in self.handles]
-        merged = self._merged_from(reports)
+        merged = self._merged_from(self._reports)
         self._coord_journal.record(
             "coord.run_complete", epochs=self.epoch,
             nyms_resident=merged["nyms_resident"],
             ksm_saved_bytes=merged["ksm_saved_bytes"],
             rejected=merged["rejected"],
         )
-        for handle in self.handles:
-            handle.close()
+        self._call("close")
         self._coord_journal.close_spool()
         self._coord_metrics.close_spool()
         self.shutdown()
 
     def shutdown(self) -> None:
         """Tear down worker processes, if any (idempotent)."""
-        for handle in self.handles:
-            handle.shutdown()
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -721,30 +749,23 @@ class ShardedFleet:
 
     # -- checkpoint/resume ---------------------------------------------------
 
-    def checkpoint(
-        self, reports: Optional[List[BarrierReport]] = None
-    ) -> str:
+    def checkpoint(self) -> str:
         """Persist the whole run at the current barrier, atomically.
 
-        Journals were just flushed, so each shard is a quiescent object
-        graph; the manifest lands last (tmp + rename) so a directory
-        with a manifest is always internally consistent.  The shard
-        pickles come through the handles, so a worker-resident shard is
-        serialized in its own process and shipped back whole.
+        Journals were flushed at the barrier, so each shard is a
+        quiescent object graph whose spool offsets are the ones in the
+        barrier's reports; the manifest lands last (tmp + rename) so a
+        directory with a manifest is always internally consistent.  The
+        shard pickles come through the transport, so a worker-resident
+        shard is serialized in its own process and shipped back whole.
         """
         if not self.checkpoint_dir:
             raise FleetError("this ShardedFleet has no checkpoint_dir")
-        for handle in self.handles:
+        for shard_id, data in enumerate(self._call("checkpoint")):
             self._write_atomic(
-                os.path.join(
-                    self.checkpoint_dir, f"shard-{handle.shard_id:02d}.pkl"
-                ),
-                handle.checkpoint_bytes(),
+                os.path.join(self.checkpoint_dir, f"shard-{shard_id:02d}.pkl"),
+                data,
             )
-        if reports is None:
-            for handle in self.handles:
-                handle.flush()
-            reports = [handle.report() for handle in self.handles]
         self._write_atomic(
             os.path.join(self.checkpoint_dir, _COORDINATOR_PKL),
             pickle.dumps(
@@ -779,7 +800,7 @@ class ShardedFleet:
                     "cursor": report.cursor,
                     "rejected": report.rejected,
                 }
-                for report in reports
+                for report in self._reports
             ],
         }
         self._write_atomic(
@@ -821,7 +842,7 @@ class ShardedFleet:
         sharded.checkpoint_dir = str(checkpoint_dir)
         sharded.checkpoint_every = max(1, checkpoint_every)
         sharded.epoch = manifest["epoch"]
-        sharded.procs = max(1, min(int(procs), sharded.config.shards))
+        sharded.procs = _worker_count(procs, sharded.config.shards)
         sharded._pool = None
         sharded._crashes_fired = manifest["crashes_fired"]
         sharded._crash_plan = {
@@ -843,25 +864,10 @@ class ShardedFleet:
             pickle_paths.append(
                 os.path.join(checkpoint_dir, f"shard-{entry['id']:02d}.pkl")
             )
-        if sharded.procs == 1:
-            handles: List[object] = []
-            for path in pickle_paths:
-                with open(path, "rb") as handle:
-                    handles.append(LocalShardHandle(pickle.load(handle)))
-            sharded.handles = handles
-        else:
-            from repro.fleet.parallel import WorkerPool
-
-            sharded._pool = WorkerPool(
-                sharded.config,
-                procs=sharded.procs,
-                spool_paths=[e["spool"] for e in manifest["shards"]],
-                metrics_paths=[e["metrics_spool"] for e in manifest["shards"]],
-                per_shard_arrivals=None,
-                resume_pickles=pickle_paths,
-            )
-            sharded._pool.last_barrier = sharded.epoch
-            sharded.handles = list(sharded._pool.handles)
+        sharded._last_arrival = _last_arrival_time(
+            partition_arrivals(sharded.config)
+        )
+        sharded._reports = sharded._open_shards("resume", pickle_paths)
         return sharded
 
     @staticmethod
@@ -871,7 +877,7 @@ class ShardedFleet:
 
     def __repr__(self) -> str:
         return (
-            f"ShardedFleet(shards={len(self.handles)}, epoch={self.epoch}, "
+            f"ShardedFleet(shards={self.config.shards}, epoch={self.epoch}, "
             f"nyms={self.config.nyms}, procs={self.procs}, "
             f"spool_dir={self.spool_dir!r})"
         )

@@ -11,9 +11,11 @@ the hard guarantees the parallel path makes:
 * a worker process dying mid-run surfaces as a typed
   :class:`~repro.errors.ShardWorkerError` naming the shard and the last
   completed barrier, and the run resumes from its checkpoint to the
-  exact bytes of an uninterrupted run.
+  exact bytes of an uninterrupted run;
+* an epoch costs each shard one ``epoch`` request, and both transports
+  answer the same op sequence with the same replies.
 
-Spawned workers cost ~1 s of startup each, so the configs here stay
+Spawning a worker pool costs ~0.4 s, so the configs here stay
 small; the scale-smoke CI job runs the same gate at scenario size.
 """
 
@@ -21,6 +23,7 @@ import json
 import os
 import signal
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,10 +31,12 @@ from repro.cli import main
 from repro.errors import FleetError, ShardWorkerError
 from repro.fleet.parallel import WorkerPool, default_procs
 from repro.fleet.shard import (
+    InProcessShards,
     ShardConfig,
     ShardedFleet,
     combined_spool_bytes,
     load_scale_metrics,
+    partition_arrivals,
     resume_sharded_fleet,
     run_sharded_fleet,
 )
@@ -78,7 +83,7 @@ class TestByteIdentity:
     def test_worker_handles_expose_worker_pids(self, tmp_path):
         sharded = ShardedFleet(ShardConfig(**CFG), str(tmp_path / "pids"), procs=2)
         try:
-            pids = [handle.pid for handle in sharded.handles]
+            pids = [sharded._pool.shard_pid(i) for i in range(3)]
             assert all(isinstance(pid, int) for pid in pids)
             # 3 shards on 2 workers round-robin: shard 0 and 2 share one.
             assert pids[0] == pids[2] != pids[1]
@@ -95,6 +100,22 @@ class TestByteIdentity:
 
     def test_default_procs_positive(self):
         assert default_procs() >= 1
+
+    @pytest.mark.parametrize("procs", [0, -1])
+    def test_fewer_than_one_worker_is_rejected(self, tmp_path, procs):
+        spool = tmp_path / "bad"
+        with pytest.raises(FleetError, match="procs must be >= 1"):
+            ShardedFleet(ShardConfig(**CFG), str(spool), procs=procs)
+        assert not spool.exists()
+
+    def test_resume_rejects_fewer_than_one_worker(self, tmp_path):
+        ck = str(tmp_path / "ck")
+        run_sharded_fleet(
+            ShardConfig(**CFG), str(tmp_path / "cut"), checkpoint_dir=ck,
+            stop_after_epoch=1,
+        )
+        with pytest.raises(FleetError, match="procs must be >= 1"):
+            ShardedFleet.resume(ck, procs=0)
 
 
 class TestCrossModeResume:
@@ -141,7 +162,7 @@ class TestWorkerDeath:
         try:
             partial = sharded.run(stop_after_epoch=1)
             assert not partial.completed
-            victim = sharded.handles[0].pid
+            victim = sharded._pool.shard_pid(0)
             os.kill(victim, signal.SIGKILL)
             self.wait_for_exit(victim)
             with pytest.raises(ShardWorkerError) as excinfo:
@@ -165,46 +186,132 @@ class TestWorkerDeath:
         assert isinstance(error, FleetError)
 
 
+def build_payloads(config, spool_dir):
+    """``build`` payloads for every shard of ``config``, spooled in a dir."""
+    spool_dir.mkdir()
+    return [
+        (
+            config, str(spool_dir / f"s{i}.jsonl"),
+            str(spool_dir / f"s{i}.metrics.jsonl"), arrivals,
+        )
+        for i, arrivals in enumerate(partition_arrivals(config))
+    ]
+
+
 class TestWorkerPoolProtocol:
     def test_pool_caps_procs_to_shard_count(self, tmp_path):
         config = ShardConfig(**{**CFG, "shards": 2, "nyms": 8})
-        pool = WorkerPool(
-            config,
-            procs=8,
-            spool_paths=[str(tmp_path / f"s{i}.jsonl") for i in range(2)],
-            metrics_paths=[
-                str(tmp_path / f"s{i}.metrics.jsonl") for i in range(2)
-            ],
-        )
+        pool = WorkerPool(procs=8, shards=2)
         try:
             assert pool.procs == 2
-            assert len(pool.handles) == 2
+            reports = pool.call("build", build_payloads(config, tmp_path / "b"))
+            assert [report.shard_id for report in reports] == [0, 1]
         finally:
             pool.shutdown()
 
     def test_worker_error_reply_names_last_barrier(self, tmp_path):
         config = ShardConfig(**{**CFG, "shards": 1, "nyms": 8})
-        pool = WorkerPool(
-            config,
-            procs=1,
-            spool_paths=[str(tmp_path / "s0.jsonl")],
-            metrics_paths=[str(tmp_path / "s0.metrics.jsonl")],
-        )
+        pool = WorkerPool(procs=1, shards=1)
+        pool.call("build", build_payloads(config, tmp_path / "b"))
         pool.last_barrier = 4
         try:
             # An in-worker exception (resuming a nonexistent pickle) comes
             # back as a typed error, not a dead worker.
             with pytest.raises(ShardWorkerError) as excinfo:
-                pool.request(
-                    pool.handles[0],
-                    ("resume", 0, str(tmp_path / "missing.pkl")),
-                )
+                pool.request(0, ("resume", 0, str(tmp_path / "missing.pkl")))
             assert excinfo.value.shard_id == 0
             assert excinfo.value.last_barrier == 4
             # The worker survived the bad directive and still answers.
-            assert pool.request(pool.handles[0], ("report", 0, None)).cursor == 0
+            assert pool.request(0, ("report", 0, None)).cursor == 0
         finally:
             pool.shutdown()
+
+    @pytest.mark.parametrize("op", ["crash", "barrier"])
+    def test_split_barrier_ops_are_gone(self, tmp_path, op):
+        config = ShardConfig(**{**CFG, "shards": 1, "nyms": 8})
+        pool = WorkerPool(procs=1, shards=1)
+        try:
+            pool.call("build", build_payloads(config, tmp_path / "b"))
+            with pytest.raises(ShardWorkerError, match="unknown shard op"):
+                pool.request(0, (op, 0, 1))
+        finally:
+            pool.shutdown()
+
+    def test_both_transports_answer_the_same_ops_alike(self, tmp_path):
+        # One protocol over two transports: the same op sequence, in
+        # process and across workers, gives equal replies.  An epoch
+        # reply carries the hosts it crashed and the barrier's report.
+        config = ShardConfig(**{**CFG, "shards": 2, "host_crashes": 0})
+        local = InProcessShards("build", build_payloads(config, tmp_path / "l"))
+        pool = WorkerPool(procs=2, shards=2)
+        try:
+            assert pool.call(
+                "build", build_payloads(config, tmp_path / "w")
+            ) == local.call("report", [None, None])
+            for epoch, crashes in ((1, 0), (2, 2), (3, 1)):
+                payloads = [(epoch * config.epoch_s, epoch, crashes)] * 2
+                replies = pool.call("epoch", payloads)
+                assert replies == local.call("epoch", payloads)
+                for hosts, report in replies:
+                    assert len(hosts) == crashes and all(hosts)
+                    assert report.sim_now >= epoch * config.epoch_s
+            assert pool.call("report", [None, None]) == [
+                report for _, report in replies
+            ]
+        finally:
+            pool.shutdown()
+
+
+class TestOneRoundTripPerEpoch:
+    def test_one_epoch_request_per_shard_per_epoch(self, tmp_path, monkeypatch):
+        sent = []
+        send = WorkerPool.send
+
+        def counting_send(pool, shard_id, message):
+            sent.append(message[0])
+            return send(pool, shard_id, message)
+
+        monkeypatch.setattr(WorkerPool, "send", counting_send)
+        config = ShardConfig(**CFG)
+        result = run_sharded_fleet(config, str(tmp_path / "count"), procs=2)
+        assert result.completed
+        # Construction builds each shard; after it, every epoch is one
+        # request per shard, and close seals each shard's spools.
+        assert Counter(sent) == {
+            "build": config.shards,
+            "epoch": config.shards * result.epochs,
+            "close": config.shards,
+        }
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_cached_reports_match_fresh_report_requests(self, tmp_path, procs):
+        sharded = ShardedFleet(ShardConfig(**CFG), str(tmp_path / "c"), procs=procs)
+        try:
+            for stop_after in (1, 1, None):
+                result = sharded.run(stop_after_epoch=stop_after)
+                fresh = sharded._shards.call("report", [None] * 3)
+                assert fresh == sharded._reports
+                sharded._reports = fresh
+                assert sharded._result(result.completed).export() == result.export()
+            assert result.completed
+        finally:
+            sharded.shutdown()
+
+    def test_workers_exit_cleanly_after_close_with_serial_bytes(self, tmp_path):
+        config = ShardConfig(**CFG)
+        serial = tmp_path / "serial"
+        run_sharded_fleet(config, str(serial), procs=1)
+        sharded = ShardedFleet(config, str(tmp_path / "procs"), procs=2)
+        workers = list(sharded._pool._procs)
+        sharded.run()
+        sharded.close()
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        names = sorted(os.listdir(serial))
+        assert names == sorted(os.listdir(tmp_path / "procs"))
+        for name in names:
+            assert (serial / name).read_bytes() == (
+                tmp_path / "procs" / name
+            ).read_bytes(), name
 
 
 class TestScaleMetrics:
@@ -296,6 +403,7 @@ class TestCli:
             ("--tenant-config", ["--tenant-config", "tenants.json"]),
             ("--duration", ["--duration", "0"]),
             ("--no-compare", ["--no-compare"]),
+            ("--procs", ["--procs", "-1"]),
         ],
     )
     @pytest.mark.parametrize("mode", ["shards", "resume"])
