@@ -25,11 +25,12 @@ a :class:`~repro.fleet.shard.BarrierReport`)::
 ``epoch`` is the only per-epoch op: the shard runs the epoch, crashes
 as many hosts as the coordinator planned, runs its barrier, and replies
 with the hosts it crashed and its report, so an epoch costs one round
-trip per shard.  ``report`` has no side effects.  Every request gets exactly one
-reply, ``("ok", shard_id, payload)`` or ``("error", shard_id,
-traceback)``, and each worker answers requests in arrival order, so
-replies on a connection come back in send order (FIFO) — which is what
-lets several shards share one worker without reply routing.
+trip per shard.  ``report`` has no side effects.  Every request gets
+exactly one reply, ``("ok", shard_id, payload)`` or ``("error",
+shard_id, traceback)``, and each worker answers requests in arrival
+order, so replies on a connection come back in send order (FIFO) —
+which is what lets several shards share one worker without reply
+routing.
 :meth:`WorkerPool.call` sends an op to *every* shard before it collects
 any reply, so shards on different workers run their epochs and barriers
 concurrently.
@@ -86,6 +87,8 @@ def _worker_main(conn) -> None:
                 for shard in shards.values():
                     shard.flush_spools()
                 conn.send(("ok", shard_id, None))
+                # Everything is on disk and acknowledged: freeing the
+                # shard heaps would only keep the coordinator's join waiting.
                 os._exit(0)
             if op in OPEN_OPS:
                 shards[shard_id] = open_shard(op, shard_id, payload)
@@ -166,10 +169,6 @@ class WorkerPool:
                 last_barrier=self.last_barrier,
             )
         return payload
-
-    def request(self, shard_id: int, message: Tuple):
-        self.send(shard_id, message)
-        return self.recv(shard_id)
 
     def _worker_died(self, shard_id: int, exc: Exception) -> ShardWorkerError:
         worker = shard_id % self.procs

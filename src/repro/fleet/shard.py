@@ -280,9 +280,9 @@ class FleetShard:
     def barrier(self, epoch: int) -> BarrierReport:
         """The rendezvous: snapshot metrics, flush both spools, report.
 
-        Called once per epoch in shard-id order (by the coordinator in
-        serial mode, by the owning worker on a barrier-stats message in
-        parallel mode); either way the spool bytes come out identical.
+        Called once per epoch, at the end of the ``epoch`` op that
+        :func:`apply` serves in process or in the owning worker; either
+        way the spool bytes come out identical.
         """
         stats = self.fleet.stats()
         self.metrics.record(
@@ -315,16 +315,14 @@ def open_shard(op: str, shard_id: int, payload) -> FleetShard:
     ``build`` carries ``(config, spool_path, metrics_path, arrivals)``;
     ``resume`` carries the path of the shard's checkpoint pickle.
     """
-    if op == "build":
-        config, spool_path, metrics_path, arrivals = payload
-        return FleetShard(
-            config, shard_id, spool_path,
-            arrivals=arrivals, metrics_path=metrics_path,
-        )
     if op == "resume":
         with open(payload, "rb") as handle:
             return pickle.load(handle)
-    raise FleetError(f"unknown shard open op {op!r}")
+    config, spool_path, metrics_path, arrivals = payload
+    return FleetShard(
+        config, shard_id, spool_path,
+        arrivals=arrivals, metrics_path=metrics_path,
+    )
 
 
 def apply(shard: FleetShard, op: str, payload) -> object:
@@ -487,16 +485,16 @@ class ShardedFleet:
         """Start the transport, put every shard in it, return their reports."""
         if self.procs == 1:
             self._shards = InProcessShards(op, payloads)
-            return self._shards.call("report", [None] * len(payloads))
+            return self._call("report")
         from repro.fleet.parallel import WorkerPool
 
         self._pool = self._shards = WorkerPool(self.procs, len(payloads))
         self._pool.last_barrier = self.epoch
         return self._pool.call(op, payloads)
 
-    def _call(self, op: str, payload: object = None) -> List[object]:
-        """Send one op with the same payload to every shard."""
-        return self._shards.call(op, [payload] * self.config.shards)
+    def _call(self, op: str) -> List[object]:
+        """Send a payload-free op to every shard."""
+        return self._shards.call(op, [None] * self.config.shards)
 
     @property
     def shards(self) -> List[FleetShard]:

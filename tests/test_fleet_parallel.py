@@ -218,11 +218,11 @@ class TestWorkerPoolProtocol:
             # An in-worker exception (resuming a nonexistent pickle) comes
             # back as a typed error, not a dead worker.
             with pytest.raises(ShardWorkerError) as excinfo:
-                pool.request(0, ("resume", 0, str(tmp_path / "missing.pkl")))
+                pool.call("resume", [str(tmp_path / "missing.pkl")])
             assert excinfo.value.shard_id == 0
             assert excinfo.value.last_barrier == 4
             # The worker survived the bad directive and still answers.
-            assert pool.request(0, ("report", 0, None)).cursor == 0
+            assert pool.call("report", [None])[0].cursor == 0
         finally:
             pool.shutdown()
 
@@ -233,7 +233,7 @@ class TestWorkerPoolProtocol:
         try:
             pool.call("build", build_payloads(config, tmp_path / "b"))
             with pytest.raises(ShardWorkerError, match="unknown shard op"):
-                pool.request(0, (op, 0, 1))
+                pool.call(op, [1])
         finally:
             pool.shutdown()
 
