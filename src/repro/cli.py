@@ -10,7 +10,7 @@ Gives the reproduction an operator's console:
   (``--scale DIR`` instead reads a sharded run's per-epoch metrics
   spools back from its spool directory)
 * ``trace``     — run a scenario and print the sim-time span tree
-* ``bench``     — time the simulator's hot paths against the seed code
+* ``bench``     — time the simulator's hot paths (absolute rates of the live code)
 * ``chaos``     — run a seeded fault-injection scenario, print the survival report
 * ``fleet``     — place ~1000 nymboxes over a simulated 64-host cluster
   (``--shards N`` runs the sharded scale-out path with streamed journal
@@ -637,7 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_args(trace)
     trace.set_defaults(func=cmd_trace)
 
-    bench = commands.add_parser("bench", help="time hot paths vs the seed code")
+    bench = commands.add_parser(
+        "bench", help="time the simulator's hot paths (absolute rates)"
+    )
     bench.add_argument(
         "--quick", action="store_true", help="smaller inputs, shorter timing budget"
     )

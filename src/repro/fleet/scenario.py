@@ -393,11 +393,13 @@ def resume_fleet_sharded(
 def bench_environment(procs: int = 1) -> Dict[str, object]:
     """The execution-environment block wall-clock numbers travel with.
 
-    A speedup figure is meaningless without knowing how many workers ran
-    on how many cores — single-core runners legitimately show parallel
-    runs *slower* (spawn overhead, no parallelism), and the CI gates key
-    off ``cpu_count`` to skip the speedup assertion there while still
-    enforcing byte-identity.
+    A wall-clock figure means little without knowing how many workers
+    ran on how many cores: on a single-core runner a parallel run is
+    legitimately *slower* (spawn overhead, no parallelism).  Every report
+    and every scale-trajectory point records this block so that a reader
+    can tell serial from parallel numbers and compare runs from the same
+    kind of machine.  No check reads it; byte-identity holds on any core
+    count.
     """
     return {
         "procs": procs,

@@ -25,12 +25,13 @@ Determinism is preserved by construction:
 That quiescence is what makes **checkpoint/resume** well-defined: at a
 barrier every shard is a closed object graph (timeline + fleet + cursor)
 with no pending callbacks, so it pickles whole.  A checkpoint directory
-holds one pickle per shard, the coordinator journal, and a manifest with
-every spool's byte offset.  Resume truncates each spool to its recorded
-offset (cutting anything a killed run wrote past the checkpoint) and
-continues the epoch loop; the concatenated journal bytes of a resumed
-run are identical to an uninterrupted same-seed run — pinned by
-tests/test_fleet_shard.py and the scale-smoke CI job.
+holds one pickle per shard, one for the coordinator journal, and a
+manifest that names those pickles and records every spool's byte
+offset; the manifest is the commit point.  Resume truncates each spool
+to its recorded offset (cutting anything a killed run wrote past the
+checkpoint) and continues the epoch loop; the concatenated journal
+bytes of a resumed run are identical to an uninterrupted same-seed run —
+pinned by tests/test_fleet_shard.py and the scale-smoke CI job.
 
 The coordinator drives shards through one op protocol, :func:`apply`,
 over one of two transports, and the transport is where execution modes
@@ -72,7 +73,6 @@ from repro.tenancy.policy import FleetPolicies
 from repro.workloads.fleet import NymArrival, fleet_workload
 
 _MANIFEST = "manifest.json"
-_COORDINATOR_PKL = "coordinator.pkl"
 
 
 def combined_spool_bytes(spool_paths: List[str]) -> bytes:
@@ -752,20 +752,28 @@ class ShardedFleet:
 
         Journals were flushed at the barrier, so each shard is a
         quiescent object graph whose spool offsets are the ones in the
-        barrier's reports; the manifest lands last (tmp + rename) so a
-        directory with a manifest is always internally consistent.  The
-        shard pickles come through the transport, so a worker-resident
-        shard is serialized in its own process and shipped back whole.
+        barrier's reports.  The shard pickles come through the transport,
+        so a worker-resident shard is serialized in its own process and
+        shipped back whole.
+
+        The manifest is the commit point.  This checkpoint's pickles get
+        names that carry the epoch, the manifest that names them lands
+        last (tmp + rename), and only then are the pickles it does not
+        name deleted.  A kill at any point leaves the previous manifest
+        with all of its own pickles, and a finished checkpoint leaves
+        one generation of files.
         """
         if not self.checkpoint_dir:
             raise FleetError("this ShardedFleet has no checkpoint_dir")
-        for shard_id, data in enumerate(self._call("checkpoint")):
-            self._write_atomic(
-                os.path.join(self.checkpoint_dir, f"shard-{shard_id:02d}.pkl"),
-                data,
-            )
+        shard_pickles = [
+            f"shard-{shard_id:02d}.e{self.epoch}.pkl"
+            for shard_id in range(self.config.shards)
+        ]
+        for name, data in zip(shard_pickles, self._call("checkpoint")):
+            self._write_atomic(os.path.join(self.checkpoint_dir, name), data)
+        coordinator_pickle = f"coordinator.e{self.epoch}.pkl"
         self._write_atomic(
-            os.path.join(self.checkpoint_dir, _COORDINATOR_PKL),
+            os.path.join(self.checkpoint_dir, coordinator_pickle),
             pickle.dumps(
                 (self._coord_clock, self._coord_journal, self._coord_metrics)
             ),
@@ -777,6 +785,7 @@ class ShardedFleet:
             "crash_plan": {str(k): v for k, v in self._crash_plan.items()},
             "spool_dir": self.spool_dir,
             "coordinator": {
+                "pickle": coordinator_pickle,
                 "spool": self._spool_path("coordinator"),
                 "offset": self._coord_journal.spool_offset,
                 "events": len(self._coord_journal),
@@ -787,6 +796,7 @@ class ShardedFleet:
             "shards": [
                 {
                     "id": report.shard_id,
+                    "pickle": shard_pickles[report.shard_id],
                     "spool": self._spool_path(f"shard-{report.shard_id:02d}"),
                     "offset": report.spool_offset,
                     "events": report.journal_events,
@@ -805,6 +815,10 @@ class ShardedFleet:
             os.path.join(self.checkpoint_dir, _MANIFEST),
             (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
         )
+        named = {coordinator_pickle, *shard_pickles}
+        for name in os.listdir(self.checkpoint_dir):
+            if name.endswith((".pkl", ".pkl.tmp")) and name not in named:
+                os.remove(os.path.join(self.checkpoint_dir, name))
         return self.checkpoint_dir
 
     @staticmethod
@@ -846,22 +860,20 @@ class ShardedFleet:
         sharded._crash_plan = {
             int(k): v for k, v in manifest["crash_plan"].items()
         }
-        with open(os.path.join(checkpoint_dir, _COORDINATOR_PKL), "rb") as handle:
+        coord = manifest["coordinator"]
+        with open(os.path.join(checkpoint_dir, coord["pickle"]), "rb") as handle:
             (
                 sharded._coord_clock,
                 sharded._coord_journal,
                 sharded._coord_metrics,
             ) = pickle.load(handle)
-        coord = manifest["coordinator"]
         cls._truncate_spool(coord["spool"], coord["offset"])
         cls._truncate_spool(coord["metrics_spool"], coord["metrics_offset"])
         pickle_paths = []
         for entry in manifest["shards"]:
             cls._truncate_spool(entry["spool"], entry["offset"])
             cls._truncate_spool(entry["metrics_spool"], entry["metrics_offset"])
-            pickle_paths.append(
-                os.path.join(checkpoint_dir, f"shard-{entry['id']:02d}.pkl")
-            )
+            pickle_paths.append(os.path.join(checkpoint_dir, entry["pickle"]))
         sharded._last_arrival = _last_arrival_time(
             partition_arrivals(sharded.config)
         )

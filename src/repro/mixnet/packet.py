@@ -34,9 +34,6 @@ seeded RNG stream (mirroring the ntor client cache / relay memo pair):
   (:func:`repro.crypto.chacha20.chacha20_keystreams`).  Outputs equal
   the plain AEAD's byte for byte (pinned by
   tests/test_mixnet_stream_cache.py).
-
-The perfbench baseline times the cache-free path by patching frozen
-seed code in from outside (:func:`repro.perfbench.legacy.seed_mixnet_mode`).
 """
 
 from __future__ import annotations

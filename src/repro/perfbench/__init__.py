@@ -1,12 +1,12 @@
 """Wall-clock performance benchmarks for the simulator's hot paths.
 
 ``repro bench`` (see :mod:`repro.cli`) runs the registry in
-:mod:`repro.perfbench.benches`; frozen seed implementations live in
-:mod:`repro.perfbench.legacy` so before/after speedups are measured live,
-not quoted from an old machine.
+:mod:`repro.perfbench.benches`.  Each bench times only the live code and
+reports an absolute rate; compare ``per_second`` across committed results
+files from a named runner.
 """
 
-from repro.perfbench.benches import BENCHES, Bench, run_benches, select_benches
+from repro.perfbench.benches import BENCHES, Bench, select_benches
 from repro.perfbench.harness import (
     BenchResult,
     environment_metadata,
@@ -22,7 +22,6 @@ __all__ = [
     "environment_metadata",
     "format_results_table",
     "measure",
-    "run_benches",
     "save_bench_results",
     "select_benches",
 ]

@@ -2,9 +2,9 @@
 
 Unlike ``benchmarks/`` (which regenerates the paper's figures in
 *simulated* time), ``repro bench`` measures how fast the simulator itself
-runs: real seconds per operation, with the frozen seed implementations
-from :mod:`repro.perfbench.legacy` timed in the same process so speedups
-are honest before/after numbers, never stale constants.
+runs: real seconds per operation of the live code.  Rates compare across
+committed results files from a named runner, which is what the
+``environment`` block records.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy
 
@@ -28,7 +28,7 @@ QUICK_BUDGET_S = 0.05
 
 @dataclass
 class BenchResult:
-    """One benchmark's measurement, optionally paired with a seed baseline."""
+    """One benchmark's measurement of the live code."""
 
     name: str
     tags: List[str]
@@ -37,8 +37,6 @@ class BenchResult:
     unit: str = "op"
     #: Units processed per iteration (e.g. bytes for throughput benches).
     work_per_iteration: float = 1.0
-    baseline_iterations: Optional[int] = None
-    baseline_seconds: Optional[float] = None
     notes: str = ""
     extra: Dict[str, float] = field(default_factory=dict)
 
@@ -47,24 +45,6 @@ class BenchResult:
         if self.seconds == 0:
             return float("inf")
         return self.iterations * self.work_per_iteration / self.seconds
-
-    @property
-    def baseline_per_second(self) -> Optional[float]:
-        if self.baseline_seconds is None or self.baseline_iterations is None:
-            return None
-        if self.baseline_seconds == 0:
-            return float("inf")
-        return (
-            self.baseline_iterations * self.work_per_iteration / self.baseline_seconds
-        )
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """current throughput / seed throughput (>1 means faster now)."""
-        baseline = self.baseline_per_second
-        if baseline is None or baseline == 0:
-            return None
-        return self.per_second / baseline
 
     def to_dict(self) -> Dict:
         payload: Dict = {
@@ -75,11 +55,6 @@ class BenchResult:
             "seconds": round(self.seconds, 9),
             "per_second": self.per_second,
         }
-        if self.baseline_seconds is not None:
-            payload["baseline_iterations"] = self.baseline_iterations
-            payload["baseline_seconds"] = round(self.baseline_seconds, 9)
-            payload["baseline_per_second"] = self.baseline_per_second
-            payload["speedup"] = round(self.speedup, 3)
         if self.notes:
             payload["notes"] = self.notes
         if self.extra:
@@ -132,7 +107,7 @@ def save_bench_results(
 ) -> pathlib.Path:
     """Write the results (plus environment metadata) as pretty JSON."""
     payload = {
-        "schema": "repro.perfbench/v1",
+        "schema": "repro.perfbench/v2",
         "quick": quick,
         "environment": environment_metadata(),
         "results": [result.to_dict() for result in results],
@@ -146,19 +121,11 @@ def save_bench_results(
 
 def format_results_table(results: List[BenchResult]) -> str:
     """Human-readable summary of a bench run."""
-    headers = ("bench", "rate", "unit", "seed rate", "speedup")
-    rows = []
-    for result in results:
-        baseline = result.baseline_per_second
-        rows.append(
-            (
-                result.name,
-                f"{result.per_second:,.1f}",
-                f"{result.unit}/s",
-                f"{baseline:,.1f}" if baseline is not None else "-",
-                f"{result.speedup:.1f}x" if result.speedup is not None else "-",
-            )
-        )
+    headers = ("bench", "rate", "unit")
+    rows = [
+        (result.name, f"{result.per_second:,.1f}", f"{result.unit}/s")
+        for result in results
+    ]
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
         for i in range(len(headers))

@@ -19,7 +19,8 @@ from repro.crypto.chacha20 import (
 )
 from repro.crypto.poly1305 import Poly1305, poly1305_mac
 from repro.errors import CryptoError
-from repro.perfbench.legacy import legacy_onion_round_trip, legacy_poly1305_mac
+
+from tests.seed_oracles import legacy_poly1305_mac
 
 KEY = bytes(range(32))
 KEY2 = bytes(range(100, 132))
@@ -98,12 +99,6 @@ class TestChaCha20Vectorized:
         wrapped = chacha20_xor_layers(keys, NONCE, data)
         assert wrapped != data
         assert chacha20_xor_layers(list(reversed(keys)), NONCE, wrapped) == data
-
-    def test_legacy_onion_round_trip_is_identity(self):
-        forward = [KEY, KEY2, KEY3]
-        backward = [KEY3, KEY, KEY2]
-        data = _pattern(512)
-        assert legacy_onion_round_trip(forward, backward, NONCE, data) == data
 
     def test_xor_bytes_length_mismatch_rejected(self):
         with pytest.raises(CryptoError):

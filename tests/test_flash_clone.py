@@ -15,6 +15,8 @@ from repro.net.internet import Internet
 from repro.sim import Timeline
 from repro.vmm import Hypervisor, VmSpec
 
+from tests.seed_oracles import NTOR_CACHE_OFF, apply
+
 
 @pytest.fixture(autouse=True)
 def _fresh_ntor_cache():
@@ -64,13 +66,12 @@ class TestCloneColdEquivalence:
         flash = flash_mgr.obs.journal.export_jsonl()
         assert flash == cold
 
-    def test_journals_identical_with_caches_disabled(self):
+    def test_journals_identical_with_caches_disabled(self, monkeypatch):
         """The handshake caches are stream-neutral: warm, cold, or
         disabled, the same seed draws the same RNG stream."""
-        from repro.perfbench.legacy import seed_crypto_mode
-
         flash_mgr, _ = _churn_manager(flash_clone=True)
-        with seed_crypto_mode():
+        with monkeypatch.context() as patch:
+            apply(patch, NTOR_CACHE_OFF)
             cold_mgr, _ = _churn_manager(flash_clone=False)
         assert (
             flash_mgr.obs.journal.export_jsonl()
@@ -232,21 +233,18 @@ class TestHandshakeCaches:
             scalar = bytes([i * 7 + 1]) + bytes(30) + bytes([64])
             assert x.x25519_base(scalar) == x.x25519(scalar, base_u)
 
-    def test_fixed_base_toggle_round_trips(self):
-        """The seed mode swaps the comb for the ladder and back again;
-        keypairs come out the same either way."""
+    def test_fixed_base_toggle_round_trips(self, monkeypatch):
+        """Keypairs come out the same from the comb and from the seed
+        ladder patched over it."""
         import sys
 
-        from repro.perfbench.legacy import seed_crypto_mode
         from repro.sim.rng import SeededRng
 
         x = sys.modules["repro.crypto.x25519"]
-        comb = x.x25519_base
         private, public = x.x25519_keypair(SeededRng(3))
-        with seed_crypto_mode():
-            assert x.x25519_base is not comb
+        with monkeypatch.context() as patch:
+            apply(patch, NTOR_CACHE_OFF)
             private2, public2 = x.x25519_keypair(SeededRng(3))
-        assert x.x25519_base is comb
         assert (private, public) == (private2, public2)
 
     def test_relay_memo_skips_recompute(self, monkeypatch):
@@ -284,13 +282,10 @@ class TestHandshakeCaches:
             second.backward_key,
         )
 
-    def test_client_cache_preserves_rng_stream_and_keys(self):
-        from contextlib import nullcontext
-
+    def test_client_cache_preserves_rng_stream_and_keys(self, monkeypatch):
         from repro.anonymizers.tor.circuit import NTOR_CLIENT_CACHE, Circuit
         from repro.anonymizers.tor.relay import Relay
         from repro.net.addresses import Ipv4Address
-        from repro.perfbench.legacy import seed_crypto_mode
         from repro.sim.rng import SeededRng
 
         def build(enabled: bool):
@@ -308,7 +303,9 @@ class TestHandshakeCaches:
             ]
             circuit_rng = rng.fork("circuit")
             keys = []
-            with nullcontext() if enabled else seed_crypto_mode():
+            with monkeypatch.context() as patch:
+                if not enabled:
+                    apply(patch, NTOR_CACHE_OFF)
                 for _ in range(2):  # second build hits the cache when enabled
                     circuit = Circuit(Timeline(seed=1), circuit_rng)
                     circuit.build(relays)

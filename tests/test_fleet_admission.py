@@ -6,7 +6,7 @@ tests drive fleets through crashes, drains, autoscale joins and
 removals, saturation with parked nyms, and hypervisors mutated directly
 behind the fleet's back, then require byte-identical journals against
 the same runs admitting through the frozen per-arrival walk
-(`perfbench.legacy._seed_fleet_candidates`).
+(`seed_fleet_candidates` in `tests/seed_oracles.py`).
 
 Fleets start with eleven hosts so host ids keep one width (``host-00``
 ... ``host-10``, and joins from ``host-11``): the frozen walk's id-sorted
@@ -19,12 +19,13 @@ import pytest
 
 from repro.errors import FleetCapacityError
 from repro.fleet.fleet import Fleet
-from repro.perfbench.legacy import _seed_fleet_candidates
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import AutoscalePolicy, FleetPolicies
 from repro.vmm.hypervisor import HostSpec
 from repro.vmm.vm import MIB, VmSpec
 from repro.workloads.fleet import fleet_workload
+
+from tests.seed_oracles import seed_fleet_candidates
 
 POLICIES = ["first-fit", "least-loaded", "ksm-aware"]
 GIB = 1024 * MIB
@@ -123,7 +124,7 @@ class TestAdmissionMatchesFullWalk:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_journals_match_frozen_walk(self, shape, policy, monkeypatch):
         live = run_shape(shape, policy)
-        monkeypatch.setattr(Fleet, "_candidates", _seed_fleet_candidates)
+        monkeypatch.setattr(Fleet, "_candidates", seed_fleet_candidates)
         frozen = run_shape(shape, policy)
         assert live[1] == frozen[1]
         assert live[2] == frozen[2]
@@ -166,7 +167,7 @@ class TestChangeDrivenVerdicts:
         assert "host-0" in fleet._stale_hosts
         assert [h.host_id for h in fleet._candidates()] == ["host-1"]
         assert [h.host_id for h in fleet._candidates()] == [
-            h.host_id for h in _seed_fleet_candidates(fleet)
+            h.host_id for h in seed_fleet_candidates(fleet)
         ]
 
     def test_untouched_hosts_are_not_reevaluated(self):

@@ -11,6 +11,9 @@ tests pin the three invariants the scale path promises:
   the bytes of an uninterrupted run.
 """
 
+import json
+import os
+import pathlib
 import pickle
 
 import pytest
@@ -43,6 +46,37 @@ def combined(spool_dir, shards):
         f"{spool_dir}/shard-{i:02d}.jsonl" for i in range(shards)
     ]
     return combined_spool_bytes(paths)
+
+
+def spool_files(spool_dir):
+    """Every journal and metrics spool in ``spool_dir``, by file name."""
+    return {
+        path.name: path.read_bytes() for path in pathlib.Path(spool_dir).iterdir()
+    }
+
+
+class Killed(Exception):
+    """Stands in for the process dying part-way through a checkpoint."""
+
+
+def kill_on_write(monkeypatch, prefix, nth):
+    """Raise instead of the ``nth`` checkpoint write of a file whose name
+    starts with ``prefix``; every earlier write lands."""
+    real = ShardedFleet._write_atomic
+    seen = []
+
+    def write(path, data):
+        if os.path.basename(path).startswith(prefix):
+            seen.append(path)
+            if len(seen) == nth:
+                raise Killed(path)
+        real(path, data)
+
+    monkeypatch.setattr(ShardedFleet, "_write_atomic", staticmethod(write))
+
+
+#: Seed 7, 2 shards x 4 hosts, 60 nyms, 5 s epochs: six epochs in all.
+KILL_CFG = dict(seed=7, shards=2, hosts_per_shard=4, nyms=60, epoch_s=5.0)
 
 
 class TestShardConfig:
@@ -151,6 +185,46 @@ class TestKillResume:
         assert resumed.completed
         assert combined(dir_b, config.shards) == baseline
 
+    @pytest.mark.parametrize("procs", [1, 2])
+    @pytest.mark.parametrize(
+        "killed_at",
+        ["manifest", "shard-01"],
+        ids=["before-the-manifest", "between-shard-pickles"],
+    )
+    def test_kill_during_a_checkpoint_resumes_byte_identical(
+        self, tmp_path, monkeypatch, killed_at, procs
+    ):
+        # The kill lands inside the second checkpoint, after some of its
+        # files were written: resume must start from the first one.
+        config = ShardConfig(**KILL_CFG)
+        clean = str(tmp_path / "clean")
+        run_sharded_fleet(config, clean)
+
+        spools = str(tmp_path / "killed")
+        ck = str(tmp_path / "ck")
+        sharded = ShardedFleet(config, spools, checkpoint_dir=ck, procs=procs)
+        with monkeypatch.context() as patch:
+            kill_on_write(patch, killed_at, nth=2)
+            with pytest.raises(Killed):
+                sharded.run()
+        sharded.shutdown()
+        _, resumed = resume_sharded_fleet(ck, procs=procs)
+        assert resumed.completed
+        assert spool_files(spools) == spool_files(clean)
+
+    def test_a_checkpoint_directory_holds_one_generation(self, tmp_path):
+        config = ShardConfig(**KILL_CFG)
+        ck = tmp_path / "ck"
+        result = run_sharded_fleet(config, str(tmp_path / "s"), checkpoint_dir=str(ck))
+        manifest = json.loads((ck / "manifest.json").read_text())
+        assert manifest["epoch"] == result.epochs
+        named = [manifest["coordinator"]["pickle"]] + [
+            entry["pickle"] for entry in manifest["shards"]
+        ]
+        assert len(set(named)) == config.shards + 1
+        assert all(f".e{result.epochs}." in name for name in named)
+        assert sorted(os.listdir(ck)) == sorted(named + ["manifest.json"])
+
     def test_resume_truncates_bytes_written_past_the_checkpoint(self, tmp_path):
         config, dir_a, _ = run_to_completion(tmp_path, "clean")
         baseline = combined(dir_a, config.shards)
@@ -160,14 +234,19 @@ class TestKillResume:
         sharded = ShardedFleet(config, dir_b, checkpoint_dir=ck)
         sharded.run(stop_after_epoch=1)
         # The "kill" lands mid-epoch-2: progress already flushed to the
-        # spools, but no checkpoint taken.  Resume must cut those bytes.
+        # spools, but no checkpoint taken, and every spool ends in a torn
+        # half-line.  Resume must cut those bytes.
         sharded.epoch += 1
         for shard in sharded.shards:
             shard.run_epoch(sharded.epoch * config.epoch_s)
             shard.journal.flush()
+        for path in sharded.spool_paths() + sharded.metrics_paths():
+            with open(path, "ab") as handle:
+                handle.write(b'{"event": "torn')
         _, resumed = resume_sharded_fleet(ck)
         assert resumed.completed
         assert combined(dir_b, config.shards) == baseline
+        assert spool_files(dir_b) == spool_files(dir_a)
 
     def test_resume_round_trips_through_pickled_state(self, tmp_path):
         # The checkpoint files must be self-contained: a shard unpickled

@@ -6,18 +6,19 @@ a rejected arrival and goes on (skip mode) or lets the first
 ``FleetCapacityError`` end the wave (raise mode).  In both modes the
 ``fleet.admission_rejected`` counter and the event journal must match the
 same wave admitted through the frozen per-arrival walk
-(``perfbench.legacy._seed_fleet_candidates``), and the fleet's cached
-verdicts and memory snapshots must stay current, so later arrivals admit
-normally.
+(``seed_fleet_candidates`` in ``tests/seed_oracles.py``), and the fleet's
+cached verdicts and memory snapshots must stay current, so later
+arrivals admit normally.
 """
 
 import pytest
 
 from repro.errors import FleetCapacityError
 from repro.fleet.fleet import Fleet
-from repro.perfbench.legacy import _seed_fleet_candidates
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import FleetPolicies
+
+from tests.seed_oracles import seed_fleet_candidates
 
 POLICIES = ["first-fit", "least-loaded", "ksm-aware"]
 
@@ -62,7 +63,7 @@ class TestRejectionAccountingAudit:
         for host in fleet.host_list():
             assert host.memory_snapshot() == host.hypervisor.memory_snapshot()
         assert [h.host_id for h in fleet._candidates()] == [
-            h.host_id for h in _seed_fleet_candidates(fleet)
+            h.host_id for h in seed_fleet_candidates(fleet)
         ]
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -70,7 +71,7 @@ class TestRejectionAccountingAudit:
         tl_live, fleet_live = build_fleet(policy)
         rejected = admit(fleet_live, wave(), "skip")
         assert rejected > 0
-        monkeypatch.setattr(Fleet, "_candidates", _seed_fleet_candidates)
+        monkeypatch.setattr(Fleet, "_candidates", seed_fleet_candidates)
         tl_ref, fleet_ref = build_fleet(policy)
         assert admit(fleet_ref, wave(), "skip") == rejected
         assert self._rejected_count(tl_live) == rejected
@@ -85,7 +86,7 @@ class TestRejectionAccountingAudit:
         tl_live, fleet_live = build_fleet(policy)
         with pytest.raises(FleetCapacityError) as live:
             admit(fleet_live, wave(), "raise")
-        monkeypatch.setattr(Fleet, "_candidates", _seed_fleet_candidates)
+        monkeypatch.setattr(Fleet, "_candidates", seed_fleet_candidates)
         tl_ref, fleet_ref = build_fleet(policy)
         with pytest.raises(FleetCapacityError) as ref:
             admit(fleet_ref, wave(), "raise")

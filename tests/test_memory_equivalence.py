@@ -18,7 +18,8 @@ from repro.memory.pages import (
     image_tag,
     unique_tag,
 )
-from repro.perfbench.legacy import LegacyGuestMemory, legacy_ksm_stats
+
+from tests.seed_oracles import LegacyGuestMemory, legacy_ksm_stats
 
 MIB = 1024 * 1024
 
@@ -227,48 +228,8 @@ class TestKsmEquivalence:
 
 
 class TestGroupedSweepEquivalence:
-    """The seed index's one-shot vectorized sweep (the baseline `repro
-    bench` measures against) must match per-group scalar sweeps."""
-
-    def _scalar(self, group_ids, los, his, mults):
-        from repro.memory.ksm import _sweep_duplicates
-
-        per_group = {}
-        for gid, lo, hi, mult in zip(group_ids, los, his, mults):
-            per_group.setdefault(gid, []).append((lo, hi, mult))
-        shared = sharing = 0
-        for runs in per_group.values():
-            s, m = _sweep_duplicates(runs)
-            shared += s
-            sharing += m
-        return shared, sharing
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_random_run_sets_match_scalar(self, seed):
-        from repro.perfbench.legacy import _seed_sweep_duplicates_grouped
-
-        rng = random.Random(seed)
-        for trial in range(30):
-            n = rng.randint(0, 120)  # spans both sides of the vector threshold
-            group_ids, los, his, mults = [], [], [], []
-            for _ in range(n):
-                lo = rng.randint(0, 500)
-                group_ids.append(rng.randint(0, 6))
-                los.append(lo)
-                his.append(lo + rng.randint(1, 80))
-                mults.append(rng.randint(1, 5))
-            assert _seed_sweep_duplicates_grouped(group_ids, los, his, mults) == (
-                self._scalar(group_ids, los, his, mults)
-            ), (seed, trial)
-
-    def test_identical_endpoints_across_groups_do_not_merge(self):
-        from repro.perfbench.legacy import _seed_sweep_duplicates_grouped
-
-        # Same [0, 10) run in 30 different groups: no within-group overlap,
-        # so nothing merges even though every point coincides globally.
-        n = 30
-        args = (list(range(n)), [0] * n, [10] * n, [1] * n)
-        assert _seed_sweep_duplicates_grouped(*args) == (0, 0)
+    """The stats gates that skip the merge index: a zero-coverage host
+    reports nothing, and the version moves only when accounting does."""
 
     def test_zero_coverage_stats_gate_is_exact(self):
         guests = _fig3_guest_set(GuestMemory)

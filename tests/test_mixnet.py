@@ -236,14 +236,15 @@ class TestMixnetDeterminism:
     def test_same_seed_byte_identical_journals(self):
         assert self._journal(21) == self._journal(21)
 
-    def test_warm_key_cache_does_not_change_the_journal(self):
-        from repro.perfbench.legacy import seed_mixnet_mode
+    def test_warm_key_cache_does_not_change_the_journal(self, monkeypatch):
+        from tests.seed_oracles import MIXNET_CACHE_OFF, apply
 
         cold_state = self._journal(22)
         # The process-global sender cache is now warm; a rerun must burn
         # the same RNG draws and produce the same bytes.
         warm_state = self._journal(22)
-        with seed_mixnet_mode():
+        with monkeypatch.context() as patch:
+            apply(patch, MIXNET_CACHE_OFF)
             disabled_state = self._journal(22)
         assert cold_state == warm_state == disabled_state
 

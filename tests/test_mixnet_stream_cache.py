@@ -3,7 +3,8 @@
 Layer keys are stable (sender key cache) and the AEAD nonce is fixed, so
 `MIX_STREAM_CACHE` can serve each layer's ChaCha20 keystream and Poly1305
 one-time key from memory.  These tests pin cold and warm builds and peels
-against each other and against the cache-free seed mode, the cached AEAD
+against each other and against the cache-free seed path
+(`MIXNET_CACHE_OFF` in `tests/seed_oracles.py`), the cached AEAD
 framing against the reference `ChaCha20Poly1305`, and tampering detection
 through the cached path.
 """
@@ -25,8 +26,9 @@ from repro.mixnet.packet import (
     peel_layer,
 )
 from repro.mixnet.topology import MixTopology
-from repro.perfbench.legacy import seed_mixnet_mode
 from repro.sim.rng import SeededRng
+
+from tests.seed_oracles import MIXNET_CACHE_OFF, apply
 
 
 @pytest.fixture(autouse=True)
@@ -45,13 +47,14 @@ class TestSealOpenFraming:
     KEY = bytes(range(32))
 
     @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 300, 1100])
-    def test_seal_matches_reference_aead(self, size):
+    def test_seal_matches_reference_aead(self, size, monkeypatch):
         plaintext = bytes((i * 13 + 5) & 0xFF for i in range(size))
         aad = b"associated-data"
         reference = ChaCha20Poly1305(self.KEY).encrypt(_NONCE, plaintext, aad)
         assert _seal(self.KEY, plaintext, aad) == reference  # cold
         assert _seal(self.KEY, plaintext, aad) == reference  # warm
-        with seed_mixnet_mode():
+        with monkeypatch.context() as patch:
+            apply(patch, MIXNET_CACHE_OFF)
             assert packet_mod._seal(self.KEY, plaintext, aad) == reference  # seed
 
     def test_open_round_trips_and_rejects_tampering(self):
@@ -75,7 +78,7 @@ class TestSealOpenFraming:
 
 
 class TestPacketIdentity:
-    def test_cold_warm_disabled_packets_identical(self):
+    def test_cold_warm_disabled_packets_identical(self, monkeypatch):
         topology, path = _path()
         payload = b"hello mixnet" * 40
 
@@ -92,12 +95,13 @@ class TestPacketIdentity:
         MIX_STREAM_CACHE.clear()
         cold_packet, cold_out = pump(7)
         warm_packet, warm_out = pump(7)
-        with seed_mixnet_mode():
+        with monkeypatch.context() as patch:
+            apply(patch, MIXNET_CACHE_OFF)
             off_packet, off_out = pump(7)
         assert cold_packet == warm_packet == off_packet
         assert cold_out == warm_out == off_out == payload
 
-    def test_reply_block_identity_and_round_trip(self):
+    def test_reply_block_identity_and_round_trip(self, monkeypatch):
         topology, path = _path(seed=90)
 
         def build(seed):
@@ -106,7 +110,8 @@ class TestPacketIdentity:
         MIX_STREAM_CACHE.clear()
         cold = build(3)
         warm = build(3)
-        with seed_mixnet_mode():
+        with monkeypatch.context() as patch:
+            apply(patch, MIXNET_CACHE_OFF)
             off = build(3)
         assert cold.header == warm.header == off.header
         assert cold.payload_keys == warm.payload_keys == off.payload_keys

@@ -19,7 +19,6 @@ from repro.mixnet.packet import (
     peel_layer,
 )
 from repro.mixnet.topology import MixTopology
-from repro.perfbench.legacy import seed_mixnet_mode
 from repro.runtime import (
     evict_oldest,
     process_cache_sizes,
@@ -28,6 +27,8 @@ from repro.runtime import (
     reset_process_caches,
 )
 from repro.sim.rng import SeededRng
+
+from tests.seed_oracles import MIXNET_CACHE_OFF, apply
 
 
 @pytest.fixture(autouse=True)
@@ -94,7 +95,7 @@ class TestBoundedMixCaches:
         assert len(MIX_STREAM_CACHE) <= 2
         assert MIX_STREAM_CACHE.evictions > 0
 
-    def test_bounded_warm_cold_bytes_identical(self):
+    def test_bounded_warm_cold_bytes_identical(self, monkeypatch):
         """Eviction churn must not change packet bytes (and therefore
         journal bytes, which record packet-derived fields)."""
         unbounded = _mix_run()
@@ -103,7 +104,8 @@ class TestBoundedMixCaches:
         MIX_STREAM_CACHE.max_entries = 1
         bounded = _mix_run()
         reset_process_caches()
-        with seed_mixnet_mode():
+        with monkeypatch.context() as patch:
+            apply(patch, MIXNET_CACHE_OFF)
             disabled = _mix_run()
         assert unbounded == bounded == disabled
 

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.perfbench.legacy import seed_content_mode
 from repro.sim import SeededRng
 from repro.sim.rng import _NUMPY_CONTENT_MIN_BYTES
 
@@ -98,12 +97,3 @@ class TestNumpyContentPath:
     def test_small_draws_stay_on_python_path_and_agree(self):
         n = _NUMPY_CONTENT_MIN_BYTES - 1
         assert SeededRng(17).content_bytes(n) == SeededRng(17)._random.randbytes(n)
-
-    def test_perfbench_frozen_seed_mode_restores_the_flag(self):
-        live = SeededRng.content_bytes
-        n = 2 * _NUMPY_CONTENT_MIN_BYTES
-        with seed_content_mode():
-            assert SeededRng.content_bytes is not live
-            seed = SeededRng(19).content_bytes(n)
-        assert SeededRng.content_bytes is live
-        assert seed == SeededRng(19).content_bytes(n)
