@@ -415,7 +415,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         journal_path=args.journal,
         out_path=args.out,
         idle_s=args.duration or 0.0,
-        flash_clone=not args.cold_boot,
         policies=load_policies(args),
     )
     if args.json:
@@ -490,7 +489,6 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
             stop_after_epoch=args.stop_after_epoch,
             journal_path=args.journal,
             out_path=args.out,
-            flash_clone=not args.cold_boot,
             scale_counts=scale_counts,
             procs=procs,
         )
@@ -695,12 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--host-crashes", type=int, default=2, help="host-crash faults to inject"
-    )
-    fleet.add_argument(
-        "--cold-boot",
-        action="store_true",
-        help="disable the flash-clone launch path (cold-boot every nymbox; "
-        "same-seed journals must match the default cloned run byte for byte)",
     )
     fleet.add_argument(
         "--no-compare",

@@ -33,11 +33,6 @@ class NymixConfig:
     #: mean of the exponential per-hop mixing delay
     mixnet_mean_hop_delay_s: float = 0.05
     ksm_enabled: bool = True
-    #: launch nymboxes from the hypervisor's zygote cache (pre-booted
-    #: memory templates + shared read-only mount layers, adopted
-    #: copy-on-write).  Clones are semantically identical to cold boots;
-    #: disabling this replays the full cold construction path per launch.
-    flash_clone: bool = True
     #: verify every base-image read against the published Merkle root (§3.4)
     verify_base_image: bool = False
     #: derive Tor entry guards from (storage location, password) so even the

@@ -92,7 +92,6 @@ class NymManager:
             host=host,
             verify_base_image=self.config.verify_base_image,
             ksm_enabled=self.config.ksm_enabled,
-            zygote_cache=self.config.flash_clone,
         )
         self.directory = DirectoryAuthority(
             self.timeline.fork_rng("tor-directory"), relay_count=self.config.tor_relay_count
@@ -232,8 +231,8 @@ class NymManager:
             anonymizer_kind.split("+") if chain_commvms else [anonymizer_kind]
         )
         try:
-            # The base AnonVM+CommVM pair launches through the zygote cache
-            # (flash_clone handles the cold path too when it is disabled).
+            # The base AnonVM+CommVM pair is flash-cloned.  The template is
+            # a plain key, so building one per nym costs no hypervisor state.
             template = hv.nymbox_template(
                 anon_spec or VmSpec.anonvm(),
                 comm_spec or VmSpec.commvm(),

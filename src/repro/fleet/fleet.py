@@ -166,7 +166,6 @@ class Fleet:
         host_spec: Optional[HostSpec] = None,
         anon_spec: Optional[VmSpec] = None,
         comm_spec: Optional[VmSpec] = None,
-        flash_clone: bool = True,
         policies: Optional[FleetPolicies] = None,
         tenancy: Optional[TenantRegistry] = None,
     ) -> None:
@@ -192,7 +191,6 @@ class Fleet:
         self.comm_spec = comm_spec or VmSpec.commvm()
         self.high_watermark = policies.high_watermark
         self.low_watermark = policies.low_watermark
-        self._flash_clone = flash_clone
         self.rng = timeline.fork_rng("fleet")
 
         # The tenant control plane: an explicit registry wins, then any
@@ -242,8 +240,7 @@ class Fleet:
         self.drains = 0
         self._seq = 0
         # One NymboxTemplate per image, shared by every host: the specs
-        # are fixed per fleet, and a stable template object lets each
-        # hypervisor reuse its per-template clone state across arrivals.
+        # are fixed per fleet, so an arrival need not build its own.
         self._templates: Dict[str, NymboxTemplate] = {}
         obs = timeline.obs
         obs.event("fleet.created", hosts=hosts, policy=self.policy.name)
@@ -274,7 +271,6 @@ class Fleet:
                 host=self.host_spec,
                 base_layer=base_layer,
                 merkle_root=merkle_root,
-                zygote_cache=self._flash_clone,
             )
             handle = HostHandle(host_id, hv)
             # The listener fires on every guest mutation, so it is one
@@ -447,10 +443,9 @@ class Fleet:
     ) -> FleetNymbox:
         """Create, wire, and boot the VM pair on ``host``.
 
-        The pair launches through the host's zygote cache: one template
-        per (spec, image) flavour per host, shared by every arrival and
-        by evacuation relaunches (which therefore clone instead of
-        cold-booting on the target host).
+        The pair is flash-cloned from the host's zygotes: one per (spec,
+        image) flavour per host, shared by every arrival and by
+        evacuation relaunches on that host.
         """
         hv = host.hypervisor
         template = self._templates.get(image_id)

@@ -120,7 +120,6 @@ def _run_policy(
     host_crashes: int,
     journal_path: Optional[str],
     idle_s: float = 0.0,
-    flash_clone: bool = True,
     base_policies: Optional[FleetPolicies] = None,
 ) -> PolicyResult:
     """One complete fleet run for one policy, on its own timeline."""
@@ -129,7 +128,6 @@ def _run_policy(
     fleet = Fleet(
         timeline, hosts=hosts,
         policies=base.with_placement(policy),
-        flash_clone=flash_clone,
     )
     arrivals = fleet_workload(timeline.fork_rng("fleet.workload"), nyms)
 
@@ -186,7 +184,6 @@ def run_fleet(
     journal_path: Optional[str] = None,
     out_path: Optional[str] = None,
     idle_s: float = 0.0,
-    flash_clone: bool = True,
     policies: Optional[FleetPolicies] = None,
 ) -> FleetReport:
     """Run the fleet scenario; compare all policies on the same workload.
@@ -208,7 +205,6 @@ def run_fleet(
                 host_crashes=host_crashes,
                 journal_path=journal_path if name == policy else None,
                 idle_s=idle_s,
-                flash_clone=flash_clone,
                 base_policies=policies,
             )
         )
@@ -317,7 +313,6 @@ def run_fleet_sharded(
     stop_after_epoch: Optional[int] = None,
     journal_path: Optional[str] = None,
     out_path: Optional[str] = None,
-    flash_clone: bool = True,
     scale_counts: Optional[List[int]] = None,
     procs: int = 1,
 ) -> ShardedFleetReport:
@@ -336,7 +331,6 @@ def run_fleet_sharded(
     config = ShardConfig(
         seed=seed, shards=shards, hosts_per_shard=hosts_per_shard, nyms=nyms,
         policy=policy, epoch_s=epoch_s, host_crashes=host_crashes,
-        flash_clone=flash_clone,
     )
     start = time.perf_counter()
     result = run_sharded_fleet(
@@ -351,16 +345,9 @@ def run_fleet_sharded(
         report.trajectory = scale_trajectory(
             seed=seed, nyms=nyms, shard_counts=scale_counts,
             hosts_per_shard=hosts_per_shard, policy=policy, epoch_s=epoch_s,
-            spool_root=spool_dir + "-scale", flash_clone=flash_clone,
-            procs_counts=sorted({1, procs}),
+            spool_root=spool_dir + "-scale", procs_counts=sorted({1, procs}),
         )
-    if journal_path:
-        _write_combined_spools(result.spool_paths, journal_path)
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report.export(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report
+    return _write_outputs(report, journal_path, out_path)
 
 
 def resume_fleet_sharded(
@@ -381,8 +368,19 @@ def resume_fleet_sharded(
         result=result, wall_seconds=time.perf_counter() - start, resumed=True,
         procs=procs,
     )
+    return _write_outputs(report, journal_path, out_path)
+
+
+def _write_outputs(
+    report: ShardedFleetReport,
+    journal_path: Optional[str],
+    out_path: Optional[str],
+) -> ShardedFleetReport:
+    """Write the combined journal (coordinator first, shards in id order:
+    the byte-comparable whole run) and the ``--out`` report, if asked."""
     if journal_path:
-        _write_combined_spools(result.spool_paths, journal_path)
+        with open(journal_path, "wb") as out:
+            out.write(combined_spool_bytes(report.result.spool_paths))
     if out_path:
         with open(out_path, "w") as fh:
             json.dump(report.export(), fh, indent=2, sort_keys=True)
@@ -415,7 +413,6 @@ def scale_trajectory(
     policy: str = "ksm-aware",
     epoch_s: float = 120.0,
     spool_root: str = "fleet-spool-scale",
-    flash_clone: bool = True,
     procs_counts: Optional[List[int]] = None,
 ) -> List[Dict[str, object]]:
     """One trajectory point per (shard count, worker count), same seed.
@@ -439,7 +436,6 @@ def scale_trajectory(
             config = ShardConfig(
                 seed=seed, shards=count, hosts_per_shard=hosts_per_shard,
                 nyms=nyms, policy=policy, epoch_s=epoch_s,
-                flash_clone=flash_clone,
             )
             spool_dir = os.path.join(
                 spool_root, f"shards-{count:02d}-procs-{effective_procs:02d}"
@@ -468,12 +464,3 @@ def scale_trajectory(
                 }
             )
     return points
-
-
-def _write_combined_spools(spool_paths: List[str], journal_path: str) -> int:
-    """Write the canonical concatenation (coordinator first, shards in
-    id order) — the byte-comparable whole run."""
-    data = combined_spool_bytes(spool_paths)
-    with open(journal_path, "wb") as out:
-        out.write(data)
-    return len(data)

@@ -24,7 +24,8 @@ Determinism is preserved by construction:
 
 That quiescence is what makes **checkpoint/resume** well-defined: at a
 barrier every shard is a closed object graph (timeline + fleet + cursor)
-with no pending callbacks, so it pickles whole.  A checkpoint directory
+with no pending callbacks, so it pickles whole.  A run given a
+checkpoint directory checkpoints at every barrier.  The directory
 holds one pickle per shard, one for the coordinator journal, and a
 manifest that names those pickles and records every spool's byte
 offset; the manifest is the commit point.  Resume truncates each spool
@@ -101,8 +102,8 @@ class ShardConfig:
     """Everything that determines a sharded run, bit for bit.
 
     Execution details that must *never* change the bytes — how many OS
-    processes run the shards, how often to checkpoint — deliberately
-    live outside this object.
+    processes run the shards, whether and where to checkpoint —
+    deliberately live outside this object.
     """
 
     seed: int = 0
@@ -112,7 +113,6 @@ class ShardConfig:
     policy: str = "ksm-aware"
     epoch_s: float = 120.0
     host_crashes: int = 0
-    flash_clone: bool = True
     mean_interarrival_s: float = 0.5
     journal_window: int = 4096
 
@@ -212,7 +212,6 @@ class FleetShard:
             self.timeline,
             hosts=config.hosts_per_shard,
             policies=FleetPolicies(placement=config.policy),
-            flash_clone=config.flash_clone,
         )
         self.timeline.obs.event(
             "shard.created", shard=shard_id, hosts=config.hosts_per_shard,
@@ -437,14 +436,12 @@ class ShardedFleet:
         config: ShardConfig,
         spool_dir: str,
         checkpoint_dir: Optional[str] = None,
-        checkpoint_every: int = 1,
         procs: int = 1,
     ) -> None:
         self.config = config
         self.procs = _worker_count(procs, config.shards)
         self.spool_dir = str(spool_dir)
         self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else None
-        self.checkpoint_every = max(1, checkpoint_every)
         os.makedirs(self.spool_dir, exist_ok=True)
         if self.checkpoint_dir:
             os.makedirs(self.checkpoint_dir, exist_ok=True)
@@ -611,7 +608,7 @@ class ShardedFleet:
                     host=next(crashed[shard_id]) or "",
                 )
             self._barrier(epoch_end, [report for _, report in replies])
-            if self.checkpoint_dir and self.epoch % self.checkpoint_every == 0:
+            if self.checkpoint_dir:
                 self.checkpoint()
             if stop_after_epoch is not None and barriers >= stop_after_epoch:
                 return self._result(completed=self.done)
@@ -735,16 +732,6 @@ class ShardedFleet:
         header line per section — the byte-comparable whole-run record."""
         return combined_spool_bytes(self.spool_paths())
 
-    def combined_metrics_bytes(self) -> bytes:
-        """The metrics spools, same canonical order and header scheme."""
-        return combined_spool_bytes(self.metrics_paths())
-
-    def write_combined(self, path: str) -> int:
-        data = self.combined_journal_bytes()
-        with open(path, "wb") as handle:
-            handle.write(data)
-        return len(data)
-
     # -- checkpoint/resume ---------------------------------------------------
 
     def checkpoint(self) -> str:
@@ -829,12 +816,7 @@ class ShardedFleet:
         os.replace(tmp, path)
 
     @classmethod
-    def resume(
-        cls,
-        checkpoint_dir: str,
-        checkpoint_every: int = 1,
-        procs: int = 1,
-    ) -> "ShardedFleet":
+    def resume(cls, checkpoint_dir: str, procs: int = 1) -> "ShardedFleet":
         """Rebuild a run from its checkpoint directory.
 
         Every spool is truncated to the offset the manifest recorded —
@@ -852,7 +834,6 @@ class ShardedFleet:
         sharded.config = ShardConfig(**manifest["config"])
         sharded.spool_dir = manifest["spool_dir"]
         sharded.checkpoint_dir = str(checkpoint_dir)
-        sharded.checkpoint_every = max(1, checkpoint_every)
         sharded.epoch = manifest["epoch"]
         sharded.procs = _worker_count(procs, sharded.config.shards)
         sharded._pool = None
@@ -897,16 +878,30 @@ def run_sharded_fleet(
     config: ShardConfig,
     spool_dir: str,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 1,
     stop_after_epoch: Optional[int] = None,
     procs: int = 1,
 ) -> ShardedRunResult:
     """One-shot driver: build, run (possibly partially), seal spools."""
     sharded = ShardedFleet(
-        config, spool_dir,
-        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-        procs=procs,
+        config, spool_dir, checkpoint_dir=checkpoint_dir, procs=procs
     )
+    return _run_to_stop(sharded, stop_after_epoch)
+
+
+def resume_sharded_fleet(
+    checkpoint_dir: str,
+    stop_after_epoch: Optional[int] = None,
+    procs: int = 1,
+) -> Tuple[ShardedFleet, ShardedRunResult]:
+    """Resume from ``checkpoint_dir`` and (by default) run to completion."""
+    sharded = ShardedFleet.resume(checkpoint_dir, procs=procs)
+    return sharded, _run_to_stop(sharded, stop_after_epoch)
+
+
+def _run_to_stop(
+    sharded: ShardedFleet, stop_after_epoch: Optional[int]
+) -> ShardedRunResult:
+    """Run ``sharded``; seal its spools if it completes, else flush them."""
     try:
         result = sharded.run(stop_after_epoch=stop_after_epoch)
     except ShardWorkerError:
@@ -920,29 +915,6 @@ def run_sharded_fleet(
         sharded.flush()
         sharded.shutdown()
     return result
-
-
-def resume_sharded_fleet(
-    checkpoint_dir: str,
-    checkpoint_every: int = 1,
-    stop_after_epoch: Optional[int] = None,
-    procs: int = 1,
-) -> Tuple[ShardedFleet, ShardedRunResult]:
-    """Resume from ``checkpoint_dir`` and (by default) run to completion."""
-    sharded = ShardedFleet.resume(
-        checkpoint_dir, checkpoint_every=checkpoint_every, procs=procs
-    )
-    try:
-        result = sharded.run(stop_after_epoch=stop_after_epoch)
-    except ShardWorkerError:
-        sharded.shutdown()
-        raise
-    if result.completed:
-        sharded.close()
-    else:
-        sharded.flush()
-        sharded.shutdown()
-    return sharded, result
 
 
 # -- metrics spools -----------------------------------------------------------

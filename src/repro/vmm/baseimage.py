@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.unionfs.layer import Layer, TmpfsLayer
 from repro.unionfs.mount import UnionMount
-from repro.unionfs.verify import VerifiedLayer, commit_layer
+from repro.unionfs.verify import commit_layer
 from repro.vmm.vm import VmRole
 
 NYMIX_IMAGE_ID = "nymix-ubuntu-14.04-amd64"
@@ -90,28 +90,21 @@ def build_vm_mount(
     tmpfs_bytes: int,
     base: Layer,
     anonymizer: str = "",
-    merkle_root: Optional[bytes] = None,
-    on_tamper=None,
     config: Optional[Layer] = None,
-    bottom: Optional[Layer] = None,
 ) -> UnionMount:
     """Assemble the three-layer stack for one VM.
 
-    With ``merkle_root`` given, the base layer is wrapped in the verified
-    read path of §3.4 (shut down rather than boot from tampered media).
-    Callers that launch many VMs may pass pre-built ``config``/``bottom``
-    layers (both read-only, so sharing them across mounts is safe — the
-    hypervisor's zygote cache does this); only the tmpfs top is always
-    fresh.
+    ``base`` is the bottom layer: the distribution image, or the
+    hypervisor's ``VerifiedLayer`` over it (the verified read path of
+    §3.4).  Callers that launch many VMs may pass a pre-built ``config``
+    layer; both lower layers are read-only, so sharing them across
+    mounts is safe (the hypervisor does this).  Only the tmpfs top is
+    always fresh.
     """
-    if bottom is None:
-        bottom = base
-        if merkle_root is not None:
-            bottom = VerifiedLayer(base, merkle_root, on_tamper=on_tamper)
     if config is None:
         config = build_config_layer(role, anonymizer)
     tmpfs = TmpfsLayer(name=f"tmpfs({role.value})", capacity_bytes=tmpfs_bytes)
-    return UnionMount([tmpfs, config, bottom])
+    return UnionMount([tmpfs, config, base])
 
 
 def published_merkle_root(base: Layer) -> bytes:

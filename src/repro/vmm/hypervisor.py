@@ -35,7 +35,7 @@ from repro.vmm.baseimage import (
 )
 from repro.vmm.vcpu import CpuModel
 from repro.vmm.virtfs import SharedFolder
-from repro.vmm.vm import MIB, VirtualMachine, VmRole, VmSpec
+from repro.vmm.vm import MIB, VirtualMachine, VmRole, VmSpec, replay_boot
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,6 @@ class Hypervisor:
         ksm_enabled: bool = True,
         base_layer: Optional[Layer] = None,
         merkle_root: Optional[str] = None,
-        zygote_cache: bool = True,
     ) -> None:
         self.timeline = timeline
         self.internet = internet
@@ -126,7 +125,9 @@ class Hypervisor:
         self._wires: List[VirtualWire] = []
         # O(1) wire teardown: wires registered through the factory methods
         # below are indexed by endpoint NIC and by position in ``_wires``.
-        self._wire_slots: Dict[int, int] = {}
+        # Both indexes key on the objects themselves, not on ``id()``, so
+        # they still hold after a checkpoint pickle round trip.
+        self._wire_slots: Dict[VirtualWire, int] = {}
         self._wires_by_nic: Dict[VirtualNic, VirtualWire] = {}
         self._vm_counter = itertools.count(1)
         self.emergency_halted = False
@@ -136,15 +137,11 @@ class Hypervisor:
         self._fs_ram_bytes = 0
         self._accounting_listener = None
 
-        #: Flash-clone launch path: pre-booted memory images and shared
-        #: read-only mount layers, keyed per (spec, role, anonymizer, image).
-        self.zygote_cache = zygote_cache
+        #: Flash-clone launch path: pre-booted memory images per (spec,
+        #: image) and shared read-only mount layers per (role, anonymizer,
+        #: base), one entry per VM flavour however many VMs launch.
         self._zygote_memories: Dict[tuple, GuestMemory] = {}
         self._layer_cache: Dict[tuple, tuple] = {}
-        # flash_clone resolves a template's mount layers + zygote memories
-        # once and reuses them for every clone; keyed by template identity
-        # (the template itself is stored so a recycled id can't alias).
-        self._template_prep: Dict[int, tuple] = {}
 
         #: The host LAN wire, built once on the first DHCP handshake and
         #: kept (torn down) between handshakes instead of leaking a fresh
@@ -214,20 +211,16 @@ class Hypervisor:
     def _zygote_memory(self, spec: VmSpec, image_id: str) -> GuestMemory:
         """The pre-booted memory image for one (spec, image) flavour.
 
-        Built once by replaying exactly the map/dirty sequence a cold boot
-        performs, on a synthetic guest that is *not* registered with host
-        memory or KSM — it represents no resident VM, so Figure 3
-        accounting never sees it.  Clones adopt its content runs
-        copy-on-write at boot.
+        Built once by :func:`replay_boot` on a synthetic guest that is
+        *not* registered with host memory or KSM — it represents no
+        resident VM, so Figure 3 accounting never sees it.  Every VM of
+        the flavour adopts its content runs copy-on-write at boot.
         """
         key = (spec, image_id)
         zygote = self._zygote_memories.get(key)
         if zygote is None:
             zygote = GuestMemory(f"zygote({spec.role.value})", spec.ram_bytes)
-            if spec.image_cache_bytes:
-                zygote.map_image(image_id, spec.image_cache_bytes)
-            if spec.boot_dirty_bytes:
-                zygote.dirty(spec.boot_dirty_bytes)
+            replay_boot(zygote, spec, image_id)
             self._zygote_memories[key] = zygote
         return zygote
 
@@ -241,7 +234,7 @@ class Hypervisor:
         ``VerifiedLayer`` builds, which is the expensive part of the
         verified-boot check.
         """
-        key = (role, anonymizer, id(base))
+        key = (role, anonymizer, base)
         cached = self._layer_cache.get(key)
         if cached is None:
             bottom: Layer = base
@@ -257,36 +250,13 @@ class Hypervisor:
     ) -> tuple:
         """Launch one AnonVM + CommVM nymbox pair from ``template``.
 
-        Returns ``(anonvm, commvm, wire)``.  With the zygote cache enabled
-        the pair shares the template's mount layers and flash-adopts its
-        pre-booted memory at boot; with it disabled this is exactly the
-        cold-boot construction sequence — either way the resulting nymbox
-        is semantically identical.
+        Returns ``(anonvm, commvm, wire)``.  Like every VM from
+        :meth:`create_vm`, both share their flavour's mount layers and
+        flash-adopt its pre-booted memory at boot.  If the CommVM cannot
+        be created, the AnonVM is destroyed again.
         """
-        anon_prep = comm_prep = None
-        if self.zygote_cache:
-            cached = self._template_prep.get(id(template))
-            if cached is not None and cached[0] is template:
-                _, anon_prep, comm_prep = cached
-            else:
-                anon_prep = (
-                    self._mount_layers(template.anon_spec.role, "", self.base_layer),
-                    self._zygote_memory(template.anon_spec, template.image_id),
-                )
-                comm_prep = (
-                    self._mount_layers(
-                        template.comm_spec.role,
-                        template.anonymizer,
-                        self.base_layer,
-                    ),
-                    self._zygote_memory(template.comm_spec, template.image_id),
-                )
-                self._template_prep[id(template)] = (template, anon_prep, comm_prep)
         anonvm = self.create_vm(
-            template.anon_spec,
-            name=f"{name}-anon",
-            image_id=template.image_id,
-            prepared=anon_prep,
+            template.anon_spec, name=f"{name}-anon", image_id=template.image_id
         )
         try:
             commvm = self.create_vm(
@@ -294,7 +264,6 @@ class Hypervisor:
                 name=f"{name}-comm",
                 anonymizer=template.anonymizer,
                 image_id=template.image_id,
-                prepared=comm_prep,
             )
         except Exception:
             self.destroy_vm(anonvm)
@@ -311,11 +280,12 @@ class Hypervisor:
         anonymizer: str = "",
         base_layer: Optional[Layer] = None,
         image_id: str = NYMIX_IMAGE_ID,
-        prepared: Optional[tuple] = None,
     ) -> VirtualMachine:
-        """``prepared`` is flash_clone's pre-resolved ``((config, bottom),
-        zygote)`` bundle for this flavour — exactly what the zygote-cache
-        branch below would look up, minus the per-clone cache probes."""
+        """A new VM on its flavour's shared mount layers and zygote.
+
+        Only the tmpfs top of the mount and the guest's own memory are
+        fresh; the memory adopts the zygote's runs when the VM boots.
+        """
         if self.emergency_halted:
             raise HypervisorError("hypervisor is halted (base image tamper detected)")
         vm_id = name or f"{spec.role.value}-{next(self._vm_counter)}"
@@ -323,45 +293,15 @@ class Hypervisor:
             raise HypervisorError(f"VM id {vm_id!r} already exists")
         guest_memory = self.memory.allocate_guest(vm_id, spec.ram_bytes)
         base = base_layer if base_layer is not None else self.base_layer
-        template_memory: Optional[GuestMemory] = None
-        if prepared is not None:
-            (config, bottom), template_memory = prepared
-            fs = build_vm_mount(
-                role=spec.role,
-                tmpfs_bytes=spec.writable_fs_bytes,
-                base=base,
-                anonymizer=anonymizer,
-                config=config,
-                bottom=bottom,
-            )
-        elif self.zygote_cache:
-            config, bottom = self._mount_layers(spec.role, anonymizer, base)
-            fs = build_vm_mount(
-                role=spec.role,
-                tmpfs_bytes=spec.writable_fs_bytes,
-                base=base,
-                anonymizer=anonymizer,
-                config=config,
-                bottom=bottom,
-            )
-            template_memory = self._zygote_memory(spec, image_id)
-        else:
-            fs = build_vm_mount(
-                role=spec.role,
-                tmpfs_bytes=spec.writable_fs_bytes,
-                base=base,
-                anonymizer=anonymizer,
-                merkle_root=self.merkle_root if self.verify_base_image else None,
-                on_tamper=self._on_tamper,
-            )
+        config, bottom = self._mount_layers(spec.role, anonymizer, base)
         vm = VirtualMachine(
             timeline=self.timeline,
             vm_id=vm_id,
             spec=spec,
             memory=guest_memory,
-            fs=fs,
+            fs=build_vm_mount(spec.role, spec.writable_fs_bytes, bottom, config=config),
             image_id=image_id,
-            template_memory=template_memory,
+            template_memory=self._zygote_memory(spec, image_id),
         )
         self._vms[vm_id] = vm
         if vm.fs.writable:
@@ -413,7 +353,7 @@ class Hypervisor:
     # -- wire registry ------------------------------------------------------------
 
     def _register_wire(self, wire: VirtualWire) -> None:
-        self._wire_slots[id(wire)] = len(self._wires)
+        self._wire_slots[wire] = len(self._wires)
         self._wires.append(wire)
         for nic in wire.endpoints:
             self._wires_by_nic[nic] = wire
@@ -423,21 +363,11 @@ class Hypervisor:
         for nic in wire.endpoints:
             if self._wires_by_nic.get(nic) is wire:
                 del self._wires_by_nic[nic]
-        slot = self._wire_slots.pop(id(wire), None)
-        if slot is None:
-            # Not registered through the factory methods (tests poke
-            # ``_wires`` directly); fall back to a linear removal.
-            if wire in self._wires:
-                self._wires.remove(wire)
-                self._wire_slots = {
-                    id(w): i for i, w in enumerate(self._wires)
-                    if id(w) in self._wire_slots
-                }
-            return
+        slot = self._wire_slots.pop(wire)
         last = self._wires.pop()
         if last is not wire:
             self._wires[slot] = last
-            self._wire_slots[id(last)] = slot
+            self._wire_slots[last] = slot
 
     # -- nymbox wiring (§4.2) -----------------------------------------------------
 

@@ -99,6 +99,19 @@ class VmSpec:
         )
 
 
+def replay_boot(memory: GuestMemory, spec: VmSpec, image_id: str) -> None:
+    """The boot-time page churn of one ``spec`` guest on ``memory``.
+
+    The boot leaves part of the base image in the page cache (the
+    KSM-shareable pages), then privately dirties the rest.  A zygote
+    records this sequence once; a VM booted without one replays it.
+    """
+    if spec.image_cache_bytes:
+        memory.map_image(image_id, spec.image_cache_bytes)
+    if spec.boot_dirty_bytes:
+        memory.dirty(spec.boot_dirty_bytes)
+
+
 # Every Nymix VM advertises exactly this hardware, regardless of host
 # (§4.2: "we want Nymix to run the same on every machine").
 HOMOGENIZED_RESOLUTION = (1024, 768)
@@ -145,7 +158,7 @@ class VirtualMachine:
         self.fs = fs
         self.image_id = image_id
         #: Pre-booted memory image to flash-adopt at boot time instead of
-        #: replaying map_image/dirty (the hypervisor's zygote cache).
+        #: calling :func:`replay_boot` (the hypervisor's zygote).
         self.template_memory = template_memory
         self.state = VmState.CREATED
         self.nics: List[VirtualNic] = []
@@ -185,14 +198,11 @@ class VirtualMachine:
             template = self.template_memory
             if template is not None and self.memory.can_adopt(template):
                 # Flash clone: take the template's post-boot content runs
-                # copy-on-write — equivalent to replaying the map/dirty
-                # sequence below, without the per-boot run construction.
+                # copy-on-write — equivalent to replaying the boot
+                # sequence, without the per-boot run construction.
                 self.memory.adopt_template(template)
             else:
-                if self.spec.image_cache_bytes:
-                    self.memory.map_image(self.image_id, self.spec.image_cache_bytes)
-                if self.spec.boot_dirty_bytes:
-                    self.memory.dirty(self.spec.boot_dirty_bytes)
+                replay_boot(self.memory, self.spec, self.image_id)
             self.state = VmState.RUNNING
             self.booted_at = self.timeline.now
             self.last_boot_seconds = duration

@@ -6,10 +6,11 @@ tests that use them, as behavioural oracles: the rewritten paths must
 produce the same answers.
 
 The two ``*_CACHE_OFF`` lists turn the handshake and mixnet caches off
-from outside.  Each entry is an ``(owner, name, value)`` patch; apply a
-list through ``monkeypatch`` (see :func:`apply`), which restores every
-original when the test or ``monkeypatch.context()`` block ends.
-Production modules carry no switches for this.
+from outside, and ``COLD_BOOT`` turns off the flash-clone launch path.
+Each entry is an ``(owner, name, value)`` patch; apply a list through
+``monkeypatch`` (see :func:`apply`), which restores every original when
+the test or ``monkeypatch.context()`` block ends.  Production modules
+carry no switches for this.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from repro.memory.pages import (
 )
 from repro.mixnet import packet as packet_mod
 from repro.mixnet.packet import MixKeyCache, MixStreamCache
+from repro.unionfs.verify import VerifiedLayer
+from repro.vmm.baseimage import build_config_layer
+from repro.vmm.hypervisor import Hypervisor
 
 
 def apply(monkeypatch, patches) -> None:
@@ -203,7 +207,7 @@ def seed_fleet_candidates(self, exclude=None):
 
 
 # ---------------------------------------------------------------------------
-# Cache-off patches.
+# Cache-off patches and the cold boot.
 # ---------------------------------------------------------------------------
 
 
@@ -264,4 +268,21 @@ MIXNET_CACHE_OFF = [
     (packet_mod, "derive_node_key", _seed_derive_node_key),
     (packet_mod, "_seal", _seed_seal),
     (packet_mod, "_open", _seed_open),
+]
+
+
+def _seed_mount_layers(self, role, anonymizer: str, base):
+    """The seed mount: a fresh config layer and, with verified boot on, a
+    fresh ``VerifiedLayer`` (and its Merkle proof index) for every VM."""
+    bottom = base
+    if self.verify_base_image:
+        bottom = VerifiedLayer(base, self.merkle_root, on_tamper=self._on_tamper)
+    return build_config_layer(role, anonymizer), bottom
+
+
+#: The seed launch path: no zygote, so every boot replays the boot
+#: sequence itself, and no mount layer shared between VMs.
+COLD_BOOT = [
+    (Hypervisor, "_zygote_memory", _no_cache),
+    (Hypervisor, "_mount_layers", _seed_mount_layers),
 ]

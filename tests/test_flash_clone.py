@@ -3,7 +3,9 @@
 The load-bearing property throughout: a flash-cloned nymbox is
 *semantically identical* to a cold-booted one — same fingerprints, same
 memory accounting, and byte-identical same-seed event journals — so the
-zygote cache is purely a wall-clock optimization.
+zygote cache is purely a wall-clock optimization.  The cold boot is the
+``COLD_BOOT`` oracle in ``tests/seed_oracles.py``, patched in from
+outside.
 """
 
 import pytest
@@ -15,7 +17,7 @@ from repro.net.internet import Internet
 from repro.sim import Timeline
 from repro.vmm import Hypervisor, VmSpec
 
-from tests.seed_oracles import NTOR_CACHE_OFF, apply
+from tests.seed_oracles import COLD_BOOT, NTOR_CACHE_OFF, apply
 
 
 @pytest.fixture(autouse=True)
@@ -28,12 +30,19 @@ def _fresh_ntor_cache():
     NTOR_CLIENT_CACHE.clear()
 
 
-def _churn_manager(flash_clone: bool, seed: int = 42, cycles: int = 3):
-    manager = NymManager(NymixConfig(seed=seed, flash_clone=flash_clone))
+def _churn_manager(seed: int = 42, cycles: int = 3):
+    manager = NymManager(NymixConfig(seed=seed))
     for _ in range(cycles):
         manager.discard_nym(manager.create_nym())
     nym = manager.create_nym()
     return manager, nym
+
+
+def _cold(monkeypatch, build, extra=()):
+    """``build()`` with every launch cold-booted (and ``extra`` patched in)."""
+    with monkeypatch.context() as patch:
+        apply(patch, [*COLD_BOOT, *extra])
+        return build()
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +51,9 @@ def _churn_manager(flash_clone: bool, seed: int = 42, cycles: int = 3):
 
 
 class TestCloneColdEquivalence:
-    def test_manager_state_identical(self):
-        cold_mgr, cold_nym = _churn_manager(flash_clone=False)
-        flash_mgr, flash_nym = _churn_manager(flash_clone=True)
+    def test_manager_state_identical(self, monkeypatch):
+        cold_mgr, cold_nym = _cold(monkeypatch, _churn_manager)
+        flash_mgr, flash_nym = _churn_manager()
 
         assert (
             flash_mgr.hypervisor.memory_snapshot()
@@ -59,9 +68,9 @@ class TestCloneColdEquivalence:
             == cold_mgr.hypervisor.memory.ksm.stats()
         )
 
-    def test_same_seed_journals_byte_identical(self):
-        cold_mgr, _ = _churn_manager(flash_clone=False)
-        flash_mgr, _ = _churn_manager(flash_clone=True)
+    def test_same_seed_journals_byte_identical(self, monkeypatch):
+        cold_mgr, _ = _cold(monkeypatch, _churn_manager)
+        flash_mgr, _ = _churn_manager()
         cold = cold_mgr.obs.journal.export_jsonl()
         flash = flash_mgr.obs.journal.export_jsonl()
         assert flash == cold
@@ -69,26 +78,23 @@ class TestCloneColdEquivalence:
     def test_journals_identical_with_caches_disabled(self, monkeypatch):
         """The handshake caches are stream-neutral: warm, cold, or
         disabled, the same seed draws the same RNG stream."""
-        flash_mgr, _ = _churn_manager(flash_clone=True)
-        with monkeypatch.context() as patch:
-            apply(patch, NTOR_CACHE_OFF)
-            cold_mgr, _ = _churn_manager(flash_clone=False)
+        flash_mgr, _ = _churn_manager()
+        cold_mgr, _ = _cold(monkeypatch, _churn_manager, NTOR_CACHE_OFF)
         assert (
             flash_mgr.obs.journal.export_jsonl()
             == cold_mgr.obs.journal.export_jsonl()
         )
 
-    def test_fleet_stats_and_journals_identical(self):
+    def test_fleet_stats_and_journals_identical(self, monkeypatch):
         from repro.fleet import Fleet
         from repro.tenancy.policy import FleetPolicies
         from repro.workloads.fleet import fleet_workload
 
-        def run(flash_clone: bool):
+        def run():
             timeline = Timeline(seed=5)
             fleet = Fleet(
                 timeline, hosts=2,
                 policies=FleetPolicies(placement="ksm-aware"),
-                flash_clone=flash_clone,
             )
             workload = fleet_workload(timeline.fork_rng("wl"), 8)
             for item in workload:
@@ -96,8 +102,8 @@ class TestCloneColdEquivalence:
             fleet.settle_ksm()
             return fleet.stats(), timeline.obs.journal.export_jsonl()
 
-        cold_stats, cold_journal = run(flash_clone=False)
-        flash_stats, flash_journal = run(flash_clone=True)
+        cold_stats, cold_journal = _cold(monkeypatch, run)
+        flash_stats, flash_journal = run()
         assert flash_stats == cold_stats
         assert flash_journal == cold_journal
 
@@ -183,15 +189,20 @@ class TestZygoteCache:
         timeline = Timeline(seed=9)
         return Hypervisor(timeline, Internet(timeline))
 
-    def test_flash_clone_boots_running_pair(self, hv):
+    def test_flash_clone_boots_running_pair(self, hv, monkeypatch):
         template = hv.nymbox_template(VmSpec.anonvm(), VmSpec.commvm(), "tor")
         anon, comm, wire = hv.flash_clone(template, "nym1")
         anon.boot()
         comm.boot()
         assert anon.running and comm.running
-        cold_anon = Hypervisor(hv.timeline, hv.internet, zygote_cache=False)
-        cold = cold_anon.create_vm(VmSpec.anonvm(), name="cold-anon")
-        cold.boot()
+
+        def cold_anon():
+            cold_hv = Hypervisor(hv.timeline, hv.internet)
+            cold = cold_hv.create_vm(VmSpec.anonvm(), name="cold-anon")
+            cold.boot()
+            return cold
+
+        cold = _cold(monkeypatch, cold_anon)
         assert anon.memory.stats() == cold.memory.stats()
 
     def test_zygote_memory_not_registered_with_host(self, hv):
@@ -209,6 +220,23 @@ class TestZygoteCache:
         assert layers1[0] is not layers2[0]  # fresh tmpfs top per clone
         assert layers1[1] is layers2[1]  # shared config layer
         assert layers1[2] is layers2[2]  # shared base/verified bottom
+
+    def test_manager_churn_leaves_hypervisor_state_bounded(self):
+        """Every dict, list and set on the hypervisor is as long after 60
+        create/discard cycles as after 10: launches leave nothing behind."""
+        manager = NymManager(NymixConfig(seed=3))
+
+        def churn(cycles):
+            for _ in range(cycles):
+                manager.discard_nym(manager.create_nym())
+            return {
+                name: len(value)
+                for name, value in vars(manager.hypervisor).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        after_10 = churn(10)
+        assert churn(50) == after_10
 
     def test_partial_clone_failure_rolls_back(self, hv):
         template = hv.nymbox_template(VmSpec.anonvm(), VmSpec.commvm(), "tor")
@@ -355,6 +383,20 @@ class TestWireIndex:
             hv.destroy_vm(anon)
             hv.destroy_vm(comm)
             assert wire not in hv._wires
+        assert hv._wires == []
+        assert hv._wire_slots == {} and hv._wires_by_nic == {}
+
+    def test_index_survives_a_pickle_round_trip(self, hv):
+        """Shard checkpoints pickle whole hypervisors: the unpickled index
+        must still find and drop every wire registered before the pickle."""
+        import pickle
+
+        template = hv.nymbox_template(VmSpec.anonvm(), VmSpec.commvm(), "tor")
+        for i in range(3):
+            hv.flash_clone(template, f"nym{i}")
+        hv = pickle.loads(pickle.dumps(hv))
+        for vm in hv.vms():
+            hv.destroy_vm(vm)
         assert hv._wires == []
         assert hv._wire_slots == {} and hv._wires_by_nic == {}
 

@@ -3,13 +3,15 @@
 Other tests compare two runs of the *current* code with each other; these
 compare the current code with the bytes it has always produced.  Each
 CLI case runs a seed-7 scenario in process and checks the sha256 of its
-event journal against a recorded digest.  The browse/store cases drive a
-seed-7 ``NymixSession`` through browsing and the §3.5 store and load,
-and also pin the sealed blob and the stored files, which the fleet and
-tenancy journals never touch.  The sharded case pins a crash-injected
-``fleet --shards`` run's combined journal and metrics spools under both
-executors.  The digests are stable across ``PYTHONHASHSEED`` and match
-fresh-process runs of the same commands.
+event journal against a recorded digest.  The ``fleet-quick`` case also
+runs cold-booted (``COLD_BOOT`` in ``tests/seed_oracles.py``): that is
+the gate that a flash clone journals the same bytes as a cold boot.  The
+browse/store cases drive a seed-7 ``NymixSession`` through browsing and
+the §3.5 store and load, and also pin the sealed blob and the stored
+files, which the fleet and tenancy journals never touch.  The sharded
+case pins a crash-injected ``fleet --shards`` run's combined journal and
+metrics spools under both executors.  The digests are stable across
+``PYTHONHASHSEED`` and match fresh-process runs of the same commands.
 
 A change that re-baselines journals on purpose updates these digests and
 says so in CHANGES.md.  Any other digest change is a regression.
@@ -22,6 +24,8 @@ import pytest
 from repro.api import NymixSession
 from repro.cli import main
 from repro.fleet.shard import combined_spool_bytes
+
+from tests.seed_oracles import COLD_BOOT, apply
 
 MIB = 1024 * 1024
 
@@ -49,14 +53,26 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_journal_matches_recorded_digest(case, tmp_path, monkeypatch, capsys):
-    argv, digest = CASES[case]
+def _cli_journal_digest(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     journal = tmp_path / "journal.jsonl"
     assert main(argv + ["--journal", str(journal)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(journal.read_bytes()).hexdigest() == digest
+    return hashlib.sha256(journal.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_journal_matches_recorded_digest(case, tmp_path, monkeypatch, capsys):
+    argv, digest = CASES[case]
+    assert _cli_journal_digest(argv, tmp_path, monkeypatch, capsys) == digest
+
+
+def test_cold_boot_fleet_journal_matches_recorded_digest(
+    tmp_path, monkeypatch, capsys
+):
+    argv, digest = CASES["fleet-quick"]
+    apply(monkeypatch, COLD_BOOT)
+    assert _cli_journal_digest(argv, tmp_path, monkeypatch, capsys) == digest
 
 
 #: A sharded run whose crash plan puts a crash at epoch 15 while the run

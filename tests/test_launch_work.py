@@ -8,8 +8,9 @@ ladders, and KSM answers an unchanged host from its memo.  None of that
 moves a journal byte, so only counting the work shows that it is
 skipped.  These tests count calls through ``monkeypatch`` wrappers on
 objects built with default settings, after clearing the process-global
-caches, and pin the exact numbers.  The ``flash_clone=False`` cases show
-the counts of the cold path the pins guard against.
+caches, and pin the exact numbers.  The cases under ``COLD_BOOT``
+(``tests/seed_oracles.py``) show the counts of the cold path the pins
+guard against.
 """
 
 import pytest
@@ -24,6 +25,8 @@ from repro.runtime import reset_process_caches
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import FleetPolicies
 from repro.workloads.fleet import fleet_workload
+
+from tests.seed_oracles import COLD_BOOT, apply
 
 #: ``(key, owner, attribute, when)``: calls to ``owner.attribute`` count
 #: under ``key`` if ``when`` is None or true of the call's arguments.
@@ -79,9 +82,9 @@ def _work(adopt=0, map_image=0, dirty=0, cow_copy=0, relay_x25519=0, ksm_recompu
     )
 
 
-def _manager_cycles(count_work, **config):
+def _manager_cycles(count_work):
     """20 create/discard cycles on a seed-11 manager after 10 warm-ups."""
-    manager = NymManager(NymixConfig(seed=11, **config))
+    manager = NymManager(NymixConfig(seed=11))
     for _ in range(10):
         manager.discard_nym(manager.create_nym())
     counts = count_work()
@@ -90,12 +93,10 @@ def _manager_cycles(count_work, **config):
     return counts
 
 
-def _fleet_places(count_work, **options):
+def _fleet_places(count_work):
     """32 places on a seed-5, 4-host ksm-aware fleet after 8 warm-ups."""
     timeline = Timeline(seed=5)
-    fleet = Fleet(
-        timeline, hosts=4, policies=FleetPolicies(placement="ksm-aware"), **options
-    )
+    fleet = Fleet(timeline, hosts=4, policies=FleetPolicies(placement="ksm-aware"))
     workload = fleet_workload(timeline.fork_rng("wl"), 40)
     for item in workload[:8]:
         fleet.place(item.name, item.image_id)
@@ -105,11 +106,9 @@ def _fleet_places(count_work, **options):
     return counts
 
 
-def _sharded_run(count_work, spool_dir, **options):
+def _sharded_run(count_work, spool_dir):
     """One whole seed-7 run: 2 shards x 2 hosts, 24 nyms, 5 s epochs."""
-    config = ShardConfig(
-        seed=7, shards=2, hosts_per_shard=2, nyms=24, epoch_s=5.0, **options
-    )
+    config = ShardConfig(seed=7, shards=2, hosts_per_shard=2, nyms=24, epoch_s=5.0)
     counts = count_work()
     run_sharded_fleet(config, str(spool_dir))
     return counts
@@ -121,8 +120,9 @@ class TestNymManager:
             adopt=40, relay_x25519=17, ksm_recompute=60
         )
 
-    def test_cold_boots_replay_the_boot_sequence(self, count_work):
-        assert _manager_cycles(count_work, flash_clone=False) == _work(
+    def test_cold_boots_replay_the_boot_sequence(self, count_work, monkeypatch):
+        apply(monkeypatch, COLD_BOOT)
+        assert _manager_cycles(count_work) == _work(
             map_image=40, dirty=40, relay_x25519=17, ksm_recompute=60
         )
 
@@ -135,8 +135,9 @@ class TestFleet:
             adopt=64, map_image=2, dirty=2, ksm_recompute=64
         )
 
-    def test_cold_boots_replay_the_boot_sequence(self, count_work):
-        assert _fleet_places(count_work, flash_clone=False) == _work(
+    def test_cold_boots_replay_the_boot_sequence(self, count_work, monkeypatch):
+        apply(monkeypatch, COLD_BOOT)
+        assert _fleet_places(count_work) == _work(
             map_image=64, dirty=64, ksm_recompute=64
         )
 
@@ -148,8 +149,11 @@ class TestShardedFleet:
             adopt=48, map_image=12, dirty=34, cow_copy=22, ksm_recompute=79
         )
 
-    def test_cold_boots_replay_the_boot_sequence(self, count_work, tmp_path):
-        assert _sharded_run(count_work, tmp_path, flash_clone=False) == _work(
+    def test_cold_boots_replay_the_boot_sequence(
+        self, count_work, monkeypatch, tmp_path
+    ):
+        apply(monkeypatch, COLD_BOOT)
+        assert _sharded_run(count_work, tmp_path) == _work(
             map_image=48, dirty=70, ksm_recompute=79
         )
 
