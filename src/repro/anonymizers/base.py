@@ -150,10 +150,6 @@ class Anonymizer:
                 payload_bytes=int(payload_bytes * plan.overhead_factor),
             )
 
-    def download_overhead_factor(self) -> float:
-        """Bulk-flow overhead, used by parallel download experiments."""
-        return self.plan(0).overhead_factor
-
     # -- quasi-persistent state (§3.5) ------------------------------------------
 
     def export_state(self) -> AnonymizerState:

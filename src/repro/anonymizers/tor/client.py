@@ -248,10 +248,6 @@ class TorClient(Anonymizer):
         )
         return self._pool
 
-    @property
-    def circuit_pool(self) -> Optional[CircuitPool]:
-        return self._pool
-
     def exit_address(self) -> Ipv4Address:
         return self.current_circuit.exit.descriptor.ip
 

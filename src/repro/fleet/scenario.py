@@ -358,9 +358,10 @@ def resume_fleet_sharded(
 ) -> ShardedFleetReport:
     """Resume a killed sharded run (``repro fleet --resume DIR``).
 
-    ``procs`` is free to differ from the killed run's executor — a
-    checkpoint is mode-neutral, so a serial run resumes parallel and
-    vice versa with identical bytes.
+    The run is replayed to its checkpoint, checked against the spools it
+    recorded, and run to the end.  ``procs`` is free to differ from the
+    killed run's executor — a checkpoint is mode-neutral, so a serial
+    run resumes parallel and vice versa with identical bytes.
     """
     start = time.perf_counter()
     _, result = resume_sharded_fleet(checkpoint_dir, procs=procs)

@@ -19,20 +19,20 @@ Determinism is preserved by construction:
   fixed order at each barrier — two same-seed runs produce
   byte-identical spools, shard by shard;
 * host-crash faults are scheduled from a forked RNG onto (shard, epoch)
-  slots and fired inline at barriers, never through timeline callbacks,
-  which keeps every shard quiescent (empty event queue) at each barrier.
+  slots and fired inline at barriers, never through timeline callbacks.
 
-That quiescence is what makes **checkpoint/resume** well-defined: at a
-barrier every shard is a closed object graph (timeline + fleet + cursor)
-with no pending callbacks, so it pickles whole.  A run given a
-checkpoint directory checkpoints at every barrier.  The directory
-holds one pickle per shard, one for the coordinator journal, and a
-manifest that names those pickles and records every spool's byte
-offset; the manifest is the commit point.  Resume truncates each spool
-to its recorded offset (cutting anything a killed run wrote past the
-checkpoint) and continues the epoch loop; the concatenated journal
-bytes of a resumed run are identical to an uninterrupted same-seed run —
-pinned by tests/test_fleet_shard.py and the scale-smoke CI job.
+So the state of every shard at a barrier is a pure function of the
+config and the epoch, and **checkpoint/resume** needs no saved state.
+A run given a checkpoint directory writes one file there at every
+barrier, ``manifest.json`` (tmp + rename): the config, the epoch, the
+absolute spool directory and every spool's byte offset.  Resume
+rebuilds the run from the config, replays it to that epoch, and goes on
+only if every replayed spool equals the first ``offset`` bytes of the
+spool the interrupted run recorded — every resume verifies the
+checkpointed prefix, and bytes a killed run wrote past the checkpoint
+are dropped.  The concatenated journal bytes of a resumed run are
+identical to an uninterrupted same-seed run — pinned by
+tests/test_fleet_shard.py and the scale-smoke CI job.
 
 The coordinator drives shards through one op protocol, :func:`apply`,
 over one of two transports, and the transport is where execution modes
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -74,6 +73,10 @@ from repro.tenancy.policy import FleetPolicies
 from repro.workloads.fleet import NymArrival, fleet_workload
 
 _MANIFEST = "manifest.json"
+#: suffix of a recorded spool that a resume has set aside to check its replay
+_RECORDED = ".recorded"
+#: bytes read per step when a replayed spool is compared with its record
+_COMPARE_CHUNK = 1 << 20
 
 
 def combined_spool_bytes(spool_paths: List[str]) -> bytes:
@@ -173,7 +176,6 @@ class BarrierReport:
     sim_now: float
     journal_events: int
     spool_offset: int
-    metrics_events: int
     metrics_offset: int
     stats: FleetStats
 
@@ -202,8 +204,8 @@ class FleetShard:
         self.timeline = Timeline(seed=config.shard_seed(shard_id))
         self.timeline.obs.journal.stream_to(spool_path, window=config.journal_window)
         # The per-epoch metrics spool: one snapshot event per barrier,
-        # streamed beside the journal with the same window/checkpoint
-        # machinery.  Without a path it stays a small in-memory journal
+        # streamed beside the journal with the same window and offsets.
+        # Without a path it stays a small in-memory journal
         # (standalone-shard tests).
         self.metrics = EventJournal(self.timeline.clock)
         if metrics_path:
@@ -267,7 +269,6 @@ class FleetShard:
             sim_now=self.timeline.now,
             journal_events=len(self.journal),
             spool_offset=self.journal.spool_offset,
-            metrics_events=len(self.metrics),
             metrics_offset=self.metrics.spool_offset,
             stats=stats,
         )
@@ -303,20 +304,9 @@ class FleetShard:
         self.metrics.close_spool()
 
 
-#: The ops that put a shard into a transport; each replies the shard's
-#: opening :class:`BarrierReport`.
-OPEN_OPS = ("build", "resume")
-
-
-def open_shard(op: str, shard_id: int, payload) -> FleetShard:
-    """Make a shard from a ``build`` or ``resume`` payload.
-
-    ``build`` carries ``(config, spool_path, metrics_path, arrivals)``;
-    ``resume`` carries the path of the shard's checkpoint pickle.
-    """
-    if op == "resume":
-        with open(payload, "rb") as handle:
-            return pickle.load(handle)
+def open_shard(shard_id: int, payload) -> FleetShard:
+    """Make a shard from a ``build`` payload, ``(config, spool_path,
+    metrics_path, arrivals)``."""
     config, spool_path, metrics_path, arrivals = payload
     return FleetShard(
         config, shard_id, spool_path,
@@ -341,12 +331,6 @@ def apply(shard: FleetShard, op: str, payload) -> object:
         return crashed, shard.barrier(epoch)
     if op == "report":
         return shard.report()
-    if op == "checkpoint":
-        if not shard.timeline.quiescent:
-            raise FleetError(
-                f"shard {shard.shard_id} has pending events at the barrier"
-            )
-        return pickle.dumps(shard)
     if op == "flush":
         shard.flush_spools()
     elif op == "close":
@@ -365,9 +349,9 @@ class InProcessShards:
     :func:`apply`.
     """
 
-    def __init__(self, op: str, payloads: List[object]) -> None:
+    def __init__(self, payloads: List[object]) -> None:
         self.shards = [
-            open_shard(op, shard_id, payload)
+            open_shard(shard_id, payload)
             for shard_id, payload in enumerate(payloads)
         ]
 
@@ -440,7 +424,8 @@ class ShardedFleet:
     ) -> None:
         self.config = config
         self.procs = _worker_count(procs, config.shards)
-        self.spool_dir = str(spool_dir)
+        # Absolute, so a checkpoint resumes from any working directory.
+        self.spool_dir = os.path.abspath(spool_dir)
         self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else None
         os.makedirs(self.spool_dir, exist_ok=True)
         if self.checkpoint_dir:
@@ -448,7 +433,6 @@ class ShardedFleet:
         self.epoch = 0
         self._pool = None
         self._crash_plan = self._plan_crashes()
-        self._crashes_fired = 0
         # The coordinator's own journal: merged accounting per barrier,
         # streamed like every shard's.  The metrics journal carries the
         # merged per-epoch snapshot the shards' metrics spools roll into.
@@ -463,31 +447,25 @@ class ShardedFleet:
         )
         per_shard = partition_arrivals(config)
         self._last_arrival = _last_arrival_time(per_shard)
-        self._reports = self._open_shards(
-            "build",
-            [
-                (
-                    config, self._spool_path(f"shard-{shard_id:02d}"),
-                    self.metrics_path(f"shard-{shard_id:02d}"), arrivals,
-                )
-                for shard_id, arrivals in enumerate(per_shard)
-            ],
-        )
+        payloads = [
+            (
+                config, self._spool_path(f"shard-{shard_id:02d}"),
+                self.metrics_path(f"shard-{shard_id:02d}"), arrivals,
+            )
+            for shard_id, arrivals in enumerate(per_shard)
+        ]
+        if self.procs == 1:
+            self._shards = InProcessShards(payloads)
+            self._reports = self._call("report")
+        else:
+            from repro.fleet.parallel import WorkerPool
+
+            self._pool = self._shards = WorkerPool(self.procs, len(payloads))
+            self._reports = self._pool.call("build", payloads)
         self._coord_journal.record(
             "coord.created", shards=config.shards, nyms=config.nyms,
             hosts=config.shards * config.hosts_per_shard, policy=config.policy,
         )
-
-    def _open_shards(self, op: str, payloads: List[object]) -> List[BarrierReport]:
-        """Start the transport, put every shard in it, return their reports."""
-        if self.procs == 1:
-            self._shards = InProcessShards(op, payloads)
-            return self._call("report")
-        from repro.fleet.parallel import WorkerPool
-
-        self._pool = self._shards = WorkerPool(self.procs, len(payloads))
-        self._pool.last_barrier = self.epoch
-        return self._pool.call(op, payloads)
 
     def _call(self, op: str) -> List[object]:
         """Send a payload-free op to every shard."""
@@ -602,7 +580,6 @@ class ShardedFleet:
             )
             crashed = [iter(hosts) for hosts, _ in replies]
             for shard_id in due:
-                self._crashes_fired += 1
                 self._coord_journal.record(
                     "coord.host_crash", shard=shard_id,
                     host=next(crashed[shard_id]) or "",
@@ -735,77 +712,36 @@ class ShardedFleet:
     # -- checkpoint/resume ---------------------------------------------------
 
     def checkpoint(self) -> str:
-        """Persist the whole run at the current barrier, atomically.
+        """Record the current barrier in ``manifest.json``, atomically.
 
-        Journals were flushed at the barrier, so each shard is a
-        quiescent object graph whose spool offsets are the ones in the
-        barrier's reports.  The shard pickles come through the transport,
-        so a worker-resident shard is serialized in its own process and
-        shipped back whole.
-
-        The manifest is the commit point.  This checkpoint's pickles get
-        names that carry the epoch, the manifest that names them lands
-        last (tmp + rename), and only then are the pickles it does not
-        name deleted.  A kill at any point leaves the previous manifest
-        with all of its own pickles, and a finished checkpoint leaves
-        one generation of files.
+        The shards' state here is a pure function of the config and the
+        epoch, so the manifest holds only what :meth:`resume` needs to
+        rebuild and check it: the config, the epoch, the absolute spool
+        directory and each spool's byte offset.  The shards' offsets come
+        from the reports this barrier already returned, so a checkpoint
+        costs no shard round trip.  The manifest lands by tmp + rename,
+        so a kill leaves the previous one whole.
         """
         if not self.checkpoint_dir:
             raise FleetError("this ShardedFleet has no checkpoint_dir")
-        shard_pickles = [
-            f"shard-{shard_id:02d}.e{self.epoch}.pkl"
-            for shard_id in range(self.config.shards)
-        ]
-        for name, data in zip(shard_pickles, self._call("checkpoint")):
-            self._write_atomic(os.path.join(self.checkpoint_dir, name), data)
-        coordinator_pickle = f"coordinator.e{self.epoch}.pkl"
-        self._write_atomic(
-            os.path.join(self.checkpoint_dir, coordinator_pickle),
-            pickle.dumps(
-                (self._coord_clock, self._coord_journal, self._coord_metrics)
-            ),
-        )
+        offsets = {
+            self._spool_path("coordinator"): self._coord_journal.spool_offset,
+            self.metrics_path("metrics"): self._coord_metrics.spool_offset,
+        }
+        for report in self._reports:
+            name = f"shard-{report.shard_id:02d}"
+            offsets[self._spool_path(name)] = report.spool_offset
+            offsets[self.metrics_path(name)] = report.metrics_offset
         manifest = {
             "config": self.config.export(),
             "epoch": self.epoch,
-            "crashes_fired": self._crashes_fired,
-            "crash_plan": {str(k): v for k, v in self._crash_plan.items()},
             "spool_dir": self.spool_dir,
-            "coordinator": {
-                "pickle": coordinator_pickle,
-                "spool": self._spool_path("coordinator"),
-                "offset": self._coord_journal.spool_offset,
-                "events": len(self._coord_journal),
-                "metrics_spool": self.metrics_path("metrics"),
-                "metrics_offset": self._coord_metrics.spool_offset,
-                "metrics_events": len(self._coord_metrics),
-            },
-            "shards": [
-                {
-                    "id": report.shard_id,
-                    "pickle": shard_pickles[report.shard_id],
-                    "spool": self._spool_path(f"shard-{report.shard_id:02d}"),
-                    "offset": report.spool_offset,
-                    "events": report.journal_events,
-                    "metrics_spool": self.metrics_path(
-                        f"shard-{report.shard_id:02d}"
-                    ),
-                    "metrics_offset": report.metrics_offset,
-                    "metrics_events": report.metrics_events,
-                    "cursor": report.cursor,
-                    "rejected": report.rejected,
-                }
-                for report in self._reports
-            ],
+            "spool_offsets": offsets,
         }
         self._write_atomic(
             os.path.join(self.checkpoint_dir, _MANIFEST),
             (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
         )
-        named = {coordinator_pickle, *shard_pickles}
-        for name in os.listdir(self.checkpoint_dir):
-            if name.endswith((".pkl", ".pkl.tmp")) and name not in named:
-                os.remove(os.path.join(self.checkpoint_dir, name))
         return self.checkpoint_dir
 
     @staticmethod
@@ -817,54 +753,48 @@ class ShardedFleet:
 
     @classmethod
     def resume(cls, checkpoint_dir: str, procs: int = 1) -> "ShardedFleet":
-        """Rebuild a run from its checkpoint directory.
+        """Rebuild a run at its checkpoint by replaying it from the config.
 
-        Every spool is truncated to the offset the manifest recorded —
-        a killed run may have flushed window batches past the last
-        barrier, and those bytes must not survive into the resumed
-        journal.  ``procs`` picks the executor for the *resumed* half
-        independently of how the checkpointing run executed: a
-        checkpoint taken under ``procs=1`` resumes fine under
-        ``procs=4`` and vice versa, byte for byte.
+        The run is built with the normal constructor and re-simulated to
+        the manifest's epoch without writing a manifest.  ``procs`` picks
+        the executor for the replay and the rest of the run, whatever
+        the checkpointing run used.  Each recorded spool is first set
+        aside as ``NAME.recorded``, and the run goes on only if each
+        replayed spool equals the first ``offset`` bytes of its recorded
+        copy; otherwise :class:`FleetError` names the spool and the
+        first differing byte.  The recorded copies stay on disk until
+        that check passes, and a resume killed before then leaves them
+        for the next one to reuse.
         """
-        manifest_path = os.path.join(checkpoint_dir, _MANIFEST)
-        with open(manifest_path) as handle:
+        with open(os.path.join(checkpoint_dir, _MANIFEST)) as handle:
             manifest = json.load(handle)
-        sharded = cls.__new__(cls)
-        sharded.config = ShardConfig(**manifest["config"])
-        sharded.spool_dir = manifest["spool_dir"]
+        config = ShardConfig(**manifest["config"])
+        _worker_count(procs, config.shards)  # fail before moving a spool
+        offsets: Dict[str, int] = manifest["spool_offsets"]
+        missing = [
+            path for path in offsets
+            if not os.path.exists(path + _RECORDED) and not os.path.exists(path)
+        ]
+        if missing:
+            raise FleetError(
+                f"cannot resume from {checkpoint_dir}: recorded spools "
+                f"missing: {', '.join(missing)}"
+            )
+        for path in offsets:
+            if not os.path.exists(path + _RECORDED):
+                os.replace(path, path + _RECORDED)
+        sharded = cls(config, manifest["spool_dir"], procs=procs)
+        try:
+            sharded.run(stop_after_epoch=manifest["epoch"])
+            for path, offset in offsets.items():
+                _check_replayed_spool(path, offset)
+        except BaseException:
+            sharded.shutdown()
+            raise
+        for path in offsets:
+            os.remove(path + _RECORDED)
         sharded.checkpoint_dir = str(checkpoint_dir)
-        sharded.epoch = manifest["epoch"]
-        sharded.procs = _worker_count(procs, sharded.config.shards)
-        sharded._pool = None
-        sharded._crashes_fired = manifest["crashes_fired"]
-        sharded._crash_plan = {
-            int(k): v for k, v in manifest["crash_plan"].items()
-        }
-        coord = manifest["coordinator"]
-        with open(os.path.join(checkpoint_dir, coord["pickle"]), "rb") as handle:
-            (
-                sharded._coord_clock,
-                sharded._coord_journal,
-                sharded._coord_metrics,
-            ) = pickle.load(handle)
-        cls._truncate_spool(coord["spool"], coord["offset"])
-        cls._truncate_spool(coord["metrics_spool"], coord["metrics_offset"])
-        pickle_paths = []
-        for entry in manifest["shards"]:
-            cls._truncate_spool(entry["spool"], entry["offset"])
-            cls._truncate_spool(entry["metrics_spool"], entry["metrics_offset"])
-            pickle_paths.append(os.path.join(checkpoint_dir, entry["pickle"]))
-        sharded._last_arrival = _last_arrival_time(
-            partition_arrivals(sharded.config)
-        )
-        sharded._reports = sharded._open_shards("resume", pickle_paths)
         return sharded
-
-    @staticmethod
-    def _truncate_spool(path: str, offset: int) -> None:
-        with open(path, "r+b") as handle:
-            handle.truncate(offset)
 
     def __repr__(self) -> str:
         return (
@@ -889,13 +819,11 @@ def run_sharded_fleet(
 
 
 def resume_sharded_fleet(
-    checkpoint_dir: str,
-    stop_after_epoch: Optional[int] = None,
-    procs: int = 1,
+    checkpoint_dir: str, procs: int = 1
 ) -> Tuple[ShardedFleet, ShardedRunResult]:
-    """Resume from ``checkpoint_dir`` and (by default) run to completion."""
+    """Resume from ``checkpoint_dir`` and run to completion."""
     sharded = ShardedFleet.resume(checkpoint_dir, procs=procs)
-    return sharded, _run_to_stop(sharded, stop_after_epoch)
+    return sharded, _run_to_stop(sharded, None)
 
 
 def _run_to_stop(
@@ -915,6 +843,29 @@ def _run_to_stop(
         sharded.flush()
         sharded.shutdown()
     return result
+
+
+def _check_replayed_spool(path: str, offset: int) -> None:
+    """Raise :class:`FleetError` unless the replayed spool at ``path``
+    equals the first ``offset`` bytes of its recorded copy."""
+    position = 0
+    with open(path, "rb") as replayed, open(path + _RECORDED, "rb") as recorded:
+        while True:
+            want = recorded.read(min(_COMPARE_CHUNK, offset - position))
+            got = replayed.read(len(want) or 1)
+            if got != want:
+                position += len(os.path.commonprefix([got, want]))
+                break
+            if not want:
+                if position == offset:
+                    return
+                break
+            position += len(want)
+    raise FleetError(
+        f"spool {path} does not match its replay: the recorded copy "
+        f"{path}{_RECORDED} and the re-simulated run differ at byte "
+        f"{position} of the {offset} checkpointed"
+    )
 
 
 # -- metrics spools -----------------------------------------------------------

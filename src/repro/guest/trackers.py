@@ -80,9 +80,6 @@ class AdNetwork:
 
     # -- the adversary's questions -----------------------------------------------
 
-    def profile_for(self, cookie_id: str) -> Optional[TrackingProfile]:
-        return self.profiles.get(cookie_id)
-
     def can_link(self, hostname_a: str, hostname_b: str) -> bool:
         """Does any single profile span both sites?"""
         return any(

@@ -94,9 +94,6 @@ class Internet:
     def server_named(self, hostname: str) -> Server:
         return self.server_at(self.resolve(hostname))
 
-    def known_hosts(self) -> Dict[str, Ipv4Address]:
-        return dict(self._by_name)
-
     # -- data plane ---------------------------------------------------------
 
     def fetch(

@@ -75,9 +75,6 @@ class PacketCapture:
             counts[entry.label] = counts.get(entry.label, 0) + 1
         return counts
 
-    def from_sender(self, sender: str) -> List[CaptureEntry]:
-        return [entry for entry in self.entries if entry.sender == sender]
-
     def __len__(self) -> int:
         return len(self.entries)
 

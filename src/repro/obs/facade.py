@@ -35,15 +35,11 @@ class Observability:
 
     enabled = True
 
-    def __init__(
-        self, clock=None, max_events: int = 250_000, on_overflow: str = "error"
-    ) -> None:
+    def __init__(self, clock=None, max_events: int = 250_000) -> None:
         self.clock = clock if clock is not None else _FrozenClock()
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(self.clock)
-        self.journal = EventJournal(
-            self.clock, max_events=max_events, on_overflow=on_overflow
-        )
+        self.journal = EventJournal(self.clock, max_events=max_events)
 
     # -- conveniences ---------------------------------------------------------
 
@@ -198,7 +194,6 @@ class _NullTracer:
 
 
 class _NullJournal:
-    dropped = 0
     max_events = 0
     streaming = False
     spool_path = None

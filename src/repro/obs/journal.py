@@ -7,27 +7,22 @@ same-seed runs of the same scenario export **byte-identical** journals —
 the journal is therefore both an audit log and a regression oracle
 (diff the JSONL of two runs to find the first divergence).
 
-The journal is bounded.  What happens at the bound is explicit:
+The journal is bounded, and overflow is loud: past ``max_events`` an
+in-memory journal raises :class:`~repro.errors.JournalOverflowError`
+instead of silently truncating the byte-identity oracle (two truncated
+journals still compare equal, which is exactly how a determinism gate
+passes on garbage).  :meth:`stream_to` switches the journal to
+**streamed** mode: events spill to a JSONL file on disk through a
+bounded in-memory window, the cap no longer applies, and the final file
+bytes are identical to what :meth:`write_jsonl` would have produced
+from an in-memory journal.  This is the scale path — a million-event
+run holds only ``window`` records in RAM.
 
-* ``on_overflow="error"`` (the default) raises
-  :class:`~repro.errors.JournalOverflowError` — a run that outgrows its
-  journal fails loudly instead of silently truncating the byte-identity
-  oracle (two truncated journals still compare equal, which is exactly
-  how a determinism gate passes on garbage).
-* ``on_overflow="drop"`` restores the old behaviour for callers that
-  genuinely want a bounded sample; drops are counted in ``dropped``.
-* :meth:`stream_to` switches the journal to **streamed** mode: events
-  spill to a JSONL file on disk through a bounded in-memory window, the
-  cap no longer applies, and the final file bytes are identical to what
-  :meth:`write_jsonl` would have produced from an in-memory journal.
-  This is the scale path — a million-event run holds only ``window``
-  records in RAM.
-
-Streamed journals also support checkpoint/resume: :meth:`flush` makes
-the spool file a prefix-stable artifact, ``spool_offset`` reports the
-flushed byte count, and a pickled journal reattaches to its spool file
-(truncating any bytes written after the recorded offset) so a resumed
-run appends exactly where the checkpoint left off.
+:meth:`flush` makes the spool file a prefix-stable artifact, and
+``spool_offset`` reports the flushed byte count.  That offset is all a
+sharded-fleet checkpoint keeps of a journal: resume replays the run
+from its seed and checks that each replayed spool reproduces the first
+``spool_offset`` bytes of the recorded one.
 """
 
 from __future__ import annotations
@@ -38,9 +33,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import JournalOverflowError, ObservabilityError
 from repro.obs.metrics import validate_metric_name
-
-#: recognised overflow policies for in-memory journals
-_OVERFLOW_MODES = ("error", "drop")
 
 
 @dataclass(frozen=True)
@@ -64,28 +56,16 @@ class EventRecord:
 class EventJournal:
     """Append-only, sim-time-stamped event log for one simulation."""
 
-    def __init__(
-        self,
-        clock,
-        max_events: int = 250_000,
-        on_overflow: str = "error",
-    ) -> None:
-        if on_overflow not in _OVERFLOW_MODES:
-            raise ObservabilityError(
-                f"unknown on_overflow mode {on_overflow!r} "
-                f"(expected one of {_OVERFLOW_MODES})"
-            )
+    def __init__(self, clock, max_events: int = 250_000) -> None:
         self._clock = clock  # anything with a ``.now`` float property
         self.max_events = max_events
-        self.on_overflow = on_overflow
         self._events: List[EventRecord] = []
-        self.dropped = 0
         # Monotonic sequence across the whole run (flushed + windowed).
         self._next_seq = 0
         # Per-name totals survive spooling, so count() stays exact after
         # flushed events leave memory (distinct names are few).
         self._name_counts: Dict[str, int] = {}
-        # Streaming state: set by stream_to()/resume; None = in-memory.
+        # Streaming state: set by stream_to(); None = in-memory.
         self._spool_path: Optional[str] = None
         self._spool_handle = None
         self._window_limit = 0
@@ -98,18 +78,14 @@ class EventJournal:
     def streaming(self) -> bool:
         return self._spool_path is not None
 
-    def record(self, name: str, **fields) -> Optional[EventRecord]:
+    def record(self, name: str, **fields) -> EventRecord:
         """Append one event at the current simulated time."""
         validate_metric_name(name)
         if not self.streaming and len(self._events) >= self.max_events:
-            if self.on_overflow == "error":
-                raise JournalOverflowError(
-                    f"event journal overflowed max_events={self.max_events} "
-                    f"(raise the cap, use on_overflow='drop', or spill to "
-                    f"disk with stream_to())"
-                )
-            self.dropped += 1
-            return None
+            raise JournalOverflowError(
+                f"event journal overflowed max_events={self.max_events} "
+                f"(raise the cap or spill to disk with stream_to())"
+            )
         record = EventRecord(
             seq=self._next_seq,
             t=self._clock.now,
@@ -158,10 +134,9 @@ class EventJournal:
             return 0
         if not self._events:
             return 0
-        handle = self._ensure_spool_handle()
         data = "".join(e.to_json() + "\n" for e in self._events).encode()
-        handle.write(data)
-        handle.flush()
+        self._spool_handle.write(data)
+        self._spool_handle.flush()
         written = len(self._events)
         self._flushed_events += written
         self._flushed_bytes += len(data)
@@ -169,27 +144,10 @@ class EventJournal:
         return written
 
     def close_spool(self) -> None:
-        """Flush and release the spool file handle (the path stays set)."""
-        if not self.streaming:
-            return
-        self.flush()
-        if self._spool_handle is not None:
+        """Flush and close the spool file (the path stays set)."""
+        if self.streaming:
+            self.flush()
             self._spool_handle.close()
-            self._spool_handle = None
-
-    def _ensure_spool_handle(self):
-        """(Re)open the spool, truncating past the recorded offset.
-
-        After an unpickle (checkpoint resume) the file may hold bytes a
-        killed run wrote beyond the checkpoint; they are cut so the
-        resumed journal appends exactly at the recorded offset.
-        """
-        if self._spool_handle is None:
-            handle = open(self._spool_path, "r+b")
-            handle.truncate(self._flushed_bytes)
-            handle.seek(self._flushed_bytes)
-            self._spool_handle = handle
-        return self._spool_handle
 
     @property
     def spool_path(self) -> Optional[str]:
@@ -197,18 +155,8 @@ class EventJournal:
 
     @property
     def spool_offset(self) -> int:
-        """Flushed byte count — the resume point a checkpoint records."""
+        """Flushed byte count — the prefix a checkpoint records."""
         return self._flushed_bytes
-
-    # -- checkpoint/resume ----------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        state["_spool_handle"] = None  # reopened lazily on next flush
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
 
     # -- querying -------------------------------------------------------------
 
@@ -279,4 +227,4 @@ class EventJournal:
 
     def __repr__(self) -> str:
         mode = f", spool={self._spool_path!r}" if self.streaming else ""
-        return f"EventJournal({len(self)} events, dropped={self.dropped}{mode})"
+        return f"EventJournal({len(self)} events{mode})"

@@ -10,8 +10,7 @@ vector structure (§4.3's screenshot-reassembly mode).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Union
 
 from repro.errors import SanitizeError
 from repro.sanitize.fileformats import FaceRegion, SimDocument, SimImage
@@ -118,16 +117,3 @@ def apply_level(parsed: SimFile, level: ParanoiaLevel) -> SimFile:
     for transform in PARANOIA_LEVELS[level]:
         result = transform(result)
     return result
-
-
-@dataclass(frozen=True)
-class TransformChoice:
-    """A user's explicit selection (alternative to a preset level)."""
-
-    transforms: Tuple[Transform, ...]
-
-    def apply(self, parsed: SimFile) -> SimFile:
-        result = parsed
-        for transform in self.transforms:
-            result = transform(result)
-        return result

@@ -216,12 +216,6 @@ class Timeline:
     def now(self) -> float:
         return self.clock.now
 
-    @property
-    def quiescent(self) -> bool:
-        """True when no events are pending — the timeline is a closed
-        object graph with no scheduled callbacks, safe to checkpoint."""
-        return len(self.events) == 0
-
     def sleep(self, seconds: float) -> float:
         """Advance time by ``seconds``, firing any events that come due."""
         target = self.clock.now + seconds

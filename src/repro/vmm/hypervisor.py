@@ -125,8 +125,6 @@ class Hypervisor:
         self._wires: List[VirtualWire] = []
         # O(1) wire teardown: wires registered through the factory methods
         # below are indexed by endpoint NIC and by position in ``_wires``.
-        # Both indexes key on the objects themselves, not on ``id()``, so
-        # they still hold after a checkpoint pickle round trip.
         self._wire_slots: Dict[VirtualWire, int] = {}
         self._wires_by_nic: Dict[VirtualNic, VirtualWire] = {}
         self._vm_counter = itertools.count(1)
@@ -278,7 +276,6 @@ class Hypervisor:
         spec: VmSpec,
         name: str = "",
         anonymizer: str = "",
-        base_layer: Optional[Layer] = None,
         image_id: str = NYMIX_IMAGE_ID,
     ) -> VirtualMachine:
         """A new VM on its flavour's shared mount layers and zygote.
@@ -292,8 +289,7 @@ class Hypervisor:
         if vm_id in self._vms:
             raise HypervisorError(f"VM id {vm_id!r} already exists")
         guest_memory = self.memory.allocate_guest(vm_id, spec.ram_bytes)
-        base = base_layer if base_layer is not None else self.base_layer
-        config, bottom = self._mount_layers(spec.role, anonymizer, base)
+        config, bottom = self._mount_layers(spec.role, anonymizer, self.base_layer)
         vm = VirtualMachine(
             timeline=self.timeline,
             vm_id=vm_id,

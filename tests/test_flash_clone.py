@@ -386,20 +386,6 @@ class TestWireIndex:
         assert hv._wires == []
         assert hv._wire_slots == {} and hv._wires_by_nic == {}
 
-    def test_index_survives_a_pickle_round_trip(self, hv):
-        """Shard checkpoints pickle whole hypervisors: the unpickled index
-        must still find and drop every wire registered before the pickle."""
-        import pickle
-
-        template = hv.nymbox_template(VmSpec.anonvm(), VmSpec.commvm(), "tor")
-        for i in range(3):
-            hv.flash_clone(template, f"nym{i}")
-        hv = pickle.loads(pickle.dumps(hv))
-        for vm in hv.vms():
-            hv.destroy_vm(vm)
-        assert hv._wires == []
-        assert hv._wire_slots == {} and hv._wires_by_nic == {}
-
     def test_foreign_wire_appended_directly_is_tolerated(self, hv):
         """Red-team tests append rogue wires straight to ``_wires``; the
         index must neither break nor tear them down on VM destroy."""

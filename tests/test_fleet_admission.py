@@ -188,16 +188,3 @@ class TestChangeDrivenVerdicts:
         assert [h.host_id for h in fleet._candidates()] == ["host-0", "host-1"]
         host.hypervisor.memory.allocate_guest("late", 64 * MIB)
         assert "host-2" not in fleet._stale_hosts
-
-    def test_checkpointed_fleet_keeps_reporting(self):
-        # Checkpoints pickle the fleet with its hypervisors: their
-        # listeners must still feed the unpickled fleet's stale set.
-        import pickle
-
-        timeline = Timeline(seed=5)
-        fleet = Fleet(timeline, hosts=3, policies=FleetPolicies())
-        fleet.place("nym-a", "img")
-        fleet._candidates()
-        fleet = pickle.loads(pickle.dumps(fleet))
-        fleet.hosts["host-1"].hypervisor.memory.allocate_guest("late", 64 * MIB)
-        assert list(fleet._stale_hosts) == ["host-1"]

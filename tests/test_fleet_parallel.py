@@ -215,10 +215,12 @@ class TestWorkerPoolProtocol:
         pool.call("build", build_payloads(config, tmp_path / "b"))
         pool.last_barrier = 4
         try:
-            # An in-worker exception (resuming a nonexistent pickle) comes
-            # back as a typed error, not a dead worker.
+            # An in-worker exception (rebuilding the shard with its spool
+            # in a missing directory) comes back as a typed error, not a
+            # dead worker.
+            missing = str(tmp_path / "missing" / "s0.jsonl")
             with pytest.raises(ShardWorkerError) as excinfo:
-                pool.call("resume", [str(tmp_path / "missing.pkl")])
+                pool.call("build", [(config, missing, None, [])])
             assert excinfo.value.shard_id == 0
             assert excinfo.value.last_barrier == 4
             # The worker survived the bad directive and still answers.
@@ -242,7 +244,7 @@ class TestWorkerPoolProtocol:
         # process and across workers, gives equal replies.  An epoch
         # reply carries the hosts it crashed and the barrier's report.
         config = ShardConfig(**{**CFG, "shards": 2, "host_crashes": 0})
-        local = InProcessShards("build", build_payloads(config, tmp_path / "l"))
+        local = InProcessShards(build_payloads(config, tmp_path / "l"))
         pool = WorkerPool(procs=2, shards=2)
         try:
             assert pool.call(
@@ -343,6 +345,22 @@ class TestScaleMetrics:
             load_scale_metrics(str(tmp_path))
 
 
+#: Flags the sharded path would ignore, with their arguments.
+SHARDED_IGNORED = [
+    ("--tenant-config", ["--tenant-config", "tenants.json"]),
+    ("--duration", ["--duration", "0"]),
+    ("--no-compare", ["--no-compare"]),
+    ("--procs", ["--procs", "-1"]),
+]
+#: Flags a resume would also ignore: its manifest decides them.
+RESUME_IGNORED = [
+    ("--stop-after-epoch", ["--stop-after-epoch", "1"]),
+    ("--shards", ["--shards", "2"]),
+    ("--scale", ["--scale", "1,2"]),
+    ("--checkpoint-dir", ["--checkpoint-dir", "ck2"]),
+]
+
+
 class TestCli:
     FLEET_ARGS = [
         "fleet", "--seed", "7", "--shards", "2", "--hosts", "8",
@@ -398,15 +416,16 @@ class TestCli:
         assert "merged metrics spool" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, extra",
+        "mode, flag, extra",
         [
-            ("--tenant-config", ["--tenant-config", "tenants.json"]),
-            ("--duration", ["--duration", "0"]),
-            ("--no-compare", ["--no-compare"]),
-            ("--procs", ["--procs", "-1"]),
+            pytest.param(mode, flag, extra, id=f"{mode}-{flag}-extra{index}")
+            for mode, flags in (
+                ("shards", SHARDED_IGNORED),
+                ("resume", SHARDED_IGNORED + RESUME_IGNORED),
+            )
+            for index, (flag, extra) in enumerate(flags)
         ],
     )
-    @pytest.mark.parametrize("mode", ["shards", "resume"])
     def test_sharded_path_rejects_ignored_flags(
         self, tmp_path, capsys, flag, extra, mode
     ):

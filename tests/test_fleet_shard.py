@@ -7,20 +7,21 @@ tests pin the three invariants the scale path promises:
 * same-seed runs are byte-identical, spool by spool;
 * flush timing (the streaming window) never changes a single byte;
 * a run killed at (or past) an epoch-barrier checkpoint and resumed —
-  even in a state pickled for a fresh process — finishes with exactly
-  the bytes of an uninterrupted run.
+  by a replay from its config that must reproduce every recorded spool
+  up to the checkpoint — finishes with exactly the bytes of an
+  uninterrupted run.
 """
 
 import json
 import os
 import pathlib
-import pickle
 
 import pytest
 
 from repro.errors import FleetError
 from repro.fleet.shard import (
     FleetShard,
+    InProcessShards,
     ShardConfig,
     ShardedFleet,
     combined_spool_bytes,
@@ -56,7 +57,7 @@ def spool_files(spool_dir):
 
 
 class Killed(Exception):
-    """Stands in for the process dying part-way through a checkpoint."""
+    """Stands in for the process dying part-way through a run."""
 
 
 def kill_on_write(monkeypatch, prefix, nth):
@@ -170,32 +171,37 @@ class TestShardedDeterminism:
 
 
 class TestKillResume:
-    def test_resume_from_checkpoint_is_byte_identical(self, tmp_path):
-        config, dir_a, _ = run_to_completion(tmp_path, "uninterrupted")
+    @pytest.mark.parametrize(
+        "stop_after", [1, 2, None], ids=["epoch-1", "epoch-2", "completed"]
+    )
+    def test_resume_from_checkpoint_is_byte_identical(self, tmp_path, stop_after):
+        # ``None`` resumes from the final checkpoint of a completed run:
+        # the replay runs every epoch and the resume only seals the spools.
+        config, dir_a, clean = run_to_completion(tmp_path, "uninterrupted")
         baseline = combined(dir_a, config.shards)
 
         dir_b = str(tmp_path / "killed")
         ck = str(tmp_path / "ck")
         partial = run_sharded_fleet(
-            config, dir_b, checkpoint_dir=ck, stop_after_epoch=1
+            config, dir_b, checkpoint_dir=ck, stop_after_epoch=stop_after
         )
-        assert not partial.completed
-        assert partial.epochs == 1
+        assert partial.completed == (stop_after is None)
+        assert partial.epochs == (stop_after or clean.epochs)
         _, resumed = resume_sharded_fleet(ck)
         assert resumed.completed
+        assert resumed.epochs == clean.epochs
         assert combined(dir_b, config.shards) == baseline
+        assert spool_files(dir_b) == spool_files(dir_a)
 
     @pytest.mark.parametrize("procs", [1, 2])
     @pytest.mark.parametrize(
-        "killed_at",
-        ["manifest", "shard-01"],
-        ids=["before-the-manifest", "between-shard-pickles"],
+        "killed_at", ["manifest"], ids=["before-the-manifest"]
     )
     def test_kill_during_a_checkpoint_resumes_byte_identical(
         self, tmp_path, monkeypatch, killed_at, procs
     ):
-        # The kill lands inside the second checkpoint, after some of its
-        # files were written: resume must start from the first one.
+        # The kill lands inside the second checkpoint, before its
+        # manifest replaced the first one: resume starts from the first.
         config = ShardConfig(**KILL_CFG)
         clean = str(tmp_path / "clean")
         run_sharded_fleet(config, clean)
@@ -212,18 +218,46 @@ class TestKillResume:
         assert resumed.completed
         assert spool_files(spools) == spool_files(clean)
 
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_kill_during_a_replay_resumes_byte_identical(
+        self, tmp_path, monkeypatch, procs
+    ):
+        # The first resume dies half-way through replaying the four
+        # checkpointed epochs, after it set the recorded spools aside;
+        # the second reuses those copies and still ends byte-identical.
+        config = ShardConfig(**KILL_CFG)
+        clean = str(tmp_path / "clean")
+        run_sharded_fleet(config, clean)
+
+        spools = str(tmp_path / "killed")
+        ck = str(tmp_path / "ck")
+        run_sharded_fleet(config, spools, checkpoint_dir=ck, stop_after_epoch=4)
+        barrier = ShardedFleet._barrier
+
+        def dying_barrier(sharded, epoch_end, reports):
+            if sharded.epoch == 2:
+                raise Killed(f"replay epoch {sharded.epoch}")
+            barrier(sharded, epoch_end, reports)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardedFleet, "_barrier", dying_barrier)
+            with pytest.raises(Killed):
+                resume_sharded_fleet(ck, procs=procs)
+        set_aside = sorted(
+            name for name in os.listdir(spools) if name.endswith(".recorded")
+        )
+        assert set_aside == sorted(f"{name}.recorded" for name in os.listdir(clean))
+        _, resumed = resume_sharded_fleet(ck, procs=procs)
+        assert resumed.completed
+        assert spool_files(spools) == spool_files(clean)
+
     def test_a_checkpoint_directory_holds_one_generation(self, tmp_path):
         config = ShardConfig(**KILL_CFG)
         ck = tmp_path / "ck"
         result = run_sharded_fleet(config, str(tmp_path / "s"), checkpoint_dir=str(ck))
+        assert os.listdir(ck) == ["manifest.json"]
         manifest = json.loads((ck / "manifest.json").read_text())
         assert manifest["epoch"] == result.epochs
-        named = [manifest["coordinator"]["pickle"]] + [
-            entry["pickle"] for entry in manifest["shards"]
-        ]
-        assert len(set(named)) == config.shards + 1
-        assert all(f".e{result.epochs}." in name for name in named)
-        assert sorted(os.listdir(ck)) == sorted(named + ["manifest.json"])
 
     def test_resume_truncates_bytes_written_past_the_checkpoint(self, tmp_path):
         config, dir_a, _ = run_to_completion(tmp_path, "clean")
@@ -248,31 +282,89 @@ class TestKillResume:
         assert combined(dir_b, config.shards) == baseline
         assert spool_files(dir_b) == spool_files(dir_a)
 
-    def test_resume_round_trips_through_pickled_state(self, tmp_path):
-        # The checkpoint files must be self-contained: a shard unpickled
-        # from bytes (as a fresh process would) carries its cursor, RNG
-        # position, and journal counts.
+    def test_resume_replays_to_the_checkpointed_state(self, tmp_path):
+        # Nothing of a shard is saved: the replay alone must bring back
+        # its cursor, clock, RNG position, journal counts and placements.
         config = ShardConfig(**CFG)
         sharded = ShardedFleet(
             config, str(tmp_path / "p"), checkpoint_dir=str(tmp_path / "p-ck")
         )
         sharded.run(stop_after_epoch=1)
-        shard = sharded.shards[0]
-        clone = pickle.loads(pickle.dumps(shard))
-        assert clone.cursor == shard.cursor
-        assert clone.timeline.now == shard.timeline.now
-        assert len(clone.journal) == len(shard.journal)
-        assert clone.fleet.placements == shard.fleet.placements
+        resumed = ShardedFleet.resume(str(tmp_path / "p-ck"))
+        assert resumed.epoch == sharded.epoch == 1
+        assert resumed._reports == sharded._reports
+        for shard, replayed in zip(sharded.shards, resumed.shards):
+            assert replayed.cursor == shard.cursor
+            assert replayed.timeline.now == shard.timeline.now
+            assert len(replayed.journal) == len(shard.journal)
+            assert replayed.fleet.placements == shard.fleet.placements
+            assert replayed.timeline.rng.random() == shard.timeline.rng.random()
 
-    def test_checkpoint_requires_a_quiescent_barrier(self, tmp_path):
+    def test_a_checkpoint_sends_no_shard_op(self, tmp_path, monkeypatch):
+        # The manifest takes every offset from the barrier's reports, so
+        # a checkpointing run asks its shards exactly what a plain one does.
+        ops = []
+        call = InProcessShards.call
+
+        def recording_call(shards, op, payloads):
+            ops.append(op)
+            return call(shards, op, payloads)
+
+        monkeypatch.setattr(InProcessShards, "call", recording_call)
         config = ShardConfig(**CFG)
-        sharded = ShardedFleet(
-            config, str(tmp_path / "q"), checkpoint_dir=str(tmp_path / "q-ck")
+        run_sharded_fleet(config, str(tmp_path / "plain"))
+        plain, ops[:] = list(ops), []
+        run_sharded_fleet(
+            config, str(tmp_path / "ck-run"), checkpoint_dir=str(tmp_path / "ck")
         )
-        sharded.run(stop_after_epoch=1)
-        sharded.shards[0].timeline.after(1.0, lambda: None)
-        with pytest.raises(FleetError):
-            sharded.checkpoint()
+        assert ops == plain
+
+    @pytest.mark.parametrize(
+        "spool", ["shard-01.jsonl", "shard-00.metrics.jsonl"],
+        ids=["journal", "metrics"],
+    )
+    def test_resume_refuses_a_spool_altered_inside_its_checkpoint(
+        self, tmp_path, spool
+    ):
+        config = ShardConfig(**KILL_CFG)
+        spools = tmp_path / "spools"
+        ck = str(tmp_path / "ck")
+        run_sharded_fleet(config, str(spools), checkpoint_dir=ck, stop_after_epoch=3)
+        offset = json.loads((tmp_path / "ck" / "manifest.json").read_text())[
+            "spool_offsets"
+        ][str(spools / spool)]
+        recorded = bytearray((spools / spool).read_bytes())
+        flipped = offset // 2
+        recorded[flipped] ^= 0x01
+        (spools / spool).write_bytes(bytes(recorded))
+        with pytest.raises(FleetError, match=f"{spool} does not match") as excinfo:
+            resume_sharded_fleet(ck)
+        assert f"at byte {flipped} " in str(excinfo.value)
+        assert (spools / f"{spool}.recorded").read_bytes() == bytes(recorded)
+
+    def test_resume_from_another_directory(self, tmp_path, monkeypatch):
+        config = ShardConfig(**KILL_CFG)
+        clean = str(tmp_path / "clean")
+        run_sharded_fleet(config, clean)
+        (tmp_path / "run").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        run_sharded_fleet(config, "sp", checkpoint_dir="ck", stop_after_epoch=1)
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        _, resumed = resume_sharded_fleet("../run/ck")
+        assert resumed.completed
+        assert spool_files(tmp_path / "run" / "sp") == spool_files(clean)
+
+    def test_resume_names_a_missing_spool_before_replaying(self, tmp_path):
+        config = ShardConfig(**KILL_CFG)
+        spools = tmp_path / "spools"
+        ck = str(tmp_path / "ck")
+        run_sharded_fleet(config, str(spools), checkpoint_dir=ck, stop_after_epoch=1)
+        (spools / "shard-01.metrics.jsonl").unlink()
+        before = spool_files(spools)
+        with pytest.raises(FleetError, match="shard-01.metrics.jsonl"):
+            resume_sharded_fleet(ck)
+        assert spool_files(spools) == before
 
     def test_checkpoint_without_dir_raises(self, tmp_path):
         sharded = ShardedFleet(ShardConfig(**CFG), str(tmp_path / "nd"))

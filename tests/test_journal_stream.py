@@ -1,6 +1,4 @@
-"""Streamed journals: spool bytes, equivalence, offsets, pickle resume."""
-
-import pickle
+"""Streamed journals: spool bytes, equivalence, offsets, replay resume."""
 
 import pytest
 
@@ -97,44 +95,59 @@ class TestStreamedJournal:
 
 
 class TestJournalResume:
-    def test_pickle_roundtrip_resumes_at_recorded_offset(self, tmp_path):
+    def test_replay_reproduces_the_recorded_prefix(self, tmp_path):
+        # What a checkpoint keeps of a journal is its flushed offset; a
+        # replay from the same events must write exactly those bytes and
+        # then go on to the uninterrupted run's spool.
         spool = tmp_path / "spool.jsonl"
         clock = Clock()
         journal = EventJournal(clock)
         journal.stream_to(spool, window=4)
         _fill(journal, 12, clock)
         journal.flush()
-        frozen = pickle.dumps(journal)
         offset = journal.spool_offset
+        assert offset == spool.stat().st_size
 
         # The "killed" run writes more events past the checkpoint...
         _fill(journal, 9, clock)
         journal.close_spool()
         assert spool.stat().st_size > offset
 
-        # ...and the resumed journal truncates them before appending.
-        resumed = pickle.loads(frozen)
-        resumed_clock = resumed._clock
+        # ...and the replay matches its first ``offset`` bytes.
+        replay_clock = Clock()
+        replay = EventJournal(replay_clock)
+        replay.stream_to(tmp_path / "replay.jsonl", window=5)
+        _fill(replay, 12, replay_clock)
+        replay.flush()
+        assert replay.spool_offset == offset
+        replayed = (tmp_path / "replay.jsonl").read_bytes()
+        assert replayed == spool.read_bytes()[:offset]
         for index in range(12, 21):
-            resumed_clock.advance(0.25)
-            resumed.record("scale.tick", i=index, batch=index // 7)
-        resumed.close_spool()
+            replay_clock.advance(0.25)
+            replay.record("scale.tick", i=index, batch=index // 7)
+        replay.close_spool()
 
         clock_c = Clock()
         uninterrupted = EventJournal(clock_c)
         uninterrupted.stream_to(tmp_path / "full.jsonl", window=4)
         _fill(uninterrupted, 21, clock_c)
         uninterrupted.close_spool()
-        assert spool.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+        full = (tmp_path / "full.jsonl").read_bytes()
+        assert (tmp_path / "replay.jsonl").read_bytes() == full
 
-    def test_pickle_preserves_counts_and_seq(self, tmp_path):
+    def test_replay_restores_counts_and_seq(self, tmp_path):
         clock = Clock()
         journal = EventJournal(clock)
         journal.stream_to(tmp_path / "spool.jsonl", window=2)
         _fill(journal, 7, clock)
         journal.flush()
-        resumed = pickle.loads(pickle.dumps(journal))
-        assert len(resumed) == 7
-        assert resumed.count("scale.tick") == 7
-        record = resumed.record("scale.tick", i=7, batch=1)
+        replay_clock = Clock()
+        replay = EventJournal(replay_clock)
+        replay.stream_to(tmp_path / "replay.jsonl", window=3)
+        _fill(replay, 7, replay_clock)
+        replay.flush()
+        assert len(replay) == len(journal) == 7
+        assert replay.count("scale.tick") == 7
+        assert replay.spool_offset == journal.spool_offset
+        record = replay.record("scale.tick", i=7, batch=1)
         assert record.seq == 7

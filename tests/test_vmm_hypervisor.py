@@ -129,8 +129,8 @@ class TestVerifiedBoot:
         # while keeping the published root.
         tampered_files = {p: hv.base_layer.read(p) for p in hv.base_layer.paths()}
         tampered_files["/usr/bin/tor"] = b"#!ELF backdoored tor"
-        tampered = Layer("base(nymix)", files=tampered_files, read_only=True)
-        vm = hv.create_vm(VmSpec.commvm(), base_layer=tampered)
+        hv.base_layer = Layer("base(nymix)", files=tampered_files, read_only=True)
+        vm = hv.create_vm(VmSpec.commvm())
         with pytest.raises(TamperDetected):
             vm.fs.read("/usr/bin/tor")
         assert hv.emergency_halted
