@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.errors import AnonymizerError
-from repro.obs import NULL_OBS
+from repro.obs import Observability
 
 
 class PostingPolicy(enum.Enum):
@@ -60,7 +60,7 @@ class BuddiesMonitor:
         population: Set[str],
         threshold: int = 2,
         policy: PostingPolicy = PostingPolicy.BLOCK,
-        obs=NULL_OBS,
+        obs=None,
     ) -> None:
         if threshold < 1:
             raise AnonymizerError(f"threshold must be >= 1, got {threshold}")
@@ -71,9 +71,9 @@ class BuddiesMonitor:
         self.policy = policy
         self._nyms: Dict[str, _NymState] = {}
         self.decisions: List[PostDecision] = []
-        self.obs = obs
-        self._obs_posts = obs.metrics.counter("buddies.posts")
-        self._obs_blocked = obs.metrics.counter("buddies.blocked_posts")
+        self.obs = Observability() if obs is None else obs
+        self._obs_posts = self.obs.metrics.counter("buddies.posts")
+        self._obs_blocked = self.obs.metrics.counter("buddies.blocked_posts")
 
     def _state(self, nym_name: str) -> _NymState:
         return self._nyms.setdefault(nym_name, _NymState())

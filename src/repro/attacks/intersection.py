@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.obs import NULL_OBS
+from repro.obs import Observability
 from repro.sim.rng import SeededRng
 
 
@@ -35,7 +35,11 @@ class IntersectionAttack:
     population: int
     online_probability: float
     rng: SeededRng
-    obs: object = NULL_OBS
+    obs: Optional[Observability] = None
+
+    def __post_init__(self) -> None:
+        if self.obs is None:
+            self.obs = Observability()
 
     def epochs_to_deanonymize(self, target: int = 0, max_epochs: int = 10_000) -> Optional[int]:
         """Epochs of linkable messages until the candidate set is {target}.
@@ -97,7 +101,7 @@ class GuardExposureModel:
         total_guards: int = 40,
         adversary_guards: int = 4,
         guards_per_client: int = 3,
-        obs=NULL_OBS,
+        obs=None,
     ) -> None:
         if not 0 <= adversary_guards <= total_guards:
             raise ValueError("adversary guard count out of range")
@@ -105,9 +109,9 @@ class GuardExposureModel:
         self.guard_names = [f"guard{i:03d}" for i in range(total_guards)]
         self.malicious = set(self.guard_names[:adversary_guards])
         self.guards_per_client = guards_per_client
-        self.obs = obs
-        self._obs_draws = obs.metrics.counter("attack.guard.draws")
-        self._obs_compromises = obs.metrics.counter("attack.guard.compromises")
+        self.obs = Observability() if obs is None else obs
+        self._obs_draws = self.obs.metrics.counter("attack.guard.draws")
+        self._obs_compromises = self.obs.metrics.counter("attack.guard.compromises")
 
     def _draw(self) -> List[str]:
         self._obs_draws.inc()

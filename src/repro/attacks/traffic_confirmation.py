@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from repro.errors import SimulationError
-from repro.obs import NULL_OBS
+from repro.obs import Observability
 from repro.sim.rng import SeededRng
 
 #: delay-model samples the adversary takes to learn the transit window
@@ -87,7 +87,7 @@ class TrafficConfirmationAttack:
     def __init__(
         self,
         rng: SeededRng,
-        obs=NULL_OBS,
+        obs=None,
         senders: int = 20,
         packets: int = 10,
     ) -> None:
@@ -96,7 +96,7 @@ class TrafficConfirmationAttack:
         if packets < 1:
             raise SimulationError(f"need at least one packet: {packets!r}")
         self.rng = rng
-        self.obs = obs
+        self.obs = Observability() if obs is None else obs
         self.senders = senders
         self.packets = packets
 

@@ -18,9 +18,11 @@ Gives the reproduction an operator's console:
   over N spawned OS workers with byte-identical journals; ``--resume
   DIR`` continues a killed sharded run under either executor; both exit
   2 on ``--tenant-config``, ``--duration`` or ``--no-compare``, which the
-  sharded path does not support, and a resume also on
-  ``--stop-after-epoch``, ``--shards``, ``--scale`` or
-  ``--checkpoint-dir``, which its manifest decides)
+  sharded path does not support, and a resume also on every flag its
+  manifest decides: ``--stop-after-epoch``, ``--shards``, ``--scale``,
+  ``--checkpoint-dir``, ``--spool-dir``, either ``--seed``, ``--hosts``,
+  ``--nyms``, ``--policy``, ``--epoch-s``, ``--host-crashes`` and
+  ``--quick``)
 * ``sweep``     — chart anonymity/latency/overhead across Tor, Dissent, mixnet
 * ``tenants``   — run the multi-tenant control-plane scenario: quotas,
   launch/ingress rate limits, a reconciled mid-run policy update, and a
@@ -106,9 +108,14 @@ def load_policies(args: argparse.Namespace):
 
 
 def effective_seed(args: argparse.Namespace) -> int:
+    """The subcommand's ``--seed``, else the global one, else 0.
+
+    Both flags default to ``None`` so that ``fleet --resume`` can tell a
+    given seed from the default.
+    """
     if getattr(args, "sub_seed", None) is not None:
         return args.sub_seed
-    return args.seed
+    return args.seed if args.seed is not None else 0
 
 
 def _session(args: argparse.Namespace) -> NymixSession:
@@ -393,9 +400,26 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.survived else 1
 
 
+#: The ``fleet`` flags that shape a run, with the value each takes when
+#: not given.  The parser leaves them ``None`` so that ``--resume``, whose
+#: manifest decides them, can tell a given flag from its default.
+_FLEET_RUN_DEFAULTS = {
+    "hosts": 64,
+    "nyms": 1000,
+    "policy": "ksm-aware",
+    "host_crashes": 2,
+    "epoch_s": 120.0,
+    "spool_dir": "fleet-spool",
+}
+
+
 def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet import run_fleet
 
+    if not args.resume:
+        for name, default in _FLEET_RUN_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
     if args.resume or args.shards:
         return _cmd_fleet_sharded(args)
     hosts = args.hosts
@@ -431,21 +455,26 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
     from repro.fleet import resume_fleet_sharded, run_fleet_sharded
 
     resuming = args.resume is not None
-    ignored = [
-        flag
-        for flag, given in (
-            ("--tenant-config", args.tenant_config is not None),
-            ("--duration", args.duration is not None),
-            ("--no-compare", args.no_compare),
-            # A resume takes the run and its checkpoint directory from
-            # the manifest, and always runs to the end.
-            ("--stop-after-epoch", resuming and args.stop_after_epoch is not None),
-            ("--shards", resuming and args.shards),
-            ("--scale", resuming and args.scale is not None),
-            ("--checkpoint-dir", resuming and args.checkpoint_dir is not None),
-        )
-        if given
+    given = [
+        ("--tenant-config", args.tenant_config is not None),
+        ("--duration", args.duration is not None),
+        ("--no-compare", args.no_compare),
     ]
+    if resuming:
+        # A resume takes the run, its spools and its checkpoint directory
+        # from the manifest, and always runs to the end.
+        given += [
+            ("--stop-after-epoch", args.stop_after_epoch is not None),
+            ("--shards", args.shards),
+            ("--scale", args.scale is not None),
+            ("--checkpoint-dir", args.checkpoint_dir is not None),
+            ("--seed", args.seed is not None or args.sub_seed is not None),
+            ("--quick", args.quick),
+        ] + [
+            ("--" + name.replace("_", "-"), getattr(args, name) is not None)
+            for name in _FLEET_RUN_DEFAULTS
+        ]
+    ignored = [flag for flag, on in given if on]
     if args.procs < 0:
         print(
             f"repro fleet: --procs must be >= 0 (0 = one per core), "
@@ -608,7 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Nymix reproduction: manage simulated nymboxes from the shell.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="simulation seed (default 0)"
+    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     validate = commands.add_parser("validate", help="run the §5.1 validation")
@@ -694,16 +725,16 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = commands.add_parser(
         "fleet", help="schedule nymboxes across a simulated host cluster"
     )
-    fleet.add_argument("--hosts", type=int, default=64, help="hosts in the fleet")
-    fleet.add_argument("--nyms", type=int, default=1000, help="nymboxes to launch")
+    # The run-shaping flags default to None: see _FLEET_RUN_DEFAULTS.
+    fleet.add_argument("--hosts", type=int, help="hosts in the fleet (default 64)")
+    fleet.add_argument("--nyms", type=int, help="nymboxes to launch (default 1000)")
     fleet.add_argument(
         "--policy",
-        default="ksm-aware",
         choices=["first-fit", "least-loaded", "ksm-aware"],
-        help="placement policy under test (owns the journal)",
+        help="placement policy under test (owns the journal; default ksm-aware)",
     )
     fleet.add_argument(
-        "--host-crashes", type=int, default=2, help="host-crash faults to inject"
+        "--host-crashes", type=int, help="host-crash faults to inject (default 2)"
     )
     fleet.add_argument(
         "--no-compare",
@@ -724,12 +755,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(--hosts is split evenly across shards; 0 = classic single timeline)",
     )
     fleet.add_argument(
-        "--epoch-s", type=float, default=120.0, metavar="SECONDS",
-        help="simulated seconds between shard barriers (sharded path)",
+        "--epoch-s", type=float, metavar="SECONDS",
+        help="simulated seconds between shard barriers (sharded path; "
+        "default 120)",
     )
     fleet.add_argument(
-        "--spool-dir", default="fleet-spool", metavar="DIR",
-        help="directory for the streamed journal spools (sharded path)",
+        "--spool-dir", metavar="DIR",
+        help="directory for the streamed journal spools (sharded path; "
+        "default fleet-spool)",
     )
     fleet.add_argument(
         "--checkpoint-dir", metavar="DIR",

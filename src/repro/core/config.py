@@ -18,9 +18,6 @@ class NymixConfig:
 
     seed: int = 0
     host: HostSpec = field(default_factory=HostSpec)
-    #: collect metrics, sim-time traces, and the event journal
-    #: (``repro.obs``); disabling swaps in the zero-cost no-op recorder
-    observability: bool = True
     default_anonymizer: str = "tor"
     tor_relay_count: int = 40
     dissent_clients: int = 8

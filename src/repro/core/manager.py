@@ -75,9 +75,7 @@ class NymManager:
 
     def __init__(self, config: Optional[NymixConfig] = None) -> None:
         self.config = config or NymixConfig()
-        self.timeline = Timeline(
-            seed=self.config.seed, observability=self.config.observability
-        )
+        self.timeline = Timeline(seed=self.config.seed)
         #: the shared per-simulation observability sink (metrics, tracer,
         #: event journal) — every component reaches it as ``timeline.obs``
         self.obs = self.timeline.obs

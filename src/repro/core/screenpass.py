@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.core.nymbox import NymBox
 from repro.errors import NymixError
-from repro.obs import NULL_OBS
+from repro.obs import Observability
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,14 @@ class TrustedPasswordEntry:
     typing feeds it; trusted entry does not.
     """
 
-    def __init__(self, obs=NULL_OBS) -> None:
+    def __init__(self, obs=None) -> None:
         self._security_images: Dict[str, str] = {}
         self.keyloggers: List[GuestKeylogger] = []
         self.entries_via_trusted_path = 0
         self.entries_typed_in_guest = 0
-        self.obs = obs
-        self._obs_trusted = obs.metrics.counter("screenpass.trusted_entries")
-        self._obs_in_guest = obs.metrics.counter("screenpass.guest_entries")
+        self.obs = Observability() if obs is None else obs
+        self._obs_trusted = self.obs.metrics.counter("screenpass.trusted_entries")
+        self._obs_in_guest = self.obs.metrics.counter("screenpass.guest_entries")
 
     # -- anti-spoofing ----------------------------------------------------------
 

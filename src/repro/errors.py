@@ -23,7 +23,7 @@ class ObservabilityError(NymixError):
 
 
 class JournalOverflowError(ObservabilityError):
-    """An in-memory event journal hit ``max_events`` with overflow=error."""
+    """An event journal that is not streaming to a spool hit ``max_events``."""
 
 
 class CryptoError(NymixError):

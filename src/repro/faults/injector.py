@@ -10,9 +10,9 @@ consult it:
   ``maybe_fail(site)`` and gets the planned transient error thrown at it.
 
 When no injector is armed, ``timeline.faults`` is :data:`NULL_FAULTS` —
-the same API where every check is a constant-time no-op, mirroring the
-``NULL_OBS`` pattern.  The injector itself imports nothing from core or
-the anonymizers (avoiding cycles); victims are reached by duck typing.
+the same API where every check is a constant-time no-op.  The injector
+itself imports nothing from core or the anonymizers (avoiding cycles);
+victims are reached by duck typing.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FleetCapacityError, FleetError, ShardWorkerError
@@ -764,11 +764,10 @@ class ShardedFleet:
         copy; otherwise :class:`FleetError` names the spool and the
         first differing byte.  The recorded copies stay on disk until
         that check passes, and a resume killed before then leaves them
-        for the next one to reuse.
+        for the next one to reuse.  An old or damaged manifest raises
+        :class:`FleetError` before any spool moves.
         """
-        with open(os.path.join(checkpoint_dir, _MANIFEST)) as handle:
-            manifest = json.load(handle)
-        config = ShardConfig(**manifest["config"])
+        config, manifest = _read_manifest(checkpoint_dir)
         _worker_count(procs, config.shards)  # fail before moving a spool
         offsets: Dict[str, int] = manifest["spool_offsets"]
         missing = [
@@ -843,6 +842,39 @@ def _run_to_stop(
         sharded.flush()
         sharded.shutdown()
     return result
+
+
+def _read_manifest(checkpoint_dir: str) -> Tuple[ShardConfig, Dict[str, object]]:
+    """Load a checkpoint's manifest and check its shape.
+
+    A manifest from an older version (no ``spool_offsets``, or a config
+    field this version dropped) or a damaged one raises
+    :class:`FleetError` naming the checkpoint directory and the problem.
+    """
+
+    def unusable(problem: str) -> FleetError:
+        return FleetError(
+            f"cannot resume from {checkpoint_dir}: {_MANIFEST} {problem}"
+        )
+
+    with open(os.path.join(checkpoint_dir, _MANIFEST), "rb") as handle:
+        try:
+            manifest = json.load(handle)
+        except ValueError as exc:
+            raise unusable(f"is not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise unusable("is not a JSON object")
+    shape = {"config": dict, "epoch": int, "spool_dir": str, "spool_offsets": dict}
+    for key, kind in shape.items():
+        if not isinstance(manifest.get(key), kind):
+            raise unusable(f"has no valid {key!r} (written by an older version?)")
+    known = {f.name for f in fields(ShardConfig)}
+    unknown = sorted(set(manifest["config"]) - known)
+    if unknown:
+        raise unusable(
+            f"config has fields this version does not know: {', '.join(unknown)}"
+        )
+    return ShardConfig(**manifest["config"]), manifest
 
 
 def _check_replayed_spool(path: str, offset: int) -> None:

@@ -24,14 +24,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.memory.pages import GuestMemory, pages_to_bytes
-from repro.obs import NULL_OBS
+from repro.obs import Observability
 
-#: What one guest contributes to the merge index: its zero pages and its
+#: What one guest contributes to the merge index: its
 #: ``(image_id, block_lo, block_hi, multiplicity)`` runs.
-Contribution = Tuple[int, Tuple[Tuple[str, int, int, int], ...]]
+Contribution = Tuple[Tuple[str, int, int, int], ...]
 
 #: The contribution of a guest not yet folded into the index.
-_NOTHING: Contribution = (0, ())
+_NOTHING: Contribution = ()
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,20 @@ class Ksm:
     ``coverage`` models how much of guest memory the scanner has visited:
     each :meth:`scan` pass advances coverage toward 1.0, and only covered
     duplicate pages count as merged.  A full scan (``run_to_completion``)
-    merges everything mergeable.
+    merges everything mergeable.  Zero pages never merge: real KSM
+    deduplicates only madvise(MERGEABLE) regions, and guest free-page
+    churn keeps zero pages out of its stable trees in practice — the
+    paper measured only ~5% total savings.
     """
 
     def __init__(
         self,
         enabled: bool = True,
         pages_per_scan: int = 25_000,
-        merge_zero_pages: bool = False,
-        obs=NULL_OBS,
+        obs=None,
     ) -> None:
         self.enabled = enabled
         self.pages_per_scan = pages_per_scan
-        # Real KSM deduplicates only madvise(MERGEABLE) regions, and guest
-        # free-page churn keeps zero pages out of stable trees in practice —
-        # the paper measured only ~5% total savings.  Zero-page merging is
-        # left switchable for the ablation benchmark.
-        self.merge_zero_pages = merge_zero_pages
         #: Registered guests, each mapped to the contribution last folded
         #: into the merge index.
         self._guests: Dict[GuestMemory, Contribution] = {}
@@ -113,7 +110,6 @@ class Ksm:
         self._image_runs: Dict[str, Dict[Tuple[int, int], int]] = {}
         self._image_sweeps: Dict[str, Tuple[int, int]] = {}
         self._stale_images: Set[str] = set()
-        self._zero_pages = 0
         self._mergeable_shared = 0
         self._mergeable_sharing = 0
         #: Bumped on every change that can alter ``stats()`` output
@@ -126,11 +122,11 @@ class Ksm:
         # mutation, so a hit returns the previous (frozen) stats object
         # without touching the index.
         self._stats_cache: Optional[Tuple[int, KsmStats]] = None
-        self.obs = obs
-        self._scan_passes = obs.metrics.counter("ksm.scan_passes")
-        self._pages_sharing = obs.metrics.gauge("ksm.pages_sharing")
-        self._pages_merged = obs.metrics.gauge("ksm.pages_merged")
-        self._coverage_resets = obs.metrics.counter("ksm.coverage_resets")
+        self.obs = Observability() if obs is None else obs
+        self._scan_passes = self.obs.metrics.counter("ksm.scan_passes")
+        self._pages_sharing = self.obs.metrics.gauge("ksm.pages_sharing")
+        self._pages_merged = self.obs.metrics.gauge("ksm.pages_merged")
+        self._coverage_resets = self.obs.metrics.counter("ksm.coverage_resets")
 
     def register(self, guest: GuestMemory) -> None:
         if guest not in self._guests:
@@ -227,12 +223,11 @@ class Ksm:
 
     def _fold(self, old: Contribution, new: Contribution) -> None:
         """Replace one guest's ``old`` contribution to the index by ``new``."""
-        self._zero_pages += new[0] - old[0]
-        if old[1] == new[1]:
+        if old == new:
             return
         image_runs = self._image_runs
         stale = self._stale_images
-        for sign, segments in ((-1, old[1]), (1, new[1])):
+        for sign, segments in ((-1, old), (1, new)):
             for image_id, lo, hi, mult in segments:
                 runs = image_runs.get(image_id)
                 if runs is None:
@@ -254,7 +249,7 @@ class Ksm:
         queued, self._queued = self._queued, {}
         guests = self._guests
         for guest in queued:
-            new = (guest.zero_pages, tuple(guest.image_segments()))
+            new = tuple(guest.image_segments())
             self._fold(guests[guest], new)
             guests[guest] = new
         for image_id in self._stale_images:
@@ -290,16 +285,10 @@ class Ksm:
             return _ZERO_STATS
         if self._queued or self._stale_images:
             self._update_index()
-        shared = self._mergeable_shared
-        sharing = self._mergeable_sharing
-        if self.merge_zero_pages and self._zero_pages >= 2:
-            # All zero pages carry one content: a single physical page.
-            shared += 1
-            sharing += self._zero_pages
         fraction = self.coverage
         # Rate limiting: only the covered fraction of duplicates is merged yet.
-        shared_now = int(shared * fraction)
-        sharing_now = int(sharing * fraction)
+        shared_now = int(self._mergeable_shared * fraction)
+        sharing_now = int(self._mergeable_sharing * fraction)
         if sharing_now and not shared_now:
             # Truncation can report mapped-onto-shared pages with zero shared
             # pages backing them; any sharing implies at least one physical

@@ -161,10 +161,6 @@ class GuestMemory:
         return self._total_pages
 
     @property
-    def zero_pages(self) -> int:
-        return self._zero_pages
-
-    @property
     def erased(self) -> bool:
         return self._erased
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.errors import MemoryError_
-from repro.obs import NULL_OBS
+from repro.obs import Observability
 
 
 class AdversaryAccess(enum.Enum):
@@ -55,7 +55,7 @@ class RemanenceTracker:
         self,
         residual_fraction: float = 0.02,
         ephemeral_channels: bool = False,
-        obs=NULL_OBS,
+        obs=None,
     ) -> None:
         if not 0 <= residual_fraction <= 1:
             raise MemoryError_(f"residual fraction out of range: {residual_fraction}")
@@ -66,8 +66,8 @@ class RemanenceTracker:
         #: teardown costs O(1) however many nyms died since the reboot
         self._residual_bytes = 0
         self.reboots = 0
-        self.obs = obs
-        self._obs_residual = obs.metrics.gauge("mem.remanence.residual_bytes")
+        self.obs = Observability() if obs is None else obs
+        self._obs_residual = self.obs.metrics.gauge("mem.remanence.residual_bytes")
 
     # -- lifecycle hooks ----------------------------------------------------------
 

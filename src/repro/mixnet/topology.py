@@ -18,7 +18,7 @@ from repro.mixnet.packet import (
     peel_reply_layer,
 )
 from repro.net.addresses import Ipv4Address
-from repro.obs.facade import NULL_OBS
+from repro.obs import Observability
 from repro.sim.rng import SeededRng
 
 #: the address destinations observe for mixnet-carried traffic: the
@@ -92,7 +92,7 @@ class MixTopology:
         rng: SeededRng,
         layers: int = 3,
         nodes_per_layer: int = 3,
-        obs=NULL_OBS,
+        obs=None,
     ) -> None:
         if layers < 1:
             raise MixnetError(f"a mixnet needs at least one layer, got {layers}")
@@ -102,7 +102,7 @@ class MixTopology:
             )
         self.num_layers = layers
         self.nodes_per_layer = nodes_per_layer
-        self.obs = obs
+        self.obs = Observability() if obs is None else obs
         self.gateway_ip = GATEWAY_IP
         self._grid: List[List[MixNode]] = []
         self._by_name: Dict[str, MixNode] = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.errors import NetworkError
-from repro.obs import NULL_OBS
+from repro.obs import Observability
 from repro.sim.sharing import processor_sharing_times
 
 
@@ -38,7 +38,7 @@ class BandwidthPool:
     connection, as with the 80 ms RTT DeterLab path in §5.2).
     """
 
-    def __init__(self, capacity_bps: float, rtt_s: float = 0.0, obs=NULL_OBS) -> None:
+    def __init__(self, capacity_bps: float, rtt_s: float = 0.0, obs=None) -> None:
         if capacity_bps <= 0:
             raise NetworkError(f"capacity must be positive, got {capacity_bps}")
         if rtt_s < 0:
@@ -46,9 +46,10 @@ class BandwidthPool:
         self.capacity_bps = capacity_bps
         self.rtt_s = rtt_s
         self.total_wire_bytes = 0
-        self._obs_flows = obs.metrics.counter("net.uplink.flows")
-        self._obs_wire_bytes = obs.metrics.counter("net.uplink.wire_bytes")
-        self._obs_flow_s = obs.metrics.histogram("net.uplink.flow_s")
+        self.obs = Observability() if obs is None else obs
+        self._obs_flows = self.obs.metrics.counter("net.uplink.flows")
+        self._obs_wire_bytes = self.obs.metrics.counter("net.uplink.wire_bytes")
+        self._obs_flow_s = self.obs.metrics.histogram("net.uplink.flow_s")
 
     def transfer_batch(
         self,

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.net.addresses import MacAddress
-from repro.obs import NULL_OBS
+from repro.obs import Observability
 from repro.sim.rng import SeededRng
 
 
@@ -99,11 +99,11 @@ class Transmission:
 class RadioObserver:
     """The adversary: builds a signature database and re-identifies devices."""
 
-    def __init__(self, obs=NULL_OBS) -> None:
+    def __init__(self, obs=None) -> None:
         self._db: List[tuple] = []  # (signature, label)
-        self.obs = obs
-        self._obs_identified = obs.metrics.counter("wifi.radio.identified")
-        self._obs_misses = obs.metrics.counter("wifi.radio.misses")
+        self.obs = Observability() if obs is None else obs
+        self._obs_identified = self.obs.metrics.counter("wifi.radio.identified")
+        self._obs_misses = self.obs.metrics.counter("wifi.radio.misses")
 
     def enroll(self, transmission: Transmission, label: str) -> None:
         """Record a known (signature -> identity) observation."""
@@ -130,9 +130,9 @@ class WifiSocialMix:
     mixes a user may hold many cards at once.
     """
 
-    def __init__(self, rng: SeededRng, obs=NULL_OBS) -> None:
+    def __init__(self, rng: SeededRng, obs=None) -> None:
         self.rng = rng
-        self.obs = obs
+        self.obs = Observability() if obs is None else obs
         self._box: List[WifiCard] = []
         self._members: List[str] = []
 

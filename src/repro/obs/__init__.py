@@ -13,13 +13,15 @@ bytes on the wire) flows through one per-simulation
   read the *simulation* clock, so traces are deterministic and replayable.
 * :class:`EventJournal` — append-only structured records with canonical
   JSONL export; same seed, same scenario => byte-identical journal.
-* :data:`NULL_OBS` — the zero-cost no-op recorder used when observability
-  is disabled.
+
+A component that can live outside a simulation takes an optional
+``obs``; built without one, it records into an ``Observability()`` of
+its own.
 
 See ``docs/observability.md`` for the API tour and naming conventions.
 """
 
-from repro.obs.facade import NULL_OBS, NullObservability, Observability
+from repro.obs.facade import Observability
 from repro.obs.journal import EventJournal, EventRecord
 from repro.obs.metrics import (
     Counter,
@@ -32,8 +34,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import SpanRecord, Tracer
 
 __all__ = [
-    "NULL_OBS",
-    "NullObservability",
     "Observability",
     "EventJournal",
     "EventRecord",

@@ -116,7 +116,7 @@ def _bench_onion_throughput(quick: bool) -> Dict[str, object]:
     from repro.sim.clock import Timeline
     from repro.sim.rng import SeededRng
 
-    timeline = Timeline(seed=1234, observability=False)
+    timeline = Timeline(seed=1234)
     rng = SeededRng(1234)
     relays = [
         Relay(
@@ -392,7 +392,7 @@ def _bench_fleet_arrival(quick: bool) -> Dict[str, object]:
     arrivals = 8 if quick else 24
 
     def arrival() -> None:
-        timeline = Timeline(seed=5, observability=False)
+        timeline = Timeline(seed=5)
         fleet = Fleet(
             timeline, hosts=hosts, policies=FleetPolicies(placement="ksm-aware")
         )
@@ -426,7 +426,7 @@ def _bench_fleet_wave(quick: bool) -> Dict[str, object]:
     arrivals = 32 if quick else 256
 
     def wave() -> None:
-        timeline = Timeline(seed=11, observability=False)
+        timeline = Timeline(seed=11)
         fleet = Fleet(
             timeline, hosts=hosts, policies=FleetPolicies(placement="ksm-aware")
         )

@@ -187,22 +187,19 @@ class Timeline:
 
     A single ``Timeline`` is threaded through every subsystem so that all
     activity shares one notion of time, one seeded randomness source, and
-    one observability sink (``timeline.obs``), keeping whole-system runs
-    reproducible bit-for-bit.  With ``observability=False`` the sink is
-    the shared no-op recorder and instrumentation costs nothing.
+    one observability sink (``timeline.obs``, stamped by this clock),
+    keeping whole-system runs reproducible bit-for-bit.
     """
 
-    def __init__(
-        self, seed: int = 0, start: float = 0.0, observability: bool = True
-    ) -> None:
+    def __init__(self, seed: int = 0, start: float = 0.0) -> None:
         from repro.faults.injector import NULL_FAULTS
-        from repro.obs import NULL_OBS, Observability
+        from repro.obs import Observability
         from repro.tenancy.registry import NULL_TENANCY
 
         self.clock = Clock(start=start)
         self.events = EventQueue(self.clock)
         self.rng = SeededRng(seed)
-        self.obs = Observability(self.clock) if observability else NULL_OBS
+        self.obs = Observability(self.clock)
         #: the armed fault injector, or the shared no-op when nothing is
         #: injecting — operation paths consult ``timeline.faults`` the same
         #: way they emit to ``timeline.obs``

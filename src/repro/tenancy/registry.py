@@ -18,9 +18,9 @@ reconcile tick itself) reach the journal.  A registry whose policies are
 all unlimited therefore produces a journal byte-identical to a run with
 no registry at all.
 
-``NULL_TENANCY`` is the shared no-op following the ``NULL_OBS`` /
-``NULL_FAULTS`` idiom: ``timeline.tenancy`` always answers, and the
-disabled answer is always "no limits, zero delay".
+``NULL_TENANCY`` is the shared no-op following the ``NULL_FAULTS``
+idiom: ``timeline.tenancy`` always answers, and the disabled answer is
+always "no limits, zero delay".
 """
 
 from __future__ import annotations

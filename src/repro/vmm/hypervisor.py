@@ -304,9 +304,8 @@ class Hypervisor:
             self._fs_ram_bytes += vm.fs.top.used_bytes
             vm.fs.top.set_delta_listener(self._on_fs_delta)
         obs = self.timeline.obs
-        if obs.enabled:
-            obs.metrics.counter("vmm.vm.created").inc()
-            obs.metrics.gauge("vmm.vms_live").set(len(self._vms))
+        obs.metrics.counter("vmm.vm.created").inc()
+        obs.metrics.gauge("vmm.vms_live").set(len(self._vms))
         return vm
 
     def _on_fs_delta(self, delta: int) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.errors import HypervisorError
-from repro.obs import NULL_OBS
+from repro.obs import Observability
 from repro.sim.sharing import processor_sharing_times
 
 
@@ -52,7 +52,7 @@ class CpuModel:
         core_speed: float = 1.0,
         virtualization_overhead: float = 0.20,
         interleave_bonus: float = 0.12,
-        obs=NULL_OBS,
+        obs=None,
     ) -> None:
         if cores <= 0:
             raise HypervisorError(f"cores must be positive, got {cores}")
@@ -66,8 +66,9 @@ class CpuModel:
         self.core_speed = core_speed
         self.virtualization_overhead = virtualization_overhead
         self.interleave_bonus = interleave_bonus
-        self._job_runs = obs.metrics.counter("vmm.vcpu.jobs")
-        self._job_hist = obs.metrics.histogram("vmm.vcpu.job_s")
+        self.obs = Observability() if obs is None else obs
+        self._job_runs = self.obs.metrics.counter("vmm.vcpu.jobs")
+        self._job_hist = self.obs.metrics.histogram("vmm.vcpu.job_s")
 
     # -- native execution ------------------------------------------------------
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -187,12 +186,7 @@ class VirtualMachine:
         duration = self.spec.boot_seconds
         if jitter_rng is not None:
             duration = jitter_rng.jitter(duration, 0.08)
-        span = (
-            obs.span("vm.boot", vm=self.vm_id, role=self.spec.role.value)
-            if obs.enabled
-            else nullcontext()
-        )
-        with span:
+        with obs.span("vm.boot", vm=self.vm_id, role=self.spec.role.value):
             if advance:
                 self.timeline.sleep(duration)
             template = self.template_memory
@@ -206,16 +200,15 @@ class VirtualMachine:
             self.state = VmState.RUNNING
             self.booted_at = self.timeline.now
             self.last_boot_seconds = duration
-        if obs.enabled:
-            obs.metrics.counter("vmm.vm.boots").inc()
-            obs.metrics.histogram("vmm.boot.phase_s").observe(duration)
-            obs.event(
-                "vm.boot",
-                vm=self.vm_id,
-                role=self.spec.role.value,
-                seconds=round(duration, 6),
-                overlapped=not advance,
-            )
+        obs.metrics.counter("vmm.vm.boots").inc()
+        obs.metrics.histogram("vmm.boot.phase_s").observe(duration)
+        obs.event(
+            "vm.boot",
+            vm=self.vm_id,
+            role=self.spec.role.value,
+            seconds=round(duration, 6),
+            overlapped=not advance,
+        )
         return duration
 
     def pause(self) -> None:

@@ -135,27 +135,23 @@ class LegacyGuestMemory:
 
 
 def legacy_merge_candidates(
-    guests: Sequence[LegacyGuestMemory], merge_zero_pages: bool = False
+    guests: Sequence[LegacyGuestMemory],
 ) -> Dict[ContentTag, int]:
     """Mergeable content tags mapped to their total page counts (>= 2)."""
     counts: Dict[ContentTag, int] = {}
     for guest in guests:
         for tag, count in guest.page_groups():
-            if not is_mergeable(tag):
-                continue
-            if tag[0] == "zero" and not merge_zero_pages:
+            if not is_mergeable(tag) or tag[0] == "zero":
                 continue
             counts[tag] = counts.get(tag, 0) + count
     return {tag: count for tag, count in counts.items() if count >= 2}
 
 
 def legacy_ksm_stats(
-    guests: Sequence[LegacyGuestMemory],
-    coverage: float = 1.0,
-    merge_zero_pages: bool = False,
+    guests: Sequence[LegacyGuestMemory], coverage: float = 1.0
 ) -> Tuple[int, int, int]:
     """Seed (pages_shared, pages_sharing, pages_saved), truncation bias and all."""
-    candidates = legacy_merge_candidates(guests, merge_zero_pages)
+    candidates = legacy_merge_candidates(guests)
     shared = len(candidates)
     sharing = sum(candidates.values())
     shared_now = int(shared * coverage)

@@ -352,12 +352,23 @@ SHARDED_IGNORED = [
     ("--no-compare", ["--no-compare"]),
     ("--procs", ["--procs", "-1"]),
 ]
+#: Marks arguments that go before the subcommand (the global ``--seed``).
+GLOBAL = "<global>"
 #: Flags a resume would also ignore: its manifest decides them.
 RESUME_IGNORED = [
     ("--stop-after-epoch", ["--stop-after-epoch", "1"]),
     ("--shards", ["--shards", "2"]),
     ("--scale", ["--scale", "1,2"]),
     ("--checkpoint-dir", ["--checkpoint-dir", "ck2"]),
+    ("--seed", ["--seed", "7"]),
+    ("--seed", [GLOBAL, "--seed", "7"]),
+    ("--hosts", ["--hosts", "8"]),
+    ("--nyms", ["--nyms", "5"]),
+    ("--policy", ["--policy", "first-fit"]),
+    ("--epoch-s", ["--epoch-s", "5"]),
+    ("--host-crashes", ["--host-crashes", "0"]),
+    ("--spool-dir", ["--spool-dir", "elsewhere"]),
+    ("--quick", ["--quick"]),
 ]
 
 
@@ -431,10 +442,11 @@ class TestCli:
     ):
         spool = str(tmp_path / "spool")
         out = str(tmp_path / "out.json")
-        base = (
-            self.FLEET_ARGS if mode == "shards"
+        argv = (
+            self.FLEET_ARGS + ["--spool-dir", spool] if mode == "shards"
             else ["fleet", "--resume", str(tmp_path / "ck")]
-        )
-        assert main(base + ["--spool-dir", spool, "--out", out] + extra) == 2
+        ) + ["--out", out]
+        argv = extra[1:] + argv if extra[0] == GLOBAL else argv + extra
+        assert main(argv) == 2
         assert flag in capsys.readouterr().err
         assert not os.path.exists(spool) and not os.path.exists(out)

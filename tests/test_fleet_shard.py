@@ -366,6 +366,44 @@ class TestKillResume:
             resume_sharded_fleet(ck)
         assert spool_files(spools) == before
 
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            ("no-spool-offsets", "has no valid 'spool_offsets'"),
+            ("flash-clone", "does not know: flash_clone"),
+            ("truncated", "is not valid JSON"),
+        ],
+        ids=["no-spool-offsets", "flash-clone", "truncated"],
+    )
+    def test_resume_refuses_an_old_or_damaged_manifest(
+        self, tmp_path, damage, problem
+    ):
+        # A manifest from before checkpoints recorded spool offsets, one
+        # whose config still has the removed ``flash_clone`` field, and
+        # one cut off mid-write.
+        config = ShardConfig(**KILL_CFG)
+        spools = tmp_path / "spools"
+        ck = tmp_path / "ck"
+        run_sharded_fleet(
+            config, str(spools), checkpoint_dir=str(ck), stop_after_epoch=1
+        )
+        path = ck / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if damage == "no-spool-offsets":
+            del manifest["spool_offsets"]
+            path.write_text(json.dumps(manifest))
+        elif damage == "flash-clone":
+            manifest["config"]["flash_clone"] = True
+            path.write_text(json.dumps(manifest))
+        else:
+            path.write_text(path.read_text()[:100])
+        before = spool_files(spools)
+        with pytest.raises(FleetError, match=problem) as excinfo:
+            resume_sharded_fleet(str(ck))
+        assert f"cannot resume from {ck}" in str(excinfo.value)
+        assert spool_files(spools) == before
+        assert not list(spools.glob("*.recorded"))
+
     def test_checkpoint_without_dir_raises(self, tmp_path):
         sharded = ShardedFleet(ShardConfig(**CFG), str(tmp_path / "nd"))
         with pytest.raises(FleetError):

@@ -169,17 +169,6 @@ class TestKsmEquivalence:
             saved,
         )
 
-    def test_zero_page_merging_matches_seed(self):
-        guests = _fig3_guest_set(GuestMemory)
-        legacy_guests = _fig3_guest_set(LegacyGuestMemory)
-        ksm = Ksm(enabled=True, merge_zero_pages=True)
-        for guest in guests:
-            ksm.register(guest)
-        ksm.run_to_completion()
-        stats = ksm.stats()
-        expected = legacy_ksm_stats(legacy_guests, 1.0, merge_zero_pages=True)
-        assert (stats.pages_shared, stats.pages_sharing, stats.pages_saved) == expected
-
     def test_incremental_index_tracks_mutations(self):
         """Cached stats must invalidate when any guest's memory changes."""
         guests = _fig3_guest_set(GuestMemory)
@@ -285,9 +274,9 @@ class TestKsmIndexScripts:
 
     IMAGES = ("osA", "osB", "osC")
 
-    def _expected(self, ksm, registered, merge_zero_pages):
+    def _expected(self, ksm, registered):
         shared, sharing, saved = legacy_ksm_stats(
-            [twin.legacy for twin in registered], ksm.coverage, merge_zero_pages
+            [twin.legacy for twin in registered], ksm.coverage
         )
         if sharing and not shared:
             shared = 1  # the live code's truncation-bias fix
@@ -344,12 +333,10 @@ class TestKsmIndexScripts:
         elif kind == "scan":
             ksm.scan(passes=rng.randint(1, 3))
 
-    @pytest.mark.parametrize("merge_zero_pages", [False, True])
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_scripts_match_seed_rescan(self, seed, merge_zero_pages):
+    def test_random_scripts_match_seed_rescan(self, seed):
         rng = random.Random(seed)
-        ksm = Ksm(enabled=True, pages_per_scan=rng.randint(20, 200),
-                  merge_zero_pages=merge_zero_pages)
+        ksm = Ksm(enabled=True, pages_per_scan=rng.randint(20, 200))
         twins = []
         registered = []
         for index in range(rng.randint(2, 5)):
@@ -365,12 +352,12 @@ class TestKsmIndexScripts:
             self._step(rng, ksm, twins, registered)
             stats = ksm.stats()
             assert (stats.pages_shared, stats.pages_sharing, stats.pages_saved) == (
-                self._expected(ksm, registered, merge_zero_pages)
+                self._expected(ksm, registered)
             ), (seed, step)
         ksm.run_to_completion()
         stats = ksm.stats()
         assert (stats.pages_shared, stats.pages_sharing, stats.pages_saved) == (
-            self._expected(ksm, registered, merge_zero_pages)
+            self._expected(ksm, registered)
         )
 
     def test_unchanged_guests_are_not_refolded(self):

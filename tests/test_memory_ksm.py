@@ -50,12 +50,6 @@ class TestKsmMerging:
             ksm.register(GuestMemory(name, 64 * MIB))  # all-zero guests
         assert ksm.run_to_completion().pages_saved == 0
 
-    def test_zero_page_merging_opt_in(self):
-        ksm = Ksm(merge_zero_pages=True)
-        for name in ("vm1", "vm2"):
-            ksm.register(GuestMemory(name, 64 * MIB))
-        assert ksm.run_to_completion().pages_saved > 0
-
     def test_disabled_ksm_reports_nothing(self):
         ksm = Ksm(enabled=False)
         for name in ("vm1", "vm2"):

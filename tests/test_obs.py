@@ -6,14 +6,13 @@ import pytest
 
 from repro.core import NymManager, NymixConfig
 from repro.errors import JournalOverflowError, ObservabilityError
+from repro.memory.ksm import Ksm
 from repro.obs import (
-    NULL_OBS,
     Counter,
     EventJournal,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullObservability,
     Observability,
     Tracer,
     diff_snapshots,
@@ -239,37 +238,22 @@ class TestEventJournal:
         assert json.loads(line) == {"seq": 0, "t": 0.0, "event": "a.b", "n": 2, "label": "x"}
 
 
-class TestNullObservability:
-    def test_null_obs_is_disabled_and_inert(self):
-        assert NULL_OBS.enabled is False
-        NULL_OBS.metrics.counter("any.name").inc(5)
-        NULL_OBS.metrics.gauge("g").set(9)
-        NULL_OBS.metrics.histogram("h").observe(1.0)
-        NULL_OBS.event("e", k=1)
-        with NULL_OBS.span("s", a=1):
-            pass
-        assert NULL_OBS.snapshot() == {}
-        assert len(NULL_OBS.journal) == 0
-        assert NULL_OBS.tracer.export() == []
-
-    def test_null_instruments_are_shared_singletons(self):
-        assert NULL_OBS.metrics.counter("a") is NULL_OBS.metrics.counter("b")
-        assert NULL_OBS.span("x") is NULL_OBS.span("y")
-
-    def test_fresh_null_observability_matches_singleton_shape(self):
-        null = NullObservability()
-        assert null.export() == {"metrics": {}, "spans": [], "events": []}
+class TestStandaloneComponents:
+    def test_components_built_without_obs_keep_separate_sinks(self):
+        a, b = Ksm(), Ksm()
+        a.scan()
+        a.reset_coverage()
+        assert a.obs is not b.obs
+        assert a.obs.snapshot()["ksm.scan_passes"] == 1
+        assert b.obs.snapshot()["ksm.scan_passes"] == 0
+        assert a.obs.journal.count("ksm.coverage_reset") == 1
+        assert len(b.obs.journal) == 0
 
 
 class TestTimelineIntegration:
     def test_timeline_carries_live_obs_by_default(self):
         timeline = Timeline(seed=1)
-        assert timeline.obs.enabled
         assert timeline.obs.clock is timeline.clock
-
-    def test_timeline_observability_false_uses_null_obs(self):
-        timeline = Timeline(seed=1, observability=False)
-        assert timeline.obs is NULL_OBS
 
     def test_spans_follow_timeline_sleep(self):
         timeline = Timeline()
@@ -278,8 +262,8 @@ class TestTimelineIntegration:
         assert timeline.obs.tracer.finished[0].duration_s == 5.0
 
 
-def _run_scenario(seed: int, observability: bool = True) -> NymManager:
-    manager = NymManager(NymixConfig(seed=seed, observability=observability))
+def _run_scenario(seed: int) -> NymManager:
+    manager = NymManager(NymixConfig(seed=seed))
     nymbox = manager.create_nym(name="obs-test")
     manager.timed_browse(nymbox, "bbc.co.uk")
     manager.discard_nym(nymbox)
@@ -325,14 +309,3 @@ class TestManagerIntegration:
             _run_scenario(seed=1).obs.journal.export_jsonl()
             != _run_scenario(seed=2).obs.journal.export_jsonl()
         )
-
-    def test_disabled_observability_records_nothing(self):
-        manager = _run_scenario(seed=11, observability=False)
-        assert manager.obs is NULL_OBS
-        assert manager.obs.snapshot() == {}
-        assert len(manager.obs.journal) == 0
-
-    def test_disabled_observability_same_simulation_results(self):
-        on = _run_scenario(seed=13)
-        off = _run_scenario(seed=13, observability=False)
-        assert on.timeline.now == off.timeline.now
