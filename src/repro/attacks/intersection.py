@@ -147,6 +147,7 @@ class GuardExposureModel:
                 total_guards=len(self.guard_names),
                 adversary_guards=len(self.malicious),
                 guards_per_client=self.guards_per_client,
+                obs=self.obs,
             )
             if model.simulate(sessions, rotate_every_session).ever_compromised:
                 hits += 1

@@ -22,7 +22,9 @@ Gives the reproduction an operator's console:
   manifest decides: ``--stop-after-epoch``, ``--shards``, ``--scale``,
   ``--checkpoint-dir``, ``--spool-dir``, either ``--seed``, ``--hosts``,
   ``--nyms``, ``--policy``, ``--epoch-s``, ``--host-crashes`` and
-  ``--quick``)
+  ``--quick``; without either, the classic run exits 2 on the
+  sharded-only ``--checkpoint-dir``, ``--stop-after-epoch``,
+  ``--spool-dir``, ``--epoch-s``, ``--scale`` and ``--procs``)
 * ``sweep``     — chart anonymity/latency/overhead across Tor, Dissent, mixnet
 * ``tenants``   — run the multi-tenant control-plane scenario: quotas,
   launch/ingress rate limits, a reconciled mid-run policy update, and a
@@ -413,9 +415,29 @@ _FLEET_RUN_DEFAULTS = {
 }
 
 
+#: The ``fleet`` flags only a sharded run reads.  Each parses to ``None``
+#: so that the classic path can refuse a given one instead of ignoring it.
+_SHARDED_ONLY_FLAGS = (
+    "checkpoint_dir", "stop_after_epoch", "spool_dir", "epoch_s", "scale", "procs",
+)
+
+
 def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet import run_fleet
 
+    if not (args.resume or args.shards):
+        given = [
+            "--" + name.replace("_", "-")
+            for name in _SHARDED_ONLY_FLAGS
+            if getattr(args, name) is not None
+        ]
+        if given:
+            print(
+                f"repro fleet: {', '.join(given)} not supported without "
+                f"--shards or --resume",
+                file=sys.stderr,
+            )
+            return 2
     if not args.resume:
         for name, default in _FLEET_RUN_DEFAULTS.items():
             if getattr(args, name) is None:
@@ -475,10 +497,11 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
             for name in _FLEET_RUN_DEFAULTS
         ]
     ignored = [flag for flag, on in given if on]
-    if args.procs < 0:
+    procs = 1 if args.procs is None else args.procs
+    if procs < 0:
         print(
             f"repro fleet: --procs must be >= 0 (0 = one per core), "
-            f"got {args.procs}",
+            f"got {procs}",
             file=sys.stderr,
         )
         return 2
@@ -489,7 +512,6 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    procs = args.procs
     if procs == 0:
         from repro.fleet.parallel import default_procs
 
@@ -783,9 +805,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(sharded path; writes the scale_trajectory section of --out)",
     )
     fleet.add_argument(
-        "--procs", type=int, default=1, metavar="N",
+        "--procs", type=int, metavar="N",
         help="run shards across N spawned OS worker processes (sharded "
-        "path; 0 = one per core; journal bytes are identical at any N)",
+        "path; default 1; 0 = one per core; journal bytes are identical "
+        "at any N)",
     )
     add_common_args(fleet, journal=True)
     add_tenant_config_arg(fleet)

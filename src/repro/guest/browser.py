@@ -173,7 +173,7 @@ class Browser:
         self.history: List[str] = []
         self.cookies: Dict[str, int] = {}  # hostname -> cookie bytes
         self.credentials: Dict[str, StoredCredential] = {}
-        self._cache_files: List[Tuple[str, int]] = []  # (path, size), LRU order
+        self._cache_files: Deque[Tuple[str, int]] = deque()  # (path, size), LRU order
         self._cache_total = 0  # sum of the sizes in _cache_files
         self._cache_serial = 0
         self._content = _ContentStream(rng)
@@ -233,7 +233,8 @@ class Browser:
         remaining = total_bytes
         while remaining > 0:
             chunk = min(remaining, 1 * MIB)
-            self._evict_for(chunk)
+            if self._cache_total + chunk > self.cache_limit_bytes:
+                self._evict_for(chunk)
             path = f"{_CACHE_DIR}/f_{self._cache_serial:06x}"
             self._cache_serial += 1
             self.vm.fs.write(path, self._content.defer(chunk))
@@ -245,7 +246,7 @@ class Browser:
 
     def _evict_for(self, incoming: int) -> None:
         while self._cache_files and self._cache_total + incoming > self.cache_limit_bytes:
-            path, size = self._cache_files.pop(0)
+            path, size = self._cache_files.popleft()
             self._cache_total -= size
             if self.vm.fs.exists(path):
                 self.vm.fs.remove(path)

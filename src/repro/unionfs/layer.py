@@ -9,6 +9,16 @@ from repro.errors import FileSystemError, ReadOnlyError
 
 def normalize_path(path: str) -> str:
     """Canonicalize to an absolute, ``/``-separated path with no dots."""
+    if (
+        path[:1] == "/"
+        and "//" not in path
+        and "/./" not in path
+        and "/../" not in path
+        and not path.endswith(("/", "/.", "/.."))
+    ):
+        # Every component is a plain name, so the loop would rebuild
+        # ``path`` itself.
+        return path
     if not path:
         raise FileSystemError("empty path")
     parts = []
@@ -52,7 +62,16 @@ class Layer:
     can also carry *whiteouts* — markers that hide a lower layer's file,
     which is how deletes work without touching read-only layers.  A
     file's content may be :class:`DeferredContent` until it is read.
+
+    The public methods take any path and canonicalise it.  Each has an
+    underscore twin (``_has``, ``_read``, ``_write``, ...) that takes a
+    path already in the form :func:`normalize_path` returns, so a
+    :class:`~repro.unionfs.mount.UnionMount` normalises a path once and
+    hands it through every layer.  Subclasses override the twins.
     """
+
+    #: Writes past this many used bytes fail; only a tmpfs sets one.
+    capacity_bytes: Optional[int] = None
 
     def __init__(
         self,
@@ -70,30 +89,35 @@ class Layer:
         # accounting stays O(1) per snapshot instead of O(VMs).
         self._delta_listener = None
         for path, data in (files or {}).items():
-            path_n = normalize_path(path)
-            previous = self._files.get(path_n)
-            if previous is not None:
-                self._used_bytes -= len(previous)
-            self._files[path_n] = bytes(data)
-            self._used_bytes += len(data)
+            self._write(normalize_path(path), data)
 
     # -- queries ---------------------------------------------------------------
 
     def has_file(self, path: str) -> bool:
-        return normalize_path(path) in self._files
+        return self._has(normalize_path(path))
 
     def is_whited_out(self, path: str) -> bool:
-        return normalize_path(path) in self._whiteouts
+        return self._whited_out(normalize_path(path))
 
     def read(self, path: str) -> bytes:
-        path = normalize_path(path)
+        return self._read(normalize_path(path))
+
+    def size(self, path: str) -> int:
+        """Length of a file, without resolving deferred content."""
+        return self._size(normalize_path(path))
+
+    def _has(self, path: str) -> bool:
+        return path in self._files
+
+    def _whited_out(self, path: str) -> bool:
+        return path in self._whiteouts
+
+    def _read(self, path: str) -> bytes:
         if path not in self._files:
             raise FileSystemError(f"{path}: not present in layer {self.name!r}")
         return self._resolved(path)
 
-    def size(self, path: str) -> int:
-        """Length of a file, without resolving deferred content."""
-        path = normalize_path(path)
+    def _size(self, path: str) -> int:
         if path not in self._files:
             raise FileSystemError(f"{path}: not present in layer {self.name!r}")
         return len(self._files[path])
@@ -140,19 +164,33 @@ class Layer:
 
     def write(self, path: str, data: Content) -> None:
         self._check_writable()
-        path = normalize_path(path)
-        previous = self._files.get(path)
-        delta = len(data) - (len(previous) if previous is not None else 0)
-        if previous is not None:
-            self._used_bytes -= len(previous)
-        self._files[path] = data if isinstance(data, DeferredContent) else bytes(data)
-        self._used_bytes += len(data)
-        self._whiteouts.discard(path)
-        self._notify(delta)
+        self._write(normalize_path(path), data)
 
     def remove(self, path: str) -> None:
         self._check_writable()
-        path = normalize_path(path)
+        self._remove(normalize_path(path))
+
+    def add_whiteout(self, path: str) -> None:
+        self._check_writable()
+        self._add_whiteout(normalize_path(path))
+
+    # The mutating twins leave the writability check to their caller.
+
+    def _write(self, path: str, data: Content) -> None:
+        previous = self._files.get(path)
+        delta = len(data) - (0 if previous is None else len(previous))
+        if self.capacity_bytes is not None:
+            projected = self._used_bytes + delta
+            if projected > self.capacity_bytes:
+                raise FileSystemError(
+                    f"tmpfs {self.name!r} full: {projected} > {self.capacity_bytes} bytes"
+                )
+        self._files[path] = data if isinstance(data, DeferredContent) else bytes(data)
+        self._used_bytes += delta
+        self._whiteouts.discard(path)
+        self._notify(delta)
+
+    def _remove(self, path: str) -> None:
         if path not in self._files:
             raise FileSystemError(f"{path}: not present in layer {self.name!r}")
         freed = len(self._files[path])
@@ -160,9 +198,7 @@ class Layer:
         del self._files[path]
         self._notify(-freed)
 
-    def add_whiteout(self, path: str) -> None:
-        self._check_writable()
-        path = normalize_path(path)
+    def _add_whiteout(self, path: str) -> None:
         previous = self._files.pop(path, None)
         if previous is not None:
             self._used_bytes -= len(previous)
@@ -196,13 +232,3 @@ class TmpfsLayer(Layer):
         if capacity_bytes <= 0:
             raise FileSystemError(f"tmpfs capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-
-    def write(self, path: str, data: Content) -> None:
-        path_n = normalize_path(path)
-        existing = len(self._files.get(path_n, b""))
-        projected = self.used_bytes - existing + len(data)
-        if projected > self.capacity_bytes:
-            raise FileSystemError(
-                f"tmpfs {self.name!r} full: {projected} > {self.capacity_bytes} bytes"
-            )
-        super().write(path, data)

@@ -14,7 +14,9 @@ class UnionMount:
     Reads return the file from the highest layer that has it, stopping at
     whiteouts.  Writes always land in the top layer (copy-on-write).
     Deletes remove from the top layer and, if a lower layer still has the
-    file, record a whiteout so it stays hidden.
+    file, record a whiteout so it stays hidden.  Each public method
+    canonicalises its path once and passes it to the layers' canonical-path
+    twins (``Layer._has``, ``Layer._read``, ...).
     """
 
     def __init__(self, layers: List[Layer]) -> None:
@@ -40,9 +42,9 @@ class UnionMount:
     def _serving_layer(self, path: str) -> Optional[Layer]:
         """The layer a read of the normalized ``path`` is served from."""
         for layer in self.layers:
-            if layer.has_file(path):
+            if layer._has(path):
                 return layer
-            if layer.is_whited_out(path):
+            if layer._whited_out(path):
                 return None
         return None
 
@@ -57,12 +59,12 @@ class UnionMount:
 
     def read(self, path: str) -> bytes:
         path = normalize_path(path)
-        return self._require_layer(path).read(path)
+        return self._require_layer(path)._read(path)
 
     def size(self, path: str) -> int:
         """Length of the file a read would return, without reading it."""
         path = normalize_path(path)
-        return self._require_layer(path).size(path)
+        return self._require_layer(path)._size(path)
 
     def source_layer(self, path: str) -> Optional[str]:
         """Name of the layer a read of ``path`` would be served from."""
@@ -104,21 +106,23 @@ class UnionMount:
     # -- writes ------------------------------------------------------------------
 
     def write(self, path: str, data: Content) -> None:
-        if not self.writable:
+        top = self.layers[0]
+        if top.read_only:
             raise ReadOnlyError("union mount has no writable top layer")
-        self.top.write(path, data)
+        top._write(normalize_path(path), data)
 
     def remove(self, path: str) -> None:
         if not self.writable:
             raise ReadOnlyError("union mount has no writable top layer")
         path = normalize_path(path)
-        if not self.exists(path):
+        if self._serving_layer(path) is None:
             # Covers both never-existed and already-whited-out paths.
             raise FileSystemError(f"{path}: no such file in union mount")
-        if self.top.has_file(path):
-            self.top.remove(path)
-        if any(layer.has_file(path) for layer in self.layers[1:]):
-            self.top.add_whiteout(path)
+        top = self.top
+        if top._has(path):
+            top._remove(path)
+        if any(layer._has(path) for layer in self.layers[1:]):
+            top._add_whiteout(path)
 
     # -- accounting ----------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional
 
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import IntegrityError
-from repro.unionfs.layer import Layer, normalize_path
+from repro.unionfs.layer import Layer
 
 
 class TamperDetected(IntegrityError):
@@ -54,14 +54,14 @@ class VerifiedLayer(Layer):
 
     # -- delegated queries ---------------------------------------------------
 
-    def has_file(self, path: str) -> bool:
-        return self._inner.has_file(path)
+    def _has(self, path: str) -> bool:
+        return self._inner._has(path)
 
-    def size(self, path: str) -> int:
-        return self._inner.size(path)
+    def _size(self, path: str) -> int:
+        return self._inner._size(path)
 
-    def is_whited_out(self, path: str) -> bool:
-        return self._inner.is_whited_out(path)
+    def _whited_out(self, path: str) -> bool:
+        return self._inner._whited_out(path)
 
     def paths(self):
         return self._inner.paths()
@@ -82,9 +82,8 @@ class VerifiedLayer(Layer):
 
     # -- the verified read path ---------------------------------------------
 
-    def read(self, path: str) -> bytes:
-        path = normalize_path(path)
-        data = self._inner.read(path)
+    def _read(self, path: str) -> bytes:
+        data = self._inner._read(path)
         proof = self._proofs.get(path)
         leaf = path.encode() + b"\x00" + data
         if proof is None or not MerkleTree.verify(self._root, leaf, proof):

@@ -1,9 +1,9 @@
 """Frozen seed code that equivalence tests compare the live code against.
 
-The original ("seed") per-page accounting, KSM rescan, per-block
-Poly1305 loop and per-arrival fleet host walk are kept here, next to the
-tests that use them, as behavioural oracles: the rewritten paths must
-produce the same answers.
+The original ("seed") path normalisation, per-page accounting, KSM
+rescan, per-block Poly1305 loop and per-arrival fleet host walk are kept
+here, next to the tests that use them, as behavioural oracles: the
+rewritten paths must produce the same answers.
 
 The two ``*_CACHE_OFF`` lists turn the handshake and mixnet caches off
 from outside, and ``COLD_BOOT`` turns off the flash-clone launch path.
@@ -22,7 +22,7 @@ from repro.anonymizers.tor.circuit import NtorClientCache
 from repro.anonymizers.tor.relay import Relay, _CircuitHopState
 from repro.crypto.aead import ChaCha20Poly1305
 from repro.crypto.x25519 import X25519_BASE_POINT, x25519
-from repro.errors import CircuitError, MemoryError_
+from repro.errors import CircuitError, FileSystemError, MemoryError_
 from repro.memory.pages import (
     ContentTag,
     ZERO_TAG,
@@ -43,6 +43,29 @@ def apply(monkeypatch, patches) -> None:
     """Set every ``(owner, name, value)`` in ``patches`` through ``monkeypatch``."""
     for owner, name, value in patches:
         monkeypatch.setattr(owner, name, value)
+
+
+# ---------------------------------------------------------------------------
+# Seed path normalisation: every path, canonical or not, goes through the
+# component loop.
+# ---------------------------------------------------------------------------
+
+
+def seed_normalize_path(path: str) -> str:
+    """The seed ``normalize_path``: canonicalize to an absolute path with no dots."""
+    if not path:
+        raise FileSystemError("empty path")
+    parts = []
+    for part in path.split("/"):
+        if part in ("", "."):
+            continue
+        if part == "..":
+            if not parts:
+                raise FileSystemError(f"path escapes root: {path!r}")
+            parts.pop()
+        else:
+            parts.append(part)
+    return "/" + "/".join(parts)
 
 
 # ---------------------------------------------------------------------------

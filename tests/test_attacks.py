@@ -13,6 +13,7 @@ from repro.attacks import (
 )
 from repro.attacks.fingerprinting import cpu_timing_fingerprint
 from repro.attacks.intersection import candidate_count_after_epochs, linkable_by_exit
+from repro.obs import Observability
 from repro.sim import SeededRng
 
 
@@ -178,3 +179,12 @@ class TestGuardExposure:
     def test_bad_adversary_count(self):
         with pytest.raises(ValueError):
             GuardExposureModel(SeededRng(8), total_guards=10, adversary_guards=11)
+
+    def test_compromise_rate_counts_its_trials_in_the_callers_sink(self):
+        obs = Observability()
+        model = GuardExposureModel(SeededRng(1), obs=obs)
+        assert model.compromise_rate(5, True, trials=10) == 0.8
+        snapshot = obs.metrics.snapshot()
+        # Ten trials of five rotating sessions: five draws each.
+        assert snapshot["attack.guard.draws"] == 50
+        assert snapshot["attack.guard.compromises"] == 8

@@ -370,6 +370,15 @@ RESUME_IGNORED = [
     ("--spool-dir", ["--spool-dir", "elsewhere"]),
     ("--quick", ["--quick"]),
 ]
+#: Flags only a sharded run reads, which the classic path refuses.
+CLASSIC_IGNORED = [
+    ("--checkpoint-dir", ["--checkpoint-dir", "ck2"]),
+    ("--stop-after-epoch", ["--stop-after-epoch", "1"]),
+    ("--spool-dir", ["--spool-dir", "elsewhere"]),
+    ("--epoch-s", ["--epoch-s", "5"]),
+    ("--scale", ["--scale", "1,2"]),
+    ("--procs", ["--procs", "2"]),
+]
 
 
 class TestCli:
@@ -433,20 +442,23 @@ class TestCli:
             for mode, flags in (
                 ("shards", SHARDED_IGNORED),
                 ("resume", SHARDED_IGNORED + RESUME_IGNORED),
+                ("classic", CLASSIC_IGNORED),
             )
             for index, (flag, extra) in enumerate(flags)
         ],
     )
     def test_sharded_path_rejects_ignored_flags(
-        self, tmp_path, capsys, flag, extra, mode
+        self, tmp_path, capsys, monkeypatch, flag, extra, mode
     ):
         spool = str(tmp_path / "spool")
         out = str(tmp_path / "out.json")
-        argv = (
-            self.FLEET_ARGS + ["--spool-dir", spool] if mode == "shards"
-            else ["fleet", "--resume", str(tmp_path / "ck")]
-        ) + ["--out", out]
+        argv = {
+            "shards": self.FLEET_ARGS + ["--spool-dir", spool],
+            "resume": ["fleet", "--resume", str(tmp_path / "ck")],
+            "classic": ["fleet", "--seed", "7", "--quick", "--no-compare"],
+        }[mode] + ["--out", out]
         argv = extra[1:] + argv if extra[0] == GLOBAL else argv + extra
+        monkeypatch.chdir(tmp_path)  # where a relative ck2 or elsewhere would go
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
-        assert not os.path.exists(spool) and not os.path.exists(out)
+        assert os.listdir(tmp_path) == []  # no spool, checkpoint or --out file

@@ -1,11 +1,25 @@
 """Union file system: layers, copy-on-write, whiteouts, tmpfs limits."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FileSystemError, ReadOnlyError
+from repro.guest import browser
 from repro.unionfs import DeferredContent, Layer, TmpfsLayer, UnionMount
 from repro.unionfs.layer import normalize_path
+from repro.vmm.baseimage import build_base_layer
+
+from tests.seed_oracles import seed_normalize_path
+
+
+def _outcome(normalize, path):
+    """What ``normalize(path)`` returns, or the type and message it raises."""
+    try:
+        return normalize(path)
+    except FileSystemError as exc:
+        return type(exc), str(exc)
 
 
 class TestNormalizePath:
@@ -28,6 +42,29 @@ class TestNormalizePath:
     def test_empty_rejected(self):
         with pytest.raises(FileSystemError):
             normalize_path("")
+
+    def test_matches_the_seed_loop_on_every_short_string(self):
+        """All 21,845 strings of length <= 7 over ``/``, ``.``, ``a`` and
+        ``b``: canonical or not, escaping or empty, the live function
+        returns or raises exactly what the seed loop does."""
+        differ = [
+            path
+            for length in range(8)
+            for path in map("".join, itertools.product("/.ab", repeat=length))
+            if _outcome(normalize_path, path) != _outcome(seed_normalize_path, path)
+        ]
+        assert differ == []
+
+    def test_the_browsers_paths_are_canonical(self):
+        paths = [
+            browser._HISTORY_FILE,
+            browser._COOKIES_FILE,
+            browser._LOGIN_FILE,
+            *(f"{browser._CACHE_DIR}/f_{serial:06x}" for serial in (0, 1, 0xABCDEF)),
+            *build_base_layer().paths(),
+        ]
+        for path in paths:
+            assert normalize_path(path) == seed_normalize_path(path) == path
 
 
 class TestLayer:
