@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 from repro.anonymizers.tor.relay import Relay
 from repro.crypto.chacha20 import chacha20_combined_keystream, xor_bytes
 from repro.crypto.x25519 import x25519, x25519_keypair
 from repro.errors import CircuitError
+from repro.obs.metrics import Counter
 from repro.runtime import evict_oldest, register_process_cache
 from repro.sim.clock import Timeline
 from repro.sim.rng import SeededRng
@@ -95,6 +97,12 @@ class Circuit:
         self.built_at = None  # type: float
         self.build_seconds = 0.0
         self.streams_opened = 0
+
+    @cached_property
+    def _obs_cells_relayed(self) -> Counter:
+        # Looked up at the first relayed cell and held after that, so the
+        # name enters the metrics snapshot only once a cell was relayed.
+        return self.timeline.obs.metrics.counter("tor.cells.relayed")
 
     # -- construction ---------------------------------------------------------
 
@@ -217,7 +225,7 @@ class Circuit:
         data = onion
         for hop in self._hops:
             data = hop.relay.peel_forward(self.circ_id, data)
-        self.timeline.obs.metrics.counter("tor.cells.relayed").inc(len(self._hops))
+        self._obs_cells_relayed.inc(len(self._hops))
         return data
 
     def relay_backward(self, plaintext: bytes) -> bytes:

@@ -94,13 +94,9 @@ class NymManager:
         self.directory = DirectoryAuthority(
             self.timeline.fork_rng("tor-directory"), relay_count=self.config.tor_relay_count
         )
-        self.dcnet = DcNetDeployment(
-            self.timeline.fork_rng("dcnet"),
-            num_clients=self.config.dissent_clients,
-            num_servers=self.config.dissent_servers,
-        )
-        # The mixnet deployment is lazy: topology keygen costs L*M X25519
-        # operations, and most managers never launch a mixnet nym.
+        # The Dissent and mixnet deployments are lazy: their keygen costs
+        # X25519 operations, and most managers launch neither kind of nym.
+        self._dcnet: Optional[DcNetDeployment] = None
         self._mixnet: Optional["MixTopology"] = None
         self.store = NymStore(self.timeline, self.timeline.fork_rng("store"))
         self.providers: Dict[str, CloudProvider] = {}
@@ -186,6 +182,17 @@ class NymManager:
         return create_anonymizer(
             kind, self.timeline, self.internet, nat, rng, **kwargs
         )
+
+    @property
+    def dcnet(self) -> DcNetDeployment:
+        """The shared Dissent deployment, built on first use."""
+        if self._dcnet is None:
+            self._dcnet = DcNetDeployment(
+                self.timeline.fork_rng("dcnet"),
+                num_clients=self.config.dissent_clients,
+                num_servers=self.config.dissent_servers,
+            )
+        return self._dcnet
 
     def mixnet_topology(self, create: bool = True):
         """The shared mix deployment, built on first use.
@@ -276,16 +283,24 @@ class NymManager:
         self.nymboxes[name] = nymbox
         return nymbox
 
+    def _boot(self, vm: VirtualMachine, rng, advance: bool = True) -> float:
+        """Boot ``vm`` inside a ``vm.boot`` span, which ``repro trace`` renders.
+
+        The span is the manager's: a fleet boots its VMs without one.
+        """
+        with self.obs.span("vm.boot", vm=vm.vm_id, role=vm.spec.role.value):
+            return vm.boot(rng, advance=advance)
+
     def _launch(self, nymbox: NymBox) -> None:
         """Boot the VMs (in parallel) and start the anonymizer, timing phases."""
         rng = nymbox.rng
         with self.obs.span("nymbox.launch", nym=nymbox.nym.name):
             t0 = self.timeline.now
             # All guests boot concurrently; the AnonVM (the longest boot) sets the pace.
-            nymbox.commvm.boot(rng, advance=False)
+            self._boot(nymbox.commvm, rng, advance=False)
             for extra in nymbox.extra_commvms:
-                extra.boot(rng, advance=False)
-            nymbox.anonvm.boot(rng, advance=True)
+                self._boot(extra, rng, advance=False)
+            self._boot(nymbox.anonvm, rng)
             nymbox.startup.boot_vm_s = self.timeline.now - t0
             t1 = self.timeline.now
             nymbox.anonymizer.start()
@@ -534,8 +549,8 @@ class NymManager:
             nymbox.anonymizer.import_state(snapshot.anonymizer_state)
             rng = nymbox.rng
             t0 = self.timeline.now
-            nymbox.commvm.boot(rng, advance=False)
-            nymbox.anonvm.boot(rng, advance=True)
+            self._boot(nymbox.commvm, rng, advance=False)
+            self._boot(nymbox.anonvm, rng)
             NymStore.restore_files(nymbox, snapshot)
             nymbox.startup.boot_vm_s = self.timeline.now - t0
             t1 = self.timeline.now
@@ -614,7 +629,7 @@ class NymManager:
         """The (single, air-gapped) SaniVM, created and booted on first use."""
         if self._sanivm is None:
             vm = self.hypervisor.create_vm(VmSpec.sanivm(), name="sanivm")
-            vm.boot(self.timeline.fork_rng("sanivm-boot"))
+            self._boot(vm, self.timeline.fork_rng("sanivm-boot"))
             self._sanivm = SaniVm(self.timeline, vm)
         return self._sanivm
 
@@ -653,7 +668,7 @@ class NymManager:
             name=f"hostos-{os_name.lower().replace(' ', '-')}-{next(self._nym_counter)}",
             image_id=ios.physical_disk.image_id,
         )
-        vm.boot(self.timeline.fork_rng(f"installed-boot:{os_name}"), advance=False)
+        self._boot(vm, self.timeline.fork_rng(f"installed-boot:{os_name}"), advance=False)
         boot_s = ios.boot(self.timeline)
         self.obs.metrics.counter("nym.installed_os_boots").inc()
         self.obs.event(

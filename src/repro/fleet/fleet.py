@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     FleetCapacityError,
@@ -34,6 +34,7 @@ from repro.faults.retry import RetryPolicy, retry_call
 from repro.fleet.host import HostHandle
 from repro.fleet.placement import PlacementPolicy, make_policy
 from repro.net.internet import Internet
+from repro.obs.metrics import Counter, Gauge
 from repro.runtime import register_process_cache
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import FleetPolicies
@@ -230,6 +231,9 @@ class Fleet:
         self._verdicts: Dict[str, Tuple[bool, bool]] = {}
         self._admissible: List[HostHandle] = []
         self._calm: List[HostHandle] = []
+        # image -> hosts with a resident of that image, kept by every
+        # host's add/pop_resident (see HostHandle.colonies).
+        self._colonies: Dict[str, Set[HostHandle]] = {}
         self.add_hosts(hosts, announce=False)
 
         self.nymboxes: Dict[str, FleetNymbox] = {}
@@ -254,6 +258,17 @@ class Fleet:
 
             self.autoscaler = Autoscaler(self, policies.autoscale).start()
 
+    # Hot instruments, each looked up at its first update so that a name
+    # enters the metrics snapshot exactly when a lookup per update would.
+
+    @functools.cached_property
+    def _obs_placements(self) -> Counter:
+        return self.timeline.obs.metrics.counter("fleet.placements")
+
+    @functools.cached_property
+    def _obs_nyms_resident(self) -> Gauge:
+        return self.timeline.obs.metrics.gauge("fleet.nyms_resident")
+
     # -- host membership -------------------------------------------------------
 
     def add_hosts(self, count: int = 1, announce: bool = True) -> List[HostHandle]:
@@ -272,7 +287,7 @@ class Fleet:
                 base_layer=base_layer,
                 merkle_root=merkle_root,
             )
-            handle = HostHandle(host_id, hv)
+            handle = HostHandle(host_id, hv, self._colonies)
             # The listener fires on every guest mutation, so it is one
             # C-level dict store rather than a Python-level call.
             hv.set_accounting_listener(
@@ -429,10 +444,9 @@ class Fleet:
         )
         self.placements += 1
         self.tenancy.note_admitted(tenant)
-        obs = self.timeline.obs
-        obs.metrics.counter("fleet.placements").inc()
-        obs.event("fleet.place", nym=name, host=host.host_id,
-                  image=image_id, policy=self.policy.name)
+        self._obs_placements.inc()
+        self.timeline.obs.event("fleet.place", nym=name, host=host.host_id,
+                                image=image_id, policy=self.policy.name)
         self._relieve_pressure(host)
         return box
 
@@ -472,7 +486,7 @@ class Fleet:
         self.nymboxes[name] = box
         host.add_resident(box)
         self.tenancy.note_placed(tenant, box.ram_bytes)
-        self.timeline.obs.metrics.gauge("fleet.nyms_resident").set(len(self.nymboxes))
+        self._obs_nyms_resident.set(len(self.nymboxes))
         return box
 
     def touch(self, name: str, dirty_bytes: int) -> None:
@@ -492,7 +506,7 @@ class Fleet:
         if not host.crashed:
             host.hypervisor.destroy_vm(box.anonvm)
             host.hypervisor.destroy_vm(box.commvm)
-        self.timeline.obs.metrics.gauge("fleet.nyms_resident").set(len(self.nymboxes))
+        self._obs_nyms_resident.set(len(self.nymboxes))
 
     # -- evacuation (§3.5 store → relaunch) -----------------------------------
 

@@ -23,7 +23,12 @@ class HostHandle:
     :class:`MemorySnapshot` is served until the token moves.
     """
 
-    def __init__(self, host_id: str, hypervisor: Hypervisor) -> None:
+    def __init__(
+        self,
+        host_id: str,
+        hypervisor: Hypervisor,
+        colonies: Dict[str, Set["HostHandle"]],
+    ) -> None:
         self.host_id = host_id
         self.hypervisor = hypervisor
         self.residents: Dict[str, "FleetNymbox"] = {}  # noqa: F821 (fleet.py)
@@ -40,6 +45,10 @@ class HostHandle:
         # Per-image resident counts, maintained by add/pop_resident so
         # KsmAware placement never walks the resident dict per score.
         self._image_counts: Dict[str, int] = {}
+        #: image -> hosts running at least one nym of it (its colonies):
+        #: the fleet's index, shared by all its hosts and kept by their
+        #: add/pop_resident, so KsmAware placement asks only the colonies.
+        self.colonies = colonies
 
     # -- capacity ------------------------------------------------------------
 
@@ -78,16 +87,25 @@ class HostHandle:
 
     def add_resident(self, box: "FleetNymbox") -> None:  # noqa: F821
         self.residents[box.name] = box
-        self._image_counts[box.image_id] = self._image_counts.get(box.image_id, 0) + 1
+        image = box.image_id
+        count = self._image_counts.get(image, 0)
+        if not count:
+            self.colonies.setdefault(image, set()).add(self)
+        self._image_counts[image] = count + 1
 
     def pop_resident(self, name: str) -> Optional["FleetNymbox"]:  # noqa: F821
         box = self.residents.pop(name, None)
         if box is not None:
-            remaining = self._image_counts.get(box.image_id, 0) - 1
-            if remaining > 0:
-                self._image_counts[box.image_id] = remaining
+            image = box.image_id
+            remaining = self._image_counts[image] - 1
+            if remaining:
+                self._image_counts[image] = remaining
             else:
-                self._image_counts.pop(box.image_id, None)
+                del self._image_counts[image]
+                hosts = self.colonies[image]
+                hosts.discard(self)
+                if not hosts:
+                    del self.colonies[image]
         return box
 
     def images(self) -> Set[str]:

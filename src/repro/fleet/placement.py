@@ -73,7 +73,9 @@ class KsmAware(PlacementPolicy):
     this image (deepening an existing colony shares the whole image
     cache); (2) otherwise the host carrying the fewest *other* images,
     least-loaded first — starting a new colony where it will pollute the
-    fewest existing ones.
+    fewest existing ones.  The image's colonies come from the fleet's
+    colony index (:attr:`HostHandle.colonies`), so a candidate without
+    one costs a set lookup, not a count.
     """
 
     name = "ksm-aware"
@@ -83,7 +85,10 @@ class KsmAware(PlacementPolicy):
     ) -> Optional[HostHandle]:
         if not candidates:
             return None
-        colonies = [h for h in candidates if h.image_count(image_id) > 0]
+        hosts = candidates[0].colonies.get(image_id)
+        colonies = list(filter(hosts.__contains__, candidates)) if hosts else ()
+        if len(colonies) == 1:
+            return colonies[0]
         if colonies:
             return max(
                 colonies,

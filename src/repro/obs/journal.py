@@ -29,10 +29,74 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import JournalOverflowError, ObservabilityError
 from repro.obs.metrics import validate_metric_name
+from repro.runtime import register_process_cache
+
+try:
+    from operator import call as _call
+except ImportError:  # Python < 3.11
+
+    def _call(function, value):
+        return function(value)
+
+
+#: How ``json.dumps`` writes a value of each scalar type.  A float's
+#: ``repr`` is its JSON text when finite; ``nan``/``inf`` are caught by
+#: ``_NON_FINITE`` (JSON writes ``NaN``/``Infinity``).
+_SCALAR_TEXT: Dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+_HEADER_KEYS = ("event", "seq", "t")
+
+#: Line template per event shape: (name, field keys, value types) ->
+#: (``%``-template, picker of the values in key order, their
+#: converters), or None where only ``json.dumps`` writes the line.
+#: Names and field keys come from call sites, so the shapes are few.
+_Template = Tuple[str, Callable, Tuple[Callable[[object], str], ...]]
+_TEMPLATES: Dict[tuple, Optional[_Template]] = {}
+
+register_process_cache("obs.line_templates", _TEMPLATES.clear, _TEMPLATES.__len__)
+
+
+def _literal(text: str) -> str:
+    """``text`` as a JSON string inside a ``%``-template."""
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
+def _line_template(name: str, keys: tuple, types: tuple) -> Optional[_Template]:
+    """The template of one shape; ``types`` covers ``(seq, t, *values)``."""
+    if (
+        type(name) is not str
+        or not all(type(key) is str for key in keys)
+        or len(set(keys)) != len(keys)
+        or not set(keys).isdisjoint(_HEADER_KEYS)
+        or not all(kind in _SCALAR_TEXT for kind in types)
+    ):
+        return None
+    # (key, index into (seq, t, *values), or None for the literal name)
+    slots = [("event", None), ("seq", 0), ("t", 1)]
+    slots += [(key, index) for index, key in enumerate(keys, start=2)]
+    slots.sort(key=lambda slot: slot[0])
+    parts = [
+        _literal(key) + ":" + ("%s" if index is not None else _literal(name))
+        for key, index in slots
+    ]
+    indices = [index for _, index in slots if index is not None]
+    return (
+        "{" + ",".join(parts) + "}",
+        itemgetter(*indices),
+        tuple(_SCALAR_TEXT[types[index]] for index in indices),
+    )
 
 
 @dataclass(frozen=True)
@@ -50,6 +114,25 @@ class EventRecord:
         return record
 
     def to_json(self) -> str:
+        """``json.dumps(self.export(), sort_keys=True, separators=(",", ":"))``.
+
+        A line of scalars fills its shape's template.  ``json.dumps``
+        still writes a line that holds a list, a dict, a non-finite
+        float or a field named ``seq``, ``t`` or ``event``.
+        """
+        fields = self.fields
+        keys, values = zip(*fields) if fields else ((), ())
+        values = (self.seq, self.t) + values
+        shape = (self.name, keys, tuple(map(type, values)))
+        try:
+            template = _TEMPLATES[shape]
+        except KeyError:
+            template = _TEMPLATES[shape] = _line_template(*shape)
+        if template is not None:
+            line, pick, converters = template
+            texts = tuple(map(_call, converters, pick(values)))
+            if _NON_FINITE.isdisjoint(texts):
+                return line % texts
         return json.dumps(self.export(), sort_keys=True, separators=(",", ":"))
 
 
@@ -80,22 +163,24 @@ class EventJournal:
 
     def record(self, name: str, **fields) -> EventRecord:
         """Append one event at the current simulated time."""
-        validate_metric_name(name)
-        if not self.streaming and len(self._events) >= self.max_events:
+        recorded = self._name_counts.get(name, 0)
+        if not recorded:
+            # A name already recorded was checked the first time.
+            validate_metric_name(name)
+        streaming = self._spool_path is not None
+        if not streaming and len(self._events) >= self.max_events:
             raise JournalOverflowError(
                 f"event journal overflowed max_events={self.max_events} "
                 f"(raise the cap or spill to disk with stream_to())"
             )
+        # Positional: a frozen dataclass takes keywords at twice the cost.
         record = EventRecord(
-            seq=self._next_seq,
-            t=self._clock.now,
-            name=name,
-            fields=tuple(sorted(fields.items())),
+            self._next_seq, self._clock.now, name, tuple(sorted(fields.items()))
         )
         self._next_seq += 1
-        self._name_counts[name] = self._name_counts.get(name, 0) + 1
+        self._name_counts[name] = recorded + 1
         self._events.append(record)
-        if self.streaming and len(self._events) >= self._window_limit:
+        if streaming and len(self._events) >= self._window_limit:
             self.flush()
         return record
 

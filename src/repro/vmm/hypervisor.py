@@ -35,7 +35,14 @@ from repro.vmm.baseimage import (
 )
 from repro.vmm.vcpu import CpuModel
 from repro.vmm.virtfs import SharedFolder
-from repro.vmm.vm import MIB, VirtualMachine, VmRole, VmSpec, replay_boot
+from repro.vmm.vm import (
+    MIB,
+    VirtualMachine,
+    VmmInstruments,
+    VmRole,
+    VmSpec,
+    replay_boot,
+)
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,8 @@ class Hypervisor:
         )
         self.verify_base_image = verify_base_image
         self.rng = timeline.fork_rng("hypervisor")
+        # Held by this hypervisor and handed to every VM it creates.
+        self._instruments = VmmInstruments(timeline.obs.metrics)
 
         # Host-side capture: the Wireshark vantage point of §5.1.
         self.host_capture = PacketCapture(timeline, name="host-uplink-capture")
@@ -298,14 +307,14 @@ class Hypervisor:
             fs=build_vm_mount(spec.role, spec.writable_fs_bytes, bottom, config=config),
             image_id=image_id,
             template_memory=self._zygote_memory(spec, image_id),
+            instruments=self._instruments,
         )
         self._vms[vm_id] = vm
         if vm.fs.writable:
             self._fs_ram_bytes += vm.fs.top.used_bytes
             vm.fs.top.set_delta_listener(self._on_fs_delta)
-        obs = self.timeline.obs
-        obs.metrics.counter("vmm.vm.created").inc()
-        obs.metrics.gauge("vmm.vms_live").set(len(self._vms))
+        self._instruments.created.inc()
+        self._instruments.vms_live.set(len(self._vms))
         return vm
 
     def _on_fs_delta(self, delta: int) -> None:
@@ -334,10 +343,9 @@ class Hypervisor:
         self.memory.release_guest(vm.vm_id, secure=True)
         self._nats.pop(vm.vm_id, None)
         self._vms.pop(vm.vm_id, None)
-        obs = self.timeline.obs
-        obs.metrics.counter("vmm.vm.destroyed").inc()
-        obs.metrics.gauge("vmm.vms_live").set(len(self._vms))
-        obs.event("vm.destroyed", vm=vm.vm_id, role=vm.spec.role.value)
+        self._instruments.destroyed.inc()
+        self._instruments.vms_live.set(len(self._vms))
+        self.timeline.obs.event("vm.destroyed", vm=vm.vm_id, role=vm.spec.role.value)
 
     def vm(self, vm_id: str) -> VirtualMachine:
         return self._vms[vm_id]

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from repro.errors import VmStateError
 from repro.memory.pages import GuestMemory
 from repro.net.nic import VirtualNic
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.clock import Timeline
 from repro.unionfs.mount import UnionMount
 from repro.vmm.virtfs import SharedFolder
@@ -137,6 +139,43 @@ class VmFingerprint:
         }
 
 
+class VmmInstruments:
+    """The vmm layer's hot instruments, held by a hypervisor and its VMs.
+
+    Each is looked up by name at its first update and held after that,
+    so a name enters the metrics snapshot exactly when a lookup per
+    update would put it there: ``vmm.vm.dirtied_bytes`` stays absent
+    until some guest dirties memory.
+    """
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self._metrics = metrics
+
+    @cached_property
+    def created(self) -> Counter:
+        return self._metrics.counter("vmm.vm.created")
+
+    @cached_property
+    def destroyed(self) -> Counter:
+        return self._metrics.counter("vmm.vm.destroyed")
+
+    @cached_property
+    def vms_live(self) -> Gauge:
+        return self._metrics.gauge("vmm.vms_live")
+
+    @cached_property
+    def boots(self) -> Counter:
+        return self._metrics.counter("vmm.vm.boots")
+
+    @cached_property
+    def boot_phase_s(self) -> Histogram:
+        return self._metrics.histogram("vmm.boot.phase_s")
+
+    @cached_property
+    def dirtied_bytes(self) -> Counter:
+        return self._metrics.counter("vmm.vm.dirtied_bytes")
+
+
 class VirtualMachine:
     """One guest: RAM, a union-FS root, NICs, and a lifecycle."""
 
@@ -149,6 +188,7 @@ class VirtualMachine:
         fs: UnionMount,
         image_id: str,
         template_memory: Optional[GuestMemory] = None,
+        instruments: Optional[VmmInstruments] = None,
     ) -> None:
         self.timeline = timeline
         self.vm_id = vm_id
@@ -159,6 +199,11 @@ class VirtualMachine:
         #: Pre-booted memory image to flash-adopt at boot time instead of
         #: calling :func:`replay_boot` (the hypervisor's zygote).
         self.template_memory = template_memory
+        # Shared with the creating hypervisor and its other VMs.
+        self._instruments = (
+            instruments if instruments is not None
+            else VmmInstruments(timeline.obs.metrics)
+        )
         self.state = VmState.CREATED
         self.nics: List[VirtualNic] = []
         self.shared_folders: Dict[str, SharedFolder] = {}
@@ -180,29 +225,30 @@ class VirtualMachine:
         With ``advance=False`` the boot consumes no timeline time — used
         when this boot overlaps a longer concurrent boot (the nymbox boots
         its AnonVM and CommVM in parallel, so the pair costs the max).
+        The boot opens no span: a caller whose trace someone reads (the
+        Nym Manager) wraps it in a ``vm.boot`` span.
         """
         self._require(VmState.CREATED)
-        obs = self.timeline.obs
         duration = self.spec.boot_seconds
         if jitter_rng is not None:
             duration = jitter_rng.jitter(duration, 0.08)
-        with obs.span("vm.boot", vm=self.vm_id, role=self.spec.role.value):
-            if advance:
-                self.timeline.sleep(duration)
-            template = self.template_memory
-            if template is not None and self.memory.can_adopt(template):
-                # Flash clone: take the template's post-boot content runs
-                # copy-on-write — equivalent to replaying the boot
-                # sequence, without the per-boot run construction.
-                self.memory.adopt_template(template)
-            else:
-                replay_boot(self.memory, self.spec, self.image_id)
-            self.state = VmState.RUNNING
-            self.booted_at = self.timeline.now
-            self.last_boot_seconds = duration
-        obs.metrics.counter("vmm.vm.boots").inc()
-        obs.metrics.histogram("vmm.boot.phase_s").observe(duration)
-        obs.event(
+        if advance:
+            self.timeline.sleep(duration)
+        template = self.template_memory
+        if template is not None and self.memory.can_adopt(template):
+            # Flash clone: take the template's post-boot content runs
+            # copy-on-write — equivalent to replaying the boot
+            # sequence, without the per-boot run construction.
+            self.memory.adopt_template(template)
+        else:
+            replay_boot(self.memory, self.spec, self.image_id)
+        self.state = VmState.RUNNING
+        self.booted_at = self.timeline.now
+        self.last_boot_seconds = duration
+        instruments = self._instruments
+        instruments.boots.inc()
+        instruments.boot_phase_s.observe(duration)
+        self.timeline.obs.event(
             "vm.boot",
             vm=self.vm_id,
             role=self.spec.role.value,
@@ -258,7 +304,7 @@ class VirtualMachine:
         """Guest workload dirties private pages (browsing, JS heaps...)."""
         self._require(VmState.RUNNING)
         self.memory.dirty(dirty_bytes)
-        self.timeline.obs.metrics.counter("vmm.vm.dirtied_bytes").inc(dirty_bytes)
+        self._instruments.dirtied_bytes.inc(dirty_bytes)
 
     # -- observability -------------------------------------------------------
 

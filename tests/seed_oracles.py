@@ -1,9 +1,9 @@
 """Frozen seed code that equivalence tests compare the live code against.
 
-The original ("seed") path normalisation, per-page accounting, KSM
-rescan, per-block Poly1305 loop and per-arrival fleet host walk are kept
-here, next to the tests that use them, as behavioural oracles: the
-rewritten paths must produce the same answers.
+The original ("seed") path normalisation, journal line encoder,
+per-page accounting, KSM rescan, per-block Poly1305 loop and per-arrival
+fleet host walk are kept here, next to the tests that use them, as
+behavioural oracles: the rewritten paths must produce the same answers.
 
 The two ``*_CACHE_OFF`` lists turn the handshake and mixnet caches off
 from outside, and ``COLD_BOOT`` turns off the flash-clone launch path.
@@ -16,6 +16,7 @@ carry no switches for this.
 from __future__ import annotations
 
 import importlib
+import json
 from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.anonymizers.tor.circuit import NtorClientCache
@@ -66,6 +67,16 @@ def seed_normalize_path(path: str) -> str:
         else:
             parts.append(part)
     return "/" + "/".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Seed journal line: a fresh dict per record, sorted again by json.dumps.
+# ---------------------------------------------------------------------------
+
+
+def seed_event_json(record) -> str:
+    """The seed ``EventRecord.to_json``."""
+    return json.dumps(record.export(), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

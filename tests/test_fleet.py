@@ -91,8 +91,8 @@ class TestPolicies:
 
 
 class TestResidency:
-    """Per-host image counts (the ksm-aware policy's input) follow every
-    placement, removal and evacuation."""
+    """Per-host image counts and the fleet's colony index (the ksm-aware
+    policy's inputs) follow every placement, removal and evacuation."""
 
     @staticmethod
     def _totals(fleet, images=("img-0", "img-1")):
@@ -103,6 +103,7 @@ class TestResidency:
 
     @staticmethod
     def _assert_images_match_residents(fleet):
+        colonies = {}
         for host in fleet.host_list():
             expected = {box.image_id for box in host.residents.values()}
             assert host.images() == expected
@@ -110,6 +111,10 @@ class TestResidency:
                 assert host.image_count(image) == sum(
                     1 for box in host.residents.values() if box.image_id == image
                 )
+                colonies.setdefault(image, set()).add(host)
+        # The fleet's colony index, which every host shares, agrees.
+        assert all(host.colonies is fleet._colonies for host in fleet.host_list())
+        assert fleet._colonies == colonies
 
     def test_image_counts_track_place_and_remove(self):
         fleet = make_fleet(hosts=4, policy="ksm-aware")

@@ -10,8 +10,11 @@ browse/store cases drive a seed-7 ``NymixSession`` through browsing and
 the §3.5 store and load, and also pin the sealed blob and the stored
 files, which the fleet and tenancy journals never touch.  The sharded
 case pins a crash-injected ``fleet --shards`` run's combined journal and
-metrics spools under both executors.  The digests are stable across
-``PYTHONHASHSEED`` and match fresh-process runs of the same commands.
+metrics spools under both executors.  The output cases pin what
+``repro trace --json`` and ``repro stats --json`` print: the span tree
+and the metrics snapshot, which no journal carries.  The digests are
+stable across ``PYTHONHASHSEED`` and match fresh-process runs of the
+same commands.
 
 A change that re-baselines journals on purpose updates these digests and
 says so in CHANGES.md.  Any other digest change is a regression.
@@ -154,3 +157,27 @@ def _browse_store_load(cache_limit):
 def test_browse_store_load_matches_recorded_digests(case):
     cache_limit, blob, files, journal = BROWSE_STORE_CASES[case]
     assert _browse_store_load(cache_limit) == (blob, files, journal)
+
+
+#: ``repro`` stdout pinned byte for byte: the sim-time span tree (which
+#: spans a manager opens, and where) and the metrics snapshot (a name
+#: appears only once something has been recorded under it).
+OUTPUT_CASES = {
+    "trace-json": (
+        ["--seed", "3", "trace", "--json"],
+        "2ff91dcb0b7236ef4c8be66e8c2f40d747ba835205cb9f60a537a055f1e438de",
+    ),
+    "stats-json": (
+        ["--seed", "7", "stats", "--json"],
+        "4f868e68f972392a144a6358e7010c9a3b4fc013d2844890e51f68d0a93c1d89",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+def test_output_matches_recorded_digest(case, capsys):
+    argv, digest = OUTPUT_CASES[case]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest

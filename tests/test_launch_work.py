@@ -13,14 +13,18 @@ caches, and pin the exact numbers.  The cases under ``COLD_BOOT``
 guard against.
 """
 
+import collections
+
 import pytest
 
 import repro.anonymizers.tor.relay as relay_module
+from repro.anonymizers.dissent.dcnet import DcNetDeployment
 from repro.core import NymManager, NymixConfig
 from repro.fleet import Fleet
-from repro.fleet.shard import ShardConfig, run_sharded_fleet
+from repro.fleet.shard import ShardConfig, ShardedFleet, run_sharded_fleet
 from repro.memory.ksm import Ksm
 from repro.memory.pages import GuestMemory
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import reset_process_caches
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import FleetPolicies
@@ -106,11 +110,13 @@ def _fleet_places(count_work):
     return counts
 
 
+SHARDED = ShardConfig(seed=7, shards=2, hosts_per_shard=2, nyms=24, epoch_s=5.0)
+
+
 def _sharded_run(count_work, spool_dir):
     """One whole seed-7 run: 2 shards x 2 hosts, 24 nyms, 5 s epochs."""
-    config = ShardConfig(seed=7, shards=2, hosts_per_shard=2, nyms=24, epoch_s=5.0)
     counts = count_work()
-    run_sharded_fleet(config, str(spool_dir))
+    run_sharded_fleet(SHARDED, str(spool_dir))
     return counts
 
 
@@ -169,3 +175,60 @@ def test_unchanged_host_answers_from_the_ksm_memo(count_work):
     for _ in range(5):
         assert (hypervisor.memory.ksm.stats(), hypervisor.memory_snapshot()) == before
     assert counts == _work()
+
+
+class TestObservabilityWork:
+    """What an arrival pays the sink besides its journal lines."""
+
+    def test_placements_look_metrics_up_only_for_new_wires(self, monkeypatch):
+        # Instruments a component holds are looked up once per holder: the
+        # first placement on each of the two hosts the warm-up left empty.
+        # Each new VirtualWire still binds its three counters by name.
+        lookups = collections.Counter()
+        real = MetricsRegistry._get_or_create
+
+        def counted(registry, name, cls):
+            lookups[name] += 1
+            return real(registry, name, cls)
+
+        def count_lookups():
+            monkeypatch.setattr(MetricsRegistry, "_get_or_create", counted)
+            return lookups
+
+        _fleet_places(count_lookups)
+        assert dict(lookups) == {
+            "net.link.frames": 32,
+            "net.link.bytes": 32,
+            "net.link.dropped_frames": 32,
+            "vmm.vm.created": 1,
+            "vmm.vms_live": 1,
+            "vmm.vm.boots": 1,
+            "vmm.boot.phase_s": 1,
+        }
+
+    def test_a_sharded_run_records_no_spans(self, tmp_path):
+        # Nothing reads a shard's tracer, so a fleet boot opens no span.
+        sharded = ShardedFleet(SHARDED, str(tmp_path))
+        try:
+            assert sharded.run().completed
+            finished = [shard.timeline.obs.tracer.finished for shard in sharded.shards]
+        finally:
+            sharded.close()
+        assert finished == [[], []]
+
+
+def test_a_tor_only_manager_builds_no_dcnet(monkeypatch):
+    built = []
+    real_init = DcNetDeployment.__init__
+
+    def counted(deployment, *args, **kwargs):
+        built.append(deployment)
+        real_init(deployment, *args, **kwargs)
+
+    monkeypatch.setattr(DcNetDeployment, "__init__", counted)
+    manager = NymManager(NymixConfig(seed=11))
+    manager.discard_nym(manager.create_nym(anonymizer="tor"))
+    assert built == []
+    manager.create_nym(anonymizer="dissent")
+    manager.create_nym(anonymizer="dissent")
+    assert len(built) == 1

@@ -1,8 +1,10 @@
 """The observability subsystem: metrics, sim-time tracing, event journal."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import NymManager, NymixConfig
 from repro.errors import JournalOverflowError, ObservabilityError
@@ -10,6 +12,7 @@ from repro.memory.ksm import Ksm
 from repro.obs import (
     Counter,
     EventJournal,
+    EventRecord,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -19,6 +22,8 @@ from repro.obs import (
     validate_metric_name,
 )
 from repro.sim import Clock, Timeline
+
+from tests.seed_oracles import seed_event_json
 
 
 class TestMetricNames:
@@ -236,6 +241,68 @@ class TestEventJournal:
         assert journal.write_jsonl(path) == 1
         (line,) = path.read_text().splitlines()
         assert json.loads(line) == {"seq": 0, "t": 0.0, "event": "a.b", "n": 2, "label": "x"}
+
+
+#: Strings JSON must escape, and ``%`` (the line templates' own marker).
+_AWKWARD_TEXT = st.sampled_from(
+    ["", "é", "日本", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001f600",
+     '"', "\\", "/", "%", "%s", "%%d", "a\nb"]
+)
+_TEXT = st.one_of(st.text(), _AWKWARD_TEXT)
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), -0.0, 1e-7, 1e16, 10**30, -(10**30)]
+    ),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, _TEXT)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+#: Field names: the header keys ``export()`` lets a field overwrite, and
+#: a few short ones that a hand-built record may repeat.
+_KEYS = st.one_of(st.sampled_from(["seq", "t", "event", "a", "b"]), _TEXT)
+
+
+class TestEventLineEncoder:
+    """``EventRecord.to_json`` writes exactly the bytes of ``json.dumps``."""
+
+    @given(
+        seq=st.integers(),
+        t=_NUMBERS,
+        name=_TEXT,
+        fields=st.lists(st.tuples(_KEYS, _VALUES), max_size=6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_seed_encoder(self, seq, t, name, fields):
+        # Any field order, and repeated keys, as a hand-built record may hold.
+        record = EventRecord(seq=seq, t=t, name=name, fields=tuple(fields))
+        assert record.to_json() == seed_event_json(record)
+
+    @given(
+        fields=st.dictionaries(
+            st.sampled_from(["a", "b", "event", "host", "seq", "t", "z"]),
+            _SCALARS,
+            max_size=5,
+        ),
+        t=_NUMBERS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_recorded_lines_match_the_seed_encoder(self, fields, t):
+        journal = EventJournal(SimpleNamespace(now=t))
+        journal.record("fleet.place", **fields)
+        journal.record("fleet.place", **fields)
+        lines = journal.export_jsonl().split("\n")
+        assert lines == [seed_event_json(record) for record in journal]
+
+    def test_bool_and_int_of_one_shape_stay_apart(self):
+        for value, text in ((True, "true"), (1, "1"), (False, "false"), (0, "0")):
+            record = EventRecord(seq=0, t=0.0, name="x", fields=(("v", value),))
+            assert record.to_json() == '{"event":"x","seq":0,"t":0.0,"v":%s}' % text
 
 
 class TestStandaloneComponents:
