@@ -21,15 +21,30 @@ See DESIGN.md for the architecture map and EXPERIMENTS.md for the
 paper-vs-measured comparison of every figure and table.
 """
 
-from repro.api import NymixSession
-from repro.core.config import NymixConfig
-from repro.core.manager import InstalledOsNymReport, NymManager
-from repro.core.nym import Nym, NymUsageModel
-from repro.core.nymbox import NymBox, StartupPhases
-from repro.core.persistence import NymStore, StoreReceipt
-from repro.core.requests import NymRequest, StoreNymRequest
-from repro.core.validation import ValidationResult, validate_system
+from importlib import import_module
+
 from repro.errors import NymixError
+
+#: Each public name of the session stack and the module that defines it.
+#: They load on first access (PEP 562), so a process that never opens a
+#: session, such as a fleet shard worker, imports neither that stack nor
+#: numpy.
+_LAZY = {
+    "NymixSession": "repro.api",
+    "NymixConfig": "repro.core.config",
+    "InstalledOsNymReport": "repro.core.manager",
+    "NymManager": "repro.core.manager",
+    "Nym": "repro.core.nym",
+    "NymUsageModel": "repro.core.nym",
+    "NymBox": "repro.core.nymbox",
+    "StartupPhases": "repro.core.nymbox",
+    "NymStore": "repro.core.persistence",
+    "StoreReceipt": "repro.core.persistence",
+    "NymRequest": "repro.core.requests",
+    "StoreNymRequest": "repro.core.requests",
+    "ValidationResult": "repro.core.validation",
+    "validate_system": "repro.core.validation",
+}
 
 __version__ = "1.0.0"
 
@@ -51,3 +66,15 @@ __all__ = [
     "NymixError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a lazy export on first access and keep it as a global."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -45,13 +45,13 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.anonymizers.base import ANONYMIZER_REGISTRY
-from repro.api import NymixSession
-from repro.core.validation import validate_system
-from repro.guest.installed_os import INSTALLED_OS_CATALOG
-from repro.guest.websites import WEBSITE_CATALOG
+# Each command imports what it runs, so that importing this module stays
+# cheap: spawn re-executes a plain-script main module (the installed
+# ``repro`` console script) in every fleet worker.
+if TYPE_CHECKING:
+    from repro.api import NymixSession
 
 
 # -- shared flag plumbing ----------------------------------------------------
@@ -121,6 +121,8 @@ def effective_seed(args: argparse.Namespace) -> int:
 
 
 def _session(args: argparse.Namespace) -> NymixSession:
+    from repro.api import NymixSession
+
     return NymixSession(seed=effective_seed(args))
 
 
@@ -147,6 +149,8 @@ def _emit_json(payload) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from repro.core.validation import validate_system
+
     with _session(args) as nx:
         for index in range(args.nyms):
             nymbox = nx.create_nym(name=f"validate-{index}")
@@ -630,6 +634,10 @@ def cmd_tenants(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    from repro.anonymizers.base import ANONYMIZER_REGISTRY
+    from repro.guest.installed_os import INSTALLED_OS_CATALOG
+    from repro.guest.websites import WEBSITE_CATALOG
+
     if args.json:
         _emit_json(
             {

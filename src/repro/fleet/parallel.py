@@ -51,7 +51,9 @@ Spawn (never fork) keeps workers honest: each child starts from a fresh
 interpreter, so the process-global caches (flash-clone page templates,
 crypto hot-path caches) start cold in every worker.  That is safe for
 byte-identity because cache hits burn exactly the RNG draws a miss would
-have — warm or cold never reaches the journal bytes.
+have — warm or cold never reaches the journal bytes.  A fresh
+interpreter also pays for every import again, so nothing a worker loads
+imports numpy or the session stack (tests/test_import_boundary.py).
 """
 
 from __future__ import annotations
@@ -116,15 +118,19 @@ class WorkerPool:
         ctx = get_context("spawn")
         self._conns = []
         self._procs = []
-        for _ in range(self.procs):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main, args=(child_conn,), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
+        try:
+            for _ in range(self.procs):
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                self._conns.append(parent_conn)
+                proc = ctx.Process(
+                    target=_worker_main, args=(child_conn,), daemon=True
+                )
+                proc.start()
+                child_conn.close()
+                self._procs.append(proc)
+        except BaseException:
+            self.terminate()
+            raise
 
     def shard_pid(self, shard_id: int) -> Optional[int]:
         """The pid of the worker that hosts ``shard_id``."""
@@ -224,5 +230,5 @@ class WorkerPool:
 
 
 def default_procs() -> int:
-    """The ``--procs auto`` answer: one worker per core, at least one."""
+    """What ``--procs 0`` runs: one worker per core, at least one."""
     return max(1, os.cpu_count() or 1)

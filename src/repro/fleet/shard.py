@@ -66,6 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FleetCapacityError, FleetError, ShardWorkerError
 from repro.fleet.fleet import Fleet, FleetStats
+from repro.fleet.placement import PLACEMENT_POLICIES, make_policy
 from repro.obs.journal import EventJournal
 from repro.sim.clock import Clock, Timeline
 from repro.sim.rng import SeededRng
@@ -124,6 +125,15 @@ class ShardConfig:
             raise FleetError(f"a sharded fleet needs >= 1 shard, got {self.shards}")
         if self.epoch_s <= 0:
             raise FleetError(f"epoch_s must be positive, got {self.epoch_s}")
+        if self.hosts_per_shard < 1:
+            raise FleetError(
+                f"a shard needs >= 1 host, got hosts_per_shard="
+                f"{self.hosts_per_shard}"
+            )
+        if self.nyms < 0:
+            raise FleetError(f"nyms must be >= 0, got {self.nyms}")
+        if self.policy not in PLACEMENT_POLICIES:
+            make_policy(self.policy)  # raises "unknown placement policy ..."
 
     def shard_seed(self, shard_id: int) -> int:
         """The per-shard timeline seed: a pure function of (seed, shard)."""
@@ -208,13 +218,17 @@ class FleetShard:
         # Without a path it stays a small in-memory journal
         # (standalone-shard tests).
         self.metrics = EventJournal(self.timeline.clock)
-        if metrics_path:
-            self.metrics.stream_to(metrics_path, window=config.journal_window)
-        self.fleet = Fleet(
-            self.timeline,
-            hosts=config.hosts_per_shard,
-            policies=FleetPolicies(placement=config.policy),
-        )
+        try:
+            if metrics_path:
+                self.metrics.stream_to(metrics_path, window=config.journal_window)
+            self.fleet = Fleet(
+                self.timeline,
+                hosts=config.hosts_per_shard,
+                policies=FleetPolicies(placement=config.policy),
+            )
+        except BaseException:
+            self.close_spools()
+            raise
         self.timeline.obs.event(
             "shard.created", shard=shard_id, hosts=config.hosts_per_shard,
             arrivals=len(self.arrivals),
@@ -350,10 +364,13 @@ class InProcessShards:
     """
 
     def __init__(self, payloads: List[object]) -> None:
-        self.shards = [
-            open_shard(shard_id, payload)
-            for shard_id, payload in enumerate(payloads)
-        ]
+        self.shards: List[FleetShard] = []
+        try:
+            for shard_id, payload in enumerate(payloads):
+                self.shards.append(open_shard(shard_id, payload))
+        except BaseException:
+            self.call("close", [None] * len(self.shards))
+            raise
 
     def call(self, op: str, payloads: List[object]) -> List[object]:
         return [
@@ -438,30 +455,34 @@ class ShardedFleet:
         # merged per-epoch snapshot the shards' metrics spools roll into.
         self._coord_clock = Clock()
         self._coord_journal = EventJournal(self._coord_clock)
-        self._coord_journal.stream_to(
-            self._spool_path("coordinator"), window=config.journal_window
-        )
         self._coord_metrics = EventJournal(self._coord_clock)
-        self._coord_metrics.stream_to(
-            self.metrics_path("metrics"), window=config.journal_window
-        )
-        per_shard = partition_arrivals(config)
-        self._last_arrival = _last_arrival_time(per_shard)
-        payloads = [
-            (
-                config, self._spool_path(f"shard-{shard_id:02d}"),
-                self.metrics_path(f"shard-{shard_id:02d}"), arrivals,
+        try:
+            self._coord_journal.stream_to(
+                self._spool_path("coordinator"), window=config.journal_window
             )
-            for shard_id, arrivals in enumerate(per_shard)
-        ]
-        if self.procs == 1:
-            self._shards = InProcessShards(payloads)
-            self._reports = self._call("report")
-        else:
-            from repro.fleet.parallel import WorkerPool
+            self._coord_metrics.stream_to(
+                self.metrics_path("metrics"), window=config.journal_window
+            )
+            per_shard = partition_arrivals(config)
+            self._last_arrival = _last_arrival_time(per_shard)
+            payloads = [
+                (
+                    config, self._spool_path(f"shard-{shard_id:02d}"),
+                    self.metrics_path(f"shard-{shard_id:02d}"), arrivals,
+                )
+                for shard_id, arrivals in enumerate(per_shard)
+            ]
+            if self.procs == 1:
+                self._shards = InProcessShards(payloads)
+                self._reports = self._call("report")
+            else:
+                from repro.fleet.parallel import WorkerPool
 
-            self._pool = self._shards = WorkerPool(self.procs, len(payloads))
-            self._reports = self._pool.call("build", payloads)
+                self._pool = self._shards = WorkerPool(self.procs, len(payloads))
+                self._reports = self._pool.call("build", payloads)
+        except BaseException:
+            self._abort()
+            raise
         self._coord_journal.record(
             "coord.created", shards=config.shards, nyms=config.nyms,
             hosts=config.shards * config.hosts_per_shard, policy=config.policy,
@@ -550,13 +571,13 @@ class ShardedFleet:
         A worker process dying mid-epoch surfaces as
         :class:`~repro.errors.ShardWorkerError` naming the shard and the
         last completed barrier; the surviving workers are torn down, the
-        coordinator spools are flushed, and the run stays resumable from
-        its last checkpoint.
+        coordinator spools are flushed and closed, and the run stays
+        resumable from its last checkpoint.
         """
         try:
             return self._run_epochs(stop_after_epoch)
         except ShardWorkerError:
-            self._abort_workers()
+            self._abort()
             raise
 
     def _run_epochs(self, stop_after_epoch: Optional[int]) -> ShardedRunResult:
@@ -692,11 +713,12 @@ class ShardedFleet:
             self._pool.shutdown()
             self._pool = None
 
-    def _abort_workers(self) -> None:
-        """A worker died: flush what the coordinator owns, kill the rest."""
+    def _abort(self) -> None:
+        """A build or a worker failed: seal the coordinator's spools and
+        kill every worker."""
         try:
-            self._coord_journal.flush()
-            self._coord_metrics.flush()
+            self._coord_journal.close_spool()
+            self._coord_metrics.close_spool()
         finally:
             if self._pool is not None:
                 self._pool.terminate()
@@ -874,7 +896,11 @@ def _read_manifest(checkpoint_dir: str) -> Tuple[ShardConfig, Dict[str, object]]
         raise unusable(
             f"config has fields this version does not know: {', '.join(unknown)}"
         )
-    return ShardConfig(**manifest["config"]), manifest
+    try:
+        config = ShardConfig(**manifest["config"])
+    except FleetError as exc:
+        raise unusable(f"config is invalid: {exc}") from None
+    return config, manifest
 
 
 def _check_replayed_spool(path: str, offset: int) -> None:

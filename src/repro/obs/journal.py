@@ -201,9 +201,11 @@ class EventJournal:
             )
         if window < 1:
             raise ObservabilityError(f"stream window must be >= 1, got {window}")
+        # Open first: a path that cannot be opened leaves the journal
+        # in memory, not half switched to a spool.
+        self._spool_handle = open(str(path), "wb")
         self._spool_path = str(path)
         self._window_limit = window
-        self._spool_handle = open(self._spool_path, "wb")
         self._flushed_events = 0
         self._flushed_bytes = 0
         if len(self._events) >= window:

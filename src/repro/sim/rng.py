@@ -8,35 +8,45 @@ because the "adversary" here is also part of the simulation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import sys
 from typing import List, Sequence, TypeVar
-
-import numpy as _np
 
 T = TypeVar("T")
 
 #: Below this many bytes the pure-python path wins (state sync overhead).
 _NUMPY_CONTENT_MIN_BYTES = 4096
 
-#: One reusable MT19937 bit generator; its state is overwritten from the
-#: caller's ``random.Random`` on every draw, so sharing it between
-#: independent streams is safe (and cheap — seeding a fresh generator per
-#: call would dominate the draw).
-_MT_SCRATCH = _np.random.MT19937(0)
-
-#: Persistent word buffer for draws up to 1 MiB.  ``random_raw`` always
-#: allocates its output, so large single draws churn the allocator (the
-#: multi-hundred-KiB temporaries mmap/munmap every call, which costs more
-#: than the generation itself on small-cache machines); drawing in
-#: modest chunks into one reused buffer keeps every per-call allocation
-#: allocator-pool sized.
-_MT_BUFFER = _np.empty(1 << 18, dtype=_np.uint32)
-
 #: Words per random_raw chunk (256 KiB) — measured sweet spot between
 #: python loop overhead and temporary-allocation churn.
 _MT_CHUNK_WORDS = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_mt19937():
+    """numpy, one scratch MT19937 and one word buffer, built at first use.
+
+    Built on the first draw of at least ``_NUMPY_CONTENT_MIN_BYTES``, so
+    a process that never draws bulk content (a fleet shard worker) never
+    imports numpy.
+
+    The one reusable MT19937 bit generator has its state overwritten
+    from the caller's ``random.Random`` on every draw, so sharing it
+    between independent streams is safe (and cheap — seeding a fresh
+    generator per call would dominate the draw).
+
+    The persistent word buffer serves draws up to 1 MiB.  ``random_raw``
+    always allocates its output, so large single draws churn the
+    allocator (the multi-hundred-KiB temporaries mmap/munmap every call,
+    which costs more than the generation itself on small-cache
+    machines); drawing in modest chunks into one reused buffer keeps
+    every per-call allocation allocator-pool sized.
+    """
+    import numpy
+
+    return numpy, numpy.random.MT19937(0), numpy.empty(1 << 18, dtype=numpy.uint32)
 
 
 def _numpy_randbytes(py_random: random.Random, n: int) -> bytes:
@@ -51,30 +61,27 @@ def _numpy_randbytes(py_random: random.Random, n: int) -> bytes:
     little-endian: one raw word per 32 bits, the top word right-shifted
     to the remaining bit count.
     """
+    np, scratch, buffer = _numpy_mt19937()
     version, state, gauss_next = py_random.getstate()
-    mt_state = _MT_SCRATCH.state
+    mt_state = scratch.state
     mt_state["state"] = {
-        "key": _np.asarray(state[:-1], dtype=_np.uint32),
+        "key": np.asarray(state[:-1], dtype=np.uint32),
         "pos": state[-1],
     }
-    _MT_SCRATCH.state = mt_state
+    scratch.state = mt_state
     bits = 8 * n
     words = (bits + 31) // 32
-    buf = (
-        _MT_BUFFER
-        if words <= len(_MT_BUFFER)
-        else _np.empty(words, dtype=_np.uint32)
-    )
+    buf = buffer if words <= len(buffer) else np.empty(words, dtype=np.uint32)
     for offset in range(0, words, _MT_CHUNK_WORDS):
         count = min(_MT_CHUNK_WORDS, words - offset)
-        buf[offset : offset + count] = _MT_SCRATCH.random_raw(count)
+        buf[offset : offset + count] = scratch.random_raw(count)
     if bits % 32:
-        buf[words - 1] >>= _np.uint32(32 - bits % 32)
+        buf[words - 1] >>= np.uint32(32 - bits % 32)
     if sys.byteorder == "little":
-        data = buf.view(_np.uint8)[:n].tobytes()
+        data = buf.view(np.uint8)[:n].tobytes()
     else:  # pragma: no cover - no big-endian CI runner
         data = buf[:words].astype("<u4").tobytes()[:n]
-    advanced = _MT_SCRATCH.state["state"]
+    advanced = scratch.state["state"]
     key = advanced["key"].tolist()
     key.append(int(advanced["pos"]))
     py_random.setstate((version, tuple(key), gauss_next))

@@ -8,9 +8,19 @@
   memory (Figure 3) and storage (Figure 6) experiments.
 """
 
-from repro.workloads.peacekeeper import PeacekeeperBenchmark, PeacekeeperResult
-from repro.workloads.download import ParallelDownloadExperiment, DownloadResult
-from repro.workloads.browsing import BrowsingSession, run_memory_experiment_step
+from importlib import import_module
+
+#: Each public name and the module that defines it, loaded on first
+#: access (PEP 562): importing :mod:`repro.workloads.fleet` for a shard
+#: must not pull in ``browsing`` and with it the Nym Manager.
+_LAZY = {
+    "PeacekeeperBenchmark": "repro.workloads.peacekeeper",
+    "PeacekeeperResult": "repro.workloads.peacekeeper",
+    "ParallelDownloadExperiment": "repro.workloads.download",
+    "DownloadResult": "repro.workloads.download",
+    "BrowsingSession": "repro.workloads.browsing",
+    "run_memory_experiment_step": "repro.workloads.browsing",
+}
 
 __all__ = [
     "PeacekeeperBenchmark",
@@ -20,3 +30,15 @@ __all__ = [
     "BrowsingSession",
     "run_memory_experiment_step",
 ]
+
+
+def __getattr__(name: str):
+    """Import a lazy export on first access and keep it as a global."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -15,14 +15,17 @@ the hard guarantees the parallel path makes:
 * an epoch costs each shard one ``epoch`` request, and both transports
   answer the same op sequence with the same replies.
 
-Spawning a worker pool costs ~0.4 s, so the configs here stay
+Spawning a worker pool costs ~0.2 s, so the configs here stay
 small; the scale-smoke CI job runs the same gate at scenario size.
 """
 
+import gc
 import json
+import multiprocessing
 import os
 import signal
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -184,6 +187,55 @@ class TestWorkerDeath:
         assert error.shard_id == 3
         assert error.last_barrier == 7
         assert isinstance(error, FleetError)
+
+
+class TestFailedBuild:
+    """A run whose build fails leaves no worker alive and no file open."""
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    @pytest.mark.parametrize(
+        "squatted",
+        ["shard-01.jsonl", "shard-01.metrics.jsonl", "metrics.metrics.jsonl"],
+    )
+    def test_failed_build_stops_workers_and_closes_spools(
+        self, tmp_path, squatted, procs
+    ):
+        # A directory where a spool belongs fails its open: in the
+        # coordinator for the merged metrics spool, and in shard 1's
+        # build (in process or in its worker) for a shard spool.
+        spool = tmp_path / "spool"
+        (spool / squatted).mkdir(parents=True)
+        gc.collect()  # earlier tests' garbage is not this test's leak
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises((IsADirectoryError, ShardWorkerError)):
+                ShardedFleet(ShardConfig(**CFG), str(spool), procs=procs)
+            gc.collect()
+        assert multiprocessing.active_children() == []
+        assert [
+            str(w.message) for w in caught
+            if w.category is ResourceWarning and str(spool) in str(w.message)
+        ] == []
+
+    def test_pool_that_cannot_start_a_worker_stops_the_others(
+        self, monkeypatch
+    ):
+        process = multiprocessing.get_context("spawn").Process
+        start = process.start
+        started = []
+
+        def start_one(worker):
+            if started:
+                raise OSError("no more workers")
+            start(worker)
+            started.append(worker)
+
+        monkeypatch.setattr(process, "start", start_one)
+        with pytest.raises(OSError, match="no more workers"):
+            WorkerPool(procs=2, shards=2)
+        assert len(started) == 1
+        assert started[0].exitcode is not None
+        assert multiprocessing.active_children() == []
 
 
 def build_payloads(config, spool_dir):
@@ -430,6 +482,54 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["merged"]
         assert "shard-01" in payload["shards"]
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_negative_nyms_fail_before_anything_starts(
+        self, tmp_path, procs
+    ):
+        spool = tmp_path / "spool"
+        with pytest.raises(FleetError, match="nyms must be >= 0"):
+            main(
+                self.FLEET_ARGS
+                + ["--nyms", "-5", "--procs", str(procs),
+                   "--spool-dir", str(spool), "--json"]
+            )
+        assert not spool.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("nyms", -5, "nyms must be >= 0"),
+            ("policy", "no-such-policy", "unknown placement policy"),
+            ("hosts_per_shard", 0, "needs >= 1 host"),
+        ],
+        ids=["negative-nyms", "unknown-policy", "no-hosts"],
+    )
+    def test_resume_refuses_a_config_a_build_would_reject(
+        self, tmp_path, capsys, field, value, problem, procs
+    ):
+        ck = tmp_path / "ck"
+        spools = tmp_path / "spools"
+        run_sharded_fleet(
+            ShardConfig(**CFG), str(spools), checkpoint_dir=str(ck),
+            stop_after_epoch=1,
+        )
+        path = ck / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"][field] = value
+        path.write_text(json.dumps(manifest))
+        before = sorted(os.listdir(spools))
+        with pytest.raises(FleetError, match=problem) as excinfo:
+            ShardedFleet.resume(str(ck), procs=procs)
+        assert f"cannot resume from {ck}" in str(excinfo.value)
+        assert main(["fleet", "--resume", str(ck), "--procs", str(procs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"--resume: cannot resume from {ck}")
+        assert problem in err
+        assert sorted(os.listdir(spools)) == before
+        assert multiprocessing.active_children() == []
 
     def test_stats_scale_fails_cleanly_on_bad_dir(self, tmp_path, capsys):
         assert main(["stats", "--scale", str(tmp_path)]) == 1

@@ -86,6 +86,13 @@ class TestShardConfig:
             ShardConfig(shards=0)
         with pytest.raises(FleetError):
             ShardConfig(epoch_s=0)
+        with pytest.raises(FleetError, match="needs >= 1 host"):
+            ShardConfig(hosts_per_shard=0)
+        with pytest.raises(FleetError, match="nyms must be >= 0"):
+            ShardConfig(nyms=-5)
+        with pytest.raises(FleetError, match="unknown placement policy"):
+            ShardConfig(policy="no-such-policy")
+        assert ShardConfig(nyms=0).nyms == 0
 
     def test_shard_seeds_are_stable_and_distinct(self):
         config = ShardConfig(**CFG)

@@ -84,6 +84,20 @@ class TestStreamedJournal:
         with pytest.raises(ObservabilityError):
             journal.stream_to(tmp_path / "b.jsonl")
 
+    def test_a_spool_that_cannot_open_leaves_the_journal_in_memory(
+        self, tmp_path
+    ):
+        clock = Clock()
+        journal = EventJournal(clock)
+        _fill(journal, 3, clock)
+        with pytest.raises(IsADirectoryError):
+            journal.stream_to(tmp_path)
+        assert not journal.streaming
+        journal.close_spool()  # nothing to close
+        journal.stream_to(tmp_path / "spool.jsonl", window=2)
+        journal.close_spool()
+        assert len((tmp_path / "spool.jsonl").read_text().splitlines()) == 3
+
     def test_write_jsonl_to_spool_path_is_a_flush(self, tmp_path):
         clock = Clock()
         journal = EventJournal(clock)
