@@ -12,30 +12,32 @@ Gives the reproduction an operator's console:
 * ``trace``     — run a scenario and print the sim-time span tree
 * ``bench``     — time the simulator's hot paths (absolute rates of the live code)
 * ``chaos``     — run a seeded fault-injection scenario, print the survival report
-* ``fleet``     — place ~1000 nymboxes over a simulated 64-host cluster
-  (``--shards N`` runs the sharded scale-out path with streamed journal
-  spools and epoch-barrier checkpoints; ``--procs N`` spreads the shards
-  over N spawned OS workers with byte-identical journals; ``--resume
-  DIR`` continues a killed sharded run under either executor; both exit
-  2 on ``--tenant-config``, ``--duration`` or ``--no-compare``, which the
-  sharded path does not support, and a resume also on every flag its
-  manifest decides: ``--stop-after-epoch``, ``--shards``, ``--scale``,
-  ``--checkpoint-dir``, ``--spool-dir``, either ``--seed``, ``--hosts``,
-  ``--nyms``, ``--policy``, ``--epoch-s``, ``--host-crashes`` and
-  ``--quick``; without either, the classic run exits 2 on the
-  sharded-only ``--checkpoint-dir``, ``--stop-after-epoch``,
-  ``--spool-dir``, ``--epoch-s``, ``--scale`` and ``--procs``)
+* ``fleet``     — place ~1000 nymboxes over a simulated 64-host cluster,
+  split into ``--shards N`` regions (default 1) that stream their
+  journal spools and meet at epoch barriers, then rerun the same config
+  under every other placement policy (``--no-compare`` skips that) and
+  exit 1 unless ``ksm-aware`` saves more RAM than ``first-fit``;
+  ``--procs N`` spreads the shards over N spawned OS workers with
+  byte-identical journals; ``--checkpoint-dir``/``--stop-after-epoch``
+  kill a run and ``--resume DIR`` continues it under either executor.
+  A stopped or resumed run does not compare, and a resume exits 2 on
+  every flag its manifest decides: ``--stop-after-epoch``, ``--shards``,
+  ``--scale``, ``--checkpoint-dir``, ``--spool-dir``, either ``--seed``,
+  ``--hosts``, ``--nyms``, ``--policy``, ``--epoch-s``,
+  ``--host-crashes``, ``--quick`` and ``--no-compare``
 * ``sweep``     — chart anonymity/latency/overhead across Tor, Dissent, mixnet
 * ``tenants``   — run the multi-tenant control-plane scenario: quotas,
   launch/ingress rate limits, a reconciled mid-run policy update, and a
   zero-loss rolling host drain
 
-Every subcommand accepts the same three flags: ``--seed`` (overrides the
-global ``--seed``), ``--duration`` (extra simulated seconds before the
-report, where the command has a timeline), and ``--json`` (a
-machine-readable report on stdout).  ``fleet``, ``tenants``, ``chaos``,
-and ``sweep`` additionally share ``--tenant-config FILE`` — one JSON
-policy file, one parser (:func:`repro.tenancy.load_tenant_config`).
+Every subcommand accepts ``--seed`` (overrides the global ``--seed``)
+and ``--json`` (a machine-readable report on stdout).  Only the seven
+commands that read it accept ``--duration`` (simulated seconds: idle
+time before the report, or the fault window of ``chaos``):
+``validate``, ``redteam``, ``demo``, ``stats``, ``trace``, ``chaos``
+and ``sweep``.  ``tenants``, ``chaos`` and ``sweep`` share
+``--tenant-config FILE`` — one JSON policy file, one parser
+(:func:`repro.tenancy.load_tenant_config`).
 Commands are built on the :class:`repro.api.NymixSession` facade.
 """
 
@@ -57,21 +59,25 @@ if TYPE_CHECKING:
 # -- shared flag plumbing ----------------------------------------------------
 
 
-def add_common_args(sub: argparse.ArgumentParser, journal: bool = False) -> None:
-    """The flags every ``repro`` subcommand understands.
+def add_common_args(
+    sub: argparse.ArgumentParser, journal: bool = False, duration: bool = False
+) -> None:
+    """The flags every ``repro`` subcommand understands, and two more.
 
     ``--seed`` shadows the global flag (the subcommand value wins);
-    ``--duration`` adds simulated idle seconds before reporting;
-    ``--json`` switches the report to machine-readable JSON.
+    ``--json`` switches the report to machine-readable JSON.  With
+    ``duration``, ``--duration`` adds simulated idle seconds before
+    reporting; with ``journal``, ``--journal`` writes the event journal.
     """
     sub.add_argument(
         "--seed", dest="sub_seed", type=int, default=None, metavar="N",
         help="simulation seed (overrides the global --seed)",
     )
-    sub.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="extra simulated seconds to run before reporting",
-    )
+    if duration:
+        sub.add_argument(
+            "--duration", type=float, default=None, metavar="SECONDS",
+            help="extra simulated seconds to run before reporting",
+        )
     sub.add_argument(
         "--json", action="store_true", help="emit a JSON report on stdout"
     )
@@ -82,7 +88,7 @@ def add_common_args(sub: argparse.ArgumentParser, journal: bool = False) -> None
 
 
 def add_tenant_config_arg(sub: argparse.ArgumentParser) -> None:
-    """The shared ``--tenant-config FILE`` flag (fleet, tenants, chaos, sweep)."""
+    """The shared ``--tenant-config FILE`` flag (tenants, chaos, sweep)."""
     sub.add_argument(
         "--tenant-config", metavar="FILE", default=None,
         help="JSON tenant policy file (tenants, quotas, rate limits, "
@@ -410,6 +416,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 #: not given.  The parser leaves them ``None`` so that ``--resume``, whose
 #: manifest decides them, can tell a given flag from its default.
 _FLEET_RUN_DEFAULTS = {
+    "shards": 1,
     "hosts": 64,
     "nyms": 1000,
     "policy": "ksm-aware",
@@ -419,88 +426,11 @@ _FLEET_RUN_DEFAULTS = {
 }
 
 
-#: The ``fleet`` flags only a sharded run reads.  Each parses to ``None``
-#: so that the classic path can refuse a given one instead of ignoring it.
-_SHARDED_ONLY_FLAGS = (
-    "checkpoint_dir", "stop_after_epoch", "spool_dir", "epoch_s", "scale", "procs",
-)
-
-
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import run_fleet
+    """One sharded run, compared under every placement policy, or
+    ``--resume DIR`` to finish a killed one."""
+    from repro.fleet.scenario import resume_fleet_sharded, run_fleet_sharded
 
-    if not (args.resume or args.shards):
-        given = [
-            "--" + name.replace("_", "-")
-            for name in _SHARDED_ONLY_FLAGS
-            if getattr(args, name) is not None
-        ]
-        if given:
-            print(
-                f"repro fleet: {', '.join(given)} not supported without "
-                f"--shards or --resume",
-                file=sys.stderr,
-            )
-            return 2
-    if not args.resume:
-        for name, default in _FLEET_RUN_DEFAULTS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-    if args.resume or args.shards:
-        return _cmd_fleet_sharded(args)
-    hosts = args.hosts
-    nyms = args.nyms
-    if args.quick:
-        hosts = min(hosts, 8)
-        nyms = min(nyms, 60)
-    report = run_fleet(
-        seed=effective_seed(args),
-        hosts=hosts,
-        nyms=nyms,
-        policy=args.policy,
-        host_crashes=args.host_crashes,
-        compare=not args.no_compare,
-        journal_path=args.journal,
-        out_path=args.out,
-        idle_s=args.duration or 0.0,
-        policies=load_policies(args),
-    )
-    if args.json:
-        _emit_json(report.export())
-    else:
-        print(report.summary())
-        if args.out:
-            print(f"report -> {args.out}", file=sys.stderr)
-    if args.journal:
-        print(f"journal -> {args.journal}", file=sys.stderr)
-    return 0 if (args.no_compare or report.ksm_aware_beats_first_fit) else 1
-
-
-def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
-    """The scale-out path: ``repro fleet --shards N`` / ``--resume DIR``."""
-    from repro.fleet import resume_fleet_sharded, run_fleet_sharded
-
-    resuming = args.resume is not None
-    given = [
-        ("--tenant-config", args.tenant_config is not None),
-        ("--duration", args.duration is not None),
-        ("--no-compare", args.no_compare),
-    ]
-    if resuming:
-        # A resume takes the run, its spools and its checkpoint directory
-        # from the manifest, and always runs to the end.
-        given += [
-            ("--stop-after-epoch", args.stop_after_epoch is not None),
-            ("--shards", args.shards),
-            ("--scale", args.scale is not None),
-            ("--checkpoint-dir", args.checkpoint_dir is not None),
-            ("--seed", args.seed is not None or args.sub_seed is not None),
-            ("--quick", args.quick),
-        ] + [
-            ("--" + name.replace("_", "-"), getattr(args, name) is not None)
-            for name in _FLEET_RUN_DEFAULTS
-        ]
-    ignored = [flag for flag, on in given if on]
     procs = 1 if args.procs is None else args.procs
     if procs < 0:
         print(
@@ -509,18 +439,31 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if ignored:
-        print(
-            f"repro fleet: {', '.join(ignored)} not supported with "
-            f"{'--resume' if resuming else '--shards'}",
-            file=sys.stderr,
-        )
-        return 2
     if procs == 0:
         from repro.fleet.parallel import default_procs
 
         procs = default_procs()
     if args.resume:
+        # A resume takes the run, its spools and its checkpoint directory
+        # from the manifest, always runs to the end, and never compares.
+        given = [
+            ("--stop-after-epoch", args.stop_after_epoch is not None),
+            ("--scale", args.scale is not None),
+            ("--checkpoint-dir", args.checkpoint_dir is not None),
+            ("--seed", args.seed is not None or args.sub_seed is not None),
+            ("--quick", args.quick),
+            ("--no-compare", args.no_compare),
+        ] + [
+            ("--" + name.replace("_", "-"), getattr(args, name) is not None)
+            for name in _FLEET_RUN_DEFAULTS
+        ]
+        ignored = [flag for flag, on in given if on]
+        if ignored:
+            print(
+                f"repro fleet: {', '.join(ignored)} not supported with --resume",
+                file=sys.stderr,
+            )
+            return 2
         from repro.errors import FleetError
 
         try:
@@ -532,24 +475,26 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
             print(f"--resume: {exc}", file=sys.stderr)
             return 1
     else:
+        for name, default in _FLEET_RUN_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         scale_counts = None
         if args.scale:
             scale_counts = [int(c) for c in args.scale.split(",") if c.strip()]
-        shards = args.shards
-        nyms = args.nyms
-        hosts_per_shard = max(1, args.hosts // shards)
+        shards, hosts, nyms = args.shards, args.hosts, args.nyms
         if args.quick:
-            shards = min(shards, 2)
-            hosts_per_shard = min(hosts_per_shard, 4)
-            nyms = min(nyms, 60)
+            shards, hosts, nyms = min(shards, 2), min(hosts, 8), min(nyms, 60)
         report = run_fleet_sharded(
             seed=effective_seed(args),
             shards=shards,
-            hosts_per_shard=hosts_per_shard,
+            # ShardConfig rejects fewer than one shard, or than one host
+            # per shard; dividing by a shard count below 1 would not.
+            hosts_per_shard=hosts // max(1, shards),
             nyms=nyms,
             policy=args.policy,
             epoch_s=args.epoch_s,
             host_crashes=args.host_crashes,
+            compare=not args.no_compare,
             spool_dir=args.spool_dir,
             checkpoint_dir=args.checkpoint_dir,
             stop_after_epoch=args.stop_after_epoch,
@@ -576,7 +521,7 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
             f"stopped after epoch {report.result.epochs}{hint}",
             file=sys.stderr,
         )
-    return 0
+    return 1 if report.compared and not report.ksm_aware_beats_first_fit else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -675,16 +620,16 @@ def build_parser() -> argparse.ArgumentParser:
     validate = commands.add_parser("validate", help="run the §5.1 validation")
     validate.add_argument("--nyms", type=int, default=4)
     validate.add_argument("--idle", type=float, default=30.0)
-    add_common_args(validate)
+    add_common_args(validate, duration=True)
     validate.set_defaults(func=cmd_validate)
 
     redteam = commands.add_parser("redteam", help="run the adversarial sweep")
     redteam.add_argument("--nyms", type=int, default=3)
-    add_common_args(redteam)
+    add_common_args(redteam, duration=True)
     redteam.set_defaults(func=cmd_redteam)
 
     demo = commands.add_parser("demo", help="narrated quickstart workflow")
-    add_common_args(demo)
+    add_common_args(demo, duration=True)
     demo.set_defaults(func=cmd_demo)
 
     catalog = commands.add_parser("catalog", help="list the simulated world")
@@ -699,12 +644,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="read a sharded fleet run's per-epoch metrics spools from "
         "its spool directory instead of running a scenario",
     )
-    add_common_args(stats, journal=True)
+    add_common_args(stats, journal=True, duration=True)
     stats.set_defaults(func=cmd_stats)
 
     trace = commands.add_parser("trace", help="run a scenario, print the span tree")
     trace.add_argument("--nyms", type=int, default=1)
-    add_common_args(trace)
+    add_common_args(trace, duration=True)
     trace.set_defaults(func=cmd_trace)
 
     bench = commands.add_parser(
@@ -737,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="tor",
         help="transport under test (mixnet adds mix-node churn faults)",
     )
-    add_common_args(chaos, journal=True)
+    add_common_args(chaos, journal=True, duration=True)
     add_tenant_config_arg(chaos)
     chaos.set_defaults(func=cmd_chaos)
 
@@ -748,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="2x2 mixnet grid and a short idle tail"
     )
     sweep.add_argument("--out", metavar="PATH", help="write the tradeoff JSON here")
-    add_common_args(sweep, journal=True)
+    add_common_args(sweep, journal=True, duration=True)
     add_tenant_config_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -769,10 +714,12 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--no-compare",
         action="store_true",
-        help="run only --policy instead of comparing all policies",
+        help="run only --policy instead of rerunning the same config under "
+        "every other policy",
     )
     fleet.add_argument(
-        "--quick", action="store_true", help="small cluster (<=8 hosts, <=60 nyms)"
+        "--quick", action="store_true",
+        help="small cluster (<=2 shards, <=8 hosts, <=60 nyms)",
     )
     fleet.add_argument(
         "--out",
@@ -780,23 +727,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the placement/savings report JSON here",
     )
     fleet.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="run the sharded scale-out path with N regions "
-        "(--hosts is split evenly across shards; 0 = classic single timeline)",
+        "--shards", type=int, metavar="N",
+        help="regions the cluster is split into; --hosts is split evenly "
+        "across them (default 1)",
     )
     fleet.add_argument(
         "--epoch-s", type=float, metavar="SECONDS",
-        help="simulated seconds between shard barriers (sharded path; "
-        "default 120)",
+        help="simulated seconds between shard barriers (default 120)",
     )
     fleet.add_argument(
         "--spool-dir", metavar="DIR",
-        help="directory for the streamed journal spools (sharded path; "
-        "default fleet-spool)",
+        help="directory for the streamed journal spools (default fleet-spool)",
     )
     fleet.add_argument(
         "--checkpoint-dir", metavar="DIR",
-        help="checkpoint the run at every epoch barrier into DIR (sharded path)",
+        help="checkpoint the run at every epoch barrier into DIR",
     )
     fleet.add_argument(
         "--stop-after-epoch", type=int, metavar="K",
@@ -805,21 +750,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--resume", metavar="DIR",
-        help="resume a killed sharded run from its checkpoint directory",
+        help="resume a killed run from its checkpoint directory",
     )
     fleet.add_argument(
         "--scale", metavar="N,M,...",
         help="also chart the capacity trajectory across these shard counts "
-        "(sharded path; writes the scale_trajectory section of --out)",
+        "(writes the scale_trajectory section of --out)",
     )
     fleet.add_argument(
         "--procs", type=int, metavar="N",
-        help="run shards across N spawned OS worker processes (sharded "
-        "path; default 1; 0 = one per core; journal bytes are identical "
-        "at any N)",
+        help="run shards across N spawned OS worker processes (default 1; "
+        "0 = one per core; journal bytes are identical at any N)",
     )
     add_common_args(fleet, journal=True)
-    add_tenant_config_arg(fleet)
     fleet.set_defaults(func=cmd_fleet)
 
     tenants = commands.add_parser(

@@ -113,9 +113,7 @@ class FaultPlan:
         upload_failures: int = 1,
         download_failures: int = 0,
         vm_crashes: int = 1,
-        host_crashes: int = 0,
         mixnet_node_crashes: int = 0,
-        host_drains: int = 0,
         tenant_bursts: int = 0,
     ) -> "FaultPlan":
         """Draw a reproducible chaos schedule across ``duration_s`` seconds.
@@ -150,13 +148,11 @@ class FaultPlan:
         spread("net.link_flap", link_flaps, 0.15, 0.9,
                param=lambda r: r.uniform(2.0, 8.0))
         spread("vmm.crash", vm_crashes, 0.3, 0.9)
-        spread("fleet.host_crash", host_crashes, 0.3, 0.9)
         # Appended last: earlier kinds' draws must not move when a plan
         # adds mixnet churn, or existing same-seed journals would change.
         spread("mixnet.node_crash", mixnet_node_crashes, 0.15, 0.9)
-        # Appended after mixnet churn, same rule: the tenancy kinds'
+        # Appended after mixnet churn, same rule: the tenancy kind's
         # draws must not perturb any earlier kind's schedule.
-        spread("fleet.host_drain", host_drains, 0.2, 0.8)
         spread("tenancy.tenant_burst", tenant_bursts, 0.2, 0.8,
                param=lambda r: r.uniform(8.0, 64.0))  # burst debt, MiB
         return cls(events)

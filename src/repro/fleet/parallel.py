@@ -16,7 +16,6 @@ a :class:`~repro.fleet.shard.BarrierReport`)::
     ("build",    shard_id, (config, spool, metrics, arrivals))   -> report
     ("epoch",    shard_id, (epoch_end, epoch, crashes))  -> (crashed, report)
     ("report",   shard_id, None)                                 -> report
-    ("flush",    shard_id, None)                                 -> None
     ("close",    shard_id, None)                                 -> None
     ("shutdown", -1,       None)                   -> None, then the worker exits
 

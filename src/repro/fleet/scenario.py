@@ -1,26 +1,25 @@
-"""`run_fleet`: the cluster-scale capacity scenario behind `repro fleet`.
+"""The cluster-scale capacity scenario behind ``repro fleet``.
 
-Launches ~1000 nymboxes over 64 simulated hosts from one seeded arrival
-stream, injects host-crash faults, and measures what each placement
-policy does to cluster RAM — the paper's §5.2 samepage-merging effect
-promoted to a fleet-level placement question.  Every policy replays the
-*identical* workload on its own fresh :class:`Timeline` with the same
-seed, so the comparison isolates placement alone; the policy under test
-additionally exports a byte-reproducible event journal.
+Launches nymboxes over a sharded cluster of simulated hosts from one
+seeded arrival stream, injects host crashes at epoch barriers, and
+measures what each placement policy does to cluster RAM: the paper's
+§5.2 samepage-merging effect promoted to a fleet-level placement
+question.  :func:`run_fleet_sharded` runs the policy under test, which
+owns the streamed spools and the exported journal, then replays the
+*identical* config under every other policy, so the comparison isolates
+placement alone.  :func:`resume_fleet_sharded` finishes a killed run
+from its checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.errors import FleetCapacityError
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.fleet.fleet import Fleet, FleetStats
 from repro.fleet.placement import PLACEMENT_POLICIES
 from repro.fleet.shard import (
     ShardConfig,
@@ -29,208 +28,24 @@ from repro.fleet.shard import (
     resume_sharded_fleet,
     run_sharded_fleet,
 )
-from repro.sim.clock import Timeline
-from repro.tenancy.policy import FleetPolicies
 from repro.vmm.vm import MIB
-from repro.workloads.fleet import fleet_workload
-
-
-@dataclass(frozen=True)
-class PolicyResult:
-    """One policy's end-of-run accounting."""
-
-    policy: str
-    stats: FleetStats
-    rejected: int
-    sim_seconds: float
-    journal_events: int
-
-    def export(self) -> Dict[str, object]:
-        return {
-            "policy": self.policy,
-            "rejected": self.rejected,
-            "sim_seconds": round(self.sim_seconds, 3),
-            "journal_events": self.journal_events,
-            **self.stats.export(),
-        }
-
-
-@dataclass
-class FleetReport:
-    """The BENCH_fleet.json payload."""
-
-    seed: int
-    hosts: int
-    nyms: int
-    primary_policy: str
-    results: List[PolicyResult] = field(default_factory=list)
-
-    def result(self, policy: str) -> PolicyResult:
-        for r in self.results:
-            if r.policy == policy:
-                return r
-        raise KeyError(policy)
-
-    @property
-    def ksm_aware_beats_first_fit(self) -> bool:
-        try:
-            return (
-                self.result("ksm-aware").stats.ksm_saved_bytes
-                > self.result("first-fit").stats.ksm_saved_bytes
-            )
-        except KeyError:
-            return False
-
-    def export(self) -> Dict[str, object]:
-        return {
-            "bench": "fleet",
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "nyms": self.nyms,
-            "primary_policy": self.primary_policy,
-            "ksm_aware_beats_first_fit": self.ksm_aware_beats_first_fit,
-            "results": [r.export() for r in self.results],
-        }
-
-    def summary(self) -> str:
-        lines = [
-            f"fleet bench: {self.nyms} nyms over {self.hosts} hosts "
-            f"(seed {self.seed}, primary policy {self.primary_policy})",
-            f"{'policy':<14} {'resident':>8} {'parked':>6} {'evac':>5} "
-            f"{'crashes':>7} {'used MiB':>10} {'ksm MiB':>9} {'colonies':>8}",
-        ]
-        for r in self.results:
-            s = r.stats
-            lines.append(
-                f"{r.policy:<14} {s.nyms_resident:>8} {s.nyms_parked:>6} "
-                f"{s.evacuations:>5} {s.host_crashes:>7} "
-                f"{s.used_bytes / MIB:>10.0f} {s.ksm_saved_bytes / MIB:>9.0f} "
-                f"{s.host_image_pairs:>8}"
-            )
-        verdict = "yes" if self.ksm_aware_beats_first_fit else "NO"
-        lines.append(f"ksm-aware saves more RAM than first-fit: {verdict}")
-        return "\n".join(lines)
-
-
-def _run_policy(
-    policy: str,
-    seed: int,
-    hosts: int,
-    nyms: int,
-    host_crashes: int,
-    journal_path: Optional[str],
-    idle_s: float = 0.0,
-    base_policies: Optional[FleetPolicies] = None,
-) -> PolicyResult:
-    """One complete fleet run for one policy, on its own timeline."""
-    timeline = Timeline(seed=seed)
-    base = base_policies if base_policies is not None else FleetPolicies()
-    fleet = Fleet(
-        timeline, hosts=hosts,
-        policies=base.with_placement(policy),
-    )
-    arrivals = fleet_workload(timeline.fork_rng("fleet.workload"), nyms)
-
-    # Faults spread across the expected run length (arrivals advance time
-    # by interarrival gaps plus each anon boot, ~10 s per nym).
-    expected_s = max(60.0, nyms * 10.5)
-    plan = FaultPlan.seeded(
-        timeline.fork_rng("fleet.faults"),
-        duration_s=expected_s,
-        relay_churns=0, circuit_teardowns=0, link_flaps=0,
-        upload_failures=0, vm_crashes=0,
-        host_crashes=host_crashes,
-    )
-    FaultInjector(timeline, plan).arm(manager=fleet)
-
-    rejected = 0
-    for arrival in arrivals:
-        timeline.sleep(arrival.interarrival_s)
-        try:
-            fleet.place(arrival.name, arrival.image_id)
-        except FleetCapacityError:
-            rejected += 1
-            continue
-        if arrival.churn_bytes and arrival.name in fleet.nymboxes:
-            fleet.touch(arrival.name, arrival.churn_bytes)
-
-    if idle_s:
-        timeline.sleep(idle_s)
-    fleet.settle_ksm()
-    stats = fleet.stats()
-    timeline.obs.event(
-        "fleet.run_complete", policy=policy,
-        resident=stats.nyms_resident, ksm_saved_bytes=stats.ksm_saved_bytes,
-    )
-    journal_events = timeline.obs.journal.count()
-    if journal_path:
-        timeline.obs.journal.write_jsonl(journal_path)
-    return PolicyResult(
-        policy=policy,
-        stats=stats,
-        rejected=rejected,
-        sim_seconds=timeline.now,
-        journal_events=journal_events,
-    )
-
-
-def run_fleet(
-    seed: int = 0,
-    hosts: int = 64,
-    nyms: int = 1000,
-    policy: str = "ksm-aware",
-    host_crashes: int = 2,
-    compare: bool = True,
-    journal_path: Optional[str] = None,
-    out_path: Optional[str] = None,
-    idle_s: float = 0.0,
-    policies: Optional[FleetPolicies] = None,
-) -> FleetReport:
-    """Run the fleet scenario; compare all policies on the same workload.
-
-    The ``policy`` under test runs first and owns the exported journal;
-    with ``compare`` the remaining registered policies replay the same
-    seed for the savings table.  ``policies`` (e.g. from
-    ``--tenant-config``) carries tenant/autoscale policy into every run;
-    its placement field is overridden per compared policy.
-    """
-    compared = [policy] + (
-        [p for p in sorted(PLACEMENT_POLICIES) if p != policy] if compare else []
-    )
-    report = FleetReport(seed=seed, hosts=hosts, nyms=nyms, primary_policy=policy)
-    for name in compared:
-        report.results.append(
-            _run_policy(
-                name, seed=seed, hosts=hosts, nyms=nyms,
-                host_crashes=host_crashes,
-                journal_path=journal_path if name == policy else None,
-                idle_s=idle_s,
-                base_policies=policies,
-            )
-        )
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report.export(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report
-
-
-# -- the sharded scale path ---------------------------------------------------
 
 
 @dataclass
 class ShardedFleetReport:
-    """The BENCH_fleet.json payload for a sharded (scale-out) run.
+    """The BENCH_fleet.json payload of a ``repro fleet`` run.
 
     On top of the simulation-side accounting this records the two
     capacity numbers the scale story is about: **nyms per host** the
     cluster sustains (resident / live hosts at the end of the run) and
     **arrivals per wall-clock second** the simulator pushes through the
-    sharded path.  Wall-clock figures live only in this report — never
-    in the journals, which must stay byte-reproducible.  The
-    ``environment`` block (worker processes used, cores available)
-    travels with every wall-clock number so a trajectory measured on a
-    single-core runner is never mistaken for a parallel speedup claim.
+    sharded path.  Wall-clock figures time the primary run alone and
+    live only in this report — never in the journals, which must stay
+    byte-reproducible.  The ``environment`` block (worker processes
+    used, cores available) travels with every wall-clock number so a
+    trajectory measured on a single-core runner is never mistaken for a
+    parallel speedup claim.  A comparing run also carries every other
+    policy's merged totals in ``compared``.
     """
 
     result: ShardedRunResult
@@ -238,6 +53,25 @@ class ShardedFleetReport:
     resumed: bool = False
     procs: int = 1
     trajectory: List[Dict[str, object]] = field(default_factory=list)
+    #: merged totals of the same config under each other placement
+    #: policy, in sorted order; empty unless the run compared policies
+    compared: List[Dict[str, object]] = field(default_factory=list)
+
+    @property
+    def policies(self) -> List[Dict[str, object]]:
+        """Each policy's merged totals, the primary policy first."""
+        primary = {"policy": self.result.config.policy, **self.result.merged}
+        return [primary] + self.compared
+
+    @property
+    def ksm_aware_beats_first_fit(self) -> bool:
+        """Whether ``ksm-aware`` saved strictly more KSM RAM than
+        ``first-fit``; false unless both ran."""
+        saved = {p["policy"]: p["ksm_saved_bytes"] for p in self.policies}
+        try:
+            return saved["ksm-aware"] > saved["first-fit"]
+        except KeyError:
+            return False
 
     @property
     def nyms_per_host(self) -> float:
@@ -253,8 +87,10 @@ class ShardedFleetReport:
 
     def export(self) -> Dict[str, object]:
         payload = {
-            "bench": "fleet-sharded",
+            "bench": "fleet",
             **self.result.export(),
+            "policies": self.policies,
+            "ksm_aware_beats_first_fit": self.ksm_aware_beats_first_fit,
             "resumed": self.resumed,
             "procs": self.procs,
             "environment": bench_environment(self.procs),
@@ -297,6 +133,22 @@ class ShardedFleetReport:
                     f"{point['nyms_resident']:>8} {point['nyms_per_host']:>9.1f} "
                     f"{point['arrivals_per_sec']:>10.0f}"
                 )
+        if self.compared:
+            lines.append(
+                f"  {'policy':<14} {'resident':>8} {'parked':>6} "
+                f"{'rejected':>8} {'evac':>5} {'crashes':>7} "
+                f"{'used MiB':>10} {'ksm MiB':>9}"
+            )
+            for totals in self.policies:
+                lines.append(
+                    f"  {totals['policy']:<14} {totals['nyms_resident']:>8} "
+                    f"{totals['nyms_parked']:>6} {totals['rejected']:>8} "
+                    f"{totals['evacuations']:>5} {totals['host_crashes']:>7} "
+                    f"{totals['used_bytes'] / MIB:>10.0f} "
+                    f"{totals['ksm_saved_bytes'] / MIB:>9.0f}"
+                )
+            verdict = "yes" if self.ksm_aware_beats_first_fit else "NO"
+            lines.append(f"ksm-aware saves more RAM than first-fit: {verdict}")
         return "\n".join(lines)
 
 
@@ -308,6 +160,7 @@ def run_fleet_sharded(
     policy: str = "ksm-aware",
     epoch_s: float = 120.0,
     host_crashes: int = 0,
+    compare: bool = True,
     spool_dir: str = "fleet-spool",
     checkpoint_dir: Optional[str] = None,
     stop_after_epoch: Optional[int] = None,
@@ -316,17 +169,21 @@ def run_fleet_sharded(
     scale_counts: Optional[List[int]] = None,
     procs: int = 1,
 ) -> ShardedFleetReport:
-    """The scale-out scenario behind ``repro fleet --shards N``.
+    """The scenario behind ``repro fleet``.
 
-    Runs one sharded fleet (optionally checkpointing every epoch and
-    optionally stopping early for the kill half of kill/resume) and, if
-    ``scale_counts`` is given, replays the same seed and nym count
-    across those shard counts to chart the capacity trajectory.
-    ``procs`` spreads the shards over that many spawned OS workers (an
-    executor choice only — the journal bytes are identical at any
-    value); the trajectory then charts every shard count at one worker
-    *and* at ``procs`` workers, so BENCH_fleet.json carries the measured
-    serial-vs-parallel curve, not a claim.
+    Runs one sharded fleet under ``policy`` (optionally checkpointing
+    every epoch and optionally stopping early for the kill half of
+    kill/resume).  If that run completes and ``compare`` is set, the
+    same config runs again under each other registered policy, in a
+    temporary spool directory removed afterwards, for the savings
+    table.  If ``scale_counts`` is given, the same seed and nym count
+    are replayed across those shard counts to chart the capacity
+    trajectory.  ``procs`` spreads the shards of every run over that
+    many spawned OS workers (an executor choice only — the journal
+    bytes are identical at any value); the trajectory then charts every
+    shard count at one worker *and* at ``procs`` workers, so
+    BENCH_fleet.json carries the measured serial-vs-parallel curve, not
+    a claim.
     """
     config = ShardConfig(
         seed=seed, shards=shards, hosts_per_shard=hosts_per_shard, nyms=nyms,
@@ -341,6 +198,15 @@ def run_fleet_sharded(
     report = ShardedFleetReport(
         result=result, wall_seconds=time.perf_counter() - start, procs=procs
     )
+    if compare and result.completed:
+        with tempfile.TemporaryDirectory(prefix="fleet-compare-") as root:
+            for other in sorted(PLACEMENT_POLICIES):
+                if other != policy:
+                    rerun = run_sharded_fleet(
+                        replace(config, policy=other),
+                        os.path.join(root, other), procs=procs,
+                    )
+                    report.compared.append({"policy": other, **rerun.merged})
     if scale_counts:
         report.trajectory = scale_trajectory(
             seed=seed, nyms=nyms, shard_counts=scale_counts,

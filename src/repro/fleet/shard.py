@@ -132,6 +132,8 @@ class ShardConfig:
             )
         if self.nyms < 0:
             raise FleetError(f"nyms must be >= 0, got {self.nyms}")
+        if self.host_crashes < 0:
+            raise FleetError(f"host_crashes must be >= 0, got {self.host_crashes}")
         if self.policy not in PLACEMENT_POLICIES:
             make_policy(self.policy)  # raises "unknown placement policy ..."
 
@@ -247,9 +249,9 @@ class FleetShard:
 
         The shard clock advances through each arrival's absolute time
         (boots may push it further — later arrivals then place
-        immediately, exactly like the single-timeline scenario), ends at
-        or past ``epoch_end``, and settles KSM so barrier accounting is
-        converged.  The event queue is empty on return.
+        immediately), ends at or past ``epoch_end``, and settles KSM so
+        barrier accounting is converged.  The event queue is empty on
+        return.
         """
         placed = 0
         timeline, fleet = self.timeline, self.fleet
@@ -345,13 +347,10 @@ def apply(shard: FleetShard, op: str, payload) -> object:
         return crashed, shard.barrier(epoch)
     if op == "report":
         return shard.report()
-    if op == "flush":
-        shard.flush_spools()
-    elif op == "close":
+    if op == "close":
         shard.close_spools()
-    else:
-        raise FleetError(f"unknown shard op {op!r}")
-    return None
+        return None
+    raise FleetError(f"unknown shard op {op!r}")
 
 
 class InProcessShards:
@@ -687,12 +686,6 @@ class ShardedFleet:
             spool_paths=self.spool_paths(),
         )
 
-    def flush(self) -> None:
-        """Flush every spool without sealing (the killed-mid-run path)."""
-        self._call("flush")
-        self._coord_journal.flush()
-        self._coord_metrics.flush()
-
     def close(self) -> None:
         """Record the terminal merged event and seal every spool."""
         merged = self._merged_from(self._reports)
@@ -702,6 +695,10 @@ class ShardedFleet:
             ksm_saved_bytes=merged["ksm_saved_bytes"],
             rejected=merged["rejected"],
         )
+        self._seal()
+
+    def _seal(self) -> None:
+        """Close every spool, then tear down the workers."""
         self._call("close")
         self._coord_journal.close_spool()
         self._coord_metrics.close_spool()
@@ -850,7 +847,9 @@ def resume_sharded_fleet(
 def _run_to_stop(
     sharded: ShardedFleet, stop_after_epoch: Optional[int]
 ) -> ShardedRunResult:
-    """Run ``sharded``; seal its spools if it completes, else flush them."""
+    """Run ``sharded`` and seal its spools; only a completed run records
+    ``coord.run_complete``, since a resumed run writes it for one
+    stopped early."""
     try:
         result = sharded.run(stop_after_epoch=stop_after_epoch)
     except ShardWorkerError:
@@ -859,10 +858,7 @@ def _run_to_stop(
     if result.completed:
         sharded.close()
     else:
-        # Killed mid-run: flush what we have but do not seal — the
-        # resumed run writes the terminal record.
-        sharded.flush()
-        sharded.shutdown()
+        sharded._seal()
     return result
 
 

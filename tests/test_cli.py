@@ -113,9 +113,16 @@ class TestCommonFlags:
             a for a in parser._actions
             if isinstance(a, __import__("argparse")._SubParsersAction)
         )
+        with_duration = set()
         for name, sub in subparsers.choices.items():
             flags = {opt for action in sub._actions for opt in action.option_strings}
-            assert {"--seed", "--duration", "--json"} <= flags, name
+            assert {"--seed", "--json"} <= flags, name
+            if "--duration" in flags:
+                with_duration.add(name)
+        # Only the commands that read --duration accept it.
+        assert with_duration == {
+            "validate", "redteam", "demo", "stats", "trace", "chaos", "sweep",
+        }
 
     def test_validate_json_report(self, capsys):
         code = main(["validate", "--seed", "3", "--nyms", "1", "--idle", "5", "--json"])
@@ -141,31 +148,40 @@ class TestCommonFlags:
 class TestFleetCommand:
     def test_fleet_quick_runs_and_reports(self, tmp_path, capsys):
         out = tmp_path / "BENCH_fleet.json"
-        code = main(["fleet", "--quick", "--seed", "7", "--out", str(out)])
+        code = main([
+            "fleet", "--quick", "--seed", "7", "--out", str(out),
+            "--spool-dir", str(tmp_path / "spool"),
+        ])
         assert code == 0
         assert "ksm-aware saves more RAM than first-fit: yes" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert payload["bench"] == "fleet"
         assert payload["ksm_aware_beats_first_fit"] is True
+        assert [p["policy"] for p in payload["policies"]] == [
+            "ksm-aware", "first-fit", "least-loaded",
+        ]
 
     def test_fleet_json_output(self, tmp_path, capsys):
         code = main([
             "fleet", "--seed", "7", "--hosts", "2", "--nyms", "6",
             "--no-compare", "--host-crashes", "0", "--json",
             "--out", str(tmp_path / "b.json"),
+            "--spool-dir", str(tmp_path / "spool"),
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["results"][0]["nyms_resident"] == 6
+        assert payload["policies"][0]["nyms_resident"] == 6
 
     def test_reports_are_written_only_to_an_explicit_out(
         self, tmp_path, monkeypatch, capsys
     ):
-        # A bare run must never overwrite the tracked BENCH_*.json files.
+        # A bare run must never overwrite the tracked BENCH_*.json files;
+        # it writes only its spools, into the .gitignore'd fleet-spool/.
         monkeypatch.chdir(tmp_path)
         assert main(["fleet", "--seed", "7", "--quick", "--no-compare"]) == 0
         assert main(["--seed", "7", "tenants", "--quick"]) == 0
-        assert list(tmp_path.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["fleet-spool"]
+        assert list(tmp_path.rglob("BENCH_*.json")) == []
 
     def test_fleet_journal_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
@@ -174,6 +190,7 @@ class TestFleetCommand:
                 "fleet", "--seed", "7", "--hosts", "2", "--nyms", "8",
                 "--no-compare", "--journal", str(path),
                 "--out", str(tmp_path / "bench.json"),
+                "--spool-dir", str(tmp_path / f"spool-{path.stem}"),
             ])
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -146,6 +146,28 @@ class TestCrossModeResume:
         )
 
 
+class TestStoppedRun:
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_stopped_run_leaves_no_spool_open(self, tmp_path, procs):
+        # A stopped run seals every spool, in process and in its workers,
+        # without the terminal record that its resume writes.
+        spool = tmp_path / "spool"
+        gc.collect()  # earlier tests' garbage is not this test's leak
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            partial = run_sharded_fleet(
+                ShardConfig(**CFG), str(spool), stop_after_epoch=1,
+                procs=procs,
+            )
+            gc.collect()
+        assert not partial.completed
+        assert multiprocessing.active_children() == []
+        assert [
+            str(w.message) for w in caught if w.category is ResourceWarning
+        ] == []
+        assert b"coord.run_complete" not in (spool / "coordinator.jsonl").read_bytes()
+
+
 class TestWorkerDeath:
     def wait_for_exit(self, pid):
         for _ in range(100):
@@ -280,7 +302,7 @@ class TestWorkerPoolProtocol:
         finally:
             pool.shutdown()
 
-    @pytest.mark.parametrize("op", ["crash", "barrier"])
+    @pytest.mark.parametrize("op", ["crash", "barrier", "flush"])
     def test_split_barrier_ops_are_gone(self, tmp_path, op):
         config = ShardConfig(**{**CFG, "shards": 1, "nyms": 8})
         pool = WorkerPool(procs=1, shards=1)
@@ -397,17 +419,19 @@ class TestScaleMetrics:
             load_scale_metrics(str(tmp_path))
 
 
-#: Flags the sharded path would ignore, with their arguments.
+#: Flags every fleet run refuses, with their arguments.  ``fleet`` has
+#: no ``--tenant-config`` or ``--duration``, so argparse refuses those.
 SHARDED_IGNORED = [
     ("--tenant-config", ["--tenant-config", "tenants.json"]),
     ("--duration", ["--duration", "0"]),
-    ("--no-compare", ["--no-compare"]),
     ("--procs", ["--procs", "-1"]),
 ]
 #: Marks arguments that go before the subcommand (the global ``--seed``).
 GLOBAL = "<global>"
-#: Flags a resume would also ignore: its manifest decides them.
+#: Flags a resume also refuses: its manifest decides them, and a resume
+#: never compares policies.
 RESUME_IGNORED = [
+    ("--no-compare", ["--no-compare"]),
     ("--stop-after-epoch", ["--stop-after-epoch", "1"]),
     ("--shards", ["--shards", "2"]),
     ("--scale", ["--scale", "1,2"]),
@@ -422,21 +446,15 @@ RESUME_IGNORED = [
     ("--spool-dir", ["--spool-dir", "elsewhere"]),
     ("--quick", ["--quick"]),
 ]
-#: Flags only a sharded run reads, which the classic path refuses.
-CLASSIC_IGNORED = [
-    ("--checkpoint-dir", ["--checkpoint-dir", "ck2"]),
-    ("--stop-after-epoch", ["--stop-after-epoch", "1"]),
-    ("--spool-dir", ["--spool-dir", "elsewhere"]),
-    ("--epoch-s", ["--epoch-s", "5"]),
-    ("--scale", ["--scale", "1,2"]),
-    ("--procs", ["--procs", "2"]),
-]
 
 
 class TestCli:
+    # At this shape ksm-aware and first-fit tie, so a comparing run would
+    # exit 1; these tests exercise executors, not placement.
     FLEET_ARGS = [
         "fleet", "--seed", "7", "--shards", "2", "--hosts", "8",
         "--nyms", "24", "--epoch-s", "15", "--host-crashes", "0",
+        "--no-compare",
     ]
 
     def test_fleet_procs_journal_matches_serial(self, tmp_path, capsys):
@@ -488,11 +506,36 @@ class TestCli:
         self, tmp_path, procs
     ):
         spool = tmp_path / "spool"
-        with pytest.raises(FleetError, match="nyms must be >= 0"):
+        for argv in (
+            self.FLEET_ARGS + ["--nyms", "-5"],
+            ["fleet", "--seed", "7", "--quick", "--nyms", "-5"],
+        ):
+            with pytest.raises(FleetError, match="nyms must be >= 0"):
+                main(
+                    argv + ["--procs", str(procs), "--spool-dir", str(spool),
+                            "--json"]
+                )
+        assert not spool.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "extra, problem",
+        [
+            (["--host-crashes", "-3"], "host_crashes must be >= 0"),
+            (["--hosts", "0"], "needs >= 1 host"),
+            (["--hosts", "1"], "needs >= 1 host"),  # fewer hosts than shards
+            (["--shards", "0"], "needs >= 1 shard"),
+        ],
+        ids=["negative-crashes", "no-hosts", "hosts-below-shards", "no-shards"],
+    )
+    def test_a_bad_config_fails_before_anything_starts(
+        self, tmp_path, extra, problem
+    ):
+        spool = tmp_path / "spool"
+        with pytest.raises(FleetError, match=problem):
             main(
-                self.FLEET_ARGS
-                + ["--nyms", "-5", "--procs", str(procs),
-                   "--spool-dir", str(spool), "--json"]
+                self.FLEET_ARGS + extra
+                + ["--procs", "2", "--spool-dir", str(spool), "--json"]
             )
         assert not spool.exists()
         assert multiprocessing.active_children() == []
@@ -504,8 +547,9 @@ class TestCli:
             ("nyms", -5, "nyms must be >= 0"),
             ("policy", "no-such-policy", "unknown placement policy"),
             ("hosts_per_shard", 0, "needs >= 1 host"),
+            ("host_crashes", -1, "host_crashes must be >= 0"),
         ],
-        ids=["negative-nyms", "unknown-policy", "no-hosts"],
+        ids=["negative-nyms", "unknown-policy", "no-hosts", "negative-crashes"],
     )
     def test_resume_refuses_a_config_a_build_would_reject(
         self, tmp_path, capsys, field, value, problem, procs
@@ -542,7 +586,6 @@ class TestCli:
             for mode, flags in (
                 ("shards", SHARDED_IGNORED),
                 ("resume", SHARDED_IGNORED + RESUME_IGNORED),
-                ("classic", CLASSIC_IGNORED),
             )
             for index, (flag, extra) in enumerate(flags)
         ],
@@ -555,10 +598,13 @@ class TestCli:
         argv = {
             "shards": self.FLEET_ARGS + ["--spool-dir", spool],
             "resume": ["fleet", "--resume", str(tmp_path / "ck")],
-            "classic": ["fleet", "--seed", "7", "--quick", "--no-compare"],
         }[mode] + ["--out", out]
         argv = extra[1:] + argv if extra[0] == GLOBAL else argv + extra
         monkeypatch.chdir(tmp_path)  # where a relative ck2 or elsewhere would go
-        assert main(argv) == 2
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: not a fleet flag at all
+            code = exc.code
+        assert code == 2
         assert flag in capsys.readouterr().err
         assert os.listdir(tmp_path) == []  # no spool, checkpoint or --out file

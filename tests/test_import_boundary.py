@@ -161,6 +161,22 @@ def test_a_fleet_process_never_loads_the_session_stack(code):
 
 
 @pytest.mark.parametrize(
+    "code, modules",
+    [("import repro.fleet.parallel", 58), (SERIAL_RUN, 57)],
+    ids=["worker-import", "serial-run"],
+)
+def test_a_fleet_process_loads_a_pinned_number_of_repro_modules(code, modules):
+    # A module new to the fleet path shows here even when it imports
+    # nothing from SESSION_STACK.  A serial run never loads
+    # repro.fleet.parallel, and neither case loads repro.fleet.scenario.
+    report = (
+        "\nimport sys\n"
+        "print(len([m for m in sys.modules if m.split('.')[0] == 'repro']))\n"
+    )
+    assert int(fresh_interpreter(code + report).splitlines()[-1]) == modules
+
+
+@pytest.mark.parametrize(
     "first", ["", IMPORT_EVERY_SUBMODULE], ids=["names-first", "submodules-first"]
 )
 def test_every_export_is_its_defining_modules_object(first):

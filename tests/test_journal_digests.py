@@ -51,7 +51,7 @@ CASES = {
     ),
     "fleet-quick": (
         ["fleet", "--seed", "7", "--quick"],
-        "3b0ecba855ce3e4384e807c048f38f779e10f573b31412f9dcdc065fac2ac993",
+        "bcd0d3878b4875738d4b3924d6984fdf4ea7a7c5c3a7c4d994a4d1650d791727",
     ),
 }
 
