@@ -40,8 +40,6 @@ _LAZY = {
     "StartupPhases": "repro.core.nymbox",
     "NymStore": "repro.core.persistence",
     "StoreReceipt": "repro.core.persistence",
-    "NymRequest": "repro.core.requests",
-    "StoreNymRequest": "repro.core.requests",
     "ValidationResult": "repro.core.validation",
     "validate_system": "repro.core.validation",
 }
@@ -52,8 +50,6 @@ __all__ = [
     "NymixSession",
     "NymixConfig",
     "NymManager",
-    "NymRequest",
-    "StoreNymRequest",
     "InstalledOsNymReport",
     "Nym",
     "NymUsageModel",

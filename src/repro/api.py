@@ -30,54 +30,10 @@ from typing import List, Optional
 from repro.core.config import NymixConfig
 from repro.core.manager import NymManager
 from repro.core.nymbox import NymBox
-from repro.core.requests import NymRequest, StoreNymRequest
 from repro.errors import NymStateError
+from repro.tenancy.registry import TenantRegistry
 
-__all__ = ["NymixSession", "NymRequest", "StoreNymRequest", "TenantControl"]
-
-
-class TenantControl:
-    """The session's tenancy control plane (``session.tenants``).
-
-    Thin facade over a :class:`~repro.tenancy.registry.TenantRegistry`
-    attached to the session timeline.  Policy mutations (``register``,
-    ``update``, ``delete``) are *staged* and reconciled at the next
-    deterministic sim-time boundary; ``wait_reconciled()`` sleeps the
-    timeline up to that boundary so subsequent traffic sees the new
-    policy set.
-    """
-
-    def __init__(self, registry) -> None:
-        self._registry = registry
-
-    @property
-    def registry(self):
-        return self._registry
-
-    def register(self, policy) -> None:
-        """Stage a new tenant policy for the next reconciliation boundary."""
-        self._registry.commit(policy)
-
-    #: ``update`` is ``register`` with last-wins semantics at the boundary.
-    update = register
-
-    def delete(self, name: str) -> None:
-        self._registry.delete(name)
-
-    def wait_reconciled(self) -> None:
-        self._registry.wait_reconciled()
-
-    def policy_for(self, name: str):
-        return self._registry.policy_for(name)
-
-    def report(self) -> List[dict]:
-        return self._registry.report()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._registry.policies
-
-    def __repr__(self) -> str:
-        return f"TenantControl({sorted(self._registry.policies)})"
+__all__ = ["NymixSession"]
 
 
 class NymixSession:
@@ -181,31 +137,20 @@ class NymixSession:
         return self.manager.internet
 
     @property
-    def tenants(self) -> TenantControl:
-        """The tenancy control plane, attached on first use.
-
-        Until first access, ``timeline.tenancy`` stays the no-op null
-        registry and the session behaves exactly as before (journal
-        byte-identical).  First access attaches a live
-        :class:`~repro.tenancy.registry.TenantRegistry`.
-        """
-        timeline = self.manager.timeline
-        if not timeline.tenancy.active:
-            from repro.tenancy.registry import TenantRegistry
-
-            TenantRegistry(timeline).attach()
-        return TenantControl(timeline.tenancy)
+    def tenants(self) -> TenantRegistry:
+        """The tenancy control plane: the session timeline's own registry."""
+        return self.timeline.tenancy
 
     # -- delegated operations ------------------------------------------------
 
-    def create_nym(self, *args, **kwargs) -> NymBox:
-        return self.manager.create_nym(*args, **kwargs)
+    def create_nym(self, **kwargs) -> NymBox:
+        return self.manager.create_nym(**kwargs)
 
     def load_nym(self, name: str, password: str, **kwargs) -> NymBox:
         return self.manager.load_nym(name, password, **kwargs)
 
-    def store_nym(self, nymbox: NymBox, *args, **kwargs):
-        return self.manager.store_nym(nymbox, *args, **kwargs)
+    def store_nym(self, nymbox: NymBox, **kwargs):
+        return self.manager.store_nym(nymbox, **kwargs)
 
     def snapshot_nym(self, nymbox: NymBox, password: str, **kwargs):
         return self.manager.snapshot_nym(nymbox, password, **kwargs)

@@ -30,14 +30,18 @@ Gives the reproduction an operator's console:
   launch/ingress rate limits, a reconciled mid-run policy update, and a
   zero-loss rolling host drain
 
-Every subcommand accepts ``--seed`` (overrides the global ``--seed``)
-and ``--json`` (a machine-readable report on stdout).  Only the seven
-commands that read it accept ``--duration`` (simulated seconds: idle
-time before the report, or the fault window of ``chaos``):
-``validate``, ``redteam``, ``demo``, ``stats``, ``trace``, ``chaos``
-and ``sweep``.  ``tenants``, ``chaos`` and ``sweep`` share
-``--tenant-config FILE`` — one JSON policy file, one parser
-(:func:`repro.tenancy.load_tenant_config`).
+Every subcommand accepts ``--json`` (a machine-readable report on
+stdout).  Every subcommand but ``bench`` and ``catalog``, which draw
+nothing from a seed, accepts ``--seed`` (overrides the global
+``--seed``); those two refuse both forms.  Only the seven commands that
+read it accept ``--duration`` (simulated seconds: idle time before the
+report, or the fault window of ``chaos``): ``validate``, ``redteam``,
+``demo``, ``stats``, ``trace``, ``chaos`` and ``sweep``.  ``tenants``,
+``chaos`` and ``sweep`` share ``--tenant-config FILE`` — one JSON policy
+file, one parser (:func:`repro.tenancy.load_tenant_config`).
+``tenants`` reads its ``tenants``, watermark and ``autoscale`` keys;
+``chaos`` and ``sweep`` read only ``tenants`` and exit 2 on the others.
+Placement comes from ``--policy``, never from the file.
 Commands are built on the :class:`repro.api.NymixSession` facade.
 """
 
@@ -60,19 +64,22 @@ if TYPE_CHECKING:
 
 
 def add_common_args(
-    sub: argparse.ArgumentParser, journal: bool = False, duration: bool = False
+    sub: argparse.ArgumentParser, journal: bool = False, duration: bool = False,
+    seed: bool = True,
 ) -> None:
-    """The flags every ``repro`` subcommand understands, and two more.
+    """The flags every ``repro`` subcommand understands, and three more.
 
-    ``--seed`` shadows the global flag (the subcommand value wins);
     ``--json`` switches the report to machine-readable JSON.  With
+    ``seed``, ``--seed`` shadows the global flag (the subcommand value
+    wins); without it, :func:`main` refuses the global one too.  With
     ``duration``, ``--duration`` adds simulated idle seconds before
     reporting; with ``journal``, ``--journal`` writes the event journal.
     """
-    sub.add_argument(
-        "--seed", dest="sub_seed", type=int, default=None, metavar="N",
-        help="simulation seed (overrides the global --seed)",
-    )
+    if seed:
+        sub.add_argument(
+            "--seed", dest="sub_seed", type=int, default=None, metavar="N",
+            help="simulation seed (overrides the global --seed)",
+        )
     if duration:
         sub.add_argument(
             "--duration", type=float, default=None, metavar="SECONDS",
@@ -91,25 +98,27 @@ def add_tenant_config_arg(sub: argparse.ArgumentParser) -> None:
     """The shared ``--tenant-config FILE`` flag (tenants, chaos, sweep)."""
     sub.add_argument(
         "--tenant-config", metavar="FILE", default=None,
-        help="JSON tenant policy file (tenants, quotas, rate limits, "
-        "qos classes, autoscale)",
+        help="JSON tenant policy file (tenants with quotas, rate limits and "
+        "qos classes; tenants also reads watermarks and autoscale)",
     )
 
 
-def load_policies(args: argparse.Namespace):
+def load_policies(args: argparse.Namespace, keys: Optional[List[str]] = None):
     """Parse ``--tenant-config`` into a FleetPolicies, or ``None``.
 
-    Exits with status 2 on a malformed file — a policy typo must not
-    silently run the scenario unlimited.
+    ``keys`` names the config keys the command reads (default: all).
+    Exits with status 2 on a malformed file or on a key the command does
+    not read — a policy typo must not silently run the scenario
+    unlimited.
     """
     path = getattr(args, "tenant_config", None)
     if not path:
         return None
     from repro.errors import TenancyError
-    from repro.tenancy.policy import load_tenant_config
+    from repro.tenancy.policy import CONFIG_KEYS, load_tenant_config
 
     try:
-        return load_tenant_config(path)
+        return load_tenant_config(path, keys or CONFIG_KEYS)
     except TenancyError as exc:
         print(f"--tenant-config: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -391,7 +400,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         quick=args.quick,
         duration_s=args.duration,
         anonymizer=args.anonymizer,
-        policies=load_policies(args),
+        policies=load_policies(args, keys=["tenants"]),
     )
     if args.json:
         _emit_json(
@@ -533,7 +542,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         idle_s=args.duration,
         journal_path=args.journal,
         out_path=args.out,
-        policies=load_policies(args),
+        policies=load_policies(args, keys=["tenants"]),
     )
     if args.json:
         _emit_json(report.export())
@@ -633,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=cmd_demo)
 
     catalog = commands.add_parser("catalog", help="list the simulated world")
-    add_common_args(catalog)
+    add_common_args(catalog, seed=False)
     catalog.set_defaults(func=cmd_catalog)
 
     stats = commands.add_parser("stats", help="run a scenario, dump metrics")
@@ -667,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tag", help="run only benches carrying this tag")
     bench.add_argument("--out", metavar="PATH", help="write results JSON here")
     bench.add_argument("--list", action="store_true", help="list available benches")
-    add_common_args(bench)
+    add_common_args(bench, seed=False)
     bench.set_defaults(func=cmd_bench)
 
     chaos = commands.add_parser(
@@ -802,7 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is not None and not hasattr(args, "sub_seed"):
+        parser.error(f"{args.command} takes no --seed")
     return args.func(args)
 
 

@@ -15,7 +15,6 @@ from repro.core.nym import Nym, NymUsageModel
 from repro.core.nymbox import NymBox, StartupPhases
 from repro.core.persistence import NymStore, StoreReceipt
 from repro.core.manager import InstalledOsNymReport, NymManager
-from repro.core.requests import NymRequest, StoreNymRequest
 from repro.core.validation import IsolationMatrix, ValidationResult, validate_system
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "NymStore",
     "StoreReceipt",
     "NymManager",
-    "NymRequest",
-    "StoreNymRequest",
     "InstalledOsNymReport",
     "IsolationMatrix",
     "ValidationResult",

@@ -16,7 +16,6 @@ from repro.core.config import NymixConfig
 from repro.core.nym import Nym, NymUsageModel
 from repro.core.nymbox import NymBox, StartupPhases
 from repro.core.persistence import FsSnapshot, NymStore, StoreReceipt
-from repro.core.requests import NymRequest, StoreNymRequest
 from repro.errors import NymError, NymStateError, PersistenceError
 from repro.guest.browser import PageLoad
 from repro.guest.installed_os import INSTALLED_OS_CATALOG, InstalledOs
@@ -29,15 +28,6 @@ from repro.sim.clock import Timeline
 from repro.unionfs.layer import Layer
 from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.vm import VirtualMachine, VmSpec
-
-
-def _check_request(method: str, request, kind: type) -> None:
-    """The one positional argument is a request template, nothing else."""
-    if request is not None and not isinstance(request, kind):
-        raise TypeError(
-            f"{method}() takes a {kind.__name__} or keyword arguments, "
-            f"got {type(request).__name__}"
-        )
 
 
 @dataclass
@@ -312,43 +302,24 @@ class NymManager:
 
     def create_nym(
         self,
-        request: Optional[NymRequest] = None,
         *,
         name: Optional[str] = None,
         anonymizer: Optional[str] = None,
-        usage: Optional[NymUsageModel] = None,
+        usage: NymUsageModel = NymUsageModel.EPHEMERAL,
         anon_spec: Optional[VmSpec] = None,
         comm_spec: Optional[VmSpec] = None,
         guard_manager: Optional[GuardManager] = None,
-        chain_commvms: Optional[bool] = None,
-        tenant: Optional[str] = None,
+        chain_commvms: bool = False,
+        tenant: str = "",
     ) -> NymBox:
         """Start a fresh nym ("start a fresh nym" in the §3.5 workflow).
 
-        Every parameter but a :class:`NymRequest` template (passed
-        positionally or as ``request=``) is keyword-only; explicit keywords
-        override the template's fields.  With ``chain_commvms`` and a
+        Every parameter is keyword-only.  With ``chain_commvms`` and a
         composed transport like ``"tor+dissent"``, each stage gets its own
         CommVM wired in serial (§3.3) instead of stacking inside one
-        CommVM.
+        CommVM.  ``tenant`` binds the nym's sends to that tenant's policy
+        in ``timeline.tenancy``; ``""`` leaves it untenanted.
         """
-        _check_request("create_nym", request, NymRequest)
-        explicit = {
-            "name": name, "anonymizer": anonymizer, "usage": usage,
-            "anon_spec": anon_spec, "comm_spec": comm_spec,
-            "guard_manager": guard_manager, "chain_commvms": chain_commvms,
-            "tenant": tenant,
-        }
-        request = (request or NymRequest()).merged(explicit)
-        name = request.name
-        anonymizer = request.anonymizer
-        usage = request.usage
-        anon_spec = request.anon_spec
-        comm_spec = request.comm_spec
-        guard_manager = request.guard_manager
-        chain_commvms = request.chain_commvms
-        tenant = request.tenant or ""
-
         name = name or f"nym-{next(self._nym_counter)}"
         if name in self.nymboxes:
             raise NymError(f"a nymbox named {name!r} is already running")
@@ -405,7 +376,6 @@ class NymManager:
     def store_nym(
         self,
         nymbox: NymBox,
-        request: Optional[StoreNymRequest] = None,
         *,
         password: Optional[str] = None,
         provider_host: Optional[str] = None,
@@ -414,23 +384,11 @@ class NymManager:
     ) -> StoreReceipt:
         """The "store nym" workflow: seal the nym's state and put it away.
 
-        Everything after ``nymbox`` but a :class:`StoreNymRequest`
-        template (passed positionally or as ``request=``) is keyword-only,
-        with explicit keywords overriding the template's fields.  With a
+        Everything after ``nymbox`` is keyword-only.  With a
         ``provider_host`` the blob goes to the cloud through the nym's own
         anonymizer; with none it goes to local media (the §3.5
         security-tradeoff alternative).
         """
-        _check_request("store_nym", request, StoreNymRequest)
-        explicit = {
-            "password": password, "provider_host": provider_host,
-            "account_username": account_username, "blob_name": blob_name,
-        }
-        request = (request or StoreNymRequest()).merged(explicit)
-        password = request.password
-        provider_host = request.provider_host
-        account_username = request.account_username
-        blob_name = request.blob_name
         if password is None:
             raise PersistenceError("store_nym needs the nym's password")
 

@@ -183,10 +183,7 @@ def run_chaos(
     manager.create_cloud_account(_PROVIDER, _ACCOUNT, "cloud-pw")
     tenant = ""
     if policies is not None and policies.tenants:
-        from repro.tenancy.registry import TenantRegistry
-
-        registry = TenantRegistry(manager.timeline).attach()
-        registry.apply_initial(policies.tenants)
+        manager.timeline.tenancy.apply_initial(policies.tenants)
         # Prefer a rate-limited tenant: the injected burst targets one,
         # and the nym should be the one absorbing that debt as delay.
         limited = [

@@ -228,10 +228,7 @@ class FaultInjector:
         # its rate limit and subsequent sends absorb the debt as delay.
         # ``param`` is the burst size in MiB; the victim is the named
         # tenant, or the first rate-limited tenant in name order.
-        registry = getattr(self.timeline, "tenancy", None)
-        if registry is None or not getattr(registry, "active", False):
-            self._record(spec, outcome="no_tenancy")
-            return
+        registry = self.timeline.tenancy
         tenants = [spec.target] if spec.target else sorted(registry.policies)
         debt_bytes = int((spec.param if spec.param > 0 else 16.0) * 1024 * 1024)
         for tenant in tenants:

@@ -38,7 +38,7 @@ from repro.obs.metrics import Counter, Gauge
 from repro.runtime import register_process_cache
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import FleetPolicies
-from repro.tenancy.registry import REASON_CAPACITY, REASON_QUOTA, TenantRegistry
+from repro.tenancy.registry import REASON_CAPACITY, REASON_QUOTA
 from repro.vmm.baseimage import build_base_layer, published_merkle_root
 from repro.vmm.hypervisor import HostSpec, Hypervisor, NymboxTemplate
 from repro.vmm.vm import MIB, VirtualMachine, VmSpec
@@ -168,7 +168,6 @@ class Fleet:
         anon_spec: Optional[VmSpec] = None,
         comm_spec: Optional[VmSpec] = None,
         policies: Optional[FleetPolicies] = None,
-        tenancy: Optional[TenantRegistry] = None,
     ) -> None:
         if hosts < 1:
             raise FleetError(f"a fleet needs at least one host, got {hosts}")
@@ -194,18 +193,7 @@ class Fleet:
         self.low_watermark = policies.low_watermark
         self.rng = timeline.fork_rng("fleet")
 
-        # The tenant control plane: an explicit registry wins, then any
-        # registry already attached to the timeline, then (only if the
-        # policy set names tenants) a fresh one; otherwise the shared
-        # no-op, so policy-free fleets pay and emit nothing.
-        if tenancy is not None:
-            self.tenancy = tenancy.attach()
-        elif timeline.tenancy.active:
-            self.tenancy = timeline.tenancy
-        elif policies.tenants:
-            self.tenancy = TenantRegistry(timeline).attach()
-        else:
-            self.tenancy = timeline.tenancy
+        self.tenancy = timeline.tenancy
         if policies.tenants:
             # Construction-time policies apply immediately, pre-traffic:
             # there is no boundary to reconcile against yet.

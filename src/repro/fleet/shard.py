@@ -704,6 +704,20 @@ class ShardedFleet:
         self._coord_metrics.close_spool()
         self.shutdown()
 
+    def _release(self) -> None:
+        """A run or a resume failed: close what it left open.
+
+        In-process shards seal every spool, as a stopped run does.  A
+        worker pool takes no further op, since it may have failed or
+        have replies in flight: :meth:`_abort` kills it and seals the
+        coordinator's spools (each worker flushed its own at its last
+        barrier).
+        """
+        if self.procs == 1:
+            self._seal()
+        else:
+            self._abort()
+
     def shutdown(self) -> None:
         """Tear down worker processes, if any (idempotent)."""
         if self._pool is not None:
@@ -807,7 +821,7 @@ class ShardedFleet:
             for path, offset in offsets.items():
                 _check_replayed_spool(path, offset)
         except BaseException:
-            sharded.shutdown()
+            sharded._release()
             raise
         for path in offsets:
             os.remove(path + _RECORDED)
@@ -852,8 +866,8 @@ def _run_to_stop(
     stopped early."""
     try:
         result = sharded.run(stop_after_epoch=stop_after_epoch)
-    except ShardWorkerError:
-        sharded.shutdown()
+    except BaseException:
+        sharded._release()
         raise
     if result.completed:
         sharded.close()

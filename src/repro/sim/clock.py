@@ -194,7 +194,7 @@ class Timeline:
     def __init__(self, seed: int = 0, start: float = 0.0) -> None:
         from repro.faults.injector import NULL_FAULTS
         from repro.obs import Observability
-        from repro.tenancy.registry import NULL_TENANCY
+        from repro.tenancy.registry import TenantRegistry
 
         self.clock = Clock(start=start)
         self.events = EventQueue(self.clock)
@@ -204,10 +204,10 @@ class Timeline:
         #: injecting — operation paths consult ``timeline.faults`` the same
         #: way they emit to ``timeline.obs``
         self.faults = NULL_FAULTS
-        #: the attached tenant registry, or the shared no-op when no
-        #: control plane is active — enforcement paths consult
-        #: ``timeline.tenancy`` like ``timeline.obs``/``timeline.faults``
-        self.tenancy = NULL_TENANCY
+        #: this timeline's tenant registry, empty until a policy is
+        #: applied — enforcement paths consult ``timeline.tenancy`` like
+        #: ``timeline.obs``/``timeline.faults``
+        self.tenancy = TenantRegistry(self)
 
     @property
     def now(self) -> float:

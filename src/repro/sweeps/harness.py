@@ -42,13 +42,11 @@ def _measure_point(
     with NymixSession(config, cloud_providers=False) as nx:
         tenant = ""
         if policies is not None and policies.tenants:
-            # Each point gets its own fresh registry, like everything else
-            # in its world: the sweep nym runs as the first configured
-            # tenant, so its page loads pay that tenant's ingress shaping.
-            from repro.tenancy.registry import TenantRegistry
-
-            registry = TenantRegistry(nx.timeline).attach()
-            registry.apply_initial(policies.tenants)
+            # Each point's fresh timeline brings a fresh registry, like
+            # everything else in its world: the sweep nym runs as the
+            # first configured tenant, so its page loads pay that
+            # tenant's ingress shaping.
+            nx.timeline.tenancy.apply_initial(policies.tenants)
             tenant = policies.tenants[0].name
         box = nx.create_nym(
             name="sweep", anonymizer=point.anonymizer, tenant=tenant

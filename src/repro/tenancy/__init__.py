@@ -2,9 +2,8 @@
 
 The package layers on top of ``repro.fleet`` (quota admission, drain,
 autoscale) and the anonymizer ingress (token-bucket shaping with strict
-QoS priority) without either of them importing it at module scope —
-``timeline.tenancy`` carries the live registry, defaulting to the shared
-no-op ``NULL_TENANCY``.
+QoS priority); both reach the live registry as ``timeline.tenancy``,
+which every timeline builds for itself.
 
 The tenants *scenario* (``repro.tenancy.scenario``) pulls in the fleet
 and workload layers, so it is imported on demand (mirroring
@@ -30,11 +29,9 @@ from repro.tenancy.policy import (
     tenant_from_dict,
 )
 from repro.tenancy.registry import (
-    NULL_TENANCY,
     REASON_CAPACITY,
     REASON_QUOTA,
     REASON_RATE,
-    NullTenancy,
     TenantAccount,
     TenantRegistry,
 )
@@ -45,8 +42,6 @@ __all__ = [
     "BRONZE",
     "FleetPolicies",
     "GOLD",
-    "NULL_TENANCY",
-    "NullTenancy",
     "PriorityLink",
     "QOS_CLASSES",
     "QosClass",

@@ -215,19 +215,28 @@ def tenant_from_dict(obj: Mapping[str, Any]) -> TenantPolicy:
     )
 
 
-def policies_from_dict(obj: Mapping[str, Any]) -> FleetPolicies:
+#: Every key a tenant config may hold.  Placement is not one of them:
+#: each command takes it from its own ``--policy``.
+CONFIG_KEYS = ("high_watermark", "low_watermark", "tenants", "autoscale")
+
+
+def policies_from_dict(
+    obj: Mapping[str, Any], keys: Sequence[str] = CONFIG_KEYS
+) -> FleetPolicies:
     """Build a :class:`FleetPolicies` from a plain dict (parsed JSON).
 
-    Recognised keys: ``placement``, ``high_watermark``, ``low_watermark``,
-    ``tenants`` (list of tenant dicts), ``autoscale`` (dict).
+    ``keys`` are the keys the caller reads (default: all of
+    :data:`CONFIG_KEYS`); any other key is refused by name, never
+    silently ignored.
     """
-    unknown = set(obj) - {
-        "placement", "high_watermark", "low_watermark", "tenants", "autoscale",
-    }
+    unknown = set(obj) - set(keys)
     if unknown:
-        raise TenancyError(f"unknown tenant-config keys: {sorted(unknown)}")
+        raise TenancyError(
+            f"unknown tenant-config keys: {sorted(unknown)} "
+            f"(this run reads {sorted(keys)})"
+        )
     kwargs: Dict[str, Any] = {}
-    for name in ("placement", "high_watermark", "low_watermark"):
+    for name in ("high_watermark", "low_watermark"):
         if name in obj:
             kwargs[name] = obj[name]
     tenants = tuple(tenant_from_dict(entry) for entry in obj.get("tenants", []))
@@ -237,8 +246,8 @@ def policies_from_dict(obj: Mapping[str, Any]) -> FleetPolicies:
     return FleetPolicies(tenants=tenants, autoscale=autoscale, **kwargs)
 
 
-def load_tenant_config(path: str) -> FleetPolicies:
-    """Parse a ``--tenant-config`` JSON file into a :class:`FleetPolicies`."""
+def load_tenant_config(path: str, keys: Sequence[str] = CONFIG_KEYS) -> FleetPolicies:
+    """Parse a ``--tenant-config`` JSON file (see :func:`policies_from_dict`)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
@@ -246,4 +255,4 @@ def load_tenant_config(path: str) -> FleetPolicies:
         raise TenancyError(f"cannot read tenant config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise TenancyError(f"tenant config {path} must be a JSON object")
-    return policies_from_dict(obj)
+    return policies_from_dict(obj, keys)

@@ -1,26 +1,23 @@
 """The tenant registry: policy lifecycle, accounting, and enforcement.
 
-The registry is the control plane's live state.  Policies reach it two
-ways:
+Every :class:`~repro.sim.clock.Timeline` builds one, as
+``timeline.tenancy``; it is the control plane's live state.  Policies
+reach it two ways:
 
 * ``apply_initial(...)`` — construction-time application (the fleet's
   ``FleetPolicies.tenants``): takes effect immediately, before any
   traffic, so there is no reconciliation boundary to wait for.
 * ``commit(policy)`` / ``delete(name)`` — the Kuadrant-style lifecycle:
   mutations are *staged* and applied together at the next multiple of
-  ``boundary_s`` strictly after now.  Every same-seed run stages the same
+  ``BOUNDARY_S`` strictly after now.  Every same-seed run stages the same
   mutations at the same sim times, so the boundary — and therefore every
   enforcement decision downstream of it — is deterministic.
 
 Control-plane mutations write an in-registry audit log and metrics, not
 journal events; only *data-plane* effects (throttles, bursts, the
 reconcile tick itself) reach the journal.  A registry whose policies are
-all unlimited therefore produces a journal byte-identical to a run with
-no registry at all.
-
-``NULL_TENANCY`` is the shared no-op following the ``NULL_FAULTS``
-idiom: ``timeline.tenancy`` always answers, and the disabled answer is
-always "no limits, zero delay".
+all unlimited therefore produces a journal byte-identical to a run that
+names no tenant, and an empty one limits nobody and records nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +34,10 @@ from repro.tenancy.policy import UNLIMITED, TenantPolicy
 REASON_CAPACITY = "capacity"
 REASON_QUOTA = "quota"
 REASON_RATE = "rate"
+
+#: Staged policy mutations apply at the next multiple of this many
+#: simulated seconds strictly after they are staged.
+BOUNDARY_S = 5.0
 
 
 @dataclass
@@ -73,78 +74,26 @@ class TenantAccount:
         }
 
 
-class NullTenancy:
-    """Shared no-op registry: no limits, zero delay, nothing recorded."""
-
-    active = False
-
-    def admission_reason(self, tenant: str, need_ram_bytes: int) -> Optional[str]:
-        return None
-
-    def consume_launch(self, tenant: str) -> None:
-        pass
-
-    def note_placed(self, tenant: str, ram_bytes: int) -> None:
-        pass
-
-    def note_admitted(self, tenant: str) -> None:
-        pass
-
-    def note_removed(self, tenant: str, ram_bytes: int) -> None:
-        pass
-
-    def note_evacuated(self, tenant: str) -> None:
-        pass
-
-    def note_rejected(self, tenant: str, reason: str) -> None:
-        pass
-
-    def shape(self, tenant: str) -> float:
-        return 0.0
-
-    def record_sent(self, tenant: str, payload_bytes: int) -> None:
-        pass
-
-
-NULL_TENANCY = NullTenancy()
-
-
 class TenantRegistry:
     """Live tenant policies plus the machinery that enforces them."""
 
-    def __init__(
-        self,
-        timeline,
-        boundary_s: float = 5.0,
-        ingress_capacity_bps: Optional[float] = None,
-        qos_classes: int = 3,
-    ) -> None:
-        if boundary_s <= 0:
-            raise TenancyError(f"boundary_s must be > 0: {boundary_s}")
-        self.timeline = timeline
-        self.boundary_s = float(boundary_s)
-        self.active = True
+    def __init__(self, timeline) -> None:
+        # The clock, queue and sink, not the timeline that owns this
+        # registry: a back-reference would make every timeline a cycle.
+        self._clock = timeline.clock
+        self._events = timeline.events
+        self._obs = timeline.obs
         self.policies: Dict[str, TenantPolicy] = {}
         self.accounts: Dict[str, TenantAccount] = {}
         #: audit log of control-plane mutations (never journalled)
         self.audit: List[Dict[str, Any]] = []
-        self.link = (
-            PriorityLink(ingress_capacity_bps, classes=qos_classes)
-            if ingress_capacity_bps
-            else None
-        )
+        #: the shared ingress link that QoS classes queue on, if any
+        self.link: Optional[PriorityLink] = None
         self._launch_buckets: Dict[str, TokenBucket] = {}
         self._ingress_buckets: Dict[str, TokenBucket] = {}
         #: staged (action, payload) mutations awaiting the next boundary
         self._staged: List[Tuple[str, Any]] = []
         self._boundary_event = None
-
-    # -- wiring ------------------------------------------------------------
-
-    def attach(self) -> "TenantRegistry":
-        """Install this registry as ``timeline.tenancy`` and return it."""
-        self.timeline.tenancy = self
-        return self
 
     # -- policy lifecycle --------------------------------------------------
 
@@ -171,8 +120,8 @@ class TenantRegistry:
 
     def next_boundary(self) -> float:
         """The sim time the next staged mutation set applies."""
-        now = self.timeline.now
-        return (math.floor(now / self.boundary_s) + 1) * self.boundary_s
+        now = self._clock.now
+        return (math.floor(now / BOUNDARY_S) + 1) * BOUNDARY_S
 
     def wait_reconciled(self) -> None:
         """Sleep the timeline until every staged mutation has applied."""
@@ -180,15 +129,14 @@ class TenantRegistry:
             boundary = self._boundary_event.when if self._boundary_event else (
                 self.next_boundary()
             )
-            self.timeline.sleep(max(0.0, boundary - self.timeline.now) or 1e-9)
+            now = self._clock.now
+            self._events.run_until(now + (max(0.0, boundary - now) or 1e-9))
 
     def _schedule_boundary(self) -> None:
         if self._boundary_event is not None:
             return
         when = self.next_boundary()
-        self._boundary_event = self.timeline.events.schedule_at(
-            when, self._reconcile
-        )
+        self._boundary_event = self._events.schedule_at(when, self._reconcile)
 
     def _reconcile(self) -> None:
         """Apply every staged mutation, sorted for determinism."""
@@ -208,10 +156,10 @@ class TenantRegistry:
             else:
                 self._remove(name)
                 deleted += 1
-        self.timeline.obs.event(
+        self._obs.event(
             "tenancy.reconciled", applied=applied, deleted=deleted
         )
-        self.timeline.obs.metrics.counter("tenancy.reconciles").inc()
+        self._obs.metrics.counter("tenancy.reconciles").inc()
 
     def _apply(self, policy: TenantPolicy, action: str) -> None:
         self.policies[policy.name] = policy
@@ -220,7 +168,7 @@ class TenantRegistry:
         self._launch_buckets.pop(policy.name, None)
         self._ingress_buckets.pop(policy.name, None)
         self.audit.append(
-            {"t": self.timeline.now, "action": action, "tenant": policy.name}
+            {"t": self._clock.now, "action": action, "tenant": policy.name}
         )
 
     def _remove(self, name: str) -> None:
@@ -228,7 +176,7 @@ class TenantRegistry:
         self._launch_buckets.pop(name, None)
         self._ingress_buckets.pop(name, None)
         self.audit.append(
-            {"t": self.timeline.now, "action": "delete", "tenant": name}
+            {"t": self._clock.now, "action": "delete", "tenant": name}
         )
 
     # -- lookups -----------------------------------------------------------
@@ -248,7 +196,7 @@ class TenantRegistry:
             bucket = self._launch_buckets[tenant] = TokenBucket(
                 policy.rate.launch_rate_per_s,
                 policy.rate.launch_burst,
-                now=self.timeline.now,
+                now=self._clock.now,
             )
         return bucket
 
@@ -258,7 +206,7 @@ class TenantRegistry:
             rate = policy.rate.ingress_bytes_per_s
             burst = policy.rate.ingress_burst_bytes or rate
             bucket = self._ingress_buckets[tenant] = TokenBucket(
-                rate, burst, now=self.timeline.now
+                rate, burst, now=self._clock.now
             )
         return bucket
 
@@ -282,7 +230,7 @@ class TenantRegistry:
             return REASON_QUOTA
         if policy.rate.launch_rate_per_s:
             bucket = self._launch_bucket(tenant, policy)
-            if bucket.available(self.timeline.now) < 1.0:
+            if bucket.available(self._clock.now) < 1.0:
                 return REASON_RATE
         return None
 
@@ -292,7 +240,7 @@ class TenantRegistry:
             return
         policy = self.policy_for(tenant)
         if policy.rate.launch_rate_per_s:
-            self._launch_bucket(tenant, policy).try_consume(self.timeline.now, 1.0)
+            self._launch_bucket(tenant, policy).try_consume(self._clock.now, 1.0)
 
     def note_placed(self, tenant: str, ram_bytes: int) -> None:
         """A nymbox became resident (new placement or evacuation relaunch)."""
@@ -307,7 +255,7 @@ class TenantRegistry:
         if not tenant:
             return
         self.account(tenant).admitted += 1
-        self.timeline.obs.metrics.counter("tenancy.admitted").inc()
+        self._obs.metrics.counter("tenancy.admitted").inc()
 
     def note_removed(self, tenant: str, ram_bytes: int) -> None:
         if not tenant:
@@ -320,7 +268,7 @@ class TenantRegistry:
         if not tenant:
             return
         self.account(tenant).evacuations += 1
-        self.timeline.obs.metrics.counter("tenancy.evacuations").inc()
+        self._obs.metrics.counter("tenancy.evacuations").inc()
 
     def note_rejected(self, tenant: str, reason: str) -> None:
         if not tenant:
@@ -332,7 +280,7 @@ class TenantRegistry:
             acct.rejected_rate += 1
         else:
             acct.rejected_capacity += 1
-        self.timeline.obs.metrics.counter(f"tenancy.rejected.{reason}").inc()
+        self._obs.metrics.counter(f"tenancy.rejected.{reason}").inc()
 
     # -- ingress shaping (anonymizer side) ---------------------------------
 
@@ -347,7 +295,7 @@ class TenantRegistry:
         if not tenant:
             return 0.0
         policy = self.policy_for(tenant)
-        now = self.timeline.now
+        now = self._clock.now
         delay = 0.0
         if policy.rate.ingress_bytes_per_s:
             delay = self._ingress_bucket(tenant, policy).deficit_wait(now)
@@ -357,9 +305,9 @@ class TenantRegistry:
             acct = self.account(tenant)
             acct.throttled += 1
             acct.throttle_seconds += delay
-            self.timeline.obs.metrics.counter("tenancy.throttled").inc()
-            self.timeline.obs.metrics.histogram("tenancy.throttle_s").observe(delay)
-            self.timeline.obs.event(
+            self._obs.metrics.counter("tenancy.throttled").inc()
+            self._obs.metrics.histogram("tenancy.throttle_s").observe(delay)
+            self._obs.event(
                 "tenancy.throttle",
                 tenant=tenant,
                 qos=policy.qos.name,
@@ -372,7 +320,7 @@ class TenantRegistry:
         if not tenant:
             return
         policy = self.policy_for(tenant)
-        now = self.timeline.now
+        now = self._clock.now
         acct = self.account(tenant)
         acct.sends += 1
         acct.bytes_sent += payload_bytes
@@ -392,9 +340,9 @@ class TenantRegistry:
         policy = self.policy_for(tenant)
         if not policy.rate.ingress_bytes_per_s:
             return False
-        self._ingress_bucket(tenant, policy).charge(self.timeline.now, debt_bytes)
-        self.timeline.obs.metrics.counter("tenancy.bursts").inc()
-        self.timeline.obs.event(
+        self._ingress_bucket(tenant, policy).charge(self._clock.now, debt_bytes)
+        self._obs.metrics.counter("tenancy.bursts").inc()
+        self._obs.event(
             "tenancy.burst", tenant=tenant, debt_bytes=int(debt_bytes)
         )
         return True

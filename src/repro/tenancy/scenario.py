@@ -21,6 +21,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.fleet import DrainReport, Fleet, FleetStats
 from repro.sim.clock import Timeline
+from repro.tenancy.limiter import PriorityLink
 from repro.tenancy.policy import (
     GOLD,
     BRONZE,
@@ -29,7 +30,6 @@ from repro.tenancy.policy import (
     RateLimitPolicy,
     TenantPolicy,
 )
-from repro.tenancy.registry import TenantRegistry
 from repro.vmm.vm import MIB
 from repro.workloads.fleet import tenant_workload
 
@@ -180,9 +180,8 @@ def run_tenants(
     base = policies if policies is not None else default_tenant_policies(nyms)
     if not base.tenants:
         base = replace(base, tenants=default_tenant_policies(nyms).tenants)
-    registry = TenantRegistry(
-        timeline, ingress_capacity_bps=INGRESS_CAPACITY_BPS
-    ).attach()
+    registry = timeline.tenancy
+    registry.link = PriorityLink(INGRESS_CAPACITY_BPS)
     fleet = Fleet(
         timeline, hosts=hosts, policies=base.with_placement(placement)
     )

@@ -1,9 +1,8 @@
-"""The redesigned public API: NymixSession facade and request objects."""
+"""The public API: the NymixSession facade and its keyword-only calls."""
 
 import pytest
 
-from repro import NymixConfig, NymixSession, NymRequest, StoreNymRequest
-from repro.core.nym import NymUsageModel
+from repro import NymixConfig, NymixSession
 from repro.errors import NymStateError, PersistenceError
 
 
@@ -81,58 +80,21 @@ class TestNymixSession:
         assert "session.closed" in names
 
 
-class TestNymRequest:
-    def test_create_from_request_object(self, manager):
-        request = NymRequest(name="req-nym", usage=NymUsageModel.PERSISTENT)
-        box = manager.create_nym(request)
-        assert box.nym.name == "req-nym"
-        assert box.nym.usage_model is NymUsageModel.PERSISTENT
-
-    def test_keywords_override_request_fields(self, manager):
-        base = NymRequest(name="template", chain_commvms=False)
-        box = manager.create_nym(base, name="alice")
-        assert box.nym.name == "alice"
-
-    def test_request_is_a_reusable_template(self, manager):
-        base = NymRequest(usage=NymUsageModel.PERSISTENT)
-        a = manager.create_nym(base, name="a")
-        b = manager.create_nym(base, name="b")
-        assert a.nym.usage_model is NymUsageModel.PERSISTENT
-        assert b.nym.usage_model is NymUsageModel.PERSISTENT
-
-    def test_two_request_objects_rejected(self, manager):
+class TestKeywordOnlyCalls:
+    def test_positional_arguments_rejected(self, manager):
         with pytest.raises(TypeError):
-            manager.create_nym(NymRequest(), request=NymRequest())
-
-    def test_positional_arguments_other_than_a_request_rejected(self, manager):
-        with pytest.raises(TypeError, match="NymRequest"):
             manager.create_nym("alice")
-        with pytest.raises(TypeError):
-            manager.create_nym(NymRequest(), "tor")
         box = manager.create_nym(name="bob")
-        with pytest.raises(TypeError, match="StoreNymRequest"):
+        with pytest.raises(TypeError):
             manager.store_nym(box, "pw")
+        with NymixSession(seed=7, cloud_providers=False) as nx:
+            with pytest.raises(TypeError):
+                nx.create_nym("carol")
+            assert nx.live_nyms() == []
         assert manager.live_nyms() == ["bob"]
-
-    def test_store_request_object(self, manager):
-        manager.create_cloud_account("dropbox.com", "u", "cloud-pw")
-        box = manager.create_nym(name="s")
-        receipt = manager.store_nym(
-            box,
-            request=StoreNymRequest(
-                password="pw", provider_host="dropbox.com", account_username="u"
-            ),
-        )
-        assert receipt.encrypted_bytes > 0
+        assert "bob" not in manager.stored_nyms
 
     def test_store_without_password_fails(self, manager):
         box = manager.create_nym(name="nopw")
         with pytest.raises(PersistenceError):
             manager.store_nym(box)
-
-    def test_merged_keeps_unset_fields(self):
-        base = NymRequest(anonymizer="tor+dissent", chain_commvms=True)
-        merged = base.merged({"name": "x", "anonymizer": None})
-        assert merged.name == "x"
-        assert merged.anonymizer == "tor+dissent"
-        assert merged.chain_commvms is True

@@ -113,16 +113,35 @@ class TestCommonFlags:
             a for a in parser._actions
             if isinstance(a, __import__("argparse")._SubParsersAction)
         )
-        with_duration = set()
+        with_seed, with_duration = set(), set()
         for name, sub in subparsers.choices.items():
             flags = {opt for action in sub._actions for opt in action.option_strings}
-            assert {"--seed", "--json"} <= flags, name
+            assert "--json" in flags, name
+            if "--seed" in flags:
+                with_seed.add(name)
             if "--duration" in flags:
                 with_duration.add(name)
+        # bench and catalog draw nothing from a seed, so they refuse one.
+        assert with_seed == set(subparsers.choices) - {"bench", "catalog"}
         # Only the commands that read --duration accept it.
         assert with_duration == {
             "validate", "redteam", "demo", "stats", "trace", "chaos", "sweep",
         }
+
+    @pytest.mark.parametrize("command", ["bench", "catalog"])
+    @pytest.mark.parametrize("where", ["global", "subcommand"])
+    def test_seedless_commands_refuse_a_seed(self, capsys, command, where):
+        argv = (
+            ["--seed", "1", command, "--json"]
+            if where == "global"
+            else [command, "--seed", "99", "--json"]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
 
     def test_validate_json_report(self, capsys):
         code = main(["validate", "--seed", "3", "--nyms", "1", "--idle", "5", "--json"])

@@ -167,6 +167,29 @@ class TestStoppedRun:
         ] == []
         assert b"coord.run_complete" not in (spool / "coordinator.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_refused_resume_leaves_no_spool_open(self, tmp_path, procs):
+        # A resume that refuses an altered spool seals every spool it
+        # replayed, in process and in its workers, before it raises.
+        spool, ck = tmp_path / "spool", str(tmp_path / "ck")
+        run_sharded_fleet(
+            ShardConfig(**CFG), str(spool), checkpoint_dir=ck,
+            stop_after_epoch=2, procs=procs,
+        )
+        recorded = bytearray((spool / "coordinator.jsonl").read_bytes())
+        recorded[10] ^= 0x01
+        (spool / "coordinator.jsonl").write_bytes(bytes(recorded))
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(FleetError, match="coordinator.jsonl does not match"):
+                resume_sharded_fleet(ck, procs=procs)
+            gc.collect()
+        assert multiprocessing.active_children() == []
+        assert [
+            str(w.message) for w in caught if w.category is ResourceWarning
+        ] == []
+
 
 class TestWorkerDeath:
     def wait_for_exit(self, pid):

@@ -43,8 +43,6 @@ EXPORTS = {
         "NymixSession": "repro.api",
         "NymixConfig": "repro.core.config",
         "NymManager": "repro.core.manager",
-        "NymRequest": "repro.core.requests",
-        "StoreNymRequest": "repro.core.requests",
         "InstalledOsNymReport": "repro.core.manager",
         "Nym": "repro.core.nym",
         "NymUsageModel": "repro.core.nym",

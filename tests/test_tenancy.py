@@ -6,9 +6,11 @@ of (state, now, cost); and registry mutations reconcile at deterministic
 sim-time boundaries so same-seed runs stay byte-identical.
 """
 
+import gc
+
 import pytest
 
-from repro.api import NymixSession, TenantControl
+from repro.api import NymixSession
 from repro.core.config import NymixConfig
 from repro.errors import TenancyError
 from repro.sim.clock import Timeline
@@ -29,12 +31,7 @@ from repro.tenancy.policy import (
     policies_from_dict,
     tenant_from_dict,
 )
-from repro.tenancy.registry import (
-    NULL_TENANCY,
-    REASON_QUOTA,
-    REASON_RATE,
-    TenantRegistry,
-)
+from repro.tenancy.registry import REASON_QUOTA, REASON_RATE, TenantRegistry
 
 MIB = 1024 * 1024
 
@@ -125,16 +122,27 @@ class TestJsonLoading:
     def test_policies_from_dict_rejects_unknown_keys(self):
         with pytest.raises(TenancyError, match="unknown tenant-config keys"):
             policies_from_dict({"tenants": [], "watermark": 0.9})
+        # Placement is each command's --policy, never a config key.
+        with pytest.raises(TenancyError, match=r"keys: \['placement'\]"):
+            policies_from_dict({"placement": "ksm-aware", "tenants": []})
+
+    def test_policies_from_dict_refuses_keys_the_caller_does_not_read(self):
+        obj = {"tenants": [], "high_watermark": 0.85, "autoscale": {}}
+        with pytest.raises(
+            TenancyError,
+            match=r"\['autoscale', 'high_watermark'\] \(this run reads \['tenants'\]\)",
+        ):
+            policies_from_dict(obj, keys=["tenants"])
+        assert policies_from_dict({"tenants": []}, keys=["tenants"]).tenants == ()
 
     def test_load_tenant_config(self, tmp_path):
         path = tmp_path / "tenants.json"
         path.write_text(
-            '{"placement": "least-loaded", "high_watermark": 0.85,'
+            '{"high_watermark": 0.85,'
             ' "tenants": [{"name": "acme", "qos": "bronze"}],'
             ' "autoscale": {"min_hosts": 2, "max_hosts": 8}}'
         )
         policies = load_tenant_config(str(path))
-        assert policies.placement == "least-loaded"
         assert policies.high_watermark == 0.85
         assert policies.tenants[0].qos is BRONZE
         assert policies.autoscale.max_hosts == 8
@@ -206,22 +214,37 @@ class TestPriorityLink:
 
 
 class TestRegistryLifecycle:
-    def test_timeline_defaults_to_inactive_null_registry(self):
+    def test_fresh_timeline_registry_limits_and_journals_nothing(self):
         timeline = Timeline(seed=1)
-        assert timeline.tenancy is NULL_TENANCY
-        assert not timeline.tenancy.active
-        assert NULL_TENANCY.admission_reason("anyone", MIB) is None
-        assert NULL_TENANCY.shape("anyone") == 0.0
+        registry = timeline.tenancy
+        assert isinstance(registry, TenantRegistry)
+        assert Timeline(seed=1).tenancy is not registry
+        for tenant in ("", "anyone"):
+            assert registry.admission_reason(tenant, MIB) is None
+            registry.consume_launch(tenant)
+            assert registry.shape(tenant) == 0.0
+            registry.record_sent(tenant, MIB)
+        assert not registry.burst("anyone", MIB)
+        assert registry.policies == {} and registry.reconciled
+        assert len(timeline.events) == 0
+        assert timeline.now == 0.0
+        assert timeline.obs.journal.export_jsonl() == ""
 
-    def test_attach_installs_on_timeline(self):
-        timeline = Timeline(seed=1)
-        registry = TenantRegistry(timeline).attach()
-        assert timeline.tenancy is registry
-        assert registry.active
+    def test_a_dropped_timeline_leaves_no_cycle(self):
+        # The registry keeps the clock, queue and sink, not its timeline,
+        # so reference counting alone frees a timeline.
+        Timeline(seed=1)  # any first-use import happens outside the count
+        gc.collect()
+        gc.disable()
+        try:
+            Timeline(seed=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_apply_initial_takes_effect_immediately(self):
         timeline = Timeline(seed=1)
-        registry = TenantRegistry(timeline)
+        registry = timeline.tenancy
         registry.apply_initial([TenantPolicy("a", quota=QuotaPolicy(max_nyms=1))])
         assert registry.policy_for("a").quota.max_nyms == 1
         assert registry.reconciled
@@ -229,7 +252,7 @@ class TestRegistryLifecycle:
 
     def test_commit_waits_for_the_boundary(self):
         timeline = Timeline(seed=1)
-        registry = TenantRegistry(timeline, boundary_s=5.0)
+        registry = timeline.tenancy
         timeline.sleep(3.7)
         registry.commit(TenantPolicy("a", quota=QuotaPolicy(max_nyms=1)))
         # Staged, not applied: traffic before the boundary sees no policy.
@@ -243,14 +266,14 @@ class TestRegistryLifecycle:
 
     def test_boundary_is_strictly_after_now(self):
         timeline = Timeline(seed=1)
-        registry = TenantRegistry(timeline, boundary_s=5.0)
+        registry = timeline.tenancy
         timeline.sleep(5.0)
         registry.commit(TenantPolicy("a"))
         assert registry.next_boundary() == 10.0
 
     def test_reconcile_is_last_wins_per_tenant(self):
         timeline = Timeline(seed=1)
-        registry = TenantRegistry(timeline, boundary_s=5.0)
+        registry = timeline.tenancy
         registry.commit(TenantPolicy("a", quota=QuotaPolicy(max_nyms=1)))
         registry.commit(TenantPolicy("a", quota=QuotaPolicy(max_nyms=9)))
         registry.commit(TenantPolicy("b"))
@@ -263,7 +286,7 @@ class TestRegistryLifecycle:
 
     def test_reconcile_journals_one_event_with_counts(self):
         timeline = Timeline(seed=1)
-        registry = TenantRegistry(timeline, boundary_s=2.0)
+        registry = timeline.tenancy
         registry.apply_initial([TenantPolicy("old")])
         registry.commit(TenantPolicy("new"))
         registry.delete("old")
@@ -276,7 +299,7 @@ class TestRegistryLifecycle:
 
     def test_mutations_audit_but_never_journal(self):
         timeline = Timeline(seed=1)
-        registry = TenantRegistry(timeline, boundary_s=5.0)
+        registry = timeline.tenancy
         baseline = timeline.obs.journal.export_jsonl()
         registry.commit(TenantPolicy("a"))
         # Staging is control-plane-only: the journal is untouched until
@@ -288,17 +311,13 @@ class TestRegistryLifecycle:
         ]
 
     def test_commit_rejects_non_policy(self):
-        registry = TenantRegistry(Timeline(seed=1))
+        registry = Timeline(seed=1).tenancy
         with pytest.raises(TenancyError):
             registry.commit({"name": "a"})
 
-    def test_invalid_boundary_rejected(self):
-        with pytest.raises(TenancyError):
-            TenantRegistry(Timeline(seed=1), boundary_s=0.0)
-
     def test_update_resets_the_tenants_buckets(self):
         timeline = Timeline(seed=1)
-        registry = TenantRegistry(timeline, boundary_s=5.0)
+        registry = timeline.tenancy
         rate = RateLimitPolicy(launch_rate_per_s=0.1, launch_burst=1.0)
         registry.apply_initial([TenantPolicy("a", rate=rate)])
         registry.consume_launch("a")
@@ -310,9 +329,9 @@ class TestRegistryLifecycle:
 
 
 class TestRegistryEnforcement:
-    def _registry(self, **kw):
+    def _registry(self):
         timeline = Timeline(seed=1)
-        return timeline, TenantRegistry(timeline, **kw).attach()
+        return timeline, timeline.tenancy
 
     def test_untenanted_is_never_limited(self):
         _, registry = self._registry()
@@ -379,7 +398,8 @@ class TestRegistryEnforcement:
         assert acct.throttle_seconds == pytest.approx(delay)
 
     def test_shared_link_serves_strict_priority_across_tenants(self):
-        _, registry = self._registry(ingress_capacity_bps=100.0)
+        _, registry = self._registry()
+        registry.link = PriorityLink(100.0)
         registry.apply_initial([
             TenantPolicy("gold", qos=GOLD),
             TenantPolicy("bronze", qos=BRONZE),
@@ -417,26 +437,25 @@ class TestRegistryEnforcement:
 
 class TestSessionFacade:
     def test_tenants_property_attaches_once(self):
+        # The timeline attached its registry when it was built; every
+        # access hands out that one object.
         with NymixSession(NymixConfig(seed=3), cloud_providers=False) as nx:
-            assert not nx.timeline.tenancy.active
-            control = nx.tenants
-            assert isinstance(control, TenantControl)
-            assert nx.timeline.tenancy.active
-            assert nx.tenants.registry is control.registry
+            assert isinstance(nx.tenants, TenantRegistry)
+            assert nx.tenants is nx.timeline.tenancy is nx.tenants
 
     def test_register_and_delete_through_the_facade(self):
         with NymixSession(NymixConfig(seed=3), cloud_providers=False) as nx:
-            nx.tenants.register(TenantPolicy("acme", quota=QuotaPolicy(max_nyms=2)))
+            nx.tenants.commit(TenantPolicy("acme", quota=QuotaPolicy(max_nyms=2)))
             nx.tenants.wait_reconciled()
-            assert "acme" in nx.tenants
+            assert "acme" in nx.tenants.policies
             assert nx.tenants.policy_for("acme").quota.max_nyms == 2
             nx.tenants.delete("acme")
             nx.tenants.wait_reconciled()
-            assert "acme" not in nx.tenants
+            assert "acme" not in nx.tenants.policies
 
     def test_create_nym_binds_tenant_to_the_ingress_path(self):
         with NymixSession(NymixConfig(seed=3), cloud_providers=False) as nx:
-            nx.tenants.register(
+            nx.tenants.commit(
                 TenantPolicy(
                     "acme",
                     rate=RateLimitPolicy(
@@ -449,7 +468,7 @@ class TestSessionFacade:
             assert box.tenant == "acme"
             assert box.anonymizer.tenant == "acme"
             box.browse("bbc.co.uk")
-            acct = nx.tenants.registry.account("acme")
+            acct = nx.tenants.account("acme")
             assert acct.sends == 1
             assert acct.bytes_sent > 0
             # The first send left debt; the next one pays it as throttle.
@@ -461,7 +480,7 @@ class TestSessionFacade:
         def run(touch_facade: bool) -> str:
             with NymixSession(NymixConfig(seed=9), cloud_providers=False) as nx:
                 if touch_facade:
-                    nx.tenants  # attaches a live (empty) registry
+                    nx.tenants  # the timeline's registry, still empty
                 box = nx.create_nym(name="n")
                 box.browse("bbc.co.uk")
                 return nx.obs.journal.export_jsonl()

@@ -29,7 +29,6 @@ from repro.tenancy.policy import (
     RateLimitPolicy,
     TenantPolicy,
 )
-from repro.tenancy.registry import TenantRegistry
 from repro.tenancy.scenario import run_tenants
 from repro.vmm.hypervisor import HostSpec
 from repro.vmm.vm import MIB
@@ -161,24 +160,23 @@ class TestInterleavedRejections:
 
 class TestJournalNeutrality:
     def test_enabled_but_unlimited_equals_disabled(self):
-        def run(with_registry: bool) -> str:
+        def run(tenanted: bool) -> str:
             timeline = Timeline(seed=21)
-            if with_registry:
-                registry = TenantRegistry(timeline).attach()
-                registry.apply_initial([TenantPolicy("ghost")])
+            if tenanted:
+                timeline.tenancy.apply_initial([TenantPolicy("ghost")])
             fleet = Fleet(timeline, hosts=2, policies=FleetPolicies(),
                           host_spec=SMALL_HOST)
             for i in range(6):
                 fleet.place(
                     f"n{i}", f"img-{i % 2}",
-                    tenant="ghost" if with_registry else "",
+                    tenant="ghost" if tenanted else "",
                 )
             fleet.touch("n0", 8 * MIB)
             fleet.drain_host("host-0")
             fleet.settle_ksm()
             return timeline.obs.journal.export_jsonl()
 
-        assert run(with_registry=False) == run(with_registry=True)
+        assert run(tenanted=False) == run(tenanted=True)
 
     def test_reconciliation_boundary_is_deterministic(self):
         def run() -> str:
@@ -399,6 +397,13 @@ class TestRunTenantsScenario:
         assert report.zero_lost
 
 
+#: Config keys only ``repro tenants`` reads: its fleet takes them.
+FLEET_ONLY_KEYS = {
+    "high_watermark": 0.5, "low_watermark": 0.4,
+    "autoscale": {"min_hosts": 1, "max_hosts": 4},
+}
+
+
 class TestTenantsCli:
     def test_tenants_quick_json(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -432,3 +437,38 @@ class TestTenantsCli:
                 "--tenant-config", str(tmp_path / "missing.json"),
             ])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            # --policy picks placement: no command reads it from the file.
+            ("tenants", {"placement": "ksm-aware"}),
+            ("chaos", {"placement": "ksm-aware"}),
+            ("sweep", {"placement": "ksm-aware"}),
+            # chaos and sweep read the tenants alone.
+            ("chaos", FLEET_ONLY_KEYS),
+            ("sweep", FLEET_ONLY_KEYS),
+        ],
+        ids=["tenants-placement", "chaos-placement", "sweep-placement",
+             "chaos-fleet-keys", "sweep-fleet-keys"],
+    )
+    def test_a_key_the_command_does_not_read_exits_2_before_any_nym(
+        self, tmp_path, capsys, monkeypatch, command, keys
+    ):
+        from repro.core.manager import NymManager
+
+        def no_nym(*args, **kwargs):
+            raise AssertionError("a nym was created")
+
+        monkeypatch.setattr(NymManager, "create_nym", no_nym)
+        config = tmp_path / "tenants.json"
+        config.write_text(json.dumps({"tenants": [{"name": "acme"}], **keys}))
+        journal = tmp_path / "journal.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                command, "--quick", "--tenant-config", str(config),
+                "--journal", str(journal),
+            ])
+        assert excinfo.value.code == 2
+        assert f"unknown tenant-config keys: {sorted(keys)}" in capsys.readouterr().err
+        assert not journal.exists()
