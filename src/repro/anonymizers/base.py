@@ -116,9 +116,9 @@ class Anonymizer:
         """
         self._require_started()
         # Tenant ingress shaping: wait out any token-bucket debt and
-        # strict-priority queueing before the send starts.  The no-op
-        # registry answers 0.0, so untenanted traffic pays nothing and
-        # the sleep below never fires for it (journal-neutral).
+        # strict-priority queueing before the send starts.  ``shape("")``
+        # answers 0.0, so untenanted traffic pays nothing and the sleep
+        # below never fires for it (journal-neutral).
         throttle_s = self.timeline.tenancy.shape(self.tenant)
         if throttle_s > 0.0:
             self.timeline.sleep(throttle_s)

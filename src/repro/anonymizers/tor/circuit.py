@@ -12,7 +12,7 @@ from repro.crypto.chacha20 import chacha20_combined_keystream, xor_bytes
 from repro.crypto.x25519 import x25519, x25519_keypair
 from repro.errors import CircuitError
 from repro.obs.metrics import Counter
-from repro.runtime import evict_oldest, register_process_cache
+from repro.runtime import ProcessCache
 from repro.sim.clock import Timeline
 from repro.sim.rng import SeededRng
 
@@ -21,49 +21,17 @@ _NONCE = b"\x00" * 12
 _circuit_ids = itertools.count(0x1000)
 
 
-class NtorClientCache:
-    """Process-global client side of the ntor handshake, keyed by relay.
-
-    The ntor exchange is a pure function of (client keypair, relay onion
-    key).  A relay's onion key is derived from the deployment seed, so two
-    relays with the same key are the *same* relay for handshake purposes
-    and the client may reuse one ephemeral keypair and its derived hop
-    keys against it.  The RNG draw for the ephemeral key is still made on
-    every handshake, so the seeded stream — and therefore the event
-    journal — is byte-identical whether the cache is warm or cold.
-    """
-
-    #: one keyshare per distinct relay onion key; bounded so a long-lived
-    #: process crossing many deployments cannot grow it without limit.
-    DEFAULT_MAX_ENTRIES = 65_536
-
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        self.max_entries = max_entries
-        self.evictions = 0
-        self._by_relay_key: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._by_relay_key)
-
-    def lookup(self, relay_public: bytes):
-        return self._by_relay_key.get(relay_public)
-
-    def store(
-        self, relay_public: bytes, client_public: bytes, keys: Tuple[bytes, bytes]
-    ) -> None:
-        self._by_relay_key[relay_public] = (client_public, keys)
-        self.evictions += evict_oldest(self._by_relay_key, self.max_entries)
-
-    def clear(self) -> None:
-        self._by_relay_key.clear()
-
-
-#: shared across every circuit in the process (see class docstring for
-#: why that is sound)
-NTOR_CLIENT_CACHE = NtorClientCache()
-register_process_cache(
-    "tor.ntor_keyshares", NTOR_CLIENT_CACHE.clear, NTOR_CLIENT_CACHE.__len__
-)
+#: Process-global client side of the ntor handshake, keyed by relay onion
+#: key: ``(client public key, hop keys)``.  The exchange is a pure
+#: function of (client keypair, relay onion key).  A relay's onion key is
+#: derived from the deployment seed, so two relays with the same key are
+#: the *same* relay for handshake purposes and the client may reuse one
+#: ephemeral keypair and its derived hop keys against it.  The RNG draw
+#: for the ephemeral key is still made on every handshake, so the seeded
+#: stream — and therefore the event journal — is byte-identical whether
+#: the cache is warm or cold.  Bounded so a long-lived process crossing
+#: many deployments cannot grow it without limit.
+NTOR_CLIENT_CACHE = ProcessCache("tor.ntor_keyshares", max_entries=65_536)
 
 
 @dataclass
@@ -108,7 +76,7 @@ class Circuit:
 
     def _handshake(self, relay: Relay) -> Tuple[bytes, bytes]:
         onion_key = relay.descriptor.onion_public_key
-        cached = NTOR_CLIENT_CACHE.lookup(onion_key)
+        cached = NTOR_CLIENT_CACHE.get(onion_key)
         if cached is not None:
             # Burn the ephemeral-key draw so the seeded RNG stream is
             # identical to a cold handshake, then replay the cached
@@ -121,7 +89,7 @@ class Circuit:
         relay_public = relay.handle_create(self.circ_id, public)
         shared = x25519(private, relay_public)
         keys = Relay.derive_keys(shared)
-        NTOR_CLIENT_CACHE.store(onion_key, public, keys)
+        NTOR_CLIENT_CACHE.put(onion_key, (public, keys))
         return keys
 
     def build(self, path: List[Relay]) -> float:

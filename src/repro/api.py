@@ -146,8 +146,8 @@ class NymixSession:
     def create_nym(self, **kwargs) -> NymBox:
         return self.manager.create_nym(**kwargs)
 
-    def load_nym(self, name: str, password: str, **kwargs) -> NymBox:
-        return self.manager.load_nym(name, password, **kwargs)
+    def load_nym(self, name: str, password: str) -> NymBox:
+        return self.manager.load_nym(name, password)
 
     def store_nym(self, nymbox: NymBox, **kwargs):
         return self.manager.store_nym(nymbox, **kwargs)
@@ -158,8 +158,8 @@ class NymixSession:
     def discard_nym(self, nymbox: NymBox) -> None:
         self.manager.discard_nym(nymbox)
 
-    def recover_nym(self, name: str, password: str, **kwargs) -> NymBox:
-        return self.manager.recover_nym(name, password, **kwargs)
+    def recover_nym(self, name: str, password: str) -> NymBox:
+        return self.manager.recover_nym(name, password)
 
     def close_session(self, nymbox: NymBox, password: Optional[str] = None):
         return self.manager.close_session(nymbox, password)

@@ -452,12 +452,7 @@ class NymManager:
         self.stored_nyms[nymbox.nym.name].usage_model = NymUsageModel.PRECONFIGURED
         return receipt
 
-    def load_nym(
-        self,
-        name: str,
-        password: str,
-        account_password: Optional[str] = None,
-    ) -> NymBox:
+    def load_nym(self, name: str, password: str) -> NymBox:
         """The "load an existing nym" workflow (§3.5).
 
         For cloud-stored nyms, a one-shot ephemeral nym fetches the sealed
@@ -529,12 +524,7 @@ class NymManager:
         )
         return nymbox
 
-    def recover_nym(
-        self,
-        name: str,
-        password: str,
-        account_password: Optional[str] = None,
-    ) -> NymBox:
+    def recover_nym(self, name: str, password: str) -> NymBox:
         """Relaunch a crashed nymbox from its quasi-persistent state.
 
         A crash is not amnesia: the wreck is discarded (its host traces
@@ -555,7 +545,7 @@ class NymManager:
         self.obs.metrics.counter("nym.recovered").inc()
         self.obs.event("nymbox.relaunch", nym=name)
         self.discard_nym(nymbox)
-        return self.load_nym(name, password, account_password=account_password)
+        return self.load_nym(name, password)
 
     def close_session(self, nymbox: NymBox, password: Optional[str] = None) -> Optional[StoreReceipt]:
         """End a session honoring the nym's usage model.

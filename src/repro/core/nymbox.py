@@ -101,7 +101,7 @@ class AnonymizedFetcher:
             result = self.anonymizer.fetch(hostname, path=client_token)
             return FetchOutcome(response=result.response, duration_s=result.duration_s)
 
-        if not self.timeline.faults.active:
+        if not self.timeline.faults.armed:
             # No injector armed: fail loudly and immediately, the seed
             # contract (a downed wire IS teardown outside of chaos).
             return attempt()

@@ -4,8 +4,9 @@ The core is block-batched: instead of one 130-bit modular reduction per
 16-byte block (the textbook Horner loop), whole batches of up to
 ``_BATCH_BLOCKS`` blocks are absorbed with precomputed powers of ``r`` and
 a single reduction per batch.  Power tables are cached per clamped ``r``
-at module level, so repeated MACs under the same one-time key (the mixnet
-wraps the same per-hop keys packet after packet) pay the r^2..r^n
+in a process cache (``crypto.poly1305_powers``, emptied when a session
+closes), so repeated MACs under the same one-time key (the mixnet wraps
+the same per-hop keys packet after packet) pay the r^2..r^n
 precomputation once, not per message.
 
 Large inputs additionally take a vectorized path: blocks are split into
@@ -20,11 +21,12 @@ against the RFC vectors.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as _np
 
 from repro.errors import CryptoError
+from repro.runtime import ProcessCache
 
 _P = (1 << 130) - 5
 _R_CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
@@ -39,8 +41,6 @@ _BATCH_BLOCKS = 512
 _BATCH_THRESHOLD_BYTES = 512
 #: At or above this many bytes the limb-matrix path beats the scalar batch.
 _VECTOR_THRESHOLD_BYTES = 1024
-#: Bound on the per-``r`` power-table cache (distinct one-time keys seen).
-_POWER_CACHE_MAX = 256
 
 
 class _PowerTable:
@@ -82,16 +82,15 @@ class _PowerTable:
         return self._limbs[:n]
 
 
-_POWER_CACHE: Dict[int, _PowerTable] = {}
+#: Power table per clamped ``r``, bounded by the distinct one-time keys
+#: a run keeps MACing under.
+_POWER_CACHE = ProcessCache("crypto.poly1305_powers", max_entries=256)
 
 
 def _power_table(r: int) -> _PowerTable:
     table = _POWER_CACHE.get(r)
     if table is None:
-        if len(_POWER_CACHE) >= _POWER_CACHE_MAX:
-            _POWER_CACHE.clear()
-        table = _PowerTable(r)
-        _POWER_CACHE[r] = table
+        table = _POWER_CACHE.put(r, _PowerTable(r))
     return table
 
 

@@ -1,13 +1,14 @@
 """repro.faults: deterministic fault injection and the retry machinery.
 
 The robustness pillar.  :class:`FaultPlan` describes what goes wrong and
-when; :class:`FaultInjector` delivers it into a live simulation through
-``timeline.faults``; :class:`RetryPolicy`/:func:`retry_call` are how the
-rest of the stack survives.  ``run_chaos`` drives a full seeded chaos
-scenario end to end.  See ``docs/robustness.md``.
+when; every timeline's :class:`FaultInjector` (``timeline.faults``)
+delivers it into the live simulation once armed with it;
+:class:`RetryPolicy`/:func:`retry_call` are how the rest of the stack
+survives.  ``run_chaos`` drives a full seeded chaos scenario end to end.
+See ``docs/robustness.md``.
 """
 
-from repro.faults.injector import NULL_FAULTS, FaultInjector, NullFaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ALL_KINDS,
     INLINE_KINDS,
@@ -24,8 +25,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "INLINE_KINDS",
-    "NULL_FAULTS",
-    "NullFaultInjector",
     "RetryPolicy",
     "TIMED_KINDS",
     "retry_call",

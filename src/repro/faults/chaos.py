@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.cloud import make_dropbox
 from repro.core import NymManager, NymixConfig
 from repro.errors import NymixError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 
 NYM_NAME = "chaos"
@@ -212,7 +211,7 @@ def run_chaos(
         mixnet_node_crashes=2 if anonymizer == "mixnet" else 0,
         tenant_bursts=1 if tenant else 0,
     )
-    injector = FaultInjector(manager.timeline, plan).arm(manager)
+    injector = manager.timeline.faults.arm(plan, manager)
     report = ChaosReport(
         seed=seed, quick=quick, planned=len(plan), anonymizer=anonymizer
     )

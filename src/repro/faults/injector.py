@@ -1,18 +1,17 @@
 """The fault injector: delivers a :class:`FaultPlan` into a live simulation.
 
-Arming an injector schedules the plan's faults onto the timeline and
-publishes the injector as ``timeline.faults``, where the operation paths
-consult it:
+Every :class:`~repro.sim.clock.Timeline` builds one injector, unarmed, as
+``timeline.faults``, where the operation paths consult it.  Arming it
+with a plan schedules the plan's faults onto the timeline:
 
 * timed faults mutate the world when their moment arrives — the injector
   reaches the victim through the manager (directory, nymboxes, wires);
 * inline faults sit in per-site queues until the matching operation asks
   ``maybe_fail(site)`` and gets the planned transient error thrown at it.
 
-When no injector is armed, ``timeline.faults`` is :data:`NULL_FAULTS` —
-the same API where every check is a constant-time no-op.  The injector
-itself imports nothing from core or the anonymizers (avoiding cycles);
-victims are reached by duck typing.
+An unarmed injector has no queued faults, so every consultation misses.
+The injector itself imports nothing from core or the anonymizers
+(avoiding cycles); victims are reached by duck typing.
 """
 
 from __future__ import annotations
@@ -30,56 +29,38 @@ _SITE_ERRORS = {
 }
 
 
-class NullFaultInjector:
-    """No injector armed: every consultation is a cheap no-op."""
-
-    active = False
-
-    def take(self, site: str) -> None:
-        return None
-
-    def maybe_fail(self, site: str) -> None:
-        return None
-
-    def __repr__(self) -> str:
-        return "NullFaultInjector()"
-
-
-#: The process-wide disabled-faults singleton; a fresh Timeline carries this.
-NULL_FAULTS = NullFaultInjector()
-
-
 class FaultInjector:
-    """Delivers one :class:`FaultPlan` into the simulation it is armed on."""
+    """One timeline's injector: delivers the :class:`FaultPlan` it is armed with."""
 
-    active = True
-
-    def __init__(self, timeline, plan: FaultPlan) -> None:
-        self.timeline = timeline
-        self.plan = plan
+    def __init__(self, timeline) -> None:
+        # The clock, queue, sink and tenant registry, not the timeline
+        # that owns this injector: a back-reference would make every
+        # timeline a cycle.
+        self._clock = timeline.clock
+        self._events = timeline.events
+        self._obs = timeline.obs
+        self._tenancy = timeline.tenancy
+        self.plan = FaultPlan(())
         self.manager = None
         self.injected: List[dict] = []
         self._inline: Dict[str, List[FaultSpec]] = {}
-        self._armed = False
+        self.armed = False
 
     # -- arming ---------------------------------------------------------------
 
-    def arm(self, manager=None) -> "FaultInjector":
-        """Schedule the plan (times relative to now) and take over
-        ``timeline.faults``.  ``manager`` is the handle timed faults use to
-        find victims; inline-only plans can arm without one."""
-        if self._armed:
+    def arm(self, plan: FaultPlan, manager=None) -> "FaultInjector":
+        """Schedule ``plan`` (times relative to now).  ``manager`` is the
+        handle timed faults use to find victims; inline-only plans can arm
+        without one."""
+        if self.armed:
             raise SimulationError("fault injector is already armed")
-        self._armed = True
+        self.armed = True
+        self.plan = plan
         self.manager = manager
-        for spec in self.plan:
-            self.timeline.after(spec.at_s, lambda s=spec: self._fire(s))
-        self.timeline.faults = self
-        self.timeline.obs.event("faults.armed", count=len(self.plan))
+        for spec in plan:
+            self._events.schedule_in(spec.at_s, lambda s=spec: self._fire(s))
+        self._obs.event("faults.armed", count=len(plan))
         return self
-
-    def disarm(self) -> None:
-        self.timeline.faults = NULL_FAULTS
 
     # -- consultation by the operation paths ----------------------------------
 
@@ -89,7 +70,7 @@ class FaultInjector:
         if not queue:
             return None
         spec = queue.pop(0)
-        self.timeline.obs.event("faults.consumed", kind=spec.kind, site=site)
+        self._obs.event("faults.consumed", kind=spec.kind, site=site)
         return spec
 
     def maybe_fail(self, site: str) -> None:
@@ -159,7 +140,7 @@ class FaultInjector:
                     nickname = current.exit.descriptor.nickname
                     break
         if not nickname:
-            consensus = directory.consensus(self.timeline.now)
+            consensus = directory.consensus(self._clock.now)
             exits = consensus.exits()
             if not exits:
                 self._record(spec, outcome="no_exits")
@@ -228,7 +209,7 @@ class FaultInjector:
         # its rate limit and subsequent sends absorb the debt as delay.
         # ``param`` is the burst size in MiB; the victim is the named
         # tenant, or the first rate-limited tenant in name order.
-        registry = self.timeline.tenancy
+        registry = self._tenancy
         tenants = [spec.target] if spec.target else sorted(registry.policies)
         debt_bytes = int((spec.param if spec.param > 0 else 16.0) * 1024 * 1024)
         for tenant in tenants:
@@ -259,9 +240,8 @@ class FaultInjector:
         if target:
             entry["target"] = target
         self.injected.append(entry)
-        obs = self.timeline.obs
-        obs.metrics.counter("faults.injected").inc()
-        obs.event(
+        self._obs.metrics.counter("faults.injected").inc()
+        self._obs.event(
             "faults.injected",
             kind=spec.kind,
             target=entry["target"],
@@ -271,5 +251,5 @@ class FaultInjector:
     def __repr__(self) -> str:
         return (
             f"FaultInjector(planned={len(self.plan)}, "
-            f"delivered={len(self.injected)}, armed={self._armed})"
+            f"delivered={len(self.injected)}, armed={self.armed})"
         )

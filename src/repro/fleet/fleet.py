@@ -35,7 +35,7 @@ from repro.fleet.host import HostHandle
 from repro.fleet.placement import PlacementPolicy, make_policy
 from repro.net.internet import Internet
 from repro.obs.metrics import Counter, Gauge
-from repro.runtime import register_process_cache
+from repro.runtime import ProcessCache
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import FleetPolicies
 from repro.tenancy.registry import REASON_CAPACITY, REASON_QUOTA
@@ -54,23 +54,19 @@ CRASH_RETRY = RetryPolicy(max_attempts=4, base_backoff_s=0.0, max_backoff_s=0.0)
 _REFUSED = (False, False)
 
 
-#: Process-wide (base layer, Merkle root) for the default Nymix image.
-#: The layer is read-only, so sharing it across fleets is safe; the root
-#: hash walk is the expensive part of fleet construction.  Registered
-#: with the runtime cache registry so session teardown can release it.
-_BASE_IMAGE_CACHE: List[tuple] = []
+#: Process-wide (base layer, Merkle root) of the default Nymix image, its
+#: one entry. The layer is read-only, so sharing it across fleets is safe;
+#: the root hash walk is the expensive part of fleet construction.
+_BASE_IMAGE_CACHE = ProcessCache("fleet.base_image", max_entries=1)
 
 
 def _shared_base_image() -> tuple:
-    if not _BASE_IMAGE_CACHE:
+    image = _BASE_IMAGE_CACHE.get("default")
+    if image is None:
         layer = build_base_layer()
-        _BASE_IMAGE_CACHE.append((layer, published_merkle_root(layer)))
-    return _BASE_IMAGE_CACHE[0]
-
-
-register_process_cache(
-    "fleet.base_image", _BASE_IMAGE_CACHE.clear, _BASE_IMAGE_CACHE.__len__
-)
+        image = (layer, published_merkle_root(layer))
+        _BASE_IMAGE_CACHE.put("default", image)
+    return image
 
 
 @dataclass

@@ -15,6 +15,10 @@ blocks for bidirectional flows.
   implementation registered as ``"mixnet"``.
 """
 
+# The anonymizer package first: it imports ``client`` to register
+# "mixnet", and ``client`` imports ``repro.anonymizers.base``, so entering
+# that cycle through ``client`` would find it half-built.
+import repro.anonymizers  # noqa: F401
 from repro.mixnet.client import MixnetClient
 from repro.mixnet.packet import (
     LAYER_OVERHEAD_BYTES,

@@ -19,8 +19,9 @@ stream-encrypts the attached body with that key.  The client, holding
 all payload keys, removes every stratum at once.  A reply block spends
 itself on first use.
 
-Three process-global caches keep the hot path fast without touching the
-seeded RNG stream (mirroring the ntor client cache / relay memo pair):
+Two process caches (:class:`~repro.runtime.ProcessCache`) and a per-node
+memo keep the hot path fast without touching the seeded RNG stream
+(mirroring the ntor client cache / relay memo pair):
 
 * :data:`SENDER_KEY_CACHE` — client side, keyed by node public key.  A
   hit still burns the 32-byte ephemeral draw, so journals are identical
@@ -54,7 +55,7 @@ from repro.crypto.kdf import hkdf
 from repro.crypto.poly1305 import Poly1305, constant_time_equal
 from repro.crypto.x25519 import x25519, x25519_keypair
 from repro.errors import AuthenticationError, MixnetError
-from repro.runtime import evict_oldest, register_process_cache
+from repro.runtime import ProcessCache
 from repro.sim.rng import SeededRng
 
 #: AEAD nonce — every layer key is single-purpose, so a fixed nonce is sound.
@@ -83,103 +84,48 @@ def packet_bytes(layers: int) -> int:
     return BODY_BYTES + layers * LAYER_OVERHEAD_BYTES
 
 
-# -- sender-side key cache ---------------------------------------------------
+# -- process caches ----------------------------------------------------------
 
 
-class MixKeyCache:
-    """Client side of the per-node key exchange, keyed by node public key.
+#: Client side of the per-node key exchange, keyed by node public key:
+#: ``(client ephemeral public key, layer key)``.  The derived layer key
+#: is a pure function of (client ephemeral, node long-term key); node
+#: keys come from the deployment seed, so reusing one ephemeral against
+#: the same node is sound for the simulation.  The ephemeral draw is
+#: still burned on every derivation, keeping the seeded stream — and the
+#: event journal — byte-identical whether the cache is warm or cold.
+SENDER_KEY_CACHE = ProcessCache("mixnet.sender_keys", max_entries=65_536)
 
-    The derived layer key is a pure function of (client ephemeral, node
-    long-term key); node keys come from the deployment seed, so reusing
-    one ephemeral against the same node is sound for the simulation.
-    The ephemeral draw is still burned on every derivation, keeping the
-    seeded stream — and the event journal — byte-identical whether the
-    cache is warm or cold.
-    """
-
-    #: one X25519 key pair per distinct node key — tiny entries, but a
-    #: long-lived process sees every deployment's nodes; bound it.
-    DEFAULT_MAX_ENTRIES = 65_536
-
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        self.max_entries = max_entries
-        self.evictions = 0
-        self._by_node_key: Dict[bytes, Tuple[bytes, bytes]] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_node_key)
-
-    def lookup(self, node_public: bytes) -> Optional[Tuple[bytes, bytes]]:
-        return self._by_node_key.get(node_public)
-
-    def store(self, node_public: bytes, eph_public: bytes, key: bytes) -> None:
-        self._by_node_key[node_public] = (eph_public, key)
-        self.evictions += evict_oldest(self._by_node_key, self.max_entries)
-
-    def clear(self) -> None:
-        self._by_node_key.clear()
+#: ``(Poly1305 one-time key, ChaCha20 keystream)`` per layer key.  Every
+#: AEAD under a layer key uses the fixed :data:`_NONCE`, so its counter-0
+#: block (the MAC's one-time key) and counter-1.. stream (the cipher
+#: bytes) never change across packets.  Entries hold whole keystreams
+#: (KiBs each), so the bound is tight.
+MIX_STREAM_CACHE = ProcessCache("mixnet.streams", max_entries=8_192)
 
 
-#: shared across every client in the process
-SENDER_KEY_CACHE = MixKeyCache()
-register_process_cache(
-    "mixnet.sender_keys", SENDER_KEY_CACHE.clear, SENDER_KEY_CACHE.__len__
-)
-
-class MixStreamCache:
-    """Cached ChaCha20 keystream + Poly1305 one-time key per layer key.
-
-    Every AEAD under a given layer key uses the fixed :data:`_NONCE`, so
-    its counter-0 block (the MAC's one-time key) and counter-1.. stream
-    (the cipher bytes) never change across packets.  One cache entry is
-    ``(otk, keystream)`` fetched in a single dispatch; an entry regrows
-    when a longer message comes through.
-    """
-
-    #: entries hold whole keystreams (KiBs each) — keep the bound tight.
-    DEFAULT_MAX_ENTRIES = 8_192
-
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        self.max_entries = max_entries
-        self.evictions = 0
-        self._by_key: Dict[bytes, Tuple[bytes, bytes]] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def entry(self, key: bytes, length: int) -> Tuple[bytes, bytes]:
-        entry = self._by_key.get(key)
-        if entry is None or len(entry[1]) < length:
-            raw = chacha20_keystream(key, _NONCE, 64 + length, counter=0)
-            entry = (raw[:32], raw[64:])
-            self._by_key[key] = entry
-            self.evictions += evict_oldest(self._by_key, self.max_entries)
-        return entry
-
-    def prefill(self, keys: Sequence[bytes], length: int) -> None:
-        """Warm every missing/short entry in one vectorized dispatch."""
-        missing = [
-            key
-            for key in dict.fromkeys(keys)
-            if key not in self._by_key or len(self._by_key[key][1]) < length
-        ]
-        if not missing:
-            return
-        for key, raw in zip(
-            missing, chacha20_keystreams(missing, _NONCE, 64 + length, counter=0)
-        ):
-            self._by_key[key] = (raw[:32], raw[64:])
-        self.evictions += evict_oldest(self._by_key, self.max_entries)
-
-    def clear(self) -> None:
-        self._by_key.clear()
+def _stream_entry(key: bytes, length: int) -> Tuple[bytes, bytes]:
+    """``(otk, keystream)`` for ``key``, regrown when ``length`` outruns it."""
+    entry = MIX_STREAM_CACHE.get(key)
+    if entry is None or len(entry[1]) < length:
+        raw = chacha20_keystream(key, _NONCE, 64 + length, counter=0)
+        entry = MIX_STREAM_CACHE.put(key, (raw[:32], raw[64:]))
+    return entry
 
 
-#: shared across the process
-MIX_STREAM_CACHE = MixStreamCache()
-register_process_cache(
-    "mixnet.streams", MIX_STREAM_CACHE.clear, MIX_STREAM_CACHE.__len__
-)
+def _prefill_streams(keys: Sequence[bytes], length: int) -> None:
+    """Warm every missing or short entry of ``keys`` in one vectorized dispatch."""
+    missing = [
+        key
+        for key in dict.fromkeys(keys)
+        if key not in MIX_STREAM_CACHE or len(MIX_STREAM_CACHE[key][1]) < length
+    ]
+    if not missing:
+        return
+    for key, raw in zip(
+        missing, chacha20_keystreams(missing, _NONCE, 64 + length, counter=0)
+    ):
+        MIX_STREAM_CACHE.put(key, (raw[:32], raw[64:]))
 
 
 def _expand_key(shared: bytes) -> bytes:
@@ -188,13 +134,13 @@ def _expand_key(shared: bytes) -> bytes:
 
 def derive_sender_key(rng: SeededRng, node_public: bytes) -> Tuple[bytes, bytes]:
     """(ephemeral public, layer key) for one hop, via the sender cache."""
-    cached = SENDER_KEY_CACHE.lookup(node_public)
+    cached = SENDER_KEY_CACHE.get(node_public)
     if cached is not None:
         rng.token_bytes(32)  # burn the ephemeral draw: stream stays identical
         return cached
     private, public = x25519_keypair(rng)
     key = _expand_key(x25519(private, node_public))
-    SENDER_KEY_CACHE.store(node_public, public, key)
+    SENDER_KEY_CACHE.put(node_public, (public, key))
     return public, key
 
 
@@ -268,7 +214,7 @@ def _stream_tag(otk: bytes, ciphertext: bytes, aad: bytes) -> bytes:
 
 def _seal(key: bytes, plaintext: bytes, aad: bytes) -> bytes:
     """``ChaCha20Poly1305(key).encrypt(_NONCE, ...)`` via the stream cache."""
-    otk, stream = MIX_STREAM_CACHE.entry(key, len(plaintext))
+    otk, stream = _stream_entry(key, len(plaintext))
     ciphertext = xor_bytes(plaintext, stream[: len(plaintext)])
     return ciphertext + _stream_tag(otk, ciphertext, aad)
 
@@ -277,7 +223,7 @@ def _open(key: bytes, sealed: bytes, aad: bytes) -> bytes:
     """``ChaCha20Poly1305(key).decrypt(_NONCE, ...)`` via the stream cache."""
     if len(sealed) < _TAG_BYTES:
         raise AuthenticationError("ciphertext shorter than the AEAD tag")
-    otk, stream = MIX_STREAM_CACHE.entry(key, len(sealed) - _TAG_BYTES)
+    otk, stream = _stream_entry(key, len(sealed) - _TAG_BYTES)
     ciphertext, tag = sealed[:-_TAG_BYTES], sealed[-_TAG_BYTES:]
     if not constant_time_equal(tag, _stream_tag(otk, ciphertext, aad)):
         raise AuthenticationError("AEAD tag verification failed")
@@ -328,7 +274,7 @@ def build_packet(rng: SeededRng, hops: Sequence, payload: bytes) -> bytes:
     ]
     derived.reverse()  # back to hop order
     outermost = ROUTING_BYTES + BODY_BYTES + (len(hops) - 1) * LAYER_OVERHEAD_BYTES
-    MIX_STREAM_CACHE.prefill([key for _, key in derived], outermost)
+    _prefill_streams([key for _, key in derived], outermost)
     for index in range(len(hops) - 1, -1, -1):
         next_hop = hops[index + 1].name if index + 1 < len(hops) else None
         eph_public, key = derived[index]
@@ -368,7 +314,7 @@ def build_reply_block(rng: SeededRng, hops: Sequence) -> ReplyBlock:
         derived.insert(0, derive_sender_key(rng, hops[index].public_key))
     layer_plain = ROUTING_BYTES + _PAYLOAD_KEY_BYTES
     outermost = layer_plain + (len(hops) - 1) * (layer_plain + _EPH_BYTES + _TAG_BYTES)
-    MIX_STREAM_CACHE.prefill([key for _, key in derived], outermost)
+    _prefill_streams([key for _, key in derived], outermost)
     header = b""
     for index in range(len(hops) - 1, -1, -1):
         next_hop = hops[index + 1].name if index + 1 < len(hops) else None

@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import JournalOverflowError, ObservabilityError
 from repro.obs.metrics import validate_metric_name
-from repro.runtime import register_process_cache
+from repro.runtime import ProcessCache
 
 try:
     from operator import call as _call
@@ -61,11 +61,10 @@ _HEADER_KEYS = ("event", "seq", "t")
 #: Line template per event shape: (name, field keys, value types) ->
 #: (``%``-template, picker of the values in key order, their
 #: converters), or None where only ``json.dumps`` writes the line.
-#: Names and field keys come from call sites, so the shapes are few.
+#: Names and field keys come from call sites, so a run records tens of
+#: shapes; the bound caps what a long-lived process accumulates.
 _Template = Tuple[str, Callable, Tuple[Callable[[object], str], ...]]
-_TEMPLATES: Dict[tuple, Optional[_Template]] = {}
-
-register_process_cache("obs.line_templates", _TEMPLATES.clear, _TEMPLATES.__len__)
+_TEMPLATES = ProcessCache("obs.line_templates", max_entries=1_024)
 
 
 def _literal(text: str) -> str:
@@ -127,7 +126,7 @@ class EventRecord:
         try:
             template = _TEMPLATES[shape]
         except KeyError:
-            template = _TEMPLATES[shape] = _line_template(*shape)
+            template = _TEMPLATES.put(shape, _line_template(*shape))
         if template is not None:
             line, pick, converters = template
             texts = tuple(map(_call, converters, pick(values)))

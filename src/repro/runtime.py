@@ -1,52 +1,67 @@
 """Process-wide runtime state: the registry of cross-session caches.
 
 Several hot paths keep **process-global** memo caches — the ntor client
-keyshare cache, the mixnet sender-key and keystream caches, the shared
-base-image layer — because their contents are pure functions of seeded
-key material and identical across sessions.  Left unmanaged they have
-two failure modes at production scale:
+keyshares, the mixnet sender keys and keystreams, the Poly1305 power
+tables, the journal's line templates, the shared base-image layer —
+because their contents are pure functions of their keys and identical
+across sessions.  Left unmanaged they have two failure modes at
+production scale:
 
 * they grow without bound (every distinct key ever seen stays resident),
 * they leak state across sessions in one process — a long-lived worker
   serving many simulations carries every prior run's key material.
 
-Every such cache registers here.  :func:`reset_process_caches` drops
-them all (the :class:`~repro.api.NymixSession` close hook calls it), and
-each cache enforces its own ``max_entries`` bound with deterministic
-oldest-first eviction.  Cache state never feeds the seeded RNG stream,
-so journal bytes are identical whether a cache is warm, cold, bounded,
-or mid-eviction — pinned by tests/test_runtime_caches.py.
+Every such cache is a :class:`ProcessCache`: it registers itself by name
+when it is built, stays under its ``max_entries`` bound with
+deterministic oldest-first eviction, and is emptied by
+:func:`reset_process_caches` (the :class:`~repro.api.NymixSession` close
+hook calls it).  Cache state never feeds the seeded RNG stream, so
+journal bytes are identical whether a cache is warm, cold, bounded, or
+mid-eviction — pinned by tests/test_runtime_caches.py.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple
+from typing import Dict, List
 
 
-class _RegisteredCache(NamedTuple):
-    name: str
-    clear: Callable[[], None]
-    size: Callable[[], int]
+class ProcessCache(dict):
+    """A registered, bounded process-global memo.
 
-
-_PROCESS_CACHES: Dict[str, _RegisteredCache] = {}
-
-
-def register_process_cache(
-    name: str, clear: Callable[[], None], size: Callable[[], int]
-) -> None:
-    """Register a process-global cache for reset/introspection.
-
-    ``clear`` drops every entry; ``size`` reports the current entry
-    count.  Re-registering a name replaces the previous registration
-    (modules may be reloaded in tests).
+    Reads are plain ``dict`` reads (``get``, ``[]``, ``in``), which stay
+    in C; a miss stores through :meth:`put`, which keeps the bound.
+    ``max_entries`` is fixed by the module that builds the cache.
+    Building a second cache under a name replaces the first in the
+    registry (modules may be reloaded in tests).
     """
-    _PROCESS_CACHES[name] = _RegisteredCache(name, clear, size)
+
+    def __init__(self, name: str, max_entries: int) -> None:
+        super().__init__()
+        self.name = name
+        self.max_entries = max_entries
+        self.evictions = 0
+        _PROCESS_CACHES[name] = self
+
+    def put(self, key, value):
+        """Store ``value`` under ``key`` and return it, evicting FIFO.
+
+        Deterministic: dicts iterate in insertion order, so which entries
+        go depends only on the call sequence — identical across same-seed
+        runs.
+        """
+        self[key] = value
+        while len(self) > self.max_entries:
+            del self[next(iter(self))]
+            self.evictions += 1
+        return value
+
+
+_PROCESS_CACHES: Dict[str, ProcessCache] = {}
 
 
 def process_cache_sizes() -> Dict[str, int]:
     """Current entry count of every registered process-global cache."""
-    return {name: cache.size() for name, cache in sorted(_PROCESS_CACHES.items())}
+    return {name: len(cache) for name, cache in sorted(_PROCESS_CACHES.items())}
 
 
 def reset_process_caches() -> Dict[str, int]:
@@ -64,17 +79,3 @@ def reset_process_caches() -> Dict[str, int]:
 
 def registered_cache_names() -> List[str]:
     return sorted(_PROCESS_CACHES)
-
-
-def evict_oldest(entries: Dict, max_entries: int) -> int:
-    """Shrink ``entries`` to ``max_entries`` by insertion order (FIFO).
-
-    Deterministic: Python dicts iterate in insertion order, so which
-    entries go depends only on the call sequence — identical across
-    same-seed runs.  Returns the number of evictions.
-    """
-    evicted = 0
-    while len(entries) > max_entries:
-        entries.pop(next(iter(entries)))
-        evicted += 1
-    return evicted

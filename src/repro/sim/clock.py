@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -57,7 +58,9 @@ class ScheduledEvent:
     seq: int
     callback: Callable[[], None] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
-    _on_cancel: Optional[Callable[[], None]] = field(
+    #: weak reference to the queue whose heap holds this event, or None
+    #: once it left the heap; weak, so a pending event closes no cycle
+    _queue: Optional[Callable[[], Optional["EventQueue"]]] = field(
         default=None, compare=False, repr=False
     )
 
@@ -66,9 +69,10 @@ class ScheduledEvent:
         if self.cancelled:
             return
         self.cancelled = True
-        if self._on_cancel is not None:
-            hook, self._on_cancel = self._on_cancel, None
-            hook()
+        if self._queue is not None:
+            queue, self._queue = self._queue(), None
+            if queue is not None:
+                queue._note_cancelled()
 
 
 class EventQueue:
@@ -88,6 +92,7 @@ class EventQueue:
         self._heap: List[ScheduledEvent] = []
         self._seq = itertools.count()
         self._tombstones = 0
+        self._ref = weakref.ref(self)
 
     def __len__(self) -> int:
         return len(self._heap) - self._tombstones
@@ -113,7 +118,7 @@ class EventQueue:
             self._tombstones -= 1
         else:
             # Out of the heap now: a late cancel must not count a tombstone.
-            event._on_cancel = None
+            event._queue = None
         return event
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> ScheduledEvent:
@@ -123,7 +128,7 @@ class EventQueue:
                 f"cannot schedule in the past: now={self._clock.now}, when={when}"
             )
         event = ScheduledEvent(when=when, seq=next(self._seq), callback=callback)
-        event._on_cancel = self._note_cancelled
+        event._queue = self._ref
         heapq.heappush(self._heap, event)
         return event
 
@@ -192,7 +197,7 @@ class Timeline:
     """
 
     def __init__(self, seed: int = 0, start: float = 0.0) -> None:
-        from repro.faults.injector import NULL_FAULTS
+        from repro.faults.injector import FaultInjector
         from repro.obs import Observability
         from repro.tenancy.registry import TenantRegistry
 
@@ -200,14 +205,14 @@ class Timeline:
         self.events = EventQueue(self.clock)
         self.rng = SeededRng(seed)
         self.obs = Observability(self.clock)
-        #: the armed fault injector, or the shared no-op when nothing is
-        #: injecting — operation paths consult ``timeline.faults`` the same
-        #: way they emit to ``timeline.obs``
-        self.faults = NULL_FAULTS
         #: this timeline's tenant registry, empty until a policy is
         #: applied — enforcement paths consult ``timeline.tenancy`` like
         #: ``timeline.obs``/``timeline.faults``
         self.tenancy = TenantRegistry(self)
+        #: this timeline's fault injector, unarmed until a plan is armed
+        #: on it — operation paths consult ``timeline.faults`` the same
+        #: way they emit to ``timeline.obs``
+        self.faults = FaultInjector(self)
 
     @property
     def now(self) -> float:

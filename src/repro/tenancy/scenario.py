@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.errors import FleetCapacityError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.fleet import DrainReport, Fleet, FleetStats
 from repro.sim.clock import Timeline
@@ -192,7 +191,7 @@ def run_tenants(
 
     if chaos:
         expected_s = max(60.0, nyms * 10.5)
-        FaultInjector(timeline, _chaos_plan(expected_s)).arm(manager=fleet)
+        timeline.faults.arm(_chaos_plan(expected_s), manager=fleet)
 
     waves = [
         arrivals[i:i + WAVE_SIZE] for i in range(0, len(arrivals), WAVE_SIZE)
@@ -268,7 +267,7 @@ def run_tenants(
         sim_seconds=timeline.now,
         journal_events=timeline.obs.journal.count(),
         reconciles=sum(1 for entry in registry.audit if entry["action"] == "commit"),
-        faults=list(timeline.faults.injected) if chaos else [],
+        faults=list(timeline.faults.injected),
     )
     if journal_path:
         timeline.obs.journal.write_jsonl(journal_path)

@@ -19,7 +19,7 @@ import importlib
 import json
 from typing import Dict, Iterator, Sequence, Tuple
 
-from repro.anonymizers.tor.circuit import NtorClientCache
+from repro.anonymizers.tor.circuit import NTOR_CLIENT_CACHE
 from repro.anonymizers.tor.relay import Relay, _CircuitHopState
 from repro.crypto.aead import ChaCha20Poly1305
 from repro.crypto.x25519 import X25519_BASE_POINT, x25519
@@ -34,7 +34,7 @@ from repro.memory.pages import (
     unique_tag,
 )
 from repro.mixnet import packet as packet_mod
-from repro.mixnet.packet import MixKeyCache, MixStreamCache
+from repro.mixnet.packet import SENDER_KEY_CACHE
 from repro.unionfs.verify import VerifiedLayer
 from repro.vmm.baseimage import build_config_layer
 from repro.vmm.hypervisor import Hypervisor
@@ -241,8 +241,12 @@ def seed_fleet_candidates(self, exclude=None):
 # ---------------------------------------------------------------------------
 
 
-def _no_cache(self, *args) -> None:
-    """Seed code had no cache: every lookup misses, every store is dropped."""
+def _no_cache(*args) -> None:
+    """Seed code had no cache: every lookup misses, every store is dropped.
+
+    Patched onto a class it receives ``self`` first; onto a cache
+    instance, the key (and value) alone.
+    """
     return None
 
 
@@ -269,8 +273,8 @@ def _seed_relay_handle_create(self, circ_id: int, client_public_key: bytes) -> b
 NTOR_CACHE_OFF = [
     (importlib.import_module("repro.crypto.x25519"), "x25519_base", _seed_x25519_base),
     (Relay, "handle_create", _seed_relay_handle_create),
-    (NtorClientCache, "lookup", _no_cache),
-    (NtorClientCache, "store", _no_cache),
+    (NTOR_CLIENT_CACHE, "get", _no_cache),
+    (NTOR_CLIENT_CACHE, "put", _no_cache),
 ]
 
 
@@ -292,9 +296,9 @@ def _seed_open(key: bytes, sealed: bytes, aad: bytes) -> bytes:
 #: memo), and a fresh ChaCha20 keystream and Poly1305 one-time key per
 #: AEAD (no per-layer-key stream cache).
 MIXNET_CACHE_OFF = [
-    (MixKeyCache, "lookup", _no_cache),
-    (MixKeyCache, "store", _no_cache),
-    (MixStreamCache, "prefill", _no_cache),
+    (SENDER_KEY_CACHE, "get", _no_cache),
+    (SENDER_KEY_CACHE, "put", _no_cache),
+    (packet_mod, "_prefill_streams", _no_cache),
     (packet_mod, "derive_node_key", _seed_derive_node_key),
     (packet_mod, "_seal", _seed_seal),
     (packet_mod, "_open", _seed_open),

@@ -13,7 +13,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    NULL_FAULTS,
     RetryPolicy,
     retry_call,
 )
@@ -172,16 +171,19 @@ class TestFaultPlan:
 
 
 class TestInjector:
-    def test_null_faults_is_default_and_inert(self, timeline):
-        assert timeline.faults is NULL_FAULTS
-        assert not timeline.faults.active
+    def test_a_fresh_timeline_carries_an_unarmed_inert_injector(self, timeline):
+        assert isinstance(timeline.faults, FaultInjector)
+        assert not timeline.faults.armed
         assert timeline.faults.take("cloud.upload") is None
         timeline.faults.maybe_fail("cloud.upload")  # no-op
+        assert timeline.faults.injected == []
+        assert len(timeline.events) == 0
+        assert timeline.obs.journal.export_jsonl() == ""
 
     def test_inline_fault_armed_then_consumed(self, timeline):
         plan = FaultPlan([FaultSpec(at_s=10.0, kind="cloud.upload", param=0.4)])
-        injector = FaultInjector(timeline, plan).arm()
-        assert timeline.faults is injector
+        injector = timeline.faults.arm(plan)
+        assert injector is timeline.faults and injector.armed
         assert injector.take("cloud.upload") is None  # not yet fired
         timeline.sleep(11.0)
         spec = injector.take("cloud.upload")
@@ -193,7 +195,7 @@ class TestInjector:
             FaultSpec(at_s=0.0, kind="cloud.upload"),
             FaultSpec(at_s=0.0, kind="tor.circuit_build"),
         ])
-        injector = FaultInjector(timeline, plan).arm()
+        injector = timeline.faults.arm(plan)
         timeline.sleep(1.0)
         with pytest.raises(TransientCloudError):
             injector.maybe_fail("cloud.upload")
@@ -203,7 +205,7 @@ class TestInjector:
 
     def test_injection_is_observable(self, timeline):
         plan = FaultPlan([FaultSpec(at_s=5.0, kind="cloud.upload")])
-        FaultInjector(timeline, plan).arm()
+        timeline.faults.arm(plan)
         timeline.sleep(6.0)
         assert timeline.obs.metrics.snapshot()["faults.injected"] == 1
         names = [e.name for e in timeline.obs.journal]
@@ -211,15 +213,9 @@ class TestInjector:
         assert "faults.injected" in names
 
     def test_double_arm_rejected(self, timeline):
-        injector = FaultInjector(timeline, FaultPlan([]))
-        injector.arm()
+        timeline.faults.arm(FaultPlan([]))
         with pytest.raises(SimulationError):
-            injector.arm()
-
-    def test_disarm_restores_null(self, timeline):
-        injector = FaultInjector(timeline, FaultPlan([])).arm()
-        injector.disarm()
-        assert timeline.faults is NULL_FAULTS
+            timeline.faults.arm(FaultPlan([]))
 
 
 class TestTimedFaultsAgainstManager:
@@ -229,8 +225,7 @@ class TestTimedFaultsAgainstManager:
             FaultSpec(at_s=1.0, kind="net.link_flap", target="victim", param=4.0),
             FaultSpec(at_s=2.0, kind="vmm.crash", target="victim"),
         ])
-        manager.timeline.faults  # default NULL before arming
-        FaultInjector(manager.timeline, plan).arm(manager)
+        manager.timeline.faults.arm(plan, manager)
         manager.timeline.sleep(1.5)
         assert not nymbox.wire.up
         manager.timeline.sleep(1.0)
@@ -244,7 +239,7 @@ class TestTimedFaultsAgainstManager:
         tor = nymbox.anonymizer
         exit_nick = tor.current_circuit.exit.descriptor.nickname
         plan = FaultPlan([FaultSpec(at_s=1.0, kind="tor.relay_churn")])
-        injector = FaultInjector(manager.timeline, plan).arm(manager)
+        injector = manager.timeline.faults.arm(plan, manager)
         manager.timeline.sleep(2.0)
         assert injector.injected[0]["outcome"] == "churned"
         assert injector.injected[0]["target"] == exit_nick

@@ -6,7 +6,6 @@ import tempfile
 import pytest
 
 from repro.errors import FleetCapacityError, FleetError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet import Fleet, make_policy
 from repro.fleet.placement import PLACEMENT_POLICIES, PlacementPolicy
@@ -243,7 +242,7 @@ class TestHostCrash:
                       policies=FleetPolicies(placement="least-loaded"),
                       host_spec=SMALL_HOST)
         plan = FaultPlan([FaultSpec(at_s=5.0, kind="fleet.host_crash")])
-        injector = FaultInjector(timeline, plan).arm(manager=fleet)
+        injector = timeline.faults.arm(plan, manager=fleet)
         fleet.place("n0", "img-a")
         fleet.place("n1", "img-a")
         timeline.sleep(30.0)

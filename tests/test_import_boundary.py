@@ -183,3 +183,19 @@ def test_every_export_is_its_defining_modules_object(first):
     # whichever is imported first.
     code = f"import json\nEXPORTS = {EXPORTS!r}\n{first}\n{CHECK_EXPORTS}"
     assert json.loads(fresh_interpreter(code).splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.mixnet", "repro.mixnet.packet", "repro.mixnet.topology",
+     "repro.mixnet.client"],
+)
+def test_a_mixnet_module_imports_first_in_a_fresh_interpreter(module):
+    # repro.anonymizers registers "mixnet" by importing repro.mixnet.client,
+    # which imports repro.anonymizers.base: entered from the mixnet side,
+    # that cycle must not find the client half-built.
+    fresh_interpreter(
+        f"import {module}\n"
+        "from repro.anonymizers import ANONYMIZER_REGISTRY\n"
+        "assert 'mixnet' in ANONYMIZER_REGISTRY\n"
+    )

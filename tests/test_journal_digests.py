@@ -16,6 +16,10 @@ and the metrics snapshot, which no journal carries.  The digests are
 stable across ``PYTHONHASHSEED`` and match fresh-process runs of the
 same commands.
 
+The two ``chaos`` cases pin the fault paths: an injector armed on the
+timeline, retries, crash recovery and, under ``mixnet``, the
+``mixnet.node_crash`` fault.
+
 A change that re-baselines journals on purpose updates these digests and
 says so in CHANGES.md.  Any other digest change is a regression.
 """
@@ -52,6 +56,14 @@ CASES = {
     "fleet-quick": (
         ["fleet", "--seed", "7", "--quick"],
         "bcd0d3878b4875738d4b3924d6984fdf4ea7a7c5c3a7c4d994a4d1650d791727",
+    ),
+    "chaos-tor": (
+        ["--seed", "7", "chaos", "--quick"],
+        "8a2ee8925e60b27aace8bfe562a96d0eb35123e8357418022b996ccd25517fe8",
+    ),
+    "chaos-mixnet": (
+        ["--seed", "7", "chaos", "--quick", "--anonymizer", "mixnet"],
+        "4f10a6b07cd16e41f73c7553cc478ec44e72a6a7afae09cbff6e6aae654b9354",
     ),
 }
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import NymManager, NymixConfig
 from repro.errors import MixnetError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.mixnet import (
     LAYER_OVERHEAD_BYTES,
@@ -197,7 +196,7 @@ class TestMixnetFaults:
         manager = _mixnet_manager()
         manager.create_nym(name="mixy", anonymizer="mixnet")
         plan = FaultPlan([FaultSpec(at_s=1.0, kind="mixnet.node_crash")])
-        FaultInjector(manager.timeline, plan).arm(manager)
+        manager.timeline.faults.arm(plan, manager)
         manager.timeline.sleep(2.0)
         topology = manager.mixnet_topology(create=False)
         assert topology.alive_nodes == topology.total_nodes - 1
@@ -206,7 +205,7 @@ class TestMixnetFaults:
         manager = _mixnet_manager()
         manager.create_nym(name="plain")  # default tor nym, no mixnet built
         plan = FaultPlan([FaultSpec(at_s=1.0, kind="mixnet.node_crash")])
-        injector = FaultInjector(manager.timeline, plan).arm(manager)
+        injector = manager.timeline.faults.arm(plan, manager)
         manager.timeline.sleep(2.0)
         assert injector.injected[0]["outcome"] == "no_mixnet"
         assert manager.mixnet_topology(create=False) is None

@@ -11,6 +11,7 @@ import repro.fleet.fleet  # noqa: F401  (registers the base-image cache)
 from repro.anonymizers.tor.circuit import NTOR_CLIENT_CACHE
 from repro.api import NymixSession
 from repro.core.config import NymixConfig
+from repro.crypto.poly1305 import _POWER_CACHE
 from repro.mixnet.packet import (
     MIX_STREAM_CACHE,
     SENDER_KEY_CACHE,
@@ -20,9 +21,8 @@ from repro.mixnet.packet import (
 )
 from repro.mixnet.topology import MixTopology
 from repro.runtime import (
-    evict_oldest,
+    ProcessCache,
     process_cache_sizes,
-    register_process_cache,
     registered_cache_names,
     reset_process_caches,
 )
@@ -64,22 +64,34 @@ def _mix_run(seed=17, packets=6):
     return rng.token_bytes(32)
 
 
-class TestEvictOldest:
-    def test_fifo_and_deterministic(self):
-        entries = {k: k for k in "abcdef"}
-        assert evict_oldest(entries, 4) == 2
-        assert list(entries) == ["c", "d", "e", "f"]
-        assert evict_oldest(entries, 4) == 0
+@pytest.fixture
+def scratch_cache():
+    cache = ProcessCache("test.scratch", max_entries=4)
+    yield cache
+    from repro import runtime
+
+    runtime._PROCESS_CACHES.pop("test.scratch", None)
+
+
+class TestProcessCache:
+    def test_fifo_and_deterministic(self, scratch_cache):
+        for key in "abcdef":
+            assert scratch_cache.put(key, key.upper()) == key.upper()
+        assert list(scratch_cache) == ["c", "d", "e", "f"]
+        assert scratch_cache.evictions == 2
+        scratch_cache.put("d", "again")  # an update keeps its place
+        assert list(scratch_cache) == ["c", "d", "e", "f"]
+        assert scratch_cache.evictions == 2
 
     def test_registry_lists_the_builtin_caches(self):
-        names = registered_cache_names()
-        for expected in (
+        assert registered_cache_names() == [
+            "crypto.poly1305_powers",
             "fleet.base_image",
             "mixnet.sender_keys",
             "mixnet.streams",
+            "obs.line_templates",
             "tor.ntor_keyshares",
-        ):
-            assert expected in names
+        ]
 
 
 class TestBoundedMixCaches:
@@ -150,14 +162,23 @@ class TestSessionResetHook:
         bounded = run()
         assert baseline == bounded
 
-    def test_reset_returns_prior_sizes(self):
-        calls = []
-        register_process_cache("test.scratch", lambda: calls.append(1), lambda: 7)
-        try:
-            sizes = reset_process_caches()
-            assert sizes["test.scratch"] == 7
-            assert calls == [1]
-        finally:
-            from repro import runtime
+    def test_reset_returns_prior_sizes(self, scratch_cache):
+        for key in "abc":
+            scratch_cache.put(key, key)
+        sizes = reset_process_caches()
+        assert sizes["test.scratch"] == 3
+        assert len(scratch_cache) == 0
 
-            runtime._PROCESS_CACHES.pop("test.scratch", None)
+    def test_close_empties_the_poly1305_power_tables(self):
+        # Sealing a browsed nym's blob MACs it under a one-time Poly1305
+        # key; the power table of that key must not outlive the session.
+        with NymixSession(seed=3) as nx:
+            nx.create_cloud_account("dropbox.com", "anon991", "cloud-pw")
+            nymbox = nx.create_nym(name="alice")
+            nx.timed_browse(nymbox, "bbc.co.uk")
+            nx.store_nym(
+                nymbox, password="pw", provider_host="dropbox.com",
+                account_username="anon991",
+            )
+            assert len(_POWER_CACHE) > 0
+        assert process_cache_sizes()["crypto.poly1305_powers"] == 0

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -290,3 +292,25 @@ class TestTimeline:
             timeline = Timeline(seed=9)
             values.append(timeline.rng.random())
         assert values[0] == values[1]
+
+    def test_a_pending_event_leaves_no_cycle(self):
+        """A pending event reaches its queue only through a weak
+        reference, so reference counting alone frees a dropped timeline,
+        and a later cancel of the event is a no-op.  A pending callback
+        that itself holds the queue, such as a staged tenancy boundary or
+        an armed fault plan, still closes a cycle of its own."""
+        Timeline(seed=1)  # any first-use import happens outside the count
+        gc.collect()
+        gc.disable()
+        try:
+            timeline = Timeline(seed=1)
+            timeline.after(5.0, lambda: None)
+            del timeline
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        timeline = Timeline(seed=1)
+        event = timeline.after(5.0, lambda: None)
+        del timeline
+        event.cancel()
+        assert event.cancelled

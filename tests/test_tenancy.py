@@ -231,13 +231,16 @@ class TestRegistryLifecycle:
         assert timeline.obs.journal.export_jsonl() == ""
 
     def test_a_dropped_timeline_leaves_no_cycle(self):
-        # The registry keeps the clock, queue and sink, not its timeline,
-        # so reference counting alone frees a timeline.
+        # The registry and the unarmed fault injector keep the clock,
+        # queue and sink, not their timeline, so reference counting alone
+        # frees a timeline.
         Timeline(seed=1)  # any first-use import happens outside the count
         gc.collect()
         gc.disable()
         try:
-            Timeline(seed=1)
+            timeline = Timeline(seed=1)
+            assert not timeline.faults.armed
+            del timeline
             assert gc.collect() == 0
         finally:
             gc.enable()
