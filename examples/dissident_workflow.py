@@ -16,9 +16,9 @@ from repro.unionfs.layer import Layer
 
 
 def main() -> None:
-    # The session facade wires Timeline/Internet/Hypervisor/NymManager
-    # and guarantees amnesia on exit; cloud_providers=False because Bob
-    # only trusts the one provider he picked.
+    # The session is a NymManager that guarantees amnesia on exit;
+    # cloud_providers=False because Bob only trusts the one provider he
+    # picked.
     session = NymixSession(
         NymixConfig(seed=2, deterministic_guards=True), cloud_providers=False
     )
@@ -28,13 +28,12 @@ def main() -> None:
 
 
 def run_bob(nx: NymixSession) -> None:
-    manager = nx.manager
     nx.add_cloud_provider(make_google_drive())
     nx.create_cloud_account("drive.google.com", "rnd-20481", "cloud-pw")
 
     print("== Night 1: set up the pseudonymous Twitter nym ==")
-    nym = manager.create_nym(name="bob-protest")
-    manager.timed_browse(nym, "twitter.com")
+    nym = nx.create_nym(name="bob-protest")
+    nx.timed_browse(nym, "twitter.com")
     nym.sign_in("twitter.com", "tyrannistan_truth", "account-pw")
     print(f"  nym up in {nym.startup.total_s:.0f} s; "
           f"exit relay {nym.anonymizer.exit_address()}")
@@ -46,12 +45,12 @@ def run_bob(nx: NymixSession) -> None:
         faces=3,                      # fellow protesters
         watermark_id="sensor-wm",
     )
-    manager.mount_host_filesystem(
+    nx.mount_host_filesystem(
         "installed-os",
         Layer("installed", files={"/home/bob/protest.jpg": photo.to_bytes()},
               read_only=True),
     )
-    record = manager.transfer_file_to_nym(
+    record = nx.transfer_file_to_nym(
         "installed-os", "/home/bob/protest.jpg", nym, ParanoiaLevel.HIGH
     )
     print(f"  SaniVM found: {', '.join(record.report.kinds())}")
@@ -63,35 +62,37 @@ def run_bob(nx: NymixSession) -> None:
           f"watermark readable={delivered.watermark_detectable}")
 
     print("\n== Store to the cloud, shut down before dawn ==")
-    manager.store_nym(nym, password="nym-pw", provider_host="drive.google.com",
-                      account_username="rnd-20481")
-    manager.discard_nym(nym)
-    print(f"  live nyms: {manager.live_nyms()}; "
-          f"local blobs: {len(manager._local_blobs)} (deniability)")
+    nx.store_nym(nym, password="nym-pw", provider_host="drive.google.com",
+                 account_username="rnd-20481")
+    nx.discard_nym(nym)
+    stored = nx.stored_nyms["bob-protest"]
+    print(f"  live nyms: {nx.live_nyms()}; "
+          f"sealed blob kept at {stored.provider_host}, not on local media "
+          f"(deniability)")
 
     print("\n== The police try everything ==")
-    provider = manager.providers["drive.google.com"]
+    provider = nx.providers["drive.google.com"]
     seen = {str(ip) for ip in provider.observed_ips_for("rnd-20481")}
     print(f"  subpoena the cloud provider -> it saw only: {sorted(seen)}")
-    print(f"  (Bob's real address {manager.hypervisor.public_ip} never appears)")
+    print(f"  (Bob's real address {nx.hypervisor.public_ip} never appears)")
 
-    nym = manager.load_nym("bob-protest", "nym-pw")
+    nym = nx.load_nym("bob-protest", "nym-pw")
     findings = AnonVmCompromise(nym).run()
     print(f"  0-day in the browser -> exploit sees IP {findings.observed_ips}, "
           f"MAC {findings.observed_macs}")
     print(f"  exploit phones home via {findings.exfiltration_paths[0]}")
-    unmasked = findings.knows_real_network_identity(manager.hypervisor.public_ip)
+    unmasked = findings.knows_real_network_identity(nx.hypervisor.public_ip)
     print(f"  Bob unmasked? {unmasked}")
 
     stain = EvercookieStain("gchq-stain-1")
     stain.plant(nym)
     print(f"  MULLENIZE-style stain planted ({len(stain.surviving_stashes(nym))} stashes)")
-    manager.discard_nym(nym)  # pre-configured habits: discard, don't re-save
-    nym = manager.load_nym("bob-protest", "nym-pw")
+    nx.discard_nym(nym)  # pre-configured habits: discard, don't re-save
+    nym = nx.load_nym("bob-protest", "nym-pw")
     print(f"  after discard + reload from snapshot, stain detected? "
           f"{stain.detected(nym)}")
 
-    manager.discard_nym(nym)
+    nx.discard_nym(nym)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ nym storage in the cloud, a sanitizing SaniVM for cross-nym file
 transfer, and installed-OS nyms - on top of from-scratch substrates for
 the hypervisor, union file system, virtual network, and crypto.
 
-Quickstart (the supported entry point is the session facade)::
+Quickstart (the supported entry point is a self-closing Nym Manager)::
 
     from repro import NymixSession
 

@@ -42,7 +42,8 @@ file, one parser (:func:`repro.tenancy.load_tenant_config`).
 ``tenants`` reads its ``tenants``, watermark and ``autoscale`` keys;
 ``chaos`` and ``sweep`` read only ``tenants`` and exit 2 on the others.
 Placement comes from ``--policy``, never from the file.
-Commands are built on the :class:`repro.api.NymixSession` facade.
+Commands run on a :class:`repro.api.NymixSession`, a self-closing
+:class:`repro.core.manager.NymManager`.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             nymbox = nx.create_nym(name=f"validate-{index}")
             nx.timed_browse(nymbox, "bbc.co.uk")
         _idle(nx, args)
-        result = validate_system(nx.manager, idle_seconds=args.idle)
+        result = validate_system(nx, idle_seconds=args.idle)
         if args.json:
             _emit_json(
                 {
@@ -191,7 +192,7 @@ def cmd_redteam(args: argparse.Namespace) -> int:
     from repro.attacks.redteam import run_red_team
 
     with _session(args) as nx:
-        report = run_red_team(nx.manager, nyms=args.nyms)
+        report = run_red_team(nx, nyms=args.nyms)
         _idle(nx, args)
         if args.json:
             _emit_json(

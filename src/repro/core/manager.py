@@ -94,6 +94,9 @@ class NymManager:
         self._local_blobs: Dict[str, bytes] = {}
         self.stored_nyms: Dict[str, StoredNymRecord] = {}
         self.nymboxes: Dict[str, NymBox] = {}
+        #: set once the deployment is closed (``NymixSession.close``);
+        #: a closed manager launches no nym
+        self.closed = False
         self._sanivm: Optional[SaniVm] = None
         self._nym_counter = itertools.count(1)
         self._dissent_slot = itertools.count(0)
@@ -273,6 +276,11 @@ class NymManager:
         self.nymboxes[name] = nymbox
         return nymbox
 
+    def _check_open(self) -> None:
+        """Refuse a launch once closed: a later nym would outlive amnesia."""
+        if self.closed:
+            raise NymStateError("this deployment is closed; it launches no nym")
+
     def _boot(self, vm: VirtualMachine, rng, advance: bool = True) -> float:
         """Boot ``vm`` inside a ``vm.boot`` span, which ``repro trace`` renders.
 
@@ -320,6 +328,7 @@ class NymManager:
         CommVM.  ``tenant`` binds the nym's sends to that tenant's policy
         in ``timeline.tenancy``; ``""`` leaves it untenanted.
         """
+        self._check_open()
         name = name or f"nym-{next(self._nym_counter)}"
         if name in self.nymboxes:
             raise NymError(f"a nymbox named {name!r} is already running")
@@ -461,6 +470,7 @@ class NymManager:
         phases land in the returned nymbox's ``startup`` (including the
         "Ephemeral Nym" component of Figure 7).
         """
+        self._check_open()
         record = self.stored_nyms.get(name)
         if record is None:
             raise PersistenceError(f"no stored nym named {name!r}")

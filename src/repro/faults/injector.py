@@ -16,6 +16,7 @@ The injector itself imports nothing from core or the anonymizers
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional
 
 from repro.errors import CircuitError, SimulationError, TransientCloudError
@@ -33,11 +34,12 @@ class FaultInjector:
     """One timeline's injector: delivers the :class:`FaultPlan` it is armed with."""
 
     def __init__(self, timeline) -> None:
-        # The clock, queue, sink and tenant registry, not the timeline
-        # that owns this injector: a back-reference would make every
-        # timeline a cycle.
+        # The clock, sink and tenant registry, and the queue only weakly,
+        # not the timeline that owns this injector: a back-reference would
+        # make every timeline a cycle, and a strong queue reference would
+        # close one through an armed fault's callback.
         self._clock = timeline.clock
-        self._events = timeline.events
+        self._events = weakref.ref(timeline.events)
         self._obs = timeline.obs
         self._tenancy = timeline.tenancy
         self.plan = FaultPlan(())
@@ -57,8 +59,9 @@ class FaultInjector:
         self.armed = True
         self.plan = plan
         self.manager = manager
+        events = self._events()
         for spec in plan:
-            self._events.schedule_in(spec.at_s, lambda s=spec: self._fire(s))
+            events.schedule_in(spec.at_s, lambda s=spec: self._fire(s))
         self._obs.event("faults.armed", count=len(plan))
         return self
 

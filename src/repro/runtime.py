@@ -2,9 +2,10 @@
 
 Several hot paths keep **process-global** memo caches — the ntor client
 keyshares, the mixnet sender keys and keystreams, the Poly1305 power
-tables, the journal's line templates, the shared base-image layer —
-because their contents are pure functions of their keys and identical
-across sessions.  Left unmanaged they have two failure modes at
+tables, the journal's line templates, the shared base-image layer, the
+numpy scratch generator — because their contents are pure functions of
+their keys (or overwritten before every use) and identical across
+sessions.  Left unmanaged they have two failure modes at
 production scale:
 
 * they grow without bound (every distinct key ever seen stays resident),

@@ -8,11 +8,12 @@ because the "adversary" here is also part of the simulation.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 import sys
 from typing import List, Sequence, TypeVar
+
+from repro.runtime import ProcessCache
 
 T = TypeVar("T")
 
@@ -24,13 +25,19 @@ _NUMPY_CONTENT_MIN_BYTES = 4096
 _MT_CHUNK_WORDS = 1 << 16
 
 
-@functools.lru_cache(maxsize=None)
+#: numpy, one scratch MT19937 and one word buffer (see
+#: :func:`_numpy_mt19937`): a one-entry process cache, so that a closed
+#: session leaves no advanced generator state or drawn words behind.
+_NUMPY_SCRATCH = ProcessCache("sim.numpy_scratch", max_entries=1)
+
+
 def _numpy_mt19937():
     """numpy, one scratch MT19937 and one word buffer, built at first use.
 
-    Built on the first draw of at least ``_NUMPY_CONTENT_MIN_BYTES``, so
-    a process that never draws bulk content (a fleet shard worker) never
-    imports numpy.
+    Built on the first draw of at least ``_NUMPY_CONTENT_MIN_BYTES``
+    after a process start or a :func:`~repro.runtime.reset_process_caches`,
+    so a process that never draws bulk content (a fleet shard worker)
+    never imports numpy.
 
     The one reusable MT19937 bit generator has its state overwritten
     from the caller's ``random.Random`` on every draw, so sharing it
@@ -44,9 +51,15 @@ def _numpy_mt19937():
     machines); drawing in modest chunks into one reused buffer keeps
     every per-call allocation allocator-pool sized.
     """
-    import numpy
+    scratch = _NUMPY_SCRATCH.get("mt19937")
+    if scratch is None:
+        import numpy
 
-    return numpy, numpy.random.MT19937(0), numpy.empty(1 << 18, dtype=numpy.uint32)
+        scratch = _NUMPY_SCRATCH.put(
+            "mt19937",
+            (numpy, numpy.random.MT19937(0), numpy.empty(1 << 18, dtype=numpy.uint32)),
+        )
+    return scratch
 
 
 def _numpy_randbytes(py_random: random.Random, n: int) -> bytes:

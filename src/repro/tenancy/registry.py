@@ -23,6 +23,7 @@ names no tenant, and an empty one limits nobody and records nothing.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -78,10 +79,12 @@ class TenantRegistry:
     """Live tenant policies plus the machinery that enforces them."""
 
     def __init__(self, timeline) -> None:
-        # The clock, queue and sink, not the timeline that owns this
-        # registry: a back-reference would make every timeline a cycle.
+        # The clock and sink, and the queue only weakly, not the timeline
+        # that owns this registry: a back-reference would make every
+        # timeline a cycle, and a strong queue reference would close one
+        # through a staged boundary's callback.
         self._clock = timeline.clock
-        self._events = timeline.events
+        self._events = weakref.ref(timeline.events)
         self._obs = timeline.obs
         self.policies: Dict[str, TenantPolicy] = {}
         self.accounts: Dict[str, TenantAccount] = {}
@@ -93,7 +96,8 @@ class TenantRegistry:
         self._ingress_buckets: Dict[str, TokenBucket] = {}
         #: staged (action, payload) mutations awaiting the next boundary
         self._staged: List[Tuple[str, Any]] = []
-        self._boundary_event = None
+        #: sim time of the scheduled boundary; set whenever ``_staged`` is not empty
+        self._boundary_at: Optional[float] = None
 
     # -- policy lifecycle --------------------------------------------------
 
@@ -126,21 +130,20 @@ class TenantRegistry:
     def wait_reconciled(self) -> None:
         """Sleep the timeline until every staged mutation has applied."""
         while self._staged:
-            boundary = self._boundary_event.when if self._boundary_event else (
-                self.next_boundary()
-            )
             now = self._clock.now
-            self._events.run_until(now + (max(0.0, boundary - now) or 1e-9))
+            self._events().run_until(
+                now + (max(0.0, self._boundary_at - now) or 1e-9)
+            )
 
     def _schedule_boundary(self) -> None:
-        if self._boundary_event is not None:
+        if self._boundary_at is not None:
             return
-        when = self.next_boundary()
-        self._boundary_event = self._events.schedule_at(when, self._reconcile)
+        self._boundary_at = self.next_boundary()
+        self._events().schedule_at(self._boundary_at, self._reconcile)
 
     def _reconcile(self) -> None:
         """Apply every staged mutation, sorted for determinism."""
-        self._boundary_event = None
+        self._boundary_at = None
         staged, self._staged = self._staged, []
         applied = deleted = 0
         # Later stages win per tenant; apply in name order for determinism.

@@ -1,20 +1,27 @@
-"""The public API: the NymixSession facade and its keyword-only calls."""
+"""The public API: the NymixSession deployment and its keyword-only calls."""
 
 import pytest
 
-from repro import NymixConfig, NymixSession
-from repro.errors import NymStateError, PersistenceError
+from repro import NymixConfig, NymixSession, NymManager
+from repro.errors import NymError, NymStateError, PersistenceError
 
 
 class TestNymixSession:
     def test_context_manager_wires_the_stack(self):
         with NymixSession(seed=7) as nx:
-            assert nx.manager.timeline is nx.timeline
-            assert nx.hypervisor is nx.manager.hypervisor
-            assert nx.internet is nx.manager.internet
-            assert nx.obs is nx.manager.obs
-            assert "dropbox.com" in nx.manager.providers
-            assert "drive.google.com" in nx.manager.providers
+            assert nx.hypervisor.timeline is nx.timeline
+            assert nx.obs is nx.timeline.obs
+            assert "dropbox.com" in nx.providers
+            assert "drive.google.com" in nx.providers
+
+    def test_the_session_is_a_manager_with_a_lifecycle(self):
+        # Forwarding methods cannot grow back: everything but the
+        # lifecycle is the manager's own.
+        assert issubclass(NymixSession, NymManager)
+        own = {name for name in vars(NymixSession) if not name.startswith("_")}
+        assert own == {"open", "close", "manager"}
+        with NymixSession(seed=7, cloud_providers=False) as nx:
+            assert nx.manager is nx
 
     def test_seed_reaches_the_timeline(self):
         with NymixSession(seed=123) as nx:
@@ -32,9 +39,8 @@ class TestNymixSession:
         with session as nx:
             nx.create_nym(name="a")
             nx.create_nym(name="b")
-            manager = nx.manager
-            assert manager.live_nyms() == ["a", "b"]
-        assert manager.live_nyms() == []
+            assert nx.live_nyms() == ["a", "b"]
+        assert session.live_nyms() == []
         assert session.closed
 
     def test_closed_session_refuses_reuse(self):
@@ -44,11 +50,29 @@ class TestNymixSession:
         with pytest.raises(NymStateError):
             session.open()
         # Post-mortem reads (journal, metrics) stay available.
-        assert session.manager.live_nyms() == []
+        assert session.live_nyms() == []
+
+    def test_a_closed_session_launches_nothing(self):
+        nx = NymixSession(seed=1, cloud_providers=False)
+        nx.store_nym(nx.create_nym(name="kept"), password="pw")
+        nx.close()
+        journal = nx.obs.journal.export_jsonl()
+        now = nx.timeline.now
+        with pytest.raises(NymStateError):
+            nx.create_nym(name="late")
+        with pytest.raises(NymStateError):
+            nx.load_nym("kept", "pw")
+        with pytest.raises(NymError):
+            nx.recover_nym("kept", "pw")
+        nx.close()
+        assert nx.hypervisor.vms() == []
+        assert nx.timeline.now == now
+        assert nx.obs.journal.export_jsonl() == journal
+        assert nx.live_nyms() == [] and "kept" in nx.stored_nyms
 
     def test_cloud_providers_optional(self):
         with NymixSession(seed=7, cloud_providers=False) as nx:
-            assert nx.manager.providers == {}
+            assert nx.providers == {}
 
     def test_store_and_load_through_facade(self):
         with NymixSession(seed=7) as nx:
@@ -68,14 +92,14 @@ class TestNymixSession:
                 box = nx.create_nym(name="det")
                 nx.timed_browse(box, "bbc.co.uk")
                 nx.store_nym(box, password="pw")
-            return nx.manager.obs.journal.export_jsonl()
+            return nx.obs.journal.export_jsonl()
 
         assert run() == run()
 
     def test_session_events_in_journal(self):
         with NymixSession(seed=7) as nx:
-            manager = nx.manager
-        names = [e.name for e in manager.obs.journal.events]
+            pass
+        names = [e.name for e in nx.obs.journal.events]
         assert "session.opened" in names
         assert "session.closed" in names
 

@@ -1,5 +1,7 @@
 """repro.faults: retry/backoff machinery, fault plans, and the injector."""
 
+import gc
+
 import pytest
 
 from repro.errors import (
@@ -211,6 +213,24 @@ class TestInjector:
         names = [e.name for e in timeline.obs.journal]
         assert "faults.armed" in names
         assert "faults.injected" in names
+
+    def test_an_armed_plan_leaves_no_cycle(self):
+        # The injector reaches the queue only weakly, so an armed fault's
+        # pending callback closes no cycle back to the injector.
+        def dropped_timeline_with_an_armed_plan():
+            timeline = Timeline(seed=1)
+            timeline.faults.arm(
+                FaultPlan([FaultSpec(at_s=10.0, kind="cloud.upload")])
+            )
+
+        dropped_timeline_with_an_armed_plan()  # first-use work outside the count
+        gc.collect()
+        gc.disable()
+        try:
+            dropped_timeline_with_an_armed_plan()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_double_arm_rejected(self, timeline):
         timeline.faults.arm(FaultPlan([]))

@@ -64,6 +64,17 @@ def _mix_run(seed=17, packets=6):
     return rng.token_bytes(32)
 
 
+def _store_a_browsed_nym(nx):
+    """Browse with a fresh nym, then seal it to the cloud."""
+    nx.create_cloud_account("dropbox.com", "anon991", "cloud-pw")
+    nymbox = nx.create_nym(name="alice")
+    nx.timed_browse(nymbox, "bbc.co.uk")
+    nx.store_nym(
+        nymbox, password="pw", provider_host="dropbox.com",
+        account_username="anon991",
+    )
+
+
 @pytest.fixture
 def scratch_cache():
     cache = ProcessCache("test.scratch", max_entries=4)
@@ -90,6 +101,7 @@ class TestProcessCache:
             "mixnet.sender_keys",
             "mixnet.streams",
             "obs.line_templates",
+            "sim.numpy_scratch",
             "tor.ntor_keyshares",
         ]
 
@@ -173,12 +185,15 @@ class TestSessionResetHook:
         # Sealing a browsed nym's blob MACs it under a one-time Poly1305
         # key; the power table of that key must not outlive the session.
         with NymixSession(seed=3) as nx:
-            nx.create_cloud_account("dropbox.com", "anon991", "cloud-pw")
-            nymbox = nx.create_nym(name="alice")
-            nx.timed_browse(nymbox, "bbc.co.uk")
-            nx.store_nym(
-                nymbox, password="pw", provider_host="dropbox.com",
-                account_username="anon991",
-            )
+            _store_a_browsed_nym(nx)
             assert len(_POWER_CACHE) > 0
         assert process_cache_sizes()["crypto.poly1305_powers"] == 0
+
+    def test_close_empties_the_numpy_scratch_generator(self):
+        # Storing the nym reads its cache content, drawn in bulk through
+        # numpy's MT19937 from the nym's own stream; the generator's
+        # advanced state and drawn words must not outlive the session.
+        with NymixSession(seed=3) as nx:
+            _store_a_browsed_nym(nx)
+            assert process_cache_sizes()["sim.numpy_scratch"] == 1
+        assert process_cache_sizes()["sim.numpy_scratch"] == 0

@@ -296,9 +296,10 @@ class TestTimeline:
     def test_a_pending_event_leaves_no_cycle(self):
         """A pending event reaches its queue only through a weak
         reference, so reference counting alone frees a dropped timeline,
-        and a later cancel of the event is a no-op.  A pending callback
-        that itself holds the queue, such as a staged tenancy boundary or
-        an armed fault plan, still closes a cycle of its own."""
+        and a later cancel of the event is a no-op.  The timeline's own
+        pending callbacks (a staged tenancy boundary, an armed fault plan)
+        hold their queue weakly too; tests/test_tenancy.py and
+        tests/test_faults.py pin those."""
         Timeline(seed=1)  # any first-use import happens outside the count
         gc.collect()
         gc.disable()
