@@ -2,9 +2,10 @@
 
 Nymix treats the anonymizer as a pluggable CommVM module (§3.3): every
 nymbox picks one (or a serial composition of several) to carry all of its
-AnonVM's traffic.  The framework contract is :class:`Anonymizer`; concrete
-transports register in :data:`ANONYMIZER_REGISTRY` and are constructed by
-:func:`create_anonymizer`, which is what the Nym Manager calls.
+AnonVM's traffic.  The framework contract is :class:`Anonymizer`; the Nym
+Manager builds every concrete transport from its one table,
+:data:`repro.core.manager.TRANSPORTS`, which also lists the mixnet client
+of :mod:`repro.mixnet`.
 
 Security/performance trade-off, as the paper frames it:
 
@@ -19,30 +20,20 @@ Security/performance trade-off, as the paper frames it:
 * serial compositions such as Tor-over-Dissent for "best of both worlds".
 """
 
-from repro.anonymizers.base import (
-    ANONYMIZER_REGISTRY,
-    Anonymizer,
-    AnonymizerState,
-    TransferPlan,
-    create_anonymizer,
-)
+from repro.anonymizers.base import Anonymizer, AnonymizerState, TransferPlan
 from repro.anonymizers.compose import SerialComposition
 from repro.anonymizers.incognito import IncognitoMode
 from repro.anonymizers.sweet import SweetTunnel
 from repro.anonymizers.dissent.client import DissentClient
 from repro.anonymizers.tor.client import TorClient
-from repro.mixnet.client import MixnetClient
 
 __all__ = [
-    "ANONYMIZER_REGISTRY",
     "Anonymizer",
     "AnonymizerState",
     "TransferPlan",
-    "create_anonymizer",
     "SerialComposition",
     "IncognitoMode",
     "SweetTunnel",
     "DissentClient",
     "TorClient",
-    "MixnetClient",
 ]

@@ -1,4 +1,4 @@
-"""The anonymizer contract and registry.
+"""The anonymizer contract.
 
 An anonymizer runs inside a CommVM and carries every byte between the
 AnonVM and the Internet.  The contract captures what the rest of Nymix
@@ -15,7 +15,7 @@ needs to know about a transport:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import AnonymizerError
 from repro.net.addresses import Ipv4Address
@@ -135,20 +135,13 @@ class Anonymizer:
         extra = plan.path_latency_s * (plan.handshake_rtts + 1)
         self.timeline.sleep(extra)
         self.bytes_carried += result.response.body_bytes
-        self._record_flow(result.response.body_bytes, plan)
+        self.nat.record_flow(
+            self.traffic_label, int(result.response.body_bytes * plan.overhead_factor)
+        )
         # Charge the completed transfer against the tenant's rate state
         # (debt-based: the *next* send absorbs any overdraft as delay).
         self.timeline.tenancy.record_sent(self.tenant, result.response.body_bytes)
         return result
-
-    def _record_flow(self, payload_bytes: int, plan: TransferPlan) -> None:
-        if self.nat.host_capture is not None:
-            self.nat.host_capture.record_flow(
-                where=f"uplink({self.nat.name})",
-                sender=self.nat.name,
-                label=self.traffic_label,
-                payload_bytes=int(payload_bytes * plan.overhead_factor),
-            )
 
     # -- quasi-persistent state (§3.5) ------------------------------------------
 
@@ -166,31 +159,3 @@ class Anonymizer:
     def __repr__(self) -> str:
         status = "started" if self.started else "stopped"
         return f"{type(self).__name__}({status})"
-
-
-AnonymizerFactory = Callable[..., Anonymizer]
-
-ANONYMIZER_REGISTRY: Dict[str, AnonymizerFactory] = {}
-
-
-def register_anonymizer(kind: str, factory: AnonymizerFactory) -> None:
-    if kind in ANONYMIZER_REGISTRY:
-        raise AnonymizerError(f"anonymizer kind {kind!r} already registered")
-    ANONYMIZER_REGISTRY[kind] = factory
-
-
-def create_anonymizer(
-    kind: str,
-    timeline: Timeline,
-    internet: Internet,
-    nat: MasqueradeNat,
-    rng: SeededRng,
-    **kwargs,
-) -> Anonymizer:
-    """Instantiate a registered transport (the Nym Manager's entry point)."""
-    try:
-        factory = ANONYMIZER_REGISTRY[kind]
-    except KeyError:
-        known = ", ".join(sorted(ANONYMIZER_REGISTRY))
-        raise AnonymizerError(f"unknown anonymizer {kind!r} (known: {known})") from None
-    return factory(timeline=timeline, internet=internet, nat=nat, rng=rng, **kwargs)

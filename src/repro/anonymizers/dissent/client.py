@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.anonymizers.base import Anonymizer, TransferPlan, register_anonymizer
+from repro.anonymizers.base import Anonymizer, TransferPlan
 from repro.anonymizers.dissent.dcnet import DcNetDeployment, DcNetRound
 from repro.errors import AnonymizerError
 from repro.net.addresses import Ipv4Address
@@ -106,6 +106,3 @@ class DissentClient(Anonymizer):
         self.rounds_run += 1
         self.timeline.sleep(self.ROUND_SECONDS)
         return self.deployment.run_round(round_obj)
-
-
-register_anonymizer("dissent", DissentClient)

@@ -9,7 +9,7 @@ real public address.
 
 from __future__ import annotations
 
-from repro.anonymizers.base import Anonymizer, TransferPlan, register_anonymizer
+from repro.anonymizers.base import Anonymizer, TransferPlan
 from repro.net.addresses import Ipv4Address
 
 
@@ -40,6 +40,3 @@ class IncognitoMode(Anonymizer):
     def exit_address(self) -> Ipv4Address:
         # The whole point of the weak mode: the destination sees *you*.
         return self.nat.public_ip
-
-
-register_anonymizer("incognito", IncognitoMode)

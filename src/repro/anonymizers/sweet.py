@@ -9,7 +9,7 @@ last resort, not a browsing transport.
 
 from __future__ import annotations
 
-from repro.anonymizers.base import Anonymizer, TransferPlan, register_anonymizer
+from repro.anonymizers.base import Anonymizer, TransferPlan
 from repro.net.addresses import Ipv4Address
 
 _MAIL_PROVIDER_IP = Ipv4Address.parse("198.51.103.1")
@@ -46,6 +46,3 @@ class SweetTunnel(Anonymizer):
 
     def exit_address(self) -> Ipv4Address:
         return _MAIL_PROVIDER_IP
-
-
-register_anonymizer("sweet", SweetTunnel)

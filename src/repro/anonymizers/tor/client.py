@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional
 
-from repro.anonymizers.base import Anonymizer, AnonymizerState, TransferPlan, register_anonymizer
+from repro.anonymizers.base import Anonymizer, AnonymizerState, TransferPlan
 from repro.anonymizers.socks import (
     AUTH_NONE,
     REPLY_SUCCESS,
@@ -95,14 +95,9 @@ class TorClient(Anonymizer):
                 # the (not yet anonymized) directory connection.
                 doc_bytes = self.consensus.document_bytes()
                 duration = self.internet.uplink.transfer(doc_bytes).duration_s
-                if self.nat.host_capture is not None:
-                    self.nat.host_capture.record_flow(
-                        where=f"uplink({self.nat.name})",
-                        sender=self.nat.name,
-                        label="anonymizer",
-                        payload_bytes=doc_bytes,
-                        summary="tor consensus fetch",
-                    )
+                self.nat.record_flow(
+                    "anonymizer", doc_bytes, summary="tor consensus fetch"
+                )
                 self.timeline.sleep(duration + self.rng.jitter(_DESCRIPTOR_FETCH_S, 0.15))
             had_guards = self.guard_manager.has_guards
             before = self.guard_manager.guards
@@ -334,6 +329,3 @@ class TorClient(Anonymizer):
         if guards:
             self.guard_manager.import_state(guards)  # type: ignore[arg-type]
         self._consensus_cached = bool(state.payload.get("consensus_cached"))
-
-
-register_anonymizer("tor", TorClient)

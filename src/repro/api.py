@@ -65,7 +65,8 @@ class NymixSession(NymManager):
     def close(self) -> None:
         """Tear down every live nymbox (amnesia), then seal the session.
 
-        A closed session launches nothing more; its journal, metrics and
+        Every VM still on the host goes too (the SaniVM and each
+        installed-OS VM).  A closed session boots no VM; its journal, metrics and
         catalog stay readable.  Closing also resets the process-global
         memo caches (ntor keyshares, mixnet keys and keystreams, the
         numpy scratch generator, ...): a session's key material must not
@@ -76,6 +77,8 @@ class NymixSession(NymManager):
         if not self.closed:
             for name in sorted(self.nymboxes):
                 self.discard_nym(self.nymboxes[name])
+            for vm in self.hypervisor.vms():
+                self.hypervisor.destroy_vm(vm)
             self.obs.event("session.closed", nyms_stored=len(self.stored_nyms))
             self.closed = True
         reset_process_caches()

@@ -589,21 +589,21 @@ def cmd_tenants(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    from repro.anonymizers.base import ANONYMIZER_REGISTRY
+    from repro.core.manager import TRANSPORTS
     from repro.guest.installed_os import INSTALLED_OS_CATALOG
     from repro.guest.websites import WEBSITE_CATALOG
 
     if args.json:
         _emit_json(
             {
-                "anonymizers": sorted(ANONYMIZER_REGISTRY),
+                "anonymizers": sorted(TRANSPORTS),
                 "websites": sorted(WEBSITE_CATALOG),
                 "installed_oses": list(INSTALLED_OS_CATALOG),
             }
         )
         return 0
     print("anonymizers:")
-    for kind in sorted(ANONYMIZER_REGISTRY):
+    for kind in sorted(TRANSPORTS):
         print(f"  {kind}")
     print("  (compositions: any 'a+b'; camouflage: 'stegotorus[:inner]')")
     print("websites:")

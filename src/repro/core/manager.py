@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
-from repro.anonymizers.base import Anonymizer, create_anonymizer
+from repro.anonymizers.base import Anonymizer
 from repro.anonymizers.compose import SerialComposition
+from repro.anonymizers.dissent.client import DissentClient
 from repro.anonymizers.dissent.dcnet import DcNetDeployment
+from repro.anonymizers.incognito import IncognitoMode
+from repro.anonymizers.stegotorus import StegoTorusWrapper
+from repro.anonymizers.sweet import SweetTunnel
+from repro.anonymizers.tor.client import TorClient
 from repro.anonymizers.tor.directory import DirectoryAuthority
 from repro.anonymizers.tor.guard import GuardManager
 from repro.cloud.provider import CloudAccount, CloudProvider
@@ -16,18 +21,33 @@ from repro.core.config import NymixConfig
 from repro.core.nym import Nym, NymUsageModel
 from repro.core.nymbox import NymBox, StartupPhases
 from repro.core.persistence import FsSnapshot, NymStore, StoreReceipt
-from repro.errors import NymError, NymStateError, PersistenceError
+from repro.errors import AnonymizerError, NymError, NymStateError, PersistenceError
 from repro.guest.browser import PageLoad
 from repro.guest.installed_os import INSTALLED_OS_CATALOG, InstalledOs
 from repro.guest.websites import populate_internet
 from repro.memory.remanence import RemanenceTracker
+from repro.mixnet.client import MixnetClient
+from repro.mixnet.topology import MixTopology
 from repro.net.internet import Internet
+from repro.net.nat import MasqueradeNat
 from repro.sanitize.sanivm import SaniVm, TransferRecord
 from repro.sanitize.transforms import ParanoiaLevel
 from repro.sim.clock import Timeline
+from repro.sim.rng import SeededRng
 from repro.unionfs.layer import Layer
 from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.vm import VirtualMachine, VmSpec
+
+#: Every transport a nym can name (§3.3), by kind; ``repro catalog``
+#: lists it.  A kind string may also chain them (``"tor+dissent"``) or
+#: camouflage one (``"stegotorus[:inner]"``, Tor by default).
+TRANSPORTS: Dict[str, Type[Anonymizer]] = {
+    "dissent": DissentClient,
+    "incognito": IncognitoMode,
+    "mixnet": MixnetClient,
+    "sweet": SweetTunnel,
+    "tor": TorClient,
+}
 
 
 @dataclass
@@ -87,7 +107,7 @@ class NymManager:
         # The Dissent and mixnet deployments are lazy: their keygen costs
         # X25519 operations, and most managers launch neither kind of nym.
         self._dcnet: Optional[DcNetDeployment] = None
-        self._mixnet: Optional["MixTopology"] = None
+        self._mixnet: Optional[MixTopology] = None
         self.store = NymStore(self.timeline, self.timeline.fork_rng("store"))
         self.providers: Dict[str, CloudProvider] = {}
         self._accounts: Dict[Tuple[str, str], CloudAccount] = {}
@@ -95,7 +115,7 @@ class NymManager:
         self.stored_nyms: Dict[str, StoredNymRecord] = {}
         self.nymboxes: Dict[str, NymBox] = {}
         #: set once the deployment is closed (``NymixSession.close``);
-        #: a closed manager launches no nym
+        #: a closed manager launches no nym and boots no VM
         self.closed = False
         self._sanivm: Optional[SaniVm] = None
         self._nym_counter = itertools.count(1)
@@ -139,42 +159,52 @@ class NymManager:
 
     # -- anonymizer construction -------------------------------------------------------
 
-    def _make_anonymizer(
-        self,
-        kind: str,
-        nat,
-        rng,
-        guard_manager: Optional[GuardManager] = None,
-    ) -> Anonymizer:
+    def _transport(
+        self, kind: str, guard_manager: Optional[GuardManager] = None
+    ) -> Callable[[MasqueradeNat, SeededRng], Anonymizer]:
+        """Resolve ``kind`` against :data:`TRANSPORTS` into a function that builds it.
+
+        Resolving builds nothing, so an unknown kind anywhere in the
+        string raises before the nym has a VM.  ``guard_manager`` reaches
+        a bare ``"tor"`` only, never a stage or a camouflaged Tor.
+        """
         if "+" in kind:
-            stages = [
-                self._make_anonymizer(stage_kind, nat, rng.fork(f"stage:{i}"))
-                for i, stage_kind in enumerate(kind.split("+"))
-            ]
-            return SerialComposition(stages)
+            stages = [self._transport(stage_kind) for stage_kind in kind.split("+")]
+            return lambda nat, rng: SerialComposition(
+                [build(nat, rng.fork(f"stage:{i}")) for i, build in enumerate(stages)]
+            )
         if kind == "stegotorus" or kind.startswith("stegotorus:"):
             # "stegotorus" camouflages Tor by default; "stegotorus:<kind>"
             # wraps any other transport.
-            from repro.anonymizers.stegotorus import StegoTorusWrapper
+            inner = self._transport(kind.partition(":")[2] or "tor")
+            return lambda nat, rng: StegoTorusWrapper(inner(nat, rng.fork("steg-inner")))
+        if kind not in TRANSPORTS:
+            known = ", ".join(sorted(TRANSPORTS))
+            raise AnonymizerError(f"unknown anonymizer {kind!r} (known: {known})")
+        return lambda nat, rng: self._make_transport(kind, nat, rng, guard_manager)
 
-            inner_kind = kind.partition(":")[2] or "tor"
-            inner = self._make_anonymizer(inner_kind, nat, rng.fork("steg-inner"))
-            return StegoTorusWrapper(inner)
-        kwargs = {}
+    def _make_transport(
+        self,
+        kind: str,
+        nat: MasqueradeNat,
+        rng: SeededRng,
+        guard_manager: Optional[GuardManager],
+    ) -> Anonymizer:
+        """One table transport, joined to the deployment its kind shares."""
+        args = (self.timeline, self.internet, nat, rng)
         if kind == "tor":
-            kwargs["directory"] = self.directory
-            if guard_manager is not None:
-                kwargs["guard_manager"] = guard_manager
-        elif kind == "dissent":
-            kwargs["deployment"] = self.dcnet
-            kwargs["client_index"] = next(self._dissent_slot) % self.dcnet.num_clients
-        elif kind == "mixnet":
-            kwargs["topology"] = self.mixnet_topology()
-            kwargs["cover_rate_pps"] = self.config.mixnet_cover_rate_pps
-            kwargs["mean_hop_delay_s"] = self.config.mixnet_mean_hop_delay_s
-        return create_anonymizer(
-            kind, self.timeline, self.internet, nat, rng, **kwargs
-        )
+            return TorClient(*args, directory=self.directory, guard_manager=guard_manager)
+        if kind == "dissent":
+            slot = next(self._dissent_slot) % self.dcnet.num_clients
+            return DissentClient(*args, deployment=self.dcnet, client_index=slot)
+        if kind == "mixnet":
+            return MixnetClient(
+                *args,
+                topology=self.mixnet_topology(),
+                cover_rate_pps=self.config.mixnet_cover_rate_pps,
+                mean_hop_delay_s=self.config.mixnet_mean_hop_delay_s,
+            )
+        return TRANSPORTS[kind](*args)
 
     @property
     def dcnet(self) -> DcNetDeployment:
@@ -195,8 +225,6 @@ class NymManager:
         recorded no-op instead of a surprise keygen).
         """
         if self._mixnet is None and create:
-            from repro.mixnet.topology import MixTopology
-
             self._mixnet = MixTopology(
                 self.timeline.fork_rng("mixnet"),
                 layers=self.config.mixnet_layers,
@@ -217,6 +245,7 @@ class NymManager:
         guard_manager: Optional[GuardManager],
         chain_commvms: bool = False,
     ) -> NymBox:
+        build_anonymizer = self._transport(anonymizer_kind, guard_manager)
         nym = Nym(
             name=name,
             usage_model=usage,
@@ -253,15 +282,13 @@ class NymManager:
                 extra_commvms.append(next_comm)
                 last_comm = next_comm
             nat = hv.attach_nat(last_comm)
+            rng = self.timeline.fork_rng(f"nym:{name}")
+            anonymizer = build_anonymizer(nat, rng.fork("anonymizer"))
         except Exception:
             # Partial construction must not leak VMs or names.
             for vm in created_vms:
                 hv.destroy_vm(vm)
             raise
-        rng = self.timeline.fork_rng(f"nym:{name}")
-        anonymizer = self._make_anonymizer(
-            anonymizer_kind, nat, rng.fork("anonymizer"), guard_manager
-        )
         nymbox = NymBox(
             timeline=self.timeline,
             nym=nym,
@@ -277,9 +304,9 @@ class NymManager:
         return nymbox
 
     def _check_open(self) -> None:
-        """Refuse a launch once closed: a later nym would outlive amnesia."""
+        """Refuse a launch once closed: a later VM would outlive amnesia."""
         if self.closed:
-            raise NymStateError("this deployment is closed; it launches no nym")
+            raise NymStateError("this deployment is closed; it boots no VM")
 
     def _boot(self, vm: VirtualMachine, rng, advance: bool = True) -> float:
         """Boot ``vm`` inside a ``vm.boot`` span, which ``repro trace`` renders.
@@ -585,6 +612,7 @@ class NymManager:
 
     def sanivm(self) -> SaniVm:
         """The (single, air-gapped) SaniVM, created and booted on first use."""
+        self._check_open()
         if self._sanivm is None:
             vm = self.hypervisor.create_vm(VmSpec.sanivm(), name="sanivm")
             self._boot(vm, self.timeline.fork_rng("sanivm-boot"))
@@ -613,6 +641,7 @@ class NymManager:
 
     def boot_installed_os_nym(self, os_name: str) -> Tuple[InstalledOsNymReport, VirtualMachine, InstalledOs]:
         """Boot the machine's installed OS in a non-anonymous nymbox."""
+        self._check_open()
         try:
             profile = INSTALLED_OS_CATALOG[os_name]
         except KeyError:

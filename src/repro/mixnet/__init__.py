@@ -12,13 +12,9 @@ blocks for bidirectional flows.
 * :mod:`repro.mixnet.topology` — the stratified deployment: L layers of
   M nodes each, forward paths pick one node per layer.
 * :mod:`repro.mixnet.client` — the :class:`~repro.anonymizers.base.Anonymizer`
-  implementation registered as ``"mixnet"``.
+  implementation the Nym Manager builds for ``"mixnet"``.
 """
 
-# The anonymizer package first: it imports ``client`` to register
-# "mixnet", and ``client`` imports ``repro.anonymizers.base``, so entering
-# that cycle through ``client`` would find it half-built.
-import repro.anonymizers  # noqa: F401
 from repro.mixnet.client import MixnetClient
 from repro.mixnet.packet import (
     LAYER_OVERHEAD_BYTES,

@@ -18,12 +18,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from repro.anonymizers.base import (
-    Anonymizer,
-    AnonymizerState,
-    TransferPlan,
-    register_anonymizer,
-)
+from repro.anonymizers.base import Anonymizer, AnonymizerState, TransferPlan
 from repro.errors import MixnetError
 from repro.faults.retry import RetryPolicy, retry_call
 from repro.mixnet.packet import (
@@ -97,14 +92,9 @@ class MixnetClient(Anonymizer):
             if not self._topology_cached:
                 doc_bytes = self.topology.document_bytes()
                 duration = self.internet.uplink.transfer(doc_bytes).duration_s
-                if self.nat.host_capture is not None:
-                    self.nat.host_capture.record_flow(
-                        where=f"uplink({self.nat.name})",
-                        sender=self.nat.name,
-                        label="anonymizer",
-                        payload_bytes=doc_bytes,
-                        summary="mixnet directory fetch",
-                    )
+                self.nat.record_flow(
+                    "anonymizer", doc_bytes, summary="mixnet directory fetch"
+                )
                 self.timeline.sleep(
                     duration + self.rng.jitter(_DIRECTORY_SETTLE_S, 0.15)
                 )
@@ -336,6 +326,3 @@ class MixnetClient(Anonymizer):
     def import_state(self, state: AnonymizerState) -> None:
         super().import_state(state)
         self._topology_cached = bool(state.payload.get("topology_cached"))
-
-
-register_anonymizer("mixnet", MixnetClient)

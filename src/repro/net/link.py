@@ -59,20 +59,14 @@ class VirtualWire:
         self._a.detach()
         self._b.detach()
 
-    def bring_up(self, quiet: bool = False) -> None:
-        """Restore a downed wire: both NICs re-attach and frames flow again.
-
-        ``quiet`` suppresses the journal event — used for housekeeping
-        re-attachment (the hypervisor's cached LAN wire), where an outage
-        recovery was never observed by anyone.
-        """
+    def bring_up(self) -> None:
+        """Restore a downed wire: both NICs re-attach and frames flow again."""
         if self._up:
             return
         self._a.attach(self)
         self._b.attach(self)
         self._up = True
-        if not quiet:
-            self.timeline.obs.event("net.link.up", wire=self.name)
+        self.timeline.obs.event("net.link.up", wire=self.name)
 
     def flap(self, down_for_s: float) -> None:
         """Take the wire down now and bring it back ``down_for_s`` later.

@@ -13,7 +13,7 @@ or other guests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.errors import UnreachableError
 from repro.net.addresses import Ipv4Address
@@ -43,7 +43,7 @@ class MasqueradeNat:
         name: str,
         public_ip: Ipv4Address,
         internet: Internet,
-        host_capture: Optional[PacketCapture] = None,
+        host_capture: PacketCapture,
     ) -> None:
         self.timeline = timeline
         self.name = name
@@ -128,14 +128,7 @@ class MasqueradeNat:
         )
         self.translated_packets += 1
         self._obs_translated.inc()
-        if self.host_capture is not None:
-            self.host_capture.record_flow(
-                where=f"uplink({self.name})",
-                sender=self.name,
-                label=packet.label,
-                payload_bytes=packet.size,
-                summary=translated.describe(),
-            )
+        self.record_flow(packet.label, packet.size, summary=translated.describe())
         return translated
 
     # -- flow path (data plane) ----------------------------------------------------
@@ -161,14 +154,23 @@ class MasqueradeNat:
         self.internet.server_at(dst)
         flow = self.internet.uplink.transfer(payload_bytes, overhead_factor)
         self._obs_stream_bytes.inc(flow.wire_bytes)
-        if self.host_capture is not None:
-            self.host_capture.record_flow(
-                where=f"uplink({self.name})",
-                sender=self.name,
-                label=label,
-                payload_bytes=flow.wire_bytes,
-            )
+        self.record_flow(label, flow.wire_bytes)
         return flow.duration_s
+
+    def record_flow(self, label: str, payload_bytes: int, summary: str = "") -> None:
+        """Show one flow on this uplink to the host capture (§5.1).
+
+        Every uplink entry of the capture is written here: translated
+        packets, bulk streams, and the flows and directory fetches that
+        an anonymizer carries over this NAT.
+        """
+        self.host_capture.record_flow(
+            where=f"uplink({self.name})",
+            sender=self.name,
+            label=label,
+            payload_bytes=payload_bytes,
+            summary=summary,
+        )
 
     def __repr__(self) -> str:
         return f"MasqueradeNat({self.name!r}, public={self.public_ip})"

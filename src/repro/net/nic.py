@@ -46,6 +46,9 @@ class VirtualNic:
     def on_receive(self, handler: FrameHandler) -> None:
         self._handlers.append(handler)
 
+    def clear_handlers(self) -> None:
+        self._handlers.clear()
+
     # -- data path -----------------------------------------------------------
 
     def send(self, frame: EthernetFrame, strict: bool = False) -> bool:

@@ -150,39 +150,29 @@ class Hypervisor:
         self._zygote_memories: Dict[tuple, GuestMemory] = {}
         self._layer_cache: Dict[tuple, tuple] = {}
 
-        #: The host LAN wire, built once on the first DHCP handshake and
-        #: kept (torn down) between handshakes instead of leaking a fresh
-        #: server + tapped wire per call.
-        self._lan_wire: Optional[VirtualWire] = None
-        self._lan_client: Optional[DhcpClient] = None
-
     # -- host bring-up ------------------------------------------------------
 
     def acquire_lan_address(self) -> Ipv4Address:
         """Run the host's DHCP handshake on a captured LAN wire.
 
-        The wire, DHCP server, and client are created once and reused for
-        subsequent handshakes (the server's lease table hands the same
-        address back); the wire is severed after each handshake so the
-        host is not left holding an open LAN link.
+        Each call wires a fresh DHCP server to the host NIC and leaves
+        nothing behind: the wire comes down and both NICs drop their DHCP
+        handlers, whose owners hold the NICs (a reference cycle that
+        would keep the whole timeline for the collector).
         """
-        if self._lan_wire is None:
-            server_nic = VirtualNic(
-                "lan-dhcp-server", MacAddress.parse("00:16:3e:00:00:01"),
-                Ipv4Address.parse("192.168.1.1"),
-            )
-            self._lan_wire = VirtualWire(
-                self.timeline, self.lan_nic, server_nic, name="host-lan"
-            )
-            self._lan_wire.add_tap(self.host_capture)
-            DhcpServer(self.timeline, server_nic, Ipv4Address.parse("192.168.1.100"))
-            self._lan_client = DhcpClient(self.timeline, self.lan_nic)
-        else:
-            self._lan_wire.bring_up(quiet=True)
+        server_nic = VirtualNic(
+            "lan-dhcp-server", MacAddress.parse("00:16:3e:00:00:01"),
+            Ipv4Address.parse("192.168.1.1"),
+        )
+        wire = VirtualWire(self.timeline, self.lan_nic, server_nic, name="host-lan")
+        wire.add_tap(self.host_capture)
+        DhcpServer(self.timeline, server_nic, Ipv4Address.parse("192.168.1.100"))
         try:
-            return self._lan_client.acquire()
+            return DhcpClient(self.timeline, self.lan_nic).acquire()
         finally:
-            self._lan_wire.take_down()
+            wire.take_down()
+            self.lan_nic.clear_handlers()
+            server_nic.clear_handlers()
 
     # -- tamper handling (verified boot, §3.4) -----------------------------------
 

@@ -1,10 +1,10 @@
 """Interface conformance for every pluggable transport.
 
-Parametrized over every kind in ``ANONYMIZER_REGISTRY`` (tor, dissent,
-sweet, incognito, mixnet) plus the manager-level composite spellings
-(``stegotorus``, ``stegotorus:mixnet``, ``tor+dissent``) that wrap
-registered transports.  Plain ``socks`` is request framing inside the
-CommVM, not a registered transport, so it has no row here.
+Parametrized over every kind in the manager's ``TRANSPORTS`` table (tor,
+dissent, sweet, incognito, mixnet) plus the composite spellings
+(``stegotorus``, ``stegotorus:mixnet``, ``tor+dissent``) that wrap table
+transports.  Plain ``socks`` is request framing inside the CommVM, not a
+transport of the table, so it has no row here.
 
 Each kind boots a real nym through the manager and must honour the
 :class:`repro.anonymizers.base.Anonymizer` contract end to end: start,
@@ -13,16 +13,17 @@ plan, exit addressing, fetch, state export/import, stop.
 
 import pytest
 
-from repro.anonymizers.base import ANONYMIZER_REGISTRY, TransferPlan
+from repro.anonymizers.base import TransferPlan
 from repro.core import NymManager, NymixConfig
+from repro.core.manager import TRANSPORTS
 from repro.net.addresses import Ipv4Address
 
 COMPOSITE_KINDS = ("stegotorus", "stegotorus:mixnet", "tor+dissent")
-ALL_KINDS = tuple(sorted(ANONYMIZER_REGISTRY)) + COMPOSITE_KINDS
+ALL_KINDS = tuple(sorted(TRANSPORTS)) + COMPOSITE_KINDS
 
 
 def test_every_expected_transport_is_registered():
-    assert set(ANONYMIZER_REGISTRY) == {
+    assert set(TRANSPORTS) == {
         "tor",
         "dissent",
         "sweet",
@@ -87,8 +88,8 @@ class TestAnonymizerConformance:
         manager, box = nymbox
         state = box.anonymizer.export_state()
         assert state.kind == box.anonymizer.kind
-        clone = manager._make_anonymizer(
-            kind, box.nat, manager.timeline.fork_rng("conform-clone")
+        clone = manager._transport(kind)(
+            box.nat, manager.timeline.fork_rng("conform-clone")
         )
         clone.import_state(state)
 

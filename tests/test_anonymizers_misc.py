@@ -1,11 +1,13 @@
-"""Incognito, SWEET, serial composition, and the registry."""
+"""Incognito, SWEET and serial composition."""
 
 import pytest
 
 from repro.anonymizers import (
-    ANONYMIZER_REGISTRY,
+    DissentClient,
+    IncognitoMode,
     SerialComposition,
-    create_anonymizer,
+    SweetTunnel,
+    TorClient,
 )
 from repro.anonymizers.tor.directory import DirectoryAuthority
 from repro.errors import AnonymizerError
@@ -28,29 +30,19 @@ def env():
     return timeline, internet, nat
 
 
-def _make(env, kind, **kwargs):
+def _make(env, cls, **kwargs):
     timeline, internet, nat = env
-    return create_anonymizer(kind, timeline, internet, nat, timeline.fork_rng(kind), **kwargs)
-
-
-class TestRegistry:
-    def test_known_kinds(self):
-        for kind in ("tor", "dissent", "incognito", "sweet"):
-            assert kind in ANONYMIZER_REGISTRY
-
-    def test_unknown_kind(self, env):
-        with pytest.raises(AnonymizerError):
-            _make(env, "carrier-pigeon")
+    return cls(timeline, internet, nat, timeline.fork_rng(cls.kind), **kwargs)
 
 
 class TestIncognito:
     def test_fast_start(self, env):
-        incognito = _make(env, "incognito")
+        incognito = _make(env, IncognitoMode)
         assert incognito.start() < 1.0
 
     def test_no_identity_protection(self, env):
         _, internet, nat = env
-        incognito = _make(env, "incognito")
+        incognito = _make(env, IncognitoMode)
         incognito.start()
         assert not incognito.protects_network_identity
         incognito.fetch("bbc.co.uk", path="tok")
@@ -58,23 +50,23 @@ class TestIncognito:
         assert server.seen_client_ips[-1] == nat.public_ip
 
     def test_minimal_overhead(self, env):
-        incognito = _make(env, "incognito")
+        incognito = _make(env, IncognitoMode)
         assert incognito.plan(0).overhead_factor < 1.05
 
 
 class TestSweet:
     def test_extreme_latency(self, env):
-        sweet = _make(env, "sweet")
+        sweet = _make(env, SweetTunnel)
         plan = sweet.plan(0)
         assert plan.path_latency_s >= 1.0
         assert plan.per_flow_ceiling_bps <= 1_000_000
 
     def test_mime_overhead(self, env):
-        sweet = _make(env, "sweet")
+        sweet = _make(env, SweetTunnel)
         assert sweet.plan(0).overhead_factor > 1.3
 
     def test_exit_is_mail_provider(self, env):
-        sweet = _make(env, "sweet")
+        sweet = _make(env, SweetTunnel)
         sweet.start()
         assert str(sweet.exit_address()) == "198.51.103.1"
 
@@ -83,8 +75,8 @@ class TestSerialComposition:
     def _tor_dissent(self, env):
         timeline, internet, nat = env
         directory = DirectoryAuthority(timeline.fork_rng("dir"), relay_count=12)
-        tor = _make(env, "tor", directory=directory)
-        dissent = _make(env, "dissent")
+        tor = _make(env, TorClient, directory=directory)
+        dissent = _make(env, DissentClient)
         return SerialComposition([tor, dissent])
 
     def test_costs_compose(self, env):
@@ -107,12 +99,12 @@ class TestSerialComposition:
         assert combo.exit_address() == combo.stages[-1].exit_address()
 
     def test_identity_protected_if_any_stage_protects(self, env):
-        incognito = _make(env, "incognito")
+        incognito = _make(env, IncognitoMode)
         combo = SerialComposition([incognito])
         assert not combo.protects_network_identity
         timeline, internet, nat = env
         directory = DirectoryAuthority(timeline.fork_rng("dir2"), relay_count=12)
-        tor = _make(env, "tor", directory=directory)
+        tor = _make(env, TorClient, directory=directory)
         assert SerialComposition([incognito, tor]).protects_network_identity
 
     def test_kind_names_stages(self, env):
@@ -125,8 +117,8 @@ class TestSerialComposition:
         state = combo.export_state()
         timeline, internet, nat = env
         directory = combo.stages[0].directory
-        tor2 = _make(env, "tor", directory=directory)
-        dissent2 = _make(env, "dissent")
+        tor2 = _make(env, TorClient, directory=directory)
+        dissent2 = _make(env, DissentClient)
         combo2 = SerialComposition([tor2, dissent2])
         combo2.import_state(state)
         assert tor2.guard_manager.guards == combo.stages[0].guard_manager.guards
@@ -137,6 +129,6 @@ class TestSerialComposition:
 
     def test_mismatched_state_rejected(self, env):
         combo = self._tor_dissent(env)
-        incognito = _make(env, "incognito")
+        incognito = _make(env, IncognitoMode)
         with pytest.raises(AnonymizerError):
             combo.import_state(incognito.export_state())

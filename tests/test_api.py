@@ -1,9 +1,12 @@
 """The public API: the NymixSession deployment and its keyword-only calls."""
 
+import gc
+
 import pytest
 
 from repro import NymixConfig, NymixSession, NymManager
 from repro.errors import NymError, NymStateError, PersistenceError
+from repro.unionfs.layer import Layer
 
 
 class TestNymixSession:
@@ -69,6 +72,56 @@ class TestNymixSession:
         assert nx.timeline.now == now
         assert nx.obs.journal.export_jsonl() == journal
         assert nx.live_nyms() == [] and "kept" in nx.stored_nyms
+
+    def test_close_destroys_every_vm_and_then_boots_none(self):
+        with NymixSession(seed=1, cloud_providers=False) as nx:
+            nym = nx.create_nym(name="a")
+            nx.boot_installed_os_nym("Windows 8")
+            nx.sanivm()
+        assert nx.hypervisor.vms() == []
+        events = [(e.name, dict(e.fields).get("vm")) for e in nx.obs.journal.events]
+        assert events[-3:] == [
+            ("vm.destroyed", "hostos-windows-8-1"),
+            ("vm.destroyed", "sanivm"),
+            ("session.closed", None),
+        ]
+        journal = nx.obs.journal.export_jsonl()
+        now = nx.timeline.now
+        for late_boot in (
+            lambda: nx.boot_installed_os_nym("Windows 8"),
+            nx.sanivm,
+            lambda: nx.mount_host_filesystem("host", Layer("host")),
+            lambda: nx.transfer_file_to_nym("host", "/a.txt", nym),
+        ):
+            with pytest.raises(NymStateError):
+                late_boot()
+        assert nx.hypervisor.vms() == []
+        assert nx.timeline.now == now
+        assert nx.obs.journal.export_jsonl() == journal
+
+    def test_a_closed_session_leaves_no_cycle(self):
+        # A session that stored a browsed nym to the cloud and loaded it
+        # back is freed by reference counting alone once closed.
+        def closed_session():
+            with NymixSession(seed=3) as nx:
+                nx.create_cloud_account("dropbox.com", "u", "cloud-pw")
+                nym = nx.create_nym(name="a")
+                nx.timed_browse(nym, "bbc.co.uk")
+                nx.store_nym(
+                    nym, password="pw",
+                    provider_host="dropbox.com", account_username="u",
+                )
+                nx.discard_nym(nym)
+                nx.load_nym("a", "pw")
+
+        closed_session()  # first-use work outside the count
+        gc.collect()
+        gc.disable()
+        try:
+            closed_session()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_cloud_providers_optional(self):
         with NymixSession(seed=7, cloud_providers=False) as nx:

@@ -1,9 +1,11 @@
 """The Nym Manager: lifecycle, phases, amnesia, per-nym isolation."""
 
+import gc
+
 import pytest
 
 from repro.core import NymManager, NymixConfig, NymUsageModel
-from repro.errors import NymError, NymStateError
+from repro.errors import AnonymizerError, NymError, NymStateError
 from repro.vmm.vm import MIB, VmSpec
 
 
@@ -49,6 +51,28 @@ class TestCreateNym:
         assert nymbox.anonymizer.kind == "tor+dissent"
         assert nymbox.anonymizer.started
 
+    @pytest.mark.parametrize(
+        "default, kind",
+        [
+            ("tor", "carrier-pigeon"),
+            ("tor", "tor+carrier-pigeon"),
+            ("tor", "stegotorus:carrier-pigeon"),
+            ("carrier-pigeon", None),
+        ],
+        ids=["bare", "composed", "camouflaged", "config-default"],
+    )
+    def test_an_unknown_kind_is_refused_before_any_vm(self, default, kind):
+        manager = NymManager(NymixConfig(seed=7, default_anonymizer=default))
+        journal = manager.obs.journal.export_jsonl()
+        now = manager.timeline.now
+        with pytest.raises(AnonymizerError, match="unknown anonymizer 'carrier-pigeon'"):
+            manager.create_nym(name="x", anonymizer=kind)
+        assert manager.hypervisor.vms() == []
+        assert manager.obs.journal.export_jsonl() == journal
+        assert manager.timeline.now == now
+        # Nothing was left behind, so the name is free for a good kind.
+        assert manager.create_nym(name="x", anonymizer="tor").anonymizer.started
+
     def test_custom_specs(self, manager):
         nymbox = manager.create_nym(name="big", anon_spec=VmSpec.anonvm(ram_bytes=1024 * MIB))
         assert nymbox.anonvm.spec.ram_bytes == 1024 * MIB
@@ -57,6 +81,19 @@ class TestCreateNym:
         a = manager.create_nym()
         b = manager.create_nym()
         assert a.nym.name != b.nym.name
+
+
+    def test_a_dropped_manager_leaves_no_cycle(self):
+        # The host's DHCP handshake drops its NICs' handlers, whose owners
+        # hold the NICs, so reference counting alone frees a manager.
+        NymManager(NymixConfig(seed=1))  # first-use work outside the count
+        gc.collect()
+        gc.disable()
+        try:
+            NymManager(NymixConfig(seed=1))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBrowsing:

@@ -191,11 +191,12 @@ def test_every_export_is_its_defining_modules_object(first):
      "repro.mixnet.client"],
 )
 def test_a_mixnet_module_imports_first_in_a_fresh_interpreter(module):
-    # repro.anonymizers registers "mixnet" by importing repro.mixnet.client,
-    # which imports repro.anonymizers.base: entered from the mixnet side,
-    # that cycle must not find the client half-built.
+    # The mixnet client builds on repro.anonymizers.base, and nothing in
+    # repro.anonymizers imports the mixnet back: whichever side comes
+    # first, no import finds the other half-built.
     fresh_interpreter(
         f"import {module}\n"
-        "from repro.anonymizers import ANONYMIZER_REGISTRY\n"
-        "assert 'mixnet' in ANONYMIZER_REGISTRY\n"
+        "from repro.anonymizers.base import Anonymizer\n"
+        "from repro.mixnet import MixnetClient\n"
+        "assert issubclass(MixnetClient, Anonymizer)\n"
     )

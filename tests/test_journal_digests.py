@@ -8,7 +8,9 @@ runs cold-booted (``COLD_BOOT`` in ``tests/seed_oracles.py``): that is
 the gate that a flash clone journals the same bytes as a cold boot.  The
 browse/store cases drive a seed-7 ``NymixSession`` through browsing and
 the §3.5 store and load, and also pin the sealed blob and the stored
-files, which the fleet and tenancy journals never touch.  The sharded
+files, which the fleet and tenancy journals never touch.  The
+host-capture case pins every entry the §5.1 host capture records in a
+seed-7 session over every transport spelling.  The sharded
 case pins a crash-injected ``fleet --shards`` run's combined journal and
 metrics spools under both executors.  The output cases pin what
 ``repro trace --json`` and ``repro stats --json`` print: the span tree
@@ -25,6 +27,7 @@ says so in CHANGES.md.  Any other digest change is a regression.
 """
 
 import hashlib
+from dataclasses import astuple
 
 import pytest
 
@@ -169,6 +172,44 @@ def _browse_store_load(cache_limit):
 def test_browse_store_load_matches_recorded_digests(case):
     cache_limit, blob, files, journal = BROWSE_STORE_CASES[case]
     assert _browse_store_load(cache_limit) == (blob, files, journal)
+
+
+#: The §5.1 host capture of a seed-7 session (the DHCP handshake, every
+#: transport's directory fetch and uplink flows, the cloud round trip)
+#: and its journal: (capture, journal) sha256.
+HOST_CAPTURE = (
+    "5f9e3d1a48fc6e74cb8b535dac82622c1a2b420c94605071088c214d52d6e13d",
+    "0d95c7d93a5b4242a822c829bbc0bd3b8e5203a81eb3075e675a50723efa7e7c",
+)
+
+#: One nym of each browses once after the Tor nym's store and load.
+CAPTURE_KINDS = (
+    "mixnet", "incognito", "dissent", "sweet", "stegotorus:mixnet", "tor+dissent",
+)
+
+
+def test_host_capture_matches_recorded_digests():
+    with NymixSession(seed=7) as nx:
+        nx.create_cloud_account("dropbox.com", "anon991", "cloud-pw")
+        nymbox = nx.create_nym(name="alice", anonymizer="tor")
+        for site in ("bbc.co.uk", "slashdot.org"):
+            nx.timed_browse(nymbox, site)
+        nx.store_nym(
+            nymbox, password="pw", provider_host="dropbox.com",
+            account_username="anon991",
+        )
+        nx.discard_nym(nymbox)
+        nx.timed_browse(nx.load_nym("alice", "pw"), "espn.com")
+        for kind in CAPTURE_KINDS:
+            nx.timed_browse(nx.create_nym(anonymizer=kind), "bbc.co.uk")
+        capture = hashlib.sha256()
+        for entry in nx.hypervisor.host_capture.entries:
+            # All seven fields, in capture order; repr keeps float times exact.
+            capture.update(repr(astuple(entry)).encode() + b"\n")
+        journal = nx.obs.journal.export_jsonl().encode()
+    assert (
+        capture.hexdigest(), hashlib.sha256(journal).hexdigest()
+    ) == HOST_CAPTURE
 
 
 #: ``repro`` stdout pinned byte for byte: the sim-time span tree (which
