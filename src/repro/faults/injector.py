@@ -43,12 +43,22 @@ class FaultInjector:
         self._obs = timeline.obs
         self._tenancy = timeline.tenancy
         self.plan = FaultPlan(())
-        self.manager = None
+        self._manager: Optional[weakref.ref] = None
         self.injected: List[dict] = []
         self._inline: Dict[str, List[FaultSpec]] = {}
         self.armed = False
 
     # -- arming ---------------------------------------------------------------
+
+    @property
+    def manager(self):
+        """The handle timed faults find victims through, or ``None``.
+
+        Held weakly: the manager holds its timeline, which holds this
+        injector, so a strong reference would make an armed manager a
+        reference cycle.  Whoever arms the plan keeps the manager alive.
+        """
+        return None if self._manager is None else self._manager()
 
     def arm(self, plan: FaultPlan, manager=None) -> "FaultInjector":
         """Schedule ``plan`` (times relative to now).  ``manager`` is the
@@ -58,7 +68,8 @@ class FaultInjector:
             raise SimulationError("fault injector is already armed")
         self.armed = True
         self.plan = plan
-        self.manager = manager
+        if manager is not None:
+            self._manager = weakref.ref(manager)
         events = self._events()
         for spec in plan:
             events.schedule_in(spec.at_s, lambda s=spec: self._fire(s))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     FleetCapacityError,
@@ -31,7 +31,7 @@ from repro.errors import (
     TenantRateLimitError,
 )
 from repro.faults.retry import RetryPolicy, retry_call
-from repro.fleet.host import HostHandle
+from repro.fleet.host import ColonyIndex, HostHandle
 from repro.fleet.placement import PlacementPolicy, make_policy
 from repro.net.internet import Internet
 from repro.obs.metrics import Counter, Gauge
@@ -211,13 +211,16 @@ class Fleet:
         # (admits, calm) verdict of just those hosts.  The host-ordered
         # admissible and calm lists are rebuilt only when a verdict flips.
         self._host_order: List[HostHandle] = []
-        self._stale_hosts: Dict[str, HostHandle] = {}
+        # Stale host ids (the values are None): every hypervisor's
+        # listener holds this dict, so it names hosts rather than holding
+        # them, or each host would be a reference cycle.
+        self._stale_hosts: Dict[str, None] = {}
         self._verdicts: Dict[str, Tuple[bool, bool]] = {}
         self._admissible: List[HostHandle] = []
         self._calm: List[HostHandle] = []
         # image -> hosts with a resident of that image, kept by every
         # host's add/pop_resident (see HostHandle.colonies).
-        self._colonies: Dict[str, Set[HostHandle]] = {}
+        self._colonies = ColonyIndex()
         self.add_hosts(hosts, announce=False)
 
         self.nymboxes: Dict[str, FleetNymbox] = {}
@@ -275,7 +278,7 @@ class Fleet:
             # The listener fires on every guest mutation, so it is one
             # C-level dict store rather than a Python-level call.
             hv.set_accounting_listener(
-                functools.partial(operator.setitem, self._stale_hosts, host_id, handle)
+                functools.partial(operator.setitem, self._stale_hosts, host_id, None)
             )
             self.hosts[host_id] = handle
             self._host_order.append(handle)
@@ -330,7 +333,7 @@ class Fleet:
 
     def _mark_stale(self, host: HostHandle) -> None:
         """Queue ``host`` for a fresh admission verdict."""
-        self._stale_hosts[host.host_id] = host
+        self._stale_hosts[host.host_id] = None
 
     def _verdict(self, host: HostHandle) -> Tuple[bool, bool]:
         """``(admits, calm)`` for one more nymbox on ``host``."""
@@ -370,11 +373,12 @@ class Fleet:
         """
         if self._stale_hosts:
             # Clear in place: every hypervisor's listener holds this dict.
-            stale = list(self._stale_hosts.items())
+            stale = list(self._stale_hosts)
             self._stale_hosts.clear()
+            hosts = self.hosts
             flipped = False
-            for host_id, host in stale:
-                verdict = self._verdict(host)
+            for host_id in stale:
+                verdict = self._verdict(hosts[host_id])
                 if self._verdicts.get(host_id) != verdict:
                     self._verdicts[host_id] = verdict
                     flipped = True

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Set
 
 from repro.vmm.hypervisor import Hypervisor, MemorySnapshot
+
+
+class ColonyIndex(dict):
+    """image -> hosts running at least one nym of it (its colonies).
+
+    A fleet owns one and its hosts share it.  Its sets hold the hosts, so
+    a host holds the index only weakly, which a plain ``dict`` does not
+    allow; that is all this subclass adds.
+    """
 
 
 class HostHandle:
@@ -27,7 +37,7 @@ class HostHandle:
         self,
         host_id: str,
         hypervisor: Hypervisor,
-        colonies: Dict[str, Set["HostHandle"]],
+        colonies: ColonyIndex,
     ) -> None:
         self.host_id = host_id
         self.hypervisor = hypervisor
@@ -45,10 +55,14 @@ class HostHandle:
         # Per-image resident counts, maintained by add/pop_resident so
         # KsmAware placement never walks the resident dict per score.
         self._image_counts: Dict[str, int] = {}
-        #: image -> hosts running at least one nym of it (its colonies):
-        #: the fleet's index, shared by all its hosts and kept by their
-        #: add/pop_resident, so KsmAware placement asks only the colonies.
-        self.colonies = colonies
+        self._colonies = weakref.ref(colonies)
+
+    @property
+    def colonies(self) -> ColonyIndex:
+        """image -> hosts running at least one nym of it (its colonies):
+        the fleet's index, shared by all its hosts and kept by their
+        add/pop_resident, so KsmAware placement asks only the colonies."""
+        return self._colonies()
 
     # -- capacity ------------------------------------------------------------
 
@@ -90,7 +104,7 @@ class HostHandle:
         image = box.image_id
         count = self._image_counts.get(image, 0)
         if not count:
-            self.colonies.setdefault(image, set()).add(self)
+            self._colonies().setdefault(image, set()).add(self)
         self._image_counts[image] = count + 1
 
     def pop_resident(self, name: str) -> Optional["FleetNymbox"]:  # noqa: F821
@@ -102,10 +116,11 @@ class HostHandle:
                 self._image_counts[image] = remaining
             else:
                 del self._image_counts[image]
-                hosts = self.colonies[image]
+                colonies = self._colonies()
+                hosts = colonies[image]
                 hosts.discard(self)
                 if not hosts:
-                    del self.colonies[image]
+                    del colonies[image]
         return box
 
     def images(self) -> Set[str]:

@@ -59,6 +59,7 @@ spool; the coordinator merges them into its own ``metrics.jsonl``.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -294,11 +295,20 @@ class FleetShard:
         return self._report(self.fleet.stats())
 
     def barrier(self, epoch: int) -> BarrierReport:
-        """The rendezvous: snapshot metrics, flush both spools, report.
+        """The rendezvous: snapshot metrics, flush both spools, report,
+        then freeze the heap.
 
         Called once per epoch, at the end of the ``epoch`` op that
         :func:`apply` serves in process or in the owning worker; either
         way the spool bytes come out identical.
+
+        The closing ``gc.freeze()`` moves every object the process holds
+        into the collector's permanent generation, in O(1), so no later
+        collection walks the resident nyms again.  That is safe because
+        the fleet makes no reference cycles: reference counting alone
+        frees a frozen object that dies (pinned by the ``gc.collect() ==
+        0`` tests).  The freeze is process-wide; :meth:`close_spools`
+        undoes it.
         """
         stats = self.fleet.stats()
         self.metrics.record(
@@ -309,13 +319,24 @@ class FleetShard:
             **stats.export(),
         )
         self.flush_spools()
-        return self._report(stats)
+        report = self._report(stats)
+        gc.freeze()
+        return report
 
     def flush_spools(self) -> None:
         self.journal.flush()
         self.metrics.flush()
 
     def close_spools(self) -> None:
+        """Seal both spools and hand every frozen object back to the
+        collector (``gc.unfreeze()``).
+
+        Every run ends here, completed, stopped or failed, so a cycle that
+        some other code left before a barrier is collected again after
+        it.  The unfreeze is process-wide too: it also undoes a caller's
+        own ``gc.freeze()``.
+        """
+        gc.unfreeze()
         self.journal.close_spool()
         self.metrics.close_spool()
 

@@ -11,8 +11,8 @@ why Figure 3 shows shared pages growing between the "before" and "after"
 measurements of each nym.
 
 Accounting is incremental: per image, the index sums each ``(lo, hi)``
-block run's multiplicity over every registered guest.  A guest's dirty
-listener only queues that guest; ``stats()`` folds each queued guest's
+block run's multiplicity over every registered guest.  A guest's
+mutation only queues that guest; ``stats()`` folds each queued guest's
 change into the sums and re-sweeps only the images whose runs changed,
 so a ksmd wakeup or an admission check costs O(what changed), not
 O(guests).
@@ -132,7 +132,7 @@ class Ksm:
         if guest not in self._guests:
             self._guests[guest] = _NOTHING
             self._total_pages += guest.total_pages
-            guest.add_dirty_listener(self._guest_changed)
+            guest.set_scanner(self)
             self._queued[guest] = None
             self._bump_version()
 
@@ -140,12 +140,13 @@ class Ksm:
         folded = self._guests.pop(guest, None)
         if folded is not None:
             self._total_pages -= guest.total_pages
-            guest.remove_dirty_listener(self._guest_changed)
+            guest.set_scanner(None)
             self._queued.pop(guest, None)
             self._fold(folded, _NOTHING)
             self._bump_version()
 
-    def _guest_changed(self, guest: GuestMemory) -> None:
+    def guest_changed(self, guest: GuestMemory) -> None:
+        """Queue ``guest``, which a registered guest calls on every mutation."""
         # Runs on every guest mutation, so the version bump is inlined.
         self._queued[guest] = None
         self.version += 1

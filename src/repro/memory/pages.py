@@ -2,13 +2,14 @@
 
 Accounting is O(groups), not O(pages): a gigabyte of privately dirtied
 memory is one ``("unique", owner, lo, hi)`` run, not 262k dict entries.
-Every mutation bumps :attr:`GuestMemory.dirty_epoch` and tells the dirty
-listeners which guest changed, which lets the KSM scanner fold just that
+Every mutation bumps :attr:`GuestMemory.dirty_epoch` and tells the
+guest's KSM scanner which guest changed, which lets it fold just that
 guest into its cross-guest index instead of re-walking every guest.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -60,6 +61,11 @@ def unique_tag(owner_id: str, serial: int) -> ContentTag:
 def unique_range_tag(owner_id: str, lo: int, hi: int) -> ContentTag:
     """Tag for the privately dirtied serial run [lo, hi)."""
     return ("unique", owner_id, lo, hi)
+
+
+def _unscanned() -> None:
+    """The scanner reference of a guest no KSM scanner merges."""
+    return None
 
 
 def is_mergeable(tag: ContentTag) -> bool:
@@ -137,22 +143,24 @@ class GuestMemory:
         #: Content runs are shared with a template (or clone) and must be
         #: copied before the first in-place mutation.
         self._cow_shared = False
-        self._dirty_listeners: List = []
+        self._scanner = _unscanned
 
-    # -- dirty listeners ---------------------------------------------------
+    # -- the KSM scanner ---------------------------------------------------
 
-    def add_dirty_listener(self, callback) -> None:
-        """Call ``callback(guest)`` after every mutation of this guest."""
-        self._dirty_listeners.append(callback)
+    def set_scanner(self, ksm) -> None:
+        """Call ``ksm.guest_changed(guest)`` after every mutation of this
+        guest; ``None`` stops it.
 
-    def remove_dirty_listener(self, callback) -> None:
-        if callback in self._dirty_listeners:
-            self._dirty_listeners.remove(callback)
+        Held weakly: the scanner holds this guest, so a strong reference
+        back would make every merged guest a reference cycle.
+        """
+        self._scanner = _unscanned if ksm is None else weakref.ref(ksm)
 
     def _bump_epoch(self) -> None:
         self.dirty_epoch += 1
-        for callback in self._dirty_listeners:
-            callback(self)
+        ksm = self._scanner()
+        if ksm is not None:
+            ksm.guest_changed(self)
 
     # -- introspection -----------------------------------------------------
 
@@ -232,8 +240,9 @@ class GuestMemory:
         self._unique_pages = template._unique_pages
         self._unique_serial = template._unique_serial
         self.dirty_epoch = template.dirty_epoch
-        for callback in self._dirty_listeners:
-            callback(self)
+        ksm = self._scanner()
+        if ksm is not None:
+            ksm.guest_changed(self)
 
     def clone(self, owner_id: str) -> "GuestMemory":
         """A new guest sharing this guest's content runs copy-on-write."""

@@ -8,6 +8,7 @@ propagation latency; taps (packet captures) may observe both directions.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 from repro.errors import NetworkError
@@ -34,8 +35,10 @@ class VirtualWire:
         self.timeline = timeline
         self.name = name or f"wire({a.name}<->{b.name})"
         self.latency_s = latency_s
-        self._a = a
-        self._b = b
+        # Each attached NIC holds this wire, so the wire holds its NICs
+        # only weakly: strong both ways, every wire is a reference cycle.
+        self._a = weakref.ref(a)
+        self._b = weakref.ref(b)
         self._taps: List[object] = []
         self._up = True
         a.attach(self)
@@ -47,7 +50,7 @@ class VirtualWire:
 
     @property
     def endpoints(self) -> tuple:
-        return (self._a, self._b)
+        return (self._a(), self._b())
 
     @property
     def up(self) -> bool:
@@ -56,15 +59,17 @@ class VirtualWire:
     def take_down(self) -> None:
         """Sever the wire (nym teardown)."""
         self._up = False
-        self._a.detach()
-        self._b.detach()
+        for nic in self.endpoints:
+            if nic is not None:
+                nic.detach()
 
     def bring_up(self) -> None:
         """Restore a downed wire: both NICs re-attach and frames flow again."""
         if self._up:
             return
-        self._a.attach(self)
-        self._b.attach(self)
+        for nic in self.endpoints:
+            if nic is not None:
+                nic.attach(self)
         self._up = True
         self.timeline.obs.event("net.link.up", wire=self.name)
 
@@ -93,10 +98,11 @@ class VirtualWire:
             sender.dropped_frames += 1
             self._obs_dropped.inc()
             return
-        if sender is self._a:
-            receiver: Optional[VirtualNic] = self._b
-        elif sender is self._b:
-            receiver = self._a
+        a = self._a()
+        if sender is a:
+            receiver: Optional[VirtualNic] = self._b()
+        elif sender is self._b():
+            receiver = a
         else:
             raise NetworkError(f"{sender!r} is not an endpoint of {self.name}")
         self._obs_frames.inc()

@@ -74,6 +74,30 @@ class NymboxTemplate:
     image_id: str = NYMIX_IMAGE_ID
 
 
+class FsTally:
+    """Writable-FS bytes across one hypervisor's resident VMs.
+
+    Each VM's writable top layer reports its used-byte deltas to
+    :meth:`add`, so a memory snapshot reads one integer instead of
+    summing the VMs.  The tally holds the count and the accounting
+    listener, never the hypervisor: a layer that reached the hypervisor
+    would make every live VM a reference cycle.
+    """
+
+    __slots__ = ("bytes", "listener")
+
+    def __init__(self) -> None:
+        self.bytes = 0
+        #: Called with no arguments after every delta (see
+        #: :meth:`Hypervisor.set_accounting_listener`).
+        self.listener = None
+
+    def add(self, delta: int) -> None:
+        self.bytes += delta
+        if self.listener is not None:
+            self.listener()
+
+
 @dataclass(frozen=True)
 class MemorySnapshot:
     """One Figure 3 measurement point."""
@@ -139,10 +163,9 @@ class Hypervisor:
         self._vm_counter = itertools.count(1)
         self.emergency_halted = False
         self.tamper_log: List[str] = []
-        # Writable-FS bytes across all resident VMs, maintained by delta
-        # listeners on each VM's top layer — keeps memory_snapshot() O(1).
-        self._fs_ram_bytes = 0
-        self._accounting_listener = None
+        # Writable-FS bytes across all resident VMs, fed by each VM's top
+        # layer — keeps memory_snapshot() O(1).
+        self._fs = FsTally()
 
         #: Flash-clone launch path: pre-booted memory images per (spec,
         #: image) and shared read-only mount layers per (role, anonymizer,
@@ -301,16 +324,11 @@ class Hypervisor:
         )
         self._vms[vm_id] = vm
         if vm.fs.writable:
-            self._fs_ram_bytes += vm.fs.top.used_bytes
-            vm.fs.top.set_delta_listener(self._on_fs_delta)
+            self._fs.bytes += vm.fs.top.used_bytes
+            vm.fs.top.set_delta_listener(self._fs.add)
         self._instruments.created.inc()
         self._instruments.vms_live.set(len(self._vms))
         return vm
-
-    def _on_fs_delta(self, delta: int) -> None:
-        self._fs_ram_bytes += delta
-        if self._accounting_listener is not None:
-            self._accounting_listener()
 
     def destroy_vm(self, vm: VirtualMachine) -> None:
         """Shut down and securely erase a VM (the amnesia step of §3.4)."""
@@ -318,10 +336,10 @@ class Hypervisor:
             vm.shutdown()
         vm.fs.discard_changes()
         if vm.fs.writable:
-            # discard_changes cleared the top layer (the listener saw the
+            # discard_changes cleared the top layer (the tally saw the
             # delta); stop tracking it and drop any residual bytes.
             vm.fs.top.set_delta_listener(None)
-            self._fs_ram_bytes -= vm.fs.top.used_bytes
+            self._fs.bytes -= vm.fs.top.used_bytes
         # O(nics), not O(host wires): each registered wire is indexed by
         # its endpoint NICs, so a fleet-scale teardown no longer rescans
         # every wire on the host per destroyed VM.
@@ -468,23 +486,24 @@ class Hypervisor:
         guest registration), and writable-FS bytes — callers (the fleet's
         :class:`HostHandle`) cache snapshots keyed on it.
         """
-        return (self.memory._allocated_pages, self.ksm.version, self._fs_ram_bytes)
+        return (self.memory._allocated_pages, self.ksm.version, self._fs.bytes)
 
     def set_accounting_listener(self, callback) -> None:
         """Call ``callback()`` after every change to :meth:`accounting_token`.
 
-        KSM reports its version bumps and the writable-FS delta listener
-        reports FS bytes.  Guest allocations need no hook of their own:
-        every allocation or release (un)registers a KSM guest, which bumps
-        the version.  ``None`` detaches the listener.
+        KSM reports its version bumps and the FS tally reports FS bytes.
+        Guest allocations need no hook of their own: every allocation or
+        release (un)registers a KSM guest, which bumps the version.
+        ``None`` detaches the listener.  Both hold ``callback``, so it must
+        not reach this hypervisor, or every host is a reference cycle.
         """
-        self._accounting_listener = callback
+        self._fs.listener = callback
         self.ksm.change_listener = callback
 
     def memory_snapshot(self) -> MemorySnapshot:
         stats = self.memory.stats()
         ksm_stats = self.ksm.stats()
-        fs_bytes = self._fs_ram_bytes
+        fs_bytes = self._fs.bytes
         return MemorySnapshot(
             used_bytes=stats.used_bytes + fs_bytes,
             guest_ram_bytes=stats.guest_allocated_bytes,

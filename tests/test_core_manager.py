@@ -1,12 +1,12 @@
 """The Nym Manager: lifecycle, phases, amnesia, per-nym isolation."""
 
-import gc
-
 import pytest
 
 from repro.core import NymManager, NymixConfig, NymUsageModel
 from repro.errors import AnonymizerError, NymError, NymStateError
 from repro.vmm.vm import MIB, VmSpec
+
+from tests.gc_counts import cyclic_garbage
 
 
 class TestCreateNym:
@@ -86,14 +86,7 @@ class TestCreateNym:
     def test_a_dropped_manager_leaves_no_cycle(self):
         # The host's DHCP handshake drops its NICs' handlers, whose owners
         # hold the NICs, so reference counting alone frees a manager.
-        NymManager(NymixConfig(seed=1))  # first-use work outside the count
-        gc.collect()
-        gc.disable()
-        try:
-            NymManager(NymixConfig(seed=1))
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        assert cyclic_garbage(lambda: NymManager(NymixConfig(seed=1))) == 0
 
 
 class TestBrowsing:

@@ -1,9 +1,8 @@
 """repro.faults: retry/backoff machinery, fault plans, and the injector."""
 
-import gc
-
 import pytest
 
+from repro.api import NymixSession
 from repro.errors import (
     CircuitError,
     NetworkError,
@@ -19,6 +18,8 @@ from repro.faults import (
     retry_call,
 )
 from repro.sim import Timeline
+
+from tests.gc_counts import cyclic_garbage
 
 
 @pytest.fixture
@@ -223,14 +224,24 @@ class TestInjector:
                 FaultPlan([FaultSpec(at_s=10.0, kind="cloud.upload")])
             )
 
-        dropped_timeline_with_an_armed_plan()  # first-use work outside the count
-        gc.collect()
-        gc.disable()
-        try:
-            dropped_timeline_with_an_armed_plan()
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        assert cyclic_garbage(dropped_timeline_with_an_armed_plan) == 0
+
+    def test_a_session_armed_as_its_own_manager_leaves_no_cycle(self):
+        # The injector holds its manager only weakly, so a session armed
+        # with itself as the manager of a timed plan closes no cycle
+        # (injector -> manager -> timeline -> injector).
+        def dropped_armed_session():
+            nx = NymixSession(seed=1)
+            injector = nx.timeline.faults.arm(
+                FaultPlan([
+                    FaultSpec(at_s=10.0, kind="vmm.crash"),
+                    FaultSpec(at_s=20.0, kind="cloud.upload"),
+                ]),
+                nx,
+            )
+            assert injector.manager is nx
+
+        assert cyclic_garbage(dropped_armed_session) == 0
 
     def test_double_arm_rejected(self, timeline):
         timeline.faults.arm(FaultPlan([]))

@@ -15,6 +15,8 @@ from repro.tenancy.policy import FleetPolicies
 from repro.vmm.hypervisor import HostSpec
 from repro.vmm.vm import MIB
 
+from tests.gc_counts import cyclic_garbage
+
 GIB = 1024 * MIB
 
 #: Small hosts: RAM admits ~6 nymboxes, the 0.9 watermark ~4.
@@ -138,6 +140,19 @@ class TestResidency:
             for image in ("img-0", "img-1")
         }
         self._assert_images_match_residents(fleet)
+
+    @pytest.mark.parametrize("residents", [0, 6])
+    def test_a_dropped_fleet_leaves_no_cycle(self, residents):
+        # Hosts hold the colony index weakly, and each hypervisor's
+        # accounting listener names its host rather than holding it, so
+        # reference counting alone frees a fleet, with residents or not.
+        def dropped_fleet():
+            fleet = make_fleet(hosts=2, policy="ksm-aware")
+            for i in range(residents):
+                fleet.place(f"n{i}", f"img-{i % 2}")
+            assert len(fleet._colonies) == min(residents, 2)
+
+        assert cyclic_garbage(dropped_fleet) == 0
 
 
 class TestAdmissionAndWatermarks:

@@ -12,6 +12,7 @@ tests pin the three invariants the scale path promises:
   uninterrupted run.
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -29,6 +30,8 @@ from repro.fleet.shard import (
     resume_sharded_fleet,
     run_sharded_fleet,
 )
+
+from tests.gc_counts import cyclic_garbage
 
 CFG = dict(
     seed=7, shards=3, hosts_per_shard=4, nyms=90, host_crashes=2, epoch_s=15.0
@@ -425,3 +428,80 @@ class TestStandaloneShard:
         assert shard.done
         assert placed == len(shard.arrivals)
         assert shard.timeline.now >= config.epoch_s * 50
+
+
+#: Seed 7, 2 shards x 4 hosts, 200 nyms, 2 host crashes, 30 s epochs:
+#: crash evacuations, pressure evacuations and 20 parked nyms.
+CRASH_PARK_CFG = dict(
+    seed=7, shards=2, hosts_per_shard=4, nyms=200, host_crashes=2, epoch_s=30.0
+)
+
+
+class TestGarbageCollection:
+    """Each barrier freezes the heap and the run's close unfreezes it,
+    which is safe only because a run makes no reference cycles: reference
+    counting alone frees everything a closed run drops."""
+
+    @pytest.mark.parametrize(
+        "config, procs",
+        [
+            (dict(seed=1, shards=2, hosts_per_shard=2, nyms=20), 1),
+            (CRASH_PARK_CFG, 1),
+            (CRASH_PARK_CFG, 2),  # the coordinator's side of the pipes
+        ],
+        ids=["2x2-hosts", "crash-park", "crash-park-procs-2"],
+    )
+    def test_a_closed_run_leaves_no_cycle(self, tmp_path, config, procs):
+        def closed_run():
+            run_sharded_fleet(
+                ShardConfig(**config), str(tmp_path / "spool"), procs=procs
+            )
+            assert gc.get_freeze_count() == 0
+
+        assert cyclic_garbage(closed_run) == 0
+
+    def test_a_barrier_freezes_until_the_close(self, tmp_path):
+        gc.unfreeze()
+        sharded = ShardedFleet(ShardConfig(**KILL_CFG), str(tmp_path / "spool"))
+        assert gc.get_freeze_count() == 0
+        assert not sharded.run(stop_after_epoch=1).completed
+        assert gc.get_freeze_count() > 0
+        sharded.run()
+        sharded.close()
+        assert gc.get_freeze_count() == 0
+
+    def test_a_stopped_run_is_unfrozen_when_sealed(self, tmp_path):
+        gc.unfreeze()
+        partial = run_sharded_fleet(
+            ShardConfig(**KILL_CFG), str(tmp_path / "spool"), stop_after_epoch=2
+        )
+        assert not partial.completed
+        assert gc.get_freeze_count() == 0
+
+    def test_a_failed_build_leaves_nothing_frozen(self, tmp_path):
+        # Shard 0 builds, shard 1's spool path is taken by a directory.
+        spool = tmp_path / "spool"
+        (spool / "shard-01.jsonl").mkdir(parents=True)
+        gc.freeze()  # a caller's own freeze: the run's close undoes it too
+        with pytest.raises(IsADirectoryError):
+            ShardedFleet(ShardConfig(**KILL_CFG), str(spool))
+        assert gc.get_freeze_count() == 0
+
+    def test_repeated_runs_keep_memory_bounded(self, tmp_path):
+        # With the collector on, as in production: a cycle that survived
+        # into a run would be frozen by the next run's barriers and only
+        # reach the collector again at that run's close, so each run
+        # would leave about one run's garbage more than the last.
+        def live_objects_after_a_run():
+            merged = run_sharded_fleet(
+                ShardConfig(**CRASH_PARK_CFG), str(tmp_path / "spool")
+            ).merged
+            assert merged["host_crashes"] == 2
+            assert merged["evacuations"] > merged["nyms_parked"] > 0
+            return len(gc.get_objects()) + gc.get_freeze_count()
+
+        gc.unfreeze()
+        gc.collect()
+        first = live_objects_after_a_run()
+        later = [live_objects_after_a_run() for _ in range(4)]
+        assert max(later) - first < 500, (first, later)

@@ -1,11 +1,11 @@
 """Tests for the discrete-event simulation kernel."""
 
-import gc
-
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Clock, EventQueue, Timeline
+
+from tests.gc_counts import cyclic_garbage
 
 
 class TestClock:
@@ -300,16 +300,10 @@ class TestTimeline:
         pending callbacks (a staged tenancy boundary, an armed fault plan)
         hold their queue weakly too; tests/test_tenancy.py and
         tests/test_faults.py pin those."""
-        Timeline(seed=1)  # any first-use import happens outside the count
-        gc.collect()
-        gc.disable()
-        try:
-            timeline = Timeline(seed=1)
-            timeline.after(5.0, lambda: None)
-            del timeline
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        def dropped_timeline_with_a_pending_event():
+            Timeline(seed=1).after(5.0, lambda: None)
+
+        assert cyclic_garbage(dropped_timeline_with_a_pending_event) == 0
         timeline = Timeline(seed=1)
         event = timeline.after(5.0, lambda: None)
         del timeline

@@ -6,8 +6,6 @@ of (state, now, cost); and registry mutations reconcile at deterministic
 sim-time boundaries so same-seed runs stay byte-identical.
 """
 
-import gc
-
 import pytest
 
 from repro.api import NymixSession
@@ -32,6 +30,8 @@ from repro.tenancy.policy import (
     tenant_from_dict,
 )
 from repro.tenancy.registry import REASON_QUOTA, REASON_RATE, TenantRegistry
+
+from tests.gc_counts import cyclic_garbage
 
 MIB = 1024 * 1024
 
@@ -234,16 +234,10 @@ class TestRegistryLifecycle:
         # The registry and the unarmed fault injector keep the clock,
         # queue and sink, not their timeline, so reference counting alone
         # frees a timeline.
-        Timeline(seed=1)  # any first-use import happens outside the count
-        gc.collect()
-        gc.disable()
-        try:
-            timeline = Timeline(seed=1)
-            assert not timeline.faults.armed
-            del timeline
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        def dropped_timeline():
+            assert not Timeline(seed=1).faults.armed
+
+        assert cyclic_garbage(dropped_timeline) == 0
 
     def test_a_staged_commit_leaves_no_cycle(self):
         # The registry keeps the boundary's time, not its event, and
@@ -253,14 +247,7 @@ class TestRegistryLifecycle:
             timeline = Timeline(seed=1)
             timeline.tenancy.commit(TenantPolicy("a"))
 
-        dropped_timeline_with_a_staged_commit()  # first-use work outside the count
-        gc.collect()
-        gc.disable()
-        try:
-            dropped_timeline_with_a_staged_commit()
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        assert cyclic_garbage(dropped_timeline_with_a_staged_commit) == 0
 
     def test_apply_initial_takes_effect_immediately(self):
         timeline = Timeline(seed=1)
