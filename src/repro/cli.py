@@ -440,6 +440,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     """One sharded run, compared under every placement policy, or
     ``--resume DIR`` to finish a killed one."""
     from repro.fleet.scenario import resume_fleet_sharded, run_fleet_sharded
+    from repro.fleet.shard import ShardConfig
 
     procs = 1 if args.procs is None else args.procs
     if procs < 0:
@@ -494,7 +495,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         shards, hosts, nyms = args.shards, args.hosts, args.nyms
         if args.quick:
             shards, hosts, nyms = min(shards, 2), min(hosts, 8), min(nyms, 60)
-        report = run_fleet_sharded(
+        config = ShardConfig(
             seed=effective_seed(args),
             shards=shards,
             # ShardConfig rejects fewer than one shard, or than one host
@@ -504,6 +505,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             policy=args.policy,
             epoch_s=args.epoch_s,
             host_crashes=args.host_crashes,
+        )
+        report = run_fleet_sharded(
+            config,
             compare=not args.no_compare,
             spool_dir=args.spool_dir,
             checkpoint_dir=args.checkpoint_dir,

@@ -22,6 +22,23 @@ def _pad16_tail(length: int) -> bytes:
     return b"\x00" * ((16 - length % 16) % 16)
 
 
+def aead_tag(otk: bytes, ciphertext: bytes, aad: bytes) -> bytes:
+    """The RFC 8439 AEAD tag of ``aad`` and ``ciphertext`` under the
+    Poly1305 one-time key ``otk``.
+
+    Streams the aad || pad || ciphertext || pad || lengths framing
+    through the MAC instead of concatenating a copy of the (possibly
+    multi-megabyte) ciphertext just to authenticate it.
+    """
+    mac = Poly1305(otk)
+    mac.update(aad)
+    mac.update(_pad16_tail(len(aad)))
+    mac.update(ciphertext)
+    mac.update(_pad16_tail(len(ciphertext)))
+    mac.update(struct.pack("<QQ", len(aad), len(ciphertext)))
+    return mac.tag()
+
+
 class ChaCha20Poly1305:
     """AEAD cipher: confidentiality + integrity for nym state and cells."""
 
@@ -35,17 +52,7 @@ class ChaCha20Poly1305:
         self._key = key
 
     def _tag(self, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
-        otk = chacha20_block(self._key, 0, nonce)[:32]
-        # Stream the aad || ciphertext || lengths framing through the MAC
-        # instead of concatenating a copy of the (possibly multi-megabyte)
-        # ciphertext just to authenticate it.
-        mac = Poly1305(otk)
-        mac.update(aad)
-        mac.update(_pad16_tail(len(aad)))
-        mac.update(ciphertext)
-        mac.update(_pad16_tail(len(ciphertext)))
-        mac.update(struct.pack("<QQ", len(aad), len(ciphertext)))
-        return mac.tag()
+        return aead_tag(chacha20_block(self._key, 0, nonce)[:32], ciphertext, aad)
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Return ``ciphertext || 16-byte tag``."""

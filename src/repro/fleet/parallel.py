@@ -16,8 +16,7 @@ a :class:`~repro.fleet.shard.BarrierReport`)::
     ("build",    shard_id, (config, spool, metrics, arrivals))   -> report
     ("epoch",    shard_id, (epoch_end, epoch, crashes))  -> (crashed, report)
     ("report",   shard_id, None)                                 -> report
-    ("close",    shard_id, None)                                 -> None
-    ("shutdown", -1,       None)                   -> None, then the worker exits
+    ("shutdown", -1,       None)   -> None, once every spool is flushed; exit
 
 ``epoch`` is the only per-epoch op: the shard runs the epoch, crashes
 as many hosts as the coordinator planned, runs its barrier, and replies
@@ -42,9 +41,10 @@ offsets from the barrier's reports, and resume replays the run from its
 config under whichever executor it is given.  A worker that dies mid-run
 surfaces as :class:`~repro.errors.ShardWorkerError` naming the shard and
 the last completed barrier; the run stays resumable from its last
-checkpoint.  Once a worker has flushed every spool and acknowledged
-"shutdown", it leaves with ``os._exit(0)``: unwinding its shard heaps
-would only make the coordinator wait.
+checkpoint.  ``shutdown`` is how every run ends, completed, stopped or
+failed (:meth:`WorkerPool.shutdown`): once a worker has flushed every
+spool and acknowledged it, the worker leaves with ``os._exit(0)``, since
+unwinding its shard heaps would only make the coordinator wait.
 
 Spawn (never fork) keeps workers honest: each child starts from a fresh
 interpreter, so the process-global caches (flash-clone page templates,
@@ -188,7 +188,13 @@ class WorkerPool:
     # -- teardown -------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Orderly teardown: flush-and-exit every worker, then reap."""
+        """Orderly teardown: flush-and-exit every worker, then reap.
+
+        Safe after a failure too: a dead worker's pipe is skipped, a
+        reply still in flight is read in place of the acknowledgement,
+        and :meth:`_reap` kills a worker that does not exit.  Calling it
+        again does nothing.
+        """
         for conn in self._conns:
             try:
                 conn.send(("shutdown", -1, None))
@@ -202,7 +208,8 @@ class WorkerPool:
         self._reap()
 
     def terminate(self) -> None:
-        """Hard teardown after a failure: no protocol, just kill and reap."""
+        """Hard teardown of a pool that could not start every worker: no
+        protocol, since a worker that never started would never answer."""
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()

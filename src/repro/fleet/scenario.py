@@ -153,13 +153,7 @@ class ShardedFleetReport:
 
 
 def run_fleet_sharded(
-    seed: int = 0,
-    shards: int = 4,
-    hosts_per_shard: int = 16,
-    nyms: int = 2000,
-    policy: str = "ksm-aware",
-    epoch_s: float = 120.0,
-    host_crashes: int = 0,
+    config: ShardConfig,
     compare: bool = True,
     spool_dir: str = "fleet-spool",
     checkpoint_dir: Optional[str] = None,
@@ -171,13 +165,13 @@ def run_fleet_sharded(
 ) -> ShardedFleetReport:
     """The scenario behind ``repro fleet``.
 
-    Runs one sharded fleet under ``policy`` (optionally checkpointing
+    Runs one sharded fleet of ``config`` (optionally checkpointing
     every epoch and optionally stopping early for the kill half of
     kill/resume).  If that run completes and ``compare`` is set, the
     same config runs again under each other registered policy, in a
     temporary spool directory removed afterwards, for the savings
-    table.  If ``scale_counts`` is given, the same seed and nym count
-    are replayed across those shard counts to chart the capacity
+    table.  If ``scale_counts`` is given, the same config is replayed,
+    crash-free, across those shard counts to chart the capacity
     trajectory.  ``procs`` spreads the shards of every run over that
     many spawned OS workers (an executor choice only — the journal
     bytes are identical at any value); the trajectory then charts every
@@ -185,10 +179,6 @@ def run_fleet_sharded(
     BENCH_fleet.json carries the measured serial-vs-parallel curve, not
     a claim.
     """
-    config = ShardConfig(
-        seed=seed, shards=shards, hosts_per_shard=hosts_per_shard, nyms=nyms,
-        policy=policy, epoch_s=epoch_s, host_crashes=host_crashes,
-    )
     start = time.perf_counter()
     result = run_sharded_fleet(
         config, spool_dir,
@@ -201,7 +191,7 @@ def run_fleet_sharded(
     if compare and result.completed:
         with tempfile.TemporaryDirectory(prefix="fleet-compare-") as root:
             for other in sorted(PLACEMENT_POLICIES):
-                if other != policy:
+                if other != config.policy:
                     rerun = run_sharded_fleet(
                         replace(config, policy=other),
                         os.path.join(root, other), procs=procs,
@@ -209,9 +199,8 @@ def run_fleet_sharded(
                     report.compared.append({"policy": other, **rerun.merged})
     if scale_counts:
         report.trajectory = scale_trajectory(
-            seed=seed, nyms=nyms, shard_counts=scale_counts,
-            hosts_per_shard=hosts_per_shard, policy=policy, epoch_s=epoch_s,
-            spool_root=spool_dir + "-scale", procs_counts=sorted({1, procs}),
+            config, scale_counts, spool_root=spool_dir + "-scale",
+            procs_counts=sorted({1, procs}),
         )
     return _write_outputs(report, journal_path, out_path)
 
@@ -273,20 +262,17 @@ def bench_environment(procs: int = 1) -> Dict[str, object]:
 
 
 def scale_trajectory(
-    seed: int,
-    nyms: int,
+    config: ShardConfig,
     shard_counts: List[int],
-    hosts_per_shard: int = 16,
-    policy: str = "ksm-aware",
-    epoch_s: float = 120.0,
     spool_root: str = "fleet-spool-scale",
     procs_counts: Optional[List[int]] = None,
 ) -> List[Dict[str, object]]:
-    """One trajectory point per (shard count, worker count), same seed.
+    """One trajectory point per (shard count, worker count) of ``config``.
 
-    Records what the scale section of BENCH_fleet.json is for: the max
-    sustainable nyms/host and the wall-clock arrivals/sec at each shard
-    count, so the scale-out curve is a measured artifact, not a claim.
+    Each point runs ``config`` at that shard count with no host crashes,
+    and records what the scale section of BENCH_fleet.json is for: the
+    max sustainable nyms/host and the wall-clock arrivals/sec, so the
+    scale-out curve is a measured artifact, not a claim.
     ``procs_counts`` adds the executor dimension — each shard count is
     replayed under each worker count (capped at the shard count, since
     extra workers would idle), and every point carries its ``procs`` and
@@ -300,17 +286,12 @@ def scale_trajectory(
                 procs_counts or [1]
             ):
                 continue  # the capped point already exists; don't duplicate
-            config = ShardConfig(
-                seed=seed, shards=count, hosts_per_shard=hosts_per_shard,
-                nyms=nyms, policy=policy, epoch_s=epoch_s,
-            )
+            point = replace(config, shards=count, host_crashes=0)
             spool_dir = os.path.join(
                 spool_root, f"shards-{count:02d}-procs-{effective_procs:02d}"
             )
             start = time.perf_counter()
-            result = run_sharded_fleet(
-                config, spool_dir, procs=effective_procs
-            )
+            result = run_sharded_fleet(point, spool_dir, procs=effective_procs)
             wall = time.perf_counter() - start
             merged = result.merged
             hosts_up = merged["hosts_up"] or 1
@@ -319,13 +300,15 @@ def scale_trajectory(
                     "shards": count,
                     "procs": effective_procs,
                     "environment": bench_environment(effective_procs),
-                    "hosts": count * hosts_per_shard,
-                    "nyms": nyms,
+                    "hosts": count * config.hosts_per_shard,
+                    "nyms": config.nyms,
                     "epochs": result.epochs,
                     "nyms_resident": merged["nyms_resident"],
                     "rejected": result.rejected,
                     "nyms_per_host": round(merged["nyms_resident"] / hosts_up, 2),
-                    "arrivals_per_sec": round(nyms / wall, 1) if wall > 0 else 0.0,
+                    "arrivals_per_sec": (
+                        round(config.nyms / wall, 1) if wall > 0 else 0.0
+                    ),
                     "wall_seconds": round(wall, 3),
                     "journal_events": result.journal_events,
                 }

@@ -65,7 +65,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import FleetCapacityError, FleetError, ShardWorkerError
+from repro.errors import FleetCapacityError, FleetError
 from repro.fleet.fleet import Fleet, FleetStats
 from repro.fleet.placement import PLACEMENT_POLICIES, make_policy
 from repro.obs.journal import EventJournal
@@ -331,10 +331,11 @@ class FleetShard:
         """Seal both spools and hand every frozen object back to the
         collector (``gc.unfreeze()``).
 
-        Every run ends here, completed, stopped or failed, so a cycle that
-        some other code left before a barrier is collected again after
-        it.  The unfreeze is process-wide too: it also undoes a caller's
-        own ``gc.freeze()``.
+        The teardown of every in-process run ends here, completed,
+        stopped or failed, so a cycle that some other code left before a
+        barrier is collected again after it.  The unfreeze is
+        process-wide too: it also undoes a caller's own ``gc.freeze()``.
+        A worker needs neither: it flushes its spools and exits.
         """
         gc.unfreeze()
         self.journal.close_spool()
@@ -359,7 +360,9 @@ def apply(shard: FleetShard, op: str, payload) -> object:
     its hosts, and runs its barrier, replying ``(crashed_hosts,
     BarrierReport)``.  The coordinator works out the crash directives
     before it dispatches the epoch, so every shard goes from one
-    barrier to the next without waiting on another.
+    barrier to the next without waiting on another.  ``report`` has no
+    side effects.  Ending a run is no op: it is each transport's
+    ``shutdown``.
     """
     if op == "epoch":
         epoch_end, epoch, crashes = payload
@@ -368,9 +371,6 @@ def apply(shard: FleetShard, op: str, payload) -> object:
         return crashed, shard.barrier(epoch)
     if op == "report":
         return shard.report()
-    if op == "close":
-        shard.close_spools()
-        return None
     raise FleetError(f"unknown shard op {op!r}")
 
 
@@ -380,7 +380,7 @@ class InProcessShards:
     :meth:`call` applies an op to each shard in shard-id order.  Its
     parallel twin, :class:`repro.fleet.parallel.WorkerPool`, ships the
     same ops to spawned workers, which apply them with the same
-    :func:`apply`.
+    :func:`apply`.  Either ends with its :meth:`shutdown`.
     """
 
     def __init__(self, payloads: List[object]) -> None:
@@ -389,7 +389,7 @@ class InProcessShards:
             for shard_id, payload in enumerate(payloads):
                 self.shards.append(open_shard(shard_id, payload))
         except BaseException:
-            self.call("close", [None] * len(self.shards))
+            self.shutdown()
             raise
 
     def call(self, op: str, payloads: List[object]) -> List[object]:
@@ -397,6 +397,11 @@ class InProcessShards:
             apply(shard, op, payload)
             for shard, payload in zip(self.shards, payloads)
         ]
+
+    def shutdown(self) -> None:
+        """Close every shard's spools, which also ends the heap freeze."""
+        for shard in self.shards:
+            shard.close_spools()
 
 
 @dataclass
@@ -440,6 +445,23 @@ def _last_arrival_time(per_shard: List[List[Tuple[float, NymArrival]]]) -> float
     )
 
 
+#: The :class:`FleetStats` fields the coordinator sums over its shards.
+_MERGED_STATS = (
+    "hosts_up", "nyms_resident", "nyms_parked", "placements", "evacuations",
+    "host_crashes", "used_bytes", "total_bytes", "ksm_saved_bytes",
+)
+
+
+def _merged(reports: List[BarrierReport]) -> Dict[str, object]:
+    """The shards' summed accounting, plus their summed rejections."""
+    totals: Dict[str, object] = {
+        name: sum(getattr(report.stats, name) for report in reports)
+        for name in _MERGED_STATS
+    }
+    totals["rejected"] = sum(report.rejected for report in reports)
+    return totals
+
+
 class ShardedFleet:
     """The coordinator: shards in lock-step over coarse epoch barriers.
 
@@ -450,6 +472,9 @@ class ShardedFleet:
     of the :class:`BarrierReport` stream, which is identical in both
     modes.  The coordinator keeps the last barrier's reports, so an
     epoch costs each shard one ``epoch`` op and nothing else.
+
+    A run ends in one place, :meth:`shutdown`, which the ``with`` block,
+    :meth:`close`, a failed build and a failed resume all call.
     """
 
     def __init__(
@@ -469,6 +494,7 @@ class ShardedFleet:
             os.makedirs(self.checkpoint_dir, exist_ok=True)
         self.epoch = 0
         self._pool = None
+        self._shards = None
         self._crash_plan = self._plan_crashes()
         # The coordinator's own journal: merged accounting per barrier,
         # streamed like every shard's.  The metrics journal carries the
@@ -494,23 +520,19 @@ class ShardedFleet:
             ]
             if self.procs == 1:
                 self._shards = InProcessShards(payloads)
-                self._reports = self._call("report")
+                self._reports = self._shards.call("report", [None] * len(payloads))
             else:
                 from repro.fleet.parallel import WorkerPool
 
                 self._pool = self._shards = WorkerPool(self.procs, len(payloads))
                 self._reports = self._pool.call("build", payloads)
         except BaseException:
-            self._abort()
+            self.shutdown()
             raise
         self._coord_journal.record(
             "coord.created", shards=config.shards, nyms=config.nyms,
             hosts=config.shards * config.hosts_per_shard, policy=config.policy,
         )
-
-    def _call(self, op: str) -> List[object]:
-        """Send a payload-free op to every shard."""
-        return self._shards.call(op, [None] * self.config.shards)
 
     @property
     def shards(self) -> List[FleetShard]:
@@ -590,17 +612,9 @@ class ShardedFleet:
 
         A worker process dying mid-epoch surfaces as
         :class:`~repro.errors.ShardWorkerError` naming the shard and the
-        last completed barrier; the surviving workers are torn down, the
-        coordinator spools are flushed and closed, and the run stays
-        resumable from its last checkpoint.
+        last completed barrier; the run stays resumable from its last
+        checkpoint, and :meth:`shutdown` ends what is left of it.
         """
-        try:
-            return self._run_epochs(stop_after_epoch)
-        except ShardWorkerError:
-            self._abort()
-            raise
-
-    def _run_epochs(self, stop_after_epoch: Optional[int]) -> ShardedRunResult:
         barriers = 0
         while not self.done:
             self.epoch += 1
@@ -633,10 +647,22 @@ class ShardedFleet:
         return self._result(completed=True)
 
     def _barrier(self, epoch_end: float, reports: List[BarrierReport]) -> None:
-        """Rendezvous: keep the shards' reports, merge, record, flush."""
+        """Rendezvous: keep the shards' reports, record each and their
+        merge, flush."""
         self._reports = reports
         self._coord_clock.advance_to(epoch_end)
-        merged = self._merged_from(reports, record_per_shard=True)
+        for report in reports:
+            stats = report.stats
+            self._coord_journal.record(
+                "coord.shard_epoch", epoch=self.epoch, shard=report.shard_id,
+                placed=report.placed,
+                rejected=report.rejected,
+                resident=stats.nyms_resident,
+                used_bytes=stats.used_bytes,
+                ksm_saved_bytes=stats.ksm_saved_bytes,
+                events=report.journal_events,
+            )
+        merged = _merged(reports)
         self._coord_journal.record("coord.epoch_merged", epoch=self.epoch, **merged)
         self._coord_metrics.record(
             "coord.metrics", epoch=self.epoch, shards=len(reports), **merged
@@ -646,42 +672,9 @@ class ShardedFleet:
         if self._pool is not None:
             self._pool.last_barrier = self.epoch
 
-    def _merged_from(
-        self, reports: List[BarrierReport], record_per_shard: bool = False
-    ) -> Dict[str, object]:
-        totals = {
-            "hosts_up": 0, "nyms_resident": 0, "nyms_parked": 0,
-            "placements": 0, "evacuations": 0, "host_crashes": 0,
-            "used_bytes": 0, "total_bytes": 0, "ksm_saved_bytes": 0,
-            "rejected": 0,
-        }
-        for report in reports:
-            stats = report.stats
-            if record_per_shard:
-                self._coord_journal.record(
-                    "coord.shard_epoch", epoch=self.epoch, shard=report.shard_id,
-                    placed=report.placed,
-                    rejected=report.rejected,
-                    resident=stats.nyms_resident,
-                    used_bytes=stats.used_bytes,
-                    ksm_saved_bytes=stats.ksm_saved_bytes,
-                    events=report.journal_events,
-                )
-            totals["hosts_up"] += stats.hosts_up
-            totals["nyms_resident"] += stats.nyms_resident
-            totals["nyms_parked"] += stats.nyms_parked
-            totals["placements"] += stats.placements
-            totals["evacuations"] += stats.evacuations
-            totals["host_crashes"] += stats.host_crashes
-            totals["used_bytes"] += stats.used_bytes
-            totals["total_bytes"] += stats.total_bytes
-            totals["ksm_saved_bytes"] += stats.ksm_saved_bytes
-            totals["rejected"] += report.rejected
-        return totals
-
     def _result(self, completed: bool) -> ShardedRunResult:
         reports = self._reports
-        merged = self._merged_from(reports)
+        merged = _merged(reports)
         shard_stats = []
         for report in reports:
             shard_stats.append(
@@ -708,53 +701,38 @@ class ShardedFleet:
         )
 
     def close(self) -> None:
-        """Record the terminal merged event and seal every spool."""
-        merged = self._merged_from(self._reports)
+        """Record the terminal merged event, then end the run."""
+        merged = _merged(self._reports)
         self._coord_journal.record(
             "coord.run_complete", epochs=self.epoch,
             nyms_resident=merged["nyms_resident"],
             ksm_saved_bytes=merged["ksm_saved_bytes"],
             rejected=merged["rejected"],
         )
-        self._seal()
-
-    def _seal(self) -> None:
-        """Close every spool, then tear down the workers."""
-        self._call("close")
-        self._coord_journal.close_spool()
-        self._coord_metrics.close_spool()
         self.shutdown()
 
-    def _release(self) -> None:
-        """A run or a resume failed: close what it left open.
-
-        In-process shards seal every spool, as a stopped run does.  A
-        worker pool takes no further op, since it may have failed or
-        have replies in flight: :meth:`_abort` kills it and seals the
-        coordinator's spools (each worker flushed its own at its last
-        barrier).
-        """
-        if self.procs == 1:
-            self._seal()
-        else:
-            self._abort()
-
     def shutdown(self) -> None:
-        """Tear down worker processes, if any (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """End the run, however far it got: the one teardown.
 
-    def _abort(self) -> None:
-        """A build or a worker failed: seal the coordinator's spools and
-        kill every worker."""
+        Closes the coordinator's two spools, then ends the shards.  In
+        process, each shard closes its spools, which also ends the heap
+        freeze.  A worker pool shuts down: each worker flushes its spools
+        and exits, and a worker that does not is killed.  A stopped run
+        ends here without ``coord.run_complete``, which only
+        :meth:`close` records.  Calling it again is harmless.
+        """
         try:
             self._coord_journal.close_spool()
             self._coord_metrics.close_spool()
         finally:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool = None
+            if self._shards is not None:
+                self._shards.shutdown()
+
+    def __enter__(self) -> "ShardedFleet":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
     # -- combined journal ----------------------------------------------------
 
@@ -842,7 +820,7 @@ class ShardedFleet:
             for path, offset in offsets.items():
                 _check_replayed_spool(path, offset)
         except BaseException:
-            sharded._release()
+            sharded.shutdown()
             raise
         for path in offsets:
             os.remove(path + _RECORDED)
@@ -864,37 +842,28 @@ def run_sharded_fleet(
     stop_after_epoch: Optional[int] = None,
     procs: int = 1,
 ) -> ShardedRunResult:
-    """One-shot driver: build, run (possibly partially), seal spools."""
-    sharded = ShardedFleet(
+    """One-shot driver: build, run (possibly partially), end the run.
+
+    Only a completed run records ``coord.run_complete``: the resume of a
+    stopped one writes it.
+    """
+    with ShardedFleet(
         config, spool_dir, checkpoint_dir=checkpoint_dir, procs=procs
-    )
-    return _run_to_stop(sharded, stop_after_epoch)
+    ) as sharded:
+        result = sharded.run(stop_after_epoch=stop_after_epoch)
+        if result.completed:
+            sharded.close()
+    return result
 
 
 def resume_sharded_fleet(
     checkpoint_dir: str, procs: int = 1
 ) -> Tuple[ShardedFleet, ShardedRunResult]:
-    """Resume from ``checkpoint_dir`` and run to completion."""
-    sharded = ShardedFleet.resume(checkpoint_dir, procs=procs)
-    return sharded, _run_to_stop(sharded, None)
-
-
-def _run_to_stop(
-    sharded: ShardedFleet, stop_after_epoch: Optional[int]
-) -> ShardedRunResult:
-    """Run ``sharded`` and seal its spools; only a completed run records
-    ``coord.run_complete``, since a resumed run writes it for one
-    stopped early."""
-    try:
-        result = sharded.run(stop_after_epoch=stop_after_epoch)
-    except BaseException:
-        sharded._release()
-        raise
-    if result.completed:
+    """Resume from ``checkpoint_dir``, run to completion, end the run."""
+    with ShardedFleet.resume(checkpoint_dir, procs=procs) as sharded:
+        result = sharded.run()
         sharded.close()
-    else:
-        sharded._seal()
-    return result
+    return sharded, result
 
 
 def _read_manifest(checkpoint_dir: str) -> Tuple[ShardConfig, Dict[str, object]]:

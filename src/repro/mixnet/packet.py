@@ -43,7 +43,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.aead import _pad16_tail
+from repro.crypto.aead import aead_tag
 from repro.crypto.chacha20 import (
     chacha20_keystream,
     chacha20_keystreams,
@@ -52,7 +52,7 @@ from repro.crypto.chacha20 import (
     xor_bytes,
 )
 from repro.crypto.kdf import hkdf
-from repro.crypto.poly1305 import Poly1305, constant_time_equal
+from repro.crypto.poly1305 import constant_time_equal
 from repro.crypto.x25519 import x25519, x25519_keypair
 from repro.errors import AuthenticationError, MixnetError
 from repro.runtime import ProcessCache
@@ -201,22 +201,11 @@ def open_body(body: bytes) -> bytes:
     return body[start : start + length]
 
 
-def _stream_tag(otk: bytes, ciphertext: bytes, aad: bytes) -> bytes:
-    """RFC 8439 AEAD tag from a precomputed one-time key (exact framing)."""
-    mac = Poly1305(otk)
-    mac.update(aad)
-    mac.update(_pad16_tail(len(aad)))
-    mac.update(ciphertext)
-    mac.update(_pad16_tail(len(ciphertext)))
-    mac.update(struct.pack("<QQ", len(aad), len(ciphertext)))
-    return mac.tag()
-
-
 def _seal(key: bytes, plaintext: bytes, aad: bytes) -> bytes:
     """``ChaCha20Poly1305(key).encrypt(_NONCE, ...)`` via the stream cache."""
     otk, stream = _stream_entry(key, len(plaintext))
     ciphertext = xor_bytes(plaintext, stream[: len(plaintext)])
-    return ciphertext + _stream_tag(otk, ciphertext, aad)
+    return ciphertext + aead_tag(otk, ciphertext, aad)
 
 
 def _open(key: bytes, sealed: bytes, aad: bytes) -> bytes:
@@ -225,7 +214,7 @@ def _open(key: bytes, sealed: bytes, aad: bytes) -> bytes:
         raise AuthenticationError("ciphertext shorter than the AEAD tag")
     otk, stream = _stream_entry(key, len(sealed) - _TAG_BYTES)
     ciphertext, tag = sealed[:-_TAG_BYTES], sealed[-_TAG_BYTES:]
-    if not constant_time_equal(tag, _stream_tag(otk, ciphertext, aad)):
+    if not constant_time_equal(tag, aead_tag(otk, ciphertext, aad)):
         raise AuthenticationError("AEAD tag verification failed")
     return xor_bytes(ciphertext, stream[: len(ciphertext)])
 

@@ -9,7 +9,6 @@ allocates disk and RAM from its own stash of RAM").
 
 from repro.storage.block import BLOCK_SIZE, BlockDevice, RamDisk
 from repro.storage.image import BaseImage, CowOverlay
-from repro.storage.snapshot import DiskSnapshot
 
 __all__ = [
     "BLOCK_SIZE",
@@ -17,5 +16,4 @@ __all__ = [
     "RamDisk",
     "BaseImage",
     "CowOverlay",
-    "DiskSnapshot",
 ]

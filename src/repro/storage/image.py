@@ -75,10 +75,6 @@ class CowOverlay(BlockDevice):
     def dirty_blocks(self) -> int:
         return len(self._dirty)
 
-    def dirty_indices(self):
-        """Indices shadowing the base (including explicit zero writes)."""
-        return sorted(self._dirty)
-
     @property
     def used_bytes(self) -> int:
         """RAM consumed by the writable layer (what Figure 6 measures)."""

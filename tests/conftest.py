@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.cloud import make_dropbox, make_google_drive
@@ -9,6 +11,8 @@ from repro.core import NymManager, NymixConfig
 from repro.net.internet import Internet
 from repro.sim import SeededRng, Timeline
 from repro.vmm import Hypervisor
+
+from tests.gc_counts import frozen_objects
 
 
 @pytest.fixture
@@ -38,3 +42,16 @@ def manager() -> NymManager:
     m.add_cloud_provider(make_dropbox())
     m.add_cloud_provider(make_google_drive())
     return m
+
+
+@pytest.fixture(autouse=True)
+def no_frozen_heap():
+    """Fail a test that leaves the heap frozen: a sharded run it never
+    ended (a barrier's ``gc.freeze()`` lasts until the run's teardown).
+
+    Every test starts unfrozen, so one leak fails only its own test.
+    """
+    gc.unfreeze()
+    yield
+    frozen = frozen_objects()
+    assert frozen == 0, f"the test left {frozen} objects frozen"

@@ -10,6 +10,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet import Fleet, make_policy
 from repro.fleet.placement import PLACEMENT_POLICIES, PlacementPolicy
 from repro.fleet.scenario import run_fleet_sharded
+from repro.fleet.shard import ShardConfig
 from repro.sim.clock import Timeline
 from repro.tenancy.policy import FleetPolicies
 from repro.vmm.hypervisor import HostSpec
@@ -272,8 +273,9 @@ class TestScenario:
         journals = []
         for tag in ("a", "b"):
             path = tmp_path / f"{tag}.jsonl"
-            run_fleet_sharded(seed=7, shards=1, hosts_per_shard=4, nyms=16,
-                              policy="ksm-aware", host_crashes=1, compare=False,
+            config = ShardConfig(seed=7, shards=1, hosts_per_shard=4, nyms=16,
+                                 policy="ksm-aware", host_crashes=1)
+            run_fleet_sharded(config, compare=False,
                               spool_dir=str(tmp_path / f"spool-{tag}"),
                               journal_path=str(path), out_path=str(out))
             journals.append(path.read_bytes())
@@ -290,7 +292,8 @@ class TestScenario:
         scratch.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         report = run_fleet_sharded(
-            seed=7, shards=1, hosts_per_shard=8, nyms=60, host_crashes=2,
+            ShardConfig(seed=7, shards=1, hosts_per_shard=8, nyms=60,
+                        host_crashes=2),
             spool_dir=str(tmp_path / "spool"),
         )
         assert [p["policy"] for p in report.policies] == [
@@ -311,7 +314,8 @@ class TestScenario:
         # Enough nyms that no single host can hold a whole image colony:
         # only then does placement change what KSM can merge.
         report = run_fleet_sharded(
-            seed=7, shards=1, hosts_per_shard=4, nyms=96, host_crashes=2,
+            ShardConfig(seed=7, shards=1, hosts_per_shard=4, nyms=96,
+                        host_crashes=2),
             spool_dir=str(tmp_path / "spool"),
         )
         assert len({p["placements"] for p in report.policies}) == 1

@@ -44,6 +44,8 @@ from repro.fleet.shard import (
     run_sharded_fleet,
 )
 
+from tests.gc_counts import frozen_objects
+
 CFG = dict(
     seed=7, shards=3, hosts_per_shard=4, nyms=90, host_crashes=2, epoch_s=15.0
 )
@@ -168,6 +170,35 @@ class TestStoppedRun:
         assert b"coord.run_complete" not in (spool / "coordinator.jsonl").read_bytes()
 
     @pytest.mark.parametrize("procs", [1, 2])
+    def test_shutdown_alone_ends_a_stopped_run(self, tmp_path, procs):
+        # No close() and no with block: shutdown() by itself closes every
+        # spool, stops every worker and ends the heap freeze, and a
+        # second call changes nothing.
+        sharded = ShardedFleet(
+            ShardConfig(**CFG), str(tmp_path / "spool"), procs=procs
+        )
+        workers = list(sharded._pool._procs) if sharded._pool else []
+        assert not sharded.run(stop_after_epoch=1).completed
+        for _ in range(2):
+            sharded.shutdown()
+            journals = [sharded._coord_journal, sharded._coord_metrics]
+            if procs == 1:
+                journals += [
+                    journal for shard in sharded.shards
+                    for journal in (shard.journal, shard.metrics)
+                ]
+            assert all(journal._spool_handle.closed for journal in journals)
+            assert [worker.exitcode for worker in workers] == [0] * len(workers)
+            assert multiprocessing.active_children() == []
+            assert frozen_objects() == 0
+        for report in sharded._reports:
+            name = f"shard-{report.shard_id:02d}"
+            assert os.path.getsize(sharded._spool_path(name)) == report.spool_offset
+            assert os.path.getsize(sharded.metrics_path(name)) == (
+                report.metrics_offset
+            )
+
+    @pytest.mark.parametrize("procs", [1, 2])
     def test_refused_resume_leaves_no_spool_open(self, tmp_path, procs):
         # A resume that refuses an altered spool seals every spool it
         # replayed, in process and in its workers, before it raises.
@@ -226,6 +257,11 @@ class TestWorkerDeath:
         _, resumed = resume_sharded_fleet(ck, procs=2)
         assert resumed.completed
         assert combined_spool_bytes(resumed.spool_paths) == baseline
+        # The error's traceback holds this frame, and its cause's holds
+        # the pipe's unsent pickle: a memoryview over a BytesIO.  Left
+        # to the collector, that cycle finalizes the BytesIO before the
+        # view (a BufferError under -X dev; CPython 3.12.1 crashes).
+        excinfo = error = None
 
     def test_error_carries_shard_and_barrier_fields(self):
         error = ShardWorkerError("boom", shard_id=3, last_barrier=7)
@@ -359,6 +395,7 @@ class TestWorkerPoolProtocol:
             ]
         finally:
             pool.shutdown()
+            local.shutdown()
 
 
 class TestOneRoundTripPerEpoch:
@@ -375,11 +412,10 @@ class TestOneRoundTripPerEpoch:
         result = run_sharded_fleet(config, str(tmp_path / "count"), procs=2)
         assert result.completed
         # Construction builds each shard; after it, every epoch is one
-        # request per shard, and close seals each shard's spools.
+        # request per shard, and the pool's shutdown ends the run.
         assert Counter(sent) == {
             "build": config.shards,
             "epoch": config.shards * result.epochs,
-            "close": config.shards,
         }
 
     @pytest.mark.parametrize("procs", [1, 2])

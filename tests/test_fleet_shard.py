@@ -31,7 +31,7 @@ from repro.fleet.shard import (
     run_sharded_fleet,
 )
 
-from tests.gc_counts import cyclic_garbage
+from tests.gc_counts import cyclic_garbage, frozen_objects
 
 CFG = dict(
     seed=7, shards=3, hosts_per_shard=4, nyms=90, host_crashes=2, epoch_s=15.0
@@ -275,15 +275,15 @@ class TestKillResume:
 
         dir_b = str(tmp_path / "dirty")
         ck = str(tmp_path / "ck-dirty")
-        sharded = ShardedFleet(config, dir_b, checkpoint_dir=ck)
-        sharded.run(stop_after_epoch=1)
         # The "kill" lands mid-epoch-2: progress already flushed to the
         # spools, but no checkpoint taken, and every spool ends in a torn
         # half-line.  Resume must cut those bytes.
-        sharded.epoch += 1
-        for shard in sharded.shards:
-            shard.run_epoch(sharded.epoch * config.epoch_s)
-            shard.journal.flush()
+        with ShardedFleet(config, dir_b, checkpoint_dir=ck) as sharded:
+            sharded.run(stop_after_epoch=1)
+            sharded.epoch += 1
+            for shard in sharded.shards:
+                shard.run_epoch(sharded.epoch * config.epoch_s)
+                shard.journal.flush()
         for path in sharded.spool_paths() + sharded.metrics_paths():
             with open(path, "ab") as handle:
                 handle.write(b'{"event": "torn')
@@ -296,19 +296,22 @@ class TestKillResume:
         # Nothing of a shard is saved: the replay alone must bring back
         # its cursor, clock, RNG position, journal counts and placements.
         config = ShardConfig(**CFG)
-        sharded = ShardedFleet(
+        with ShardedFleet(
             config, str(tmp_path / "p"), checkpoint_dir=str(tmp_path / "p-ck")
-        )
-        sharded.run(stop_after_epoch=1)
-        resumed = ShardedFleet.resume(str(tmp_path / "p-ck"))
-        assert resumed.epoch == sharded.epoch == 1
-        assert resumed._reports == sharded._reports
-        for shard, replayed in zip(sharded.shards, resumed.shards):
-            assert replayed.cursor == shard.cursor
-            assert replayed.timeline.now == shard.timeline.now
-            assert len(replayed.journal) == len(shard.journal)
-            assert replayed.fleet.placements == shard.fleet.placements
-            assert replayed.timeline.rng.random() == shard.timeline.rng.random()
+        ) as sharded:
+            sharded.run(stop_after_epoch=1)
+            with ShardedFleet.resume(str(tmp_path / "p-ck")) as resumed:
+                assert resumed.epoch == sharded.epoch == 1
+                assert resumed._reports == sharded._reports
+                for shard, replayed in zip(sharded.shards, resumed.shards):
+                    assert replayed.cursor == shard.cursor
+                    assert replayed.timeline.now == shard.timeline.now
+                    assert len(replayed.journal) == len(shard.journal)
+                    assert replayed.fleet.placements == shard.fleet.placements
+                    assert (
+                        replayed.timeline.rng.random()
+                        == shard.timeline.rng.random()
+                    )
 
     def test_a_checkpoint_sends_no_shard_op(self, tmp_path, monkeypatch):
         # The manifest takes every offset from the barrier's reports, so
@@ -415,9 +418,9 @@ class TestKillResume:
         assert not list(spools.glob("*.recorded"))
 
     def test_checkpoint_without_dir_raises(self, tmp_path):
-        sharded = ShardedFleet(ShardConfig(**CFG), str(tmp_path / "nd"))
-        with pytest.raises(FleetError):
-            sharded.checkpoint()
+        with ShardedFleet(ShardConfig(**CFG), str(tmp_path / "nd")) as sharded:
+            with pytest.raises(FleetError):
+                sharded.checkpoint()
 
 
 class TestStandaloneShard:
@@ -425,6 +428,7 @@ class TestStandaloneShard:
         config = ShardConfig(**{**CFG, "host_crashes": 0})
         shard = FleetShard(config, 1, str(tmp_path / "solo.jsonl"))
         placed = shard.run_epoch(config.epoch_s * 50)
+        shard.close_spools()
         assert shard.done
         assert placed == len(shard.arrivals)
         assert shard.timeline.now >= config.epoch_s * 50
@@ -456,19 +460,19 @@ class TestGarbageCollection:
             run_sharded_fleet(
                 ShardConfig(**config), str(tmp_path / "spool"), procs=procs
             )
-            assert gc.get_freeze_count() == 0
+            assert frozen_objects() == 0
 
         assert cyclic_garbage(closed_run) == 0
 
     def test_a_barrier_freezes_until_the_close(self, tmp_path):
         gc.unfreeze()
         sharded = ShardedFleet(ShardConfig(**KILL_CFG), str(tmp_path / "spool"))
-        assert gc.get_freeze_count() == 0
+        assert frozen_objects() == 0
         assert not sharded.run(stop_after_epoch=1).completed
-        assert gc.get_freeze_count() > 0
+        assert frozen_objects() > 0
         sharded.run()
         sharded.close()
-        assert gc.get_freeze_count() == 0
+        assert frozen_objects() == 0
 
     def test_a_stopped_run_is_unfrozen_when_sealed(self, tmp_path):
         gc.unfreeze()
@@ -476,7 +480,7 @@ class TestGarbageCollection:
             ShardConfig(**KILL_CFG), str(tmp_path / "spool"), stop_after_epoch=2
         )
         assert not partial.completed
-        assert gc.get_freeze_count() == 0
+        assert frozen_objects() == 0
 
     def test_a_failed_build_leaves_nothing_frozen(self, tmp_path):
         # Shard 0 builds, shard 1's spool path is taken by a directory.
@@ -485,7 +489,7 @@ class TestGarbageCollection:
         gc.freeze()  # a caller's own freeze: the run's close undoes it too
         with pytest.raises(IsADirectoryError):
             ShardedFleet(ShardConfig(**KILL_CFG), str(spool))
-        assert gc.get_freeze_count() == 0
+        assert frozen_objects() == 0
 
     def test_repeated_runs_keep_memory_bounded(self, tmp_path):
         # With the collector on, as in production: a cycle that survived

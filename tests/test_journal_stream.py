@@ -36,6 +36,7 @@ class TestStreamedJournal:
         _fill(memory, 11, clock_a)
         _fill(streamed, 11, clock_b)
         assert streamed.export_jsonl() == memory.export_jsonl()
+        streamed.close_spool()
 
     def test_pre_stream_events_carry_into_the_spool(self, tmp_path):
         clock = Clock()
@@ -66,6 +67,7 @@ class TestStreamedJournal:
         _fill(journal, 100)
         assert len(journal.events) < 8
         assert len(journal) == 100
+        journal.close_spool()
 
     def test_count_stays_exact_across_flushes(self, tmp_path):
         clock = Clock()
@@ -77,12 +79,14 @@ class TestStreamedJournal:
         assert journal.count("scale") == 9
         assert journal.count("scale.tick") == 9
         assert journal.count("other") == 1
+        journal.close_spool()
 
     def test_double_stream_to_rejected(self, tmp_path):
         journal = EventJournal(Clock())
         journal.stream_to(tmp_path / "a.jsonl")
         with pytest.raises(ObservabilityError):
             journal.stream_to(tmp_path / "b.jsonl")
+        journal.close_spool()
 
     def test_a_spool_that_cannot_open_leaves_the_journal_in_memory(
         self, tmp_path
@@ -106,6 +110,7 @@ class TestStreamedJournal:
         _fill(journal, 6, clock)
         assert journal.write_jsonl(spool) == 6
         assert len(spool.read_text().splitlines()) == 6
+        journal.close_spool()
 
 
 class TestJournalResume:
@@ -165,3 +170,5 @@ class TestJournalResume:
         assert replay.spool_offset == journal.spool_offset
         record = replay.record("scale.tick", i=7, batch=1)
         assert record.seq == 7
+        journal.close_spool()
+        replay.close_spool()

@@ -233,6 +233,7 @@ class TestEventJournal:
         for index in range(10):
             journal.record("e", i=index)
         assert len(journal) == 10
+        journal.close_spool()
 
     def test_jsonl_round_trips(self, tmp_path):
         journal = EventJournal(Clock())

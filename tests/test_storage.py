@@ -1,10 +1,9 @@
-"""Block devices, base images, COW overlays, and disk snapshots."""
+"""Block devices, base images and COW overlays."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReadOnlyError, StorageError
-from repro.storage import BLOCK_SIZE, BaseImage, CowOverlay, DiskSnapshot, RamDisk
+from repro.storage import BLOCK_SIZE, BaseImage, CowOverlay, RamDisk
 
 
 def _block(byte):
@@ -131,53 +130,3 @@ class TestCowOverlay:
         overlay = CowOverlay(base)
         overlay.write_block(2, b"\x00" * BLOCK_SIZE)
         assert overlay.read_block(2) == b"\x00" * BLOCK_SIZE
-
-
-class TestDiskSnapshot:
-    def test_capture_and_apply(self):
-        overlay = CowOverlay(BaseImage("nymix", 16))
-        overlay.write_block(1, _block(0x11))
-        overlay.write_block(5, _block(0x55))
-        snapshot = DiskSnapshot.capture(overlay)
-        fresh = CowOverlay(BaseImage("nymix", 16))
-        snapshot.apply_to(fresh)
-        assert fresh.read_block(1) == _block(0x11)
-        assert fresh.read_block(5) == _block(0x55)
-        assert fresh.dirty_blocks == 2
-
-    def test_wire_roundtrip(self):
-        overlay = CowOverlay(BaseImage("nymix", 16))
-        overlay.write_block(3, _block(0x33))
-        snapshot = DiskSnapshot.capture(overlay)
-        parsed = DiskSnapshot.from_bytes(snapshot.to_bytes())
-        assert parsed.blocks == snapshot.blocks
-        assert parsed.block_count == snapshot.block_count
-
-    def test_uncompressed_roundtrip(self):
-        overlay = CowOverlay(BaseImage("nymix", 8))
-        overlay.write_block(0, _block(0x77))
-        snapshot = DiskSnapshot.capture(overlay)
-        parsed = DiskSnapshot.from_bytes(snapshot.to_bytes(compress=False))
-        assert parsed.blocks == snapshot.blocks
-
-    def test_geometry_mismatch_rejected(self):
-        overlay = CowOverlay(BaseImage("nymix", 16))
-        snapshot = DiskSnapshot.capture(overlay)
-        with pytest.raises(StorageError):
-            snapshot.apply_to(CowOverlay(BaseImage("nymix", 8)))
-
-    def test_garbage_rejected(self):
-        with pytest.raises(StorageError):
-            DiskSnapshot.from_bytes(b"garbage")
-
-    @given(st.dictionaries(st.integers(min_value=0, max_value=63), st.integers(0, 255), max_size=10))
-    @settings(max_examples=25)
-    def test_roundtrip_property(self, writes):
-        overlay = CowOverlay(BaseImage("nymix", 64))
-        for index, byte in writes.items():
-            overlay.write_block(index, _block(byte))
-        snapshot = DiskSnapshot.from_bytes(DiskSnapshot.capture(overlay).to_bytes())
-        fresh = CowOverlay(BaseImage("nymix", 64))
-        snapshot.apply_to(fresh)
-        for index, byte in writes.items():
-            assert fresh.read_block(index) == _block(byte)
