@@ -7,12 +7,13 @@ user password (PBKDF2 key derivation + random salt/nonce framing).
 
 from __future__ import annotations
 
+import hmac
 import struct
 from dataclasses import dataclass
 
 from repro.crypto.chacha20 import chacha20_block, chacha20_xor
 from repro.crypto.kdf import pbkdf2_sha256
-from repro.crypto.poly1305 import Poly1305, constant_time_equal
+from repro.crypto.poly1305 import Poly1305
 from repro.errors import AuthenticationError, CryptoError
 from repro.sim.rng import SeededRng
 
@@ -69,7 +70,7 @@ class ChaCha20Poly1305:
             raise AuthenticationError("ciphertext shorter than the AEAD tag")
         ciphertext, tag = sealed[: -self.TAG_SIZE], sealed[-self.TAG_SIZE :]
         expected = self._tag(nonce, ciphertext, aad)
-        if not constant_time_equal(tag, expected):
+        if not hmac.compare_digest(tag, expected):
             raise AuthenticationError("AEAD tag verification failed")
         return chacha20_xor(self._key, nonce, ciphertext, counter=1)
 

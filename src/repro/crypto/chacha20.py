@@ -8,13 +8,21 @@ Beyond the scalar block function there are three fast paths, all
 bit-identical to the scalar 20-round function (pinned by the test suite):
 
 * :func:`_chacha20_xor_vectorized` — all of one key's keystream blocks at
-  once via numpy uint32 lanes;
+  once via numpy uint32 lanes, XORed into the data in place;
 * :func:`chacha20_keystream` — raw keystream bytes, which the Tor layer
   caches per hop (this simulator's hop keys are single-use directions with
   a fixed nonce, so the stream never changes);
 * :func:`chacha20_combined_keystream` — the XOR of several keys' streams
   computed in one batched dispatch, which collapses whole-onion
   encryption into a single XOR.
+
+All three run :func:`_keystream_words_vectorized`: every (key, block)
+pair is one lane, lanes run key-major in tiles of ``_TILE_LANES``, and a
+tile is a ``(16, lanes)`` uint32 array whose 20 rounds run in place on
+the rows of the 4x4 state matrix (four words of every lane per op), with
+``out=`` ufuncs and one scratch row.  A tile stays cache-resident through
+its 80 steps, and each finished tile is transposed straight into the
+block-major output.
 """
 
 from __future__ import annotations
@@ -93,13 +101,82 @@ def chacha20_xor(key: bytes, nonce: bytes, data: bytes, counter: int = 0) -> byt
     return bytes(out)
 
 
+#: Lanes per tile.  The 20 rounds run in place on one (16, _TILE_LANES)
+#: uint32 tile (1 MiB) at a time, which stays cache-resident through all
+#: 80 quarter-round steps instead of streaming the whole state through
+#: memory once per step.
+_TILE_LANES = 16384
+
+_WORD_SHIFTS = {
+    count: (np.uint32(count), np.uint32(32 - count)) for count in (16, 12, 8, 7)
+}
+
+
+def _word_runs(dst: int, src: int):
+    """Word slices pairing word ``i + dst`` with word ``i + src`` (mod 4).
+
+    Returns ``((dst_words, src_words), ...)``, one pair per run of ``i``
+    in which neither index wraps past word 3.
+    """
+    runs = []
+    i = 0
+    while i < 4:
+        d, s = (i + dst) % 4, (i + src) % 4
+        n = min(4 - d, 4 - s, 4 - i)
+        runs.append((slice(d, d + n), slice(s, s + n)))
+        i += n
+    return tuple(runs)
+
+
+def _round_runs(a: int, b: int, c: int, d: int):
+    """Word runs of the steps ``a += b``, ``d ^= a``, ``c += d``,
+    ``b ^= c`` of a round whose quarter ``i`` takes word ``i + a`` of row
+    a, ``i + b`` of row b, and so on (mod 4)."""
+    return (_word_runs(a, b), _word_runs(d, a), _word_runs(c, d), _word_runs(b, c))
+
+
+# The state is a 4x4 matrix of words whose rows a, b, c, d are words
+# 0-3, 4-7, 8-11 and 12-15 of every lane.  A column round's quarters take
+# word i of each row, so each of its steps is one op on whole rows; a
+# diagonal round's take a[i], b[i+1], c[i+2], d[i+3], so each step runs
+# once per unwrapped run of words (two or three ops).
+_COLUMN_RUNS = _round_runs(0, 0, 0, 0)
+_DIAGONAL_RUNS = _round_runs(0, 1, 2, 3)
+
+
+def _apply(op, dst, src, runs) -> None:
+    for dst_words, src_words in runs:
+        view = dst[dst_words]
+        op(view, src[src_words], out=view)
+
+
+def _rotl(row, scratch, count: int) -> None:
+    left, right = _WORD_SHIFTS[count]
+    np.left_shift(row, left, out=scratch)
+    np.right_shift(row, right, out=row)
+    np.bitwise_or(row, scratch, out=row)
+
+
+def _round(a, b, c, d, scratch, runs) -> None:
+    """One column or diagonal round over rows ``a``-``d``, in place."""
+    ab, da, cd, bc = runs
+    for first, second in ((16, 12), (8, 7)):
+        _apply(np.add, a, b, ab)
+        _apply(np.bitwise_xor, d, a, da)
+        _rotl(d, scratch, first)
+        _apply(np.add, c, d, cd)
+        _apply(np.bitwise_xor, b, c, bc)
+        _rotl(b, scratch, second)
+
+
 def _keystream_words_vectorized(
     keys: Sequence[bytes], nonce: bytes, n_blocks: int, counter: int
 ):
     """20-round keystream for every (key, block) lane at once.
 
-    Returns a numpy uint32 array of shape ``(n_keys, n_blocks, 16)`` whose
-    words match :func:`chacha20_block` exactly.
+    Returns a numpy ``<u4`` array of shape ``(n_keys, n_blocks, 16)``
+    whose words match :func:`chacha20_block` exactly.  Lanes run key-major
+    in tiles of :data:`_TILE_LANES`; a tile may span several keys.
     """
     if counter + n_blocks - 1 > _MASK32:
         raise CryptoError("ChaCha20 counter overflow")
@@ -113,53 +190,55 @@ def _keystream_words_vectorized(
 
     n_keys = len(keys)
     lanes = n_keys * n_blocks
-    state = np.empty((16, lanes), dtype=np.uint32)
-    state[0:4] = np.array(_CONSTANTS, dtype=np.uint32)[:, None]
-    key_words = np.stack([np.frombuffer(key, dtype="<u4") for key in keys])
-    state[4:12] = np.repeat(key_words.T, n_blocks, axis=1)
-    counters = np.arange(counter, counter + n_blocks, dtype=np.uint64).astype(np.uint32)
-    state[12] = np.tile(counters, n_keys)
-    state[13:16] = np.frombuffer(nonce, dtype="<u4")[:, None]
-
-    x = state.copy()
-
-    def rotl(v, c):
-        return (v << np.uint32(c)) | (v >> np.uint32(32 - c))
-
-    def quarter(a, b, c, d):
-        x[a] += x[b]
-        x[d] = rotl(x[d] ^ x[a], 16)
-        x[c] += x[d]
-        x[b] = rotl(x[b] ^ x[c], 12)
-        x[a] += x[b]
-        x[d] = rotl(x[d] ^ x[a], 8)
-        x[c] += x[d]
-        x[b] = rotl(x[b] ^ x[c], 7)
-
-    with np.errstate(over="ignore"):
+    key_words = [np.frombuffer(key, dtype="<u4")[:, None] for key in keys]
+    out = np.empty((lanes, 16), dtype="<u4")
+    width = min(lanes, _TILE_LANES)
+    # A tile's starting state, its working state and one scratch row.
+    start = np.empty((16, width), dtype=np.uint32)
+    start[0:4] = np.array(_CONSTANTS, dtype=np.uint32)[:, None]
+    start[13:16] = np.frombuffer(nonce, dtype="<u4")[:, None]
+    state = np.empty_like(start)
+    scratch = np.empty((4, width), dtype=np.uint32)
+    for lo in range(0, lanes, _TILE_LANES):
+        hi = min(lo + _TILE_LANES, lanes)
+        n = hi - lo
+        # Key and counter words, one run of lanes per key in the tile.
+        for index in range(lo // n_blocks, (hi - 1) // n_blocks + 1):
+            first = max(lo, index * n_blocks)
+            last = min(hi, (index + 1) * n_blocks)
+            lanes_of_key = slice(first - lo, last - lo)
+            block = counter + first - index * n_blocks
+            start[4:12, lanes_of_key] = key_words[index]
+            start[12, lanes_of_key] = np.arange(
+                block, block + last - first, dtype=np.uint32
+            )
+        x = state[:, :n]
+        np.copyto(x, start[:, :n])
+        a, b, c, d = x[0:4], x[4:8], x[8:12], x[12:16]
+        tmp = scratch[:, :n]
         for _ in range(10):
-            quarter(0, 4, 8, 12)
-            quarter(1, 5, 9, 13)
-            quarter(2, 6, 10, 14)
-            quarter(3, 7, 11, 15)
-            quarter(0, 5, 10, 15)
-            quarter(1, 6, 11, 12)
-            quarter(2, 7, 8, 13)
-            quarter(3, 4, 9, 14)
-        x += state
+            _round(a, b, c, d, tmp, _COLUMN_RUNS)
+            _round(a, b, c, d, tmp, _DIAGONAL_RUNS)
+        np.add(x, start[:, :n], out=x)
+        out[lo:hi] = x.T
 
-    # (16, lanes) words -> (n_keys, n_blocks, 16), block-major per key.
-    return x.reshape(16, n_keys, n_blocks).transpose(1, 2, 0)
+    # (lanes, 16) words, block-major per key.
+    return out.reshape(n_keys, n_blocks, 16)
+
+
+def _stream_view(words, length: int):
+    """The first ``length`` little-endian bytes of a uint32 word array, as
+    a uint8 view (no copy unless the host is big-endian)."""
+    return words.astype("<u4", copy=False).reshape(-1).view(np.uint8)[:length]
 
 
 def _chacha20_xor_vectorized(key: bytes, nonce: bytes, data: bytes, counter: int) -> bytes:
-    """All keystream blocks at once via numpy uint32 lanes."""
+    """XOR ``data`` into its keystream in place, then copy out once."""
     n_blocks = (len(data) + 63) // 64
     words = _keystream_words_vectorized([key], nonce, n_blocks, counter)
-    keystream = words.astype("<u4").tobytes()[: len(data)]
-    buffer = np.frombuffer(data, dtype=np.uint8)
-    ks = np.frombuffer(keystream, dtype=np.uint8)
-    return (buffer ^ ks).tobytes()
+    stream = _stream_view(words, len(data))
+    np.bitwise_xor(stream, np.frombuffer(data, dtype=np.uint8), out=stream)
+    return stream.tobytes()
 
 
 def xor_bytes(data: bytes, keystream: bytes) -> bytes:
@@ -186,9 +265,8 @@ def chacha20_keystream(key: bytes, nonce: bytes, length: int, counter: int = 0) 
             chacha20_block(key, counter + index, nonce) for index in range(n_blocks)
         )
     else:
-        stream = _keystream_words_vectorized([key], nonce, n_blocks, counter).astype(
-            "<u4"
-        ).tobytes()
+        words = _keystream_words_vectorized([key], nonce, n_blocks, counter)
+        stream = _stream_view(words, length).tobytes()
     return stream[:length]
 
 
@@ -210,7 +288,7 @@ def chacha20_keystreams(
     if length == 0 or len(keys) * n_blocks <= 4:
         return [chacha20_keystream(key, nonce, length, counter) for key in keys]
     words = _keystream_words_vectorized(list(keys), nonce, n_blocks, counter)
-    raw = words.astype("<u4").tobytes()
+    raw = words.tobytes()
     stride = n_blocks * 64
     return [raw[i * stride : i * stride + length] for i in range(len(keys))]
 
@@ -233,8 +311,7 @@ def chacha20_combined_keystream(
         return combined
     n_blocks = (length + 63) // 64
     words = _keystream_words_vectorized(list(keys), nonce, n_blocks, counter)
-    folded = np.bitwise_xor.reduce(words, axis=0)
-    return folded.astype("<u4").tobytes()[:length]
+    return _stream_view(np.bitwise_xor.reduce(words, axis=0), length).tobytes()
 
 
 def chacha20_xor_layers(

@@ -9,11 +9,15 @@ closes), so repeated MACs under the same one-time key (the mixnet wraps
 the same per-hop keys packet after packet) pay the r^2..r^n
 precomputation once, not per message.
 
-Large inputs additionally take a vectorized path: blocks are split into
-five 26-bit limbs (the classic radix-2^26 representation), the whole
-batch's block x power products collapse into one 5x5 uint64 matrix
-product, and the exact integer sum is reassembled from 25 limb-pair
-totals — still a single modular reduction per batch.  All paths are exact
+Inputs of 1 KiB and up take a vectorized path: blocks are split into
+five 26-bit limbs (the classic radix-2^26 representation), stored
+limb-major as a ``(5, n_blocks)`` uint64 array.  One batched matmul
+gives every full batch's 5x5 block x power limb-pair sums, numpy folds
+each batch's 25 sums to 9 diagonals, and one ``tolist()`` hands them to
+the per-batch Horner step, the only part left in Python ints.  A short
+final batch takes one 5x5 product of its own.  ``update`` absorbs a bulk
+input through a ``memoryview``, so a message whose length is not a
+multiple of 16 is not copied to split off its tail.  All paths are exact
 integer arithmetic, so tags are bit-identical to the straight per-block
 evaluation — the test suite pins all of them against each other and
 against the RFC vectors.
@@ -34,8 +38,9 @@ _PAD_BIT = 1 << 128  # the 0x01 byte appended to every full 16-byte block
 _M26 = (1 << 26) - 1
 
 #: Widest batch absorbed per modular reduction (and power-table depth).
-#: Each limb-pair dot product sums ``batch`` values < 2^52, so anything
-#: up to 2^12 blocks fits uint64; 512 keeps the table build cheap.
+#: Each limb-pair dot product sums ``batch`` values < 2^52, and a diagonal
+#: adds up to five of them, so anything below 3276 blocks fits uint64;
+#: 512 keeps the table build cheap.
 _BATCH_BLOCKS = 512
 #: Below this many bytes the plain Horner loop wins (no table lookup).
 _BATCH_THRESHOLD_BYTES = 512
@@ -116,12 +121,21 @@ class Poly1305:
     def update(self, data: bytes) -> "Poly1305":
         if self._finalized:
             raise CryptoError("Poly1305 tag already produced")
+        start = 0
         if self._tail:
-            data = self._tail + data
-        whole = len(data) - (len(data) % 16)
-        self._tail = data[whole:]
-        if whole:
-            self._absorb_blocks(data[:whole])
+            # Complete the pending block on its own, so ``data`` is never
+            # prefixed (copied) to absorb it.
+            start = 16 - len(self._tail)
+            self._tail += data[:start]
+            if len(self._tail) < 16:
+                return self
+            self._absorb_blocks(self._tail)
+        end = len(data) - (len(data) - start) % 16
+        self._tail = data[end:]
+        if end - start >= _VECTOR_THRESHOLD_BYTES:
+            data = memoryview(data)  # absorb a bulk input in place
+        if end > start:
+            self._absorb_blocks(data[start:end])
         return self
 
     def _absorb_blocks(self, data: bytes) -> None:
@@ -157,45 +171,81 @@ class Poly1305:
         self._acc = acc
 
     def _absorb_blocks_limbs(self, data: bytes) -> None:
-        """Vectorized absorb: one 5x5 limb matmul + one reduction per batch.
+        """Vectorized absorb: 5x5 limb matmuls, one reduction per batch.
 
         For a batch of K blocks,
         ``acc_new = (acc*r^K + sum_i block_i * r^(K-i)) mod P``.  Blocks
         and powers are split into five 26-bit limbs; the cross sum becomes
-        ``S = B^T @ W`` where ``B`` is the (K, 5) block-limb array and
-        ``W`` the matching reversed power limbs, and the exact integer is
+        ``S = B @ W`` where ``B`` is the (5, K) limb-major block array and
+        ``W`` the (K, 5) reversed power limbs, and the exact integer is
         ``sum S[a][b] << 26*(a+b)``.  Every pair product is < 2^52 and K
-        <= 2^12, so the uint64 sums cannot overflow.
+        <= 512, so each sum is < 2^61.
+
+        Every full batch's 5x5 sums come from one batched matmul and fold
+        to nine diagonals ``D[k] = sum_{a+b=k} S[a][b]`` (at most five
+        sums, so still uint64).  A short final batch takes one 5x5
+        product of its own, so a message under one batch (every mixnet
+        packet) pays none of the batched set-up.  Only the Horner step
+        runs per batch, in Python ints.
         """
         if self._table is None:
             self._table = _power_table(self._r)
         table = self._table
-        acc = self._acc
         words = _np.frombuffer(data, dtype="<u8").reshape(-1, 2)
         lo = words[:, 0]
         hi = words[:, 1]
-        m26 = _np.uint64(_M26)
-        blimbs = _np.empty((len(words), 5), dtype=_np.uint64)
-        blimbs[:, 0] = lo & m26
-        blimbs[:, 1] = (lo >> _np.uint64(26)) & m26
-        blimbs[:, 2] = ((lo >> _np.uint64(52)) | (hi << _np.uint64(12))) & m26
-        blimbs[:, 3] = (hi >> _np.uint64(14)) & m26
-        # bits 104.. plus the 2^128 pad bit (bit 24 of this limb)
-        blimbs[:, 4] = (hi >> _np.uint64(40)) | _np.uint64(1 << 24)
         n_blocks = len(words)
-        pos = 0
-        while pos < n_blocks:
-            batch = min(n_blocks - pos, _BATCH_BLOCKS)
-            # Powers r^batch .. r^1: ascending table rows 0..batch-1 reversed.
+        limbs = _np.empty((5, n_blocks), dtype=_np.uint64)
+        b0, b1, b2, b3, b4 = limbs
+        m26 = _np.uint64(_M26)
+        _np.bitwise_and(lo, m26, out=b0)
+        _np.right_shift(lo, _np.uint64(26), out=b1)
+        _np.bitwise_and(b1, m26, out=b1)
+        _np.right_shift(lo, _np.uint64(52), out=b2)
+        _np.left_shift(hi, _np.uint64(12), out=b3)  # b3 as scratch
+        _np.bitwise_or(b2, b3, out=b2)
+        _np.bitwise_and(b2, m26, out=b2)
+        _np.right_shift(hi, _np.uint64(14), out=b3)
+        _np.bitwise_and(b3, m26, out=b3)
+        # bits 104.. plus the 2^128 pad bit (bit 24 of this limb)
+        _np.right_shift(hi, _np.uint64(40), out=b4)
+        _np.bitwise_or(b4, _np.uint64(1 << 24), out=b4)
+
+        acc = self._acc
+        n_full = n_blocks // _BATCH_BLOCKS
+        if n_full:
+            # Powers r^K .. r^1: ascending table rows 0..K-1 reversed.
+            weights = table.limbs(_BATCH_BLOCKS)[::-1]
+            batches = limbs[:, : n_full * _BATCH_BLOCKS].reshape(5, n_full, -1)
+            pair_sums = _np.matmul(batches.transpose(1, 0, 2), weights)
+            diagonals = _np.zeros((n_full, 9), dtype=_np.uint64)
+            for a in range(5):
+                diagonals[:, a : a + 5] += pair_sums[:, a, :]
+            r_batch = table.powers[_BATCH_BLOCKS - 1]
+            for d0, d1, d2, d3, d4, d5, d6, d7, d8 in diagonals.tolist():
+                total = (
+                    d0
+                    + (d1 << 26)
+                    + (d2 << 52)
+                    + (d3 << 78)
+                    + (d4 << 104)
+                    + (d5 << 130)
+                    + (d6 << 156)
+                    + (d7 << 182)
+                    + (d8 << 208)
+                )
+                acc = (acc * r_batch + total) % _P
+        pos = n_full * _BATCH_BLOCKS
+        if pos < n_blocks:
+            batch = n_blocks - pos
             weights = table.limbs(batch)[::-1]
-            pair_sums = blimbs[pos : pos + batch].T @ weights
+            pair_sums = limbs[:, pos:] @ weights
             total = 0
             for a in range(5):
                 row = pair_sums[a]
                 for b in range(5):
                     total += int(row[b]) << (26 * (a + b))
             acc = (acc * table.powers[batch - 1] + total) % _P
-            pos += batch
         self._acc = acc
 
     # -- finalizing --------------------------------------------------------
@@ -217,12 +267,3 @@ def poly1305_mac(key: bytes, message: bytes) -> bytes:
     """Compute the 16-byte Poly1305 tag of ``message`` under a 32-byte key."""
     return Poly1305(key).update(message).tag()
 
-
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Length- and content-compare without early exit."""
-    if len(a) != len(b):
-        return False
-    result = 0
-    for x, y in zip(a, b):
-        result |= x ^ y
-    return result == 0

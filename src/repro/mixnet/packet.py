@@ -39,6 +39,7 @@ memo keep the hot path fast without touching the seeded RNG stream
 
 from __future__ import annotations
 
+import hmac
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,7 +53,6 @@ from repro.crypto.chacha20 import (
     xor_bytes,
 )
 from repro.crypto.kdf import hkdf
-from repro.crypto.poly1305 import constant_time_equal
 from repro.crypto.x25519 import x25519, x25519_keypair
 from repro.errors import AuthenticationError, MixnetError
 from repro.runtime import ProcessCache
@@ -214,7 +214,7 @@ def _open(key: bytes, sealed: bytes, aad: bytes) -> bytes:
         raise AuthenticationError("ciphertext shorter than the AEAD tag")
     otk, stream = _stream_entry(key, len(sealed) - _TAG_BYTES)
     ciphertext, tag = sealed[:-_TAG_BYTES], sealed[-_TAG_BYTES:]
-    if not constant_time_equal(tag, aead_tag(otk, ciphertext, aad)):
+    if not hmac.compare_digest(tag, aead_tag(otk, ciphertext, aad)):
         raise AuthenticationError("AEAD tag verification failed")
     return xor_bytes(ciphertext, stream[: len(ciphertext)])
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto import poly1305_mac
-from repro.crypto.poly1305 import constant_time_equal
 from repro.errors import CryptoError
 
 
@@ -45,16 +44,3 @@ class TestPoly1305:
         flipped = bytes([message[0] ^ 0x01]) + message[1:]
         assert poly1305_mac(key, message) != poly1305_mac(key, flipped)
 
-
-class TestConstantTimeEqual:
-    def test_equal(self):
-        assert constant_time_equal(b"abc", b"abc")
-
-    def test_unequal_content(self):
-        assert not constant_time_equal(b"abc", b"abd")
-
-    def test_unequal_length(self):
-        assert not constant_time_equal(b"abc", b"abcd")
-
-    def test_empty(self):
-        assert constant_time_equal(b"", b"")

@@ -5,6 +5,7 @@ evaluation: the sizes straddle the block and dispatch boundaries
 (0, 1, 63, 64, 65, 255, 256, 257 bytes and the vectorization threshold).
 """
 
+import random
 import struct
 
 import pytest
@@ -260,3 +261,103 @@ class TestMultiKeyKeystreams:
         from repro.crypto.chacha20 import chacha20_keystreams
 
         assert chacha20_keystreams([], NONCE, 100) == []
+
+
+class TestLargeInputs:
+    """Inputs that span several ChaCha20 tiles and Poly1305 batches.
+
+    A kernel that is wrong the same way when sealing and opening still
+    round-trips, so every check here is against the scalar block function
+    or the seed's per-block MAC loop.
+    """
+
+    COUNTER = 7
+
+    @staticmethod
+    def _tile_edge_blocks(n_blocks):
+        """First and last block of every tile, and the final block."""
+        from repro.crypto.chacha20 import _TILE_LANES
+
+        blocks = {n_blocks - 1}
+        for first in range(0, n_blocks, _TILE_LANES):
+            blocks.update((first, min(first + _TILE_LANES, n_blocks) - 1))
+        return sorted(blocks)
+
+    def _three_tiles_and_a_tail(self):
+        from repro.crypto.chacha20 import _TILE_LANES
+
+        size = 3 * _TILE_LANES * 64 + 100
+        return size, (size + 63) // 64
+
+    def test_xor_over_three_tiles_matches_scalar_blocks(self):
+        size, n_blocks = self._three_tiles_and_a_tail()
+        data = (bytes(range(251)) * (size // 251 + 1))[:size]
+        sealed = chacha20_xor(KEY, NONCE, data, counter=self.COUNTER)
+        assert len(sealed) == size
+        for block in self._tile_edge_blocks(n_blocks):
+            lo = block * 64
+            chunk = data[lo : lo + 64]
+            stream = chacha20_block(KEY, self.COUNTER + block, NONCE)[: len(chunk)]
+            assert sealed[lo : lo + 64] == xor_bytes(chunk, stream), block
+
+    def test_keystream_over_three_tiles_matches_scalar_blocks(self):
+        size, n_blocks = self._three_tiles_and_a_tail()
+        stream = chacha20_keystream(KEY, NONCE, size, counter=self.COUNTER)
+        assert len(stream) == size
+        for block in self._tile_edge_blocks(n_blocks):
+            lo = block * 64
+            expected = chacha20_block(KEY, self.COUNTER + block, NONCE)
+            assert stream[lo : lo + 64] == expected[: len(stream[lo : lo + 64])]
+        assert chacha20_xor(KEY, NONCE, bytes(size), counter=self.COUNTER) == stream
+
+    def test_keystreams_with_a_tile_boundary_inside_one_key(self):
+        from repro.crypto.chacha20 import _TILE_LANES, chacha20_keystreams
+
+        keys = [KEY, KEY2, KEY3]
+        n_blocks = _TILE_LANES // 2 + 100
+        length = n_blocks * 64 - 9
+        # Lanes run key-major: the first tile ends inside KEY2's lanes.
+        boundary = _TILE_LANES - n_blocks
+        assert 0 < boundary < n_blocks
+        streams = chacha20_keystreams(keys, NONCE, length, counter=self.COUNTER)
+        assert [len(stream) for stream in streams] == [length] * 3
+        for key, stream in zip(keys, streams):
+            for block in (0, boundary - 1, boundary, n_blocks - 1):
+                lo = block * 64
+                expected = chacha20_block(key, self.COUNTER + block, NONCE)
+                assert stream[lo : lo + 64] == expected[: len(stream[lo : lo + 64])]
+            assert stream == chacha20_keystream(key, NONCE, length, counter=self.COUNTER)
+        combined = chacha20_combined_keystream(keys, NONCE, length, counter=self.COUNTER)
+        assert combined == xor_bytes(xor_bytes(streams[0], streams[1]), streams[2])
+
+    def test_poly1305_over_full_batches_in_uneven_chunks(self):
+        from repro.crypto.poly1305 import _BATCH_BLOCKS
+
+        batch_bytes = _BATCH_BLOCKS * 16
+        # Not periodic: batches with equal bytes would hide a batch mix-up.
+        message = random.Random(33).randbytes(4 * batch_bytes + 16 * 37 + 5)
+        # The second chunk starts mid-block and holds three full batches
+        # plus a short batch and a ragged end.
+        cuts = [5, 5 + 3 * batch_bytes + 16 * 20 + 3, 5 + 3 * batch_bytes + 16 * 20 + 4]
+        mac = Poly1305(KEY)
+        for lo, hi in zip([0] + cuts, cuts + [len(message)]):
+            mac.update(message[lo:hi])
+        expected = legacy_poly1305_mac(KEY, message)
+        assert mac.tag() == expected
+        assert poly1305_mac(KEY, message) == expected
+
+    def test_multi_mib_aead_round_trip_and_tamper(self):
+        from repro.crypto.aead import ChaCha20Poly1305
+        from repro.errors import AuthenticationError
+
+        aead = ChaCha20Poly1305(KEY)
+        plaintext = (bytes(range(253)) * (2 * 4096 + 1))[: 2 * 1024 * 1024 + 7]
+        sealed = aead.encrypt(NONCE, plaintext, b"header")
+        assert len(sealed) == len(plaintext) + 16
+        assert aead.decrypt(NONCE, sealed, b"header") == plaintext
+        last_block = (len(plaintext) - 1) // 64 * 64
+        for index in (last_block + 3, len(sealed) - 1):  # ciphertext, tag
+            tampered = bytearray(sealed)
+            tampered[index] ^= 0x10
+            with pytest.raises(AuthenticationError):
+                aead.decrypt(NONCE, bytes(tampered), b"header")
